@@ -51,7 +51,9 @@ def _fmt(x) -> str:
 
 
 def _config_hash(cfg: dict) -> str:
-    text = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    # the worker count never changes the output, so it is not part of the hash
+    payload = {k: v for k, v in cfg.items() if k != "jobs"}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -110,8 +112,9 @@ def validate_config(cfg: dict) -> None:
     for key in ("seed", "jobs", "budget", "instances"):
         if not isinstance(cfg[key], int) or cfg[key] < 0:
             raise ConfigError(f"{key!r} must be a nonnegative integer")
-    if cfg["jobs"] < 1:
-        raise ConfigError("'jobs' must be >= 1")
+    for key in ("jobs", "instances"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key!r} must be >= 1")
     for name, value in cfg["tolerances"].items():
         if not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerance {name!r} must be positive")
@@ -133,8 +136,9 @@ def validate_config(cfg: dict) -> None:
             sizes = geo[part]
             if not sizes or not all(isinstance(v, int) and v >= 1 for v in sizes):
                 raise ConfigError(f"geometry '{part}' must be a list of sizes >= 1")
-        model = _model_spec(cfg) if "model" in cfg else None
-        d = 2
+        d = _model_spec(cfg).params.get("local_dim", 2) if "model" in cfg else 2
+        if not isinstance(d, int) or d < 2:
+            raise ConfigError("model 'local_dim' must be an integer >= 2")
         for na in geo["a"]:
             for nb in geo["b"]:
                 for nc in geo["c"]:

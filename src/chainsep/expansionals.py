@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
-from .gibbs import DEFAULT_BUDGET, gibbs
-from .linalg import LocalOperator, embed, herm_exp, identity, op_norm, partial_trace
-from .model import Interaction, RegionsABC, hamiltonian, k_neighborhood
+from .gibbs import DEFAULT_BUDGET, Chain
+from .linalg import LocalOperator, embed, identity, op_norm, partial_trace
+from .model import Interaction, RegionsABC, k_neighborhood
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +41,30 @@ def _as_interval(part: Sequence[int], name: str) -> tuple[int, ...]:
     return part
 
 
+def _expansional(
+    chain: Chain, x: Sequence[int], y: Sequence[int], s: complex
+) -> ExpansionalReport:
+    """Interface operator of (X, Y, s) on `chain`, built once per chain.
+
+    H_X + H_Y is split, so its exponentials come from the two small spectra;
+    E^{-1} reuses the spectra of E and both norms are kept with them.
+    """
+    x = _as_interval(x, "X")
+    y = _as_interval(y, "Y")
+    if x[-1] + 1 != y[0]:
+        raise GeometryError(f"X {x} and Y {y} must be adjacent")
+    if abs(s) > 1 + 1e-12:
+        raise GeometryError(f"|s| must be <= 1, got {abs(s)}")
+
+    def build():
+        xy = x + y
+        e = chain.exp(xy, -s) @ chain.split_exp(x, y, s)
+        e_inv = chain.split_exp(x, y, -s) @ chain.exp(xy, s)
+        return ExpansionalReport(s, x, y, e, e_inv, op_norm(e), op_norm(e_inv))
+
+    return chain.cached(("expansional", x, y, s), build)
+
+
 def expansional(
     ia: Interaction,
     x: Sequence[int],
@@ -49,27 +73,33 @@ def expansional(
     budget: int = DEFAULT_BUDGET,
 ) -> ExpansionalReport:
     """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y."""
-    x = _as_interval(x, "X")
-    y = _as_interval(y, "Y")
-    if x[-1] + 1 != y[0]:
-        raise GeometryError(f"X {x} and Y {y} must be adjacent")
-    if abs(s) > 1 + 1e-12:
-        raise GeometryError(f"|s| must be <= 1, got {abs(s)}")
-    xy = x + y
-    if ia.local_dim ** len(xy) > budget:
-        from .errors import BudgetError
-
-        raise BudgetError(ia.local_dim ** len(xy), budget)
-    h_xy = hamiltonian(ia, xy)
-    h_split = embed(hamiltonian(ia, x), xy) + embed(hamiltonian(ia, y), xy)
-    coupled = herm_exp(h_xy, -s)
-    split = herm_exp(h_split, s)
-    e = coupled @ split
-    e_inv = herm_exp(h_split, -s) @ herm_exp(h_xy, s)
-    return ExpansionalReport(s, x, y, e, e_inv, op_norm(e), op_norm(e_inv))
+    return _expansional(Chain(ia, budget), x, y, s)
 
 
 _PAIRS = {"A:B": ("A", "B"), "AB:C": ("AB", "C")}
+
+
+def _clip_pair(
+    regions: RegionsABC, pair: str, k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both intervals of `pair` clipped to the k-neighbourhood of B."""
+    if pair not in _PAIRS:
+        raise GeometryError(f"pair must be one of {sorted(_PAIRS)}, got {pair!r}")
+    hood = set(k_neighborhood(regions, k))
+    return tuple(
+        tuple(t for t in regions.part(name) if t in hood) for name in _PAIRS[pair]
+    )
+
+
+def _truncated_expansional(
+    chain: Chain, regions: RegionsABC, pair: str, k: int, s: complex
+) -> ExpansionalReport:
+    left, right = _clip_pair(regions, pair, k)
+    if not left or not right:
+        raise EmptyIntersectionError(
+            f"pair {pair} at k={k} clips one interval to nothing"
+        )
+    return _expansional(chain, left, right, s)
 
 
 def truncated_expansional(
@@ -81,43 +111,21 @@ def truncated_expansional(
     budget: int = DEFAULT_BUDGET,
 ) -> ExpansionalReport:
     """Expansional with both intervals clipped to the k-neighbourhood of B."""
-    if pair not in _PAIRS:
-        raise GeometryError(f"pair must be one of {sorted(_PAIRS)}, got {pair!r}")
-    hood = set(k_neighborhood(regions, k))
-    left_name, right_name = _PAIRS[pair]
-    left = tuple(t for t in regions.part(left_name) if t in hood)
-    right = tuple(t for t in regions.part(right_name) if t in hood)
-    if not left or not right:
-        raise EmptyIntersectionError(
-            f"pair {pair} at k={k} clips one interval to nothing"
-        )
-    return expansional(ia, left, right, s, budget)
+    return _truncated_expansional(Chain(ia, budget), regions, pair, k, s)
 
 
 def _truncated_or_identity(
-    ia: Interaction,
-    regions: RegionsABC,
-    pair: str,
-    k: int,
-    s: complex,
-    budget: int,
+    chain: Chain, regions: RegionsABC, pair: str, k: int, s: complex
 ) -> LocalOperator:
     """Like truncated_expansional, but an empty clip yields the identity.
 
     With one interval clipped away there are no cross terms left, so the
     interface operator degenerates to the identity on the surviving part.
     """
-    try:
-        return truncated_expansional(ia, regions, pair, k, s, budget).e
-    except EmptyIntersectionError:
-        hood = set(k_neighborhood(regions, k))
-        left_name, right_name = _PAIRS[pair]
-        surviving = tuple(
-            t
-            for t in regions.part(left_name) + regions.part(right_name)
-            if t in hood
-        )
-        return identity(surviving, ia.local_dim)
+    left, right = _clip_pair(regions, pair, k)
+    if not left or not right:
+        return identity(left + right, chain.ia.local_dim)
+    return _expansional(chain, left, right, s).e
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,7 @@ def estimate_uniform_bound(
     """
     if not size_grid or not s_grid:
         raise GeometryError("size and s grids must be nonempty")
+    chain = Chain(ia, budget)
     sites = ia.sites
     best = 1.0
     entries = []
@@ -151,10 +160,27 @@ def estimate_uniform_bound(
             x = sites[start : start + nx]
             y = sites[start + nx : start + nx + ny]
             for s in s_grid:
-                rep = expansional(ia, x, y, s, budget)
+                rep = _expansional(chain, x, y, s)
                 best = max(best, rep.norm_e, rep.norm_e_inv)
                 entries.append((nx, ny, s, rep.norm_e, rep.norm_e_inv))
     return UniformBoundEstimate(best, tuple(entries))
+
+
+def _covering_bound(
+    chain: Chain, regions: RegionsABC, k_values: Sequence[int], s: complex
+) -> float:
+    best = 1.0
+    for pair in _PAIRS:
+        for k in k_values:
+            try:
+                rep = _truncated_expansional(chain, regions, pair, k, s)
+            except EmptyIntersectionError:
+                continue
+            best = max(best, rep.norm_e, rep.norm_e_inv)
+        left, right = _PAIRS[pair]
+        rep = _expansional(chain, regions.part(left), regions.part(right), s)
+        best = max(best, rep.norm_e, rep.norm_e_inv)
+    return best
 
 
 def covering_bound(
@@ -166,20 +192,7 @@ def covering_bound(
 ) -> float:
     """Uniform-norm constant measured over every truncated expansional used
     downstream: both pairs, all requested k, plus the untruncated ones."""
-    best = 1.0
-    for pair in _PAIRS:
-        for k in k_values:
-            try:
-                rep = truncated_expansional(ia, regions, pair, k, s, budget)
-            except EmptyIntersectionError:
-                continue
-            best = max(best, rep.norm_e, rep.norm_e_inv)
-        left, right = _PAIRS[pair]
-        rep = expansional(
-            ia, regions.part(left), regions.part(right), s, budget
-        )
-        best = max(best, rep.norm_e, rep.norm_e_inv)
-    return best
+    return _covering_bound(Chain(ia, budget), regions, k_values, s)
 
 
 def factorial_decay_bound(g_emp: float, ell: int, r: int) -> float:
@@ -217,11 +230,9 @@ def difference_decay(
     if ext_right and y[-1] + 1 != ext_right[0]:
         raise GeometryError("right extension must immediately succeed Y")
 
-    base = expansional(ia, x, y, s, budget)
-    if not ext_left and not ext_right:
-        big = base
-    else:
-        big = expansional(ia, ext_left + x, y + ext_right, s, budget)
+    chain = Chain(ia, budget)
+    base = _expansional(chain, x, y, s)
+    big = _expansional(chain, ext_left + x, y + ext_right, s)
     target = big.e.support
     diff = op_norm(big.e - embed(base.e, target))
     diff_inv = op_norm(big.e_inv - embed(base.e_inv, target))

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -10,8 +10,6 @@ from .errors import BudgetError, GeometryError
 from .linalg import (
     LocalOperator,
     embed,
-    herm_exp,
-    identity,
     min_eig,
     op_norm,
     partial_trace,
@@ -29,6 +27,10 @@ def _check_budget(ia: Interaction, region: Sequence[int], budget: int) -> None:
         raise BudgetError(dim, budget)
 
 
+def _region(region: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(int(s) for s in region)))
+
+
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
     """A normalized thermal state exp(-H)/Z on a region, with Z alongside."""
@@ -40,9 +42,85 @@ class GibbsEnsemble:
     h: LocalOperator
 
 
+class Chain:
+    """Spectral context of one interaction under one dense-size budget.
+
+    Each region Hamiltonian is assembled, checked for Hermiticity and
+    diagonalized at most once; exponentials e^{tH_R} for any t, Gibbs states
+    and partition functions are served from that one spectrum.  Everything
+    computed is kept until the context is dropped, so a context should live
+    for one computation: each public entry point builds its own.
+    """
+
+    def __init__(self, ia: Interaction, budget: int = DEFAULT_BUDGET):
+        self.ia = ia
+        self.budget = budget
+        self._memo: dict = {}
+
+    def cached(self, key, build: Callable[[], Any]):
+        """The value stored under `key`, computed by `build()` on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def hamiltonian(self, region: Sequence[int]) -> LocalOperator:
+        region = _region(region)
+        _check_budget(self.ia, region, self.budget)
+        return self.cached(("H", region), lambda: hamiltonian(self.ia, region))
+
+    def spectrum(self, region: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of H_R."""
+        region = _region(region)
+
+        def build():
+            h = self.hamiltonian(region)
+            if not h.is_hermitian():
+                raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
+            return np.linalg.eigh(h.matrix)
+
+        return self.cached(("eigh", region), build)
+
+    def exp(self, region: Sequence[int], t: complex) -> LocalOperator:
+        """e^{t H_R}; complex t is fine."""
+        region = _region(region)
+        w, v = self.spectrum(region)
+        f = np.exp(t * w)
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"e^(tH) overflows on the spectrum of {region} at t={t}")
+        return LocalOperator(region, (v * f) @ v.conj().T, self.ia.local_dim)
+
+    def split_exp(self, x: Sequence[int], y: Sequence[int], t: complex) -> LocalOperator:
+        """e^{t(H_X + H_Y)} = e^{tH_X} (x) e^{tH_Y} for X entirely left of Y,
+        from the two small spectra instead of one on X u Y."""
+        ex, ey = self.exp(x, t), self.exp(y, t)
+        if ex.support[-1] >= ey.support[0]:
+            raise GeometryError(f"{ex.support} must lie entirely left of {ey.support}")
+        return LocalOperator(
+            ex.support + ey.support, np.kron(ex.matrix, ey.matrix), self.ia.local_dim
+        )
+
+    def gibbs(self, region: Sequence[int]) -> GibbsEnsemble:
+        region = _region(region)
+
+        def build():
+            boltz = self.exp(region, -1.0)
+            z = float(boltz.trace().real)
+            rho = LocalOperator(region, boltz.matrix / z, self.ia.local_dim)
+            if abs(rho.trace().real - 1.0) > 1e-12:
+                raise RuntimeError("Gibbs state failed its normalization check")
+            return GibbsEnsemble(self.ia, region, z, rho, self.hamiltonian(region))
+
+        return self.cached(("gibbs", region), build)
+
+    def partition_function(self, region: Sequence[int]) -> float:
+        """Tr e^{-H_R} from the cached spectrum."""
+        return float(np.exp(-self.spectrum(region)[0]).sum())
+
+
 def partition_function(
     ia: Interaction, region: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> float:
+    """Tr e^{-H_R} from the eigenvalues alone; no eigenvectors are computed."""
     _check_budget(ia, region, budget)
     w = np.linalg.eigvalsh(hamiltonian(ia, region).matrix)
     return float(np.exp(-w).sum())
@@ -51,15 +129,7 @@ def partition_function(
 def gibbs(
     ia: Interaction, region: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> GibbsEnsemble:
-    region = tuple(sorted(set(int(s) for s in region)))
-    _check_budget(ia, region, budget)
-    h = hamiltonian(ia, region)
-    boltz = herm_exp(h, -1.0)
-    z = float(boltz.trace().real)
-    rho = LocalOperator(region, boltz.matrix / z, ia.local_dim)
-    if abs(rho.trace().real - 1.0) > 1e-12:
-        raise RuntimeError("Gibbs state failed its normalization check")
-    return GibbsEnsemble(ia, region, z, rho, h)
+    return Chain(ia, budget).gibbs(region)
 
 
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
@@ -233,14 +303,15 @@ def marginal_inverse_norm(
     The uniform constant is measured on this instance from the two
     expansionals at s = -1/2 that appear in the derivation of the bound.
     """
-    from .expansionals import expansional  # late import: avoids a module cycle
+    from .expansionals import _expansional  # late import: avoids a module cycle
 
-    g = gibbs(ia, regions.all_sites, budget)
+    chain = Chain(ia, budget)
+    g = chain.gibbs(regions.all_sites)
     rho_b = marginal(g, regions.b)
     inv_norm = 1.0 / min_eig(rho_b)
 
-    rep_ab = expansional(ia, regions.a, regions.b, -0.5, budget)
-    rep_abc = expansional(ia, regions.a + regions.b, regions.c, -0.5, budget)
+    rep_ab = _expansional(chain, regions.a, regions.b, -0.5)
+    rep_abc = _expansional(chain, regions.a + regions.b, regions.c, -0.5)
     g_emp = max(
         1.0, rep_ab.norm_e, rep_ab.norm_e_inv, rep_abc.norm_e, rep_abc.norm_e_inv
     )

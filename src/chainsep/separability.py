@@ -9,23 +9,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
 from .expansionals import (
-    _PAIRS,
+    _covering_bound,
     _truncated_or_identity,
-    covering_bound,
     factorial_decay_bound,
 )
-from .gibbs import DEFAULT_BUDGET, gibbs, marginal, partition_function
+from .gibbs import DEFAULT_BUDGET, Chain, marginal
 from .linalg import (
     LocalOperator,
     embed,
-    herm_exp,
     identity,
     is_psd,
     min_eig,
@@ -33,7 +31,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
 )
-from .model import Interaction, RegionsABC, hamiltonian, k_neighborhood
+from .model import Interaction, RegionsABC, k_neighborhood
 
 VERDICT_SEPARABLE = "SeparableByConstruction"
 VERDICT_PPT = "PPTConsistent"
@@ -274,19 +272,8 @@ class CoreDecomposition:
     reconstruction_rel_err: float
 
 
-def decompose_truncated_marginal(
-    ia: Interaction,
-    regions: RegionsABC,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-) -> CoreDecomposition:
-    """Constructive separable + identity split on the k-neighbourhood of B.
-
-    The identity budget is gamma(k) = (min eig of the conjugated A-marginal)
-    x (min eig of the conjugated C-marginal) / 2, with per-side shifts equal
-    to the measured minima, so all shifted factors are PSD by construction.
-    """
-    if len(regions.b) < ia.interaction_range:
+def _decompose(chain: Chain, regions: RegionsABC, k: int) -> CoreDecomposition:
+    if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
     hood = k_neighborhood(regions, k)
     hood_set = set(hood)
@@ -296,18 +283,19 @@ def decompose_truncated_marginal(
         raise EmptyIntersectionError(
             f"k={k} clips A or C to nothing inside the neighbourhood"
         )
-    d = ia.local_dim
-    g = gibbs(ia, hood, budget)
+    d = chain.ia.local_dim
+    g = chain.gibbs(hood)
     ac = a_clip + c_clip
     rho_a = marginal(g, a_clip)
     rho_c = marginal(g, c_clip)
     rho_ac = marginal(g, ac)
 
-    exp_a = herm_exp(hamiltonian(ia, a_clip), 0.5)
-    exp_c = herm_exp(hamiltonian(ia, c_clip), 0.5)
+    exp_a = chain.exp(a_clip, 0.5)
+    exp_c = chain.exp(c_clip, 0.5)
     tilde_a = exp_a @ rho_a @ exp_a
     tilde_c = exp_c @ rho_c @ exp_c
-    sandwich = herm_exp(hamiltonian(ia, ac), 0.5)
+    # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
+    sandwich = chain.split_exp(a_clip, c_clip, 0.5)
     tilde_ac = sandwich @ rho_ac @ sandwich
     delta = tilde_ac - (embed(tilde_a, ac) @ embed(tilde_c, ac))
 
@@ -363,25 +351,44 @@ def decompose_truncated_marginal(
     )
 
 
+def decompose_truncated_marginal(
+    ia: Interaction,
+    regions: RegionsABC,
+    k: int,
+    budget: int = DEFAULT_BUDGET,
+) -> CoreDecomposition:
+    """Constructive separable + identity split on the k-neighbourhood of B.
+
+    The identity budget is gamma(k) = (min eig of the conjugated A-marginal)
+    x (min eig of the conjugated C-marginal) / 2, with per-side shifts equal
+    to the measured minima, so all shifted factors are PSD by construction.
+    """
+    return _decompose(Chain(ia, budget), regions, k)
+
+
 # ---------------------------------------------------------------------------
 # Tail terms and the telescoping identity
 # ---------------------------------------------------------------------------
 
 def _traced_interface_product(
-    ia: Interaction,
-    regions: RegionsABC,
-    kk: int,
-    s: float,
-    budget: int,
-    target: tuple[int, ...],
+    chain: Chain, regions: RegionsABC, kk: int, s: float
 ) -> LocalOperator:
-    """tr_B[rho^B F_kk] on target minus B, where F_kk is the four-factor
-    product of k-truncated interface operators."""
-    ea = embed(_truncated_or_identity(ia, regions, "A:B", kk, s, budget), target)
-    ec = embed(_truncated_or_identity(ia, regions, "AB:C", kk, s, budget), target)
-    f = ea.dagger() @ ec.dagger() @ ec @ ea
-    rho_b = gibbs(ia, regions.b, budget).rho
-    return partial_trace(embed(rho_b, target) @ f, regions.b)
+    """tr_B[rho^B F_kk], where F_kk is the four-factor product of kk-truncated
+    interface operators.
+
+    F_kk acts on the kk-neighbourhood of B only, so the product is computed
+    there (at least one site beyond B on each side) and callers embed it.
+    """
+
+    def build():
+        hood = k_neighborhood(regions, max(kk, 1))
+        ea = embed(_truncated_or_identity(chain, regions, "A:B", kk, s), hood)
+        ec = embed(_truncated_or_identity(chain, regions, "AB:C", kk, s), hood)
+        f = ea.dagger() @ ec.dagger() @ ec @ ea
+        rho_b = chain.gibbs(regions.b).rho
+        return partial_trace(embed(rho_b, hood) @ f, regions.b)
+
+    return chain.cached(("traced", regions, kk, s), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,6 +399,27 @@ class TailTerm:
     support_size: int
 
 
+def _tail_term(chain: Chain, regions: RegionsABC, k: int, s: float) -> TailTerm:
+    if k < 0:
+        raise GeometryError("k must be nonnegative")
+
+    def build():
+        out_support = tuple(
+            t for t in k_neighborhood(regions, k + 1) if t not in set(regions.b)
+        )
+        if k >= max(len(regions.a), len(regions.c)):
+            d = chain.ia.local_dim
+            side = d ** len(out_support)
+            op = LocalOperator(out_support, np.zeros((side, side)), d)
+            return TailTerm(k, op, 0.0, len(out_support))
+        upper = _traced_interface_product(chain, regions, k + 1, s)
+        lower = _traced_interface_product(chain, regions, k, s)
+        op = upper - embed(lower, out_support)
+        return TailTerm(k, op, op_norm(op), len(out_support))
+
+    return chain.cached(("tail", regions, k, s), build)
+
+
 def tail_term(
     ia: Interaction,
     regions: RegionsABC,
@@ -400,25 +428,29 @@ def tail_term(
     budget: int = DEFAULT_BUDGET,
 ) -> TailTerm:
     """Difference of traced interface products between radii k+1 and k."""
-    if k < 0:
-        raise GeometryError("k must be nonnegative")
-    target = k_neighborhood(regions, k + 1)
-    out_support = tuple(t for t in target if t not in set(regions.b))
-    kmax = max(len(regions.a), len(regions.c))
-    if k >= kmax:
-        d = ia.local_dim
-        side = d ** len(out_support)
-        op = LocalOperator(out_support, np.zeros((side, side)), d)
-        return TailTerm(k, op, 0.0, len(out_support))
-    upper = _traced_interface_product(ia, regions, k + 1, s, budget, target)
-    lower = _traced_interface_product(ia, regions, k, s, budget, target)
-    op = upper - lower
-    return TailTerm(k, op, op_norm(op), len(out_support))
+    return _tail_term(Chain(ia, budget), regions, k, s)
 
 
 def tail_norm_bound(g_emp: float, k: int, r: int) -> float:
     """4 g^3 g^k / (floor(k/r)+1)!, the proof's tail norm budget."""
     return 4.0 * g_emp**3 * factorial_decay_bound(g_emp, k, r)
+
+
+def _conjugated_marginal(
+    chain: Chain, regions: RegionsABC, s: float
+) -> tuple[LocalOperator, LocalOperator]:
+    """(Z_ABC / Z_B) e^{sH_AC} rho_AC e^{sH_AC}, the left side of the
+    telescoping identity, and rho_AC itself."""
+
+    def build():
+        g_full = chain.gibbs(regions.all_sites)
+        rho_ac = marginal(g_full, regions.ac)
+        # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
+        sandwich = chain.split_exp(regions.a, regions.c, s)
+        z_b = chain.partition_function(regions.b)
+        return (g_full.z / z_b) * (sandwich @ rho_ac @ sandwich), rho_ac
+
+    return chain.cached(("lhs", regions, s), build)
 
 
 @dataclass(frozen=True)
@@ -446,21 +478,16 @@ def telescope_verify(
         raise GeometryError("|B| must be at least the interaction range")
     if k0 < 1:
         raise GeometryError("k0 must be >= 1")
-    sites = regions.all_sites
+    chain = Chain(ia, budget)
     acs = regions.ac
-    g_full = gibbs(ia, sites, budget)
-    z_b = partition_function(ia, regions.b, budget)
-    sandwich = herm_exp(hamiltonian(ia, acs), s)
-    lhs = (g_full.z / z_b) * (sandwich @ marginal(g_full, acs) @ sandwich)
+    lhs, _ = _conjugated_marginal(chain, regions, s)
 
     kmax = max(len(regions.a), len(regions.c))
-    t_k0 = embed(
-        _traced_interface_product(ia, regions, k0, s, budget, sites), acs
-    )
+    t_k0 = embed(_traced_interface_product(chain, regions, k0, s), acs)
     rhs = t_k0
     tail_norms = []
     for k in range(k0, kmax):
-        t = tail_term(ia, regions, k, s, budget)
+        t = _tail_term(chain, regions, k, s)
         tail_norms.append(t.norm)
         rhs = rhs + embed(t.op, acs)
     scale = max(float(np.linalg.norm(lhs.matrix)), 1e-300)
@@ -468,11 +495,12 @@ def telescope_verify(
 
     # closed form of the k0 term via the truncated Gibbs state
     hood = k_neighborhood(regions, k0)
-    ac_clip = tuple(t for t in hood if t not in set(regions.b))
-    g_k = gibbs(ia, hood, budget)
-    z_k0 = g_k.z
-    sw = herm_exp(hamiltonian(ia, ac_clip), s)
-    closed = embed((z_k0 / z_b) * (sw @ marginal(g_k, ac_clip) @ sw), acs)
+    a_clip = tuple(t for t in hood if t in set(regions.a))
+    c_clip = tuple(t for t in hood if t in set(regions.c))
+    g_k = chain.gibbs(hood)
+    z_b = chain.partition_function(regions.b)
+    sw = chain.split_exp(a_clip, c_clip, s)
+    closed = embed((g_k.z / z_b) * (sw @ marginal(g_k, a_clip + c_clip) @ sw), acs)
     cscale = max(float(np.linalg.norm(closed.matrix)), 1e-300)
     k0_term_rel_err = float(np.linalg.norm(t_k0.matrix - closed.matrix)) / cscale
     return TelescopeReport(k0, identity_rel_err, k0_term_rel_err, tuple(tail_norms))
@@ -507,27 +535,25 @@ class DecompositionReport:
 
 
 def _attempt_certificate(
-    ia: Interaction,
+    chain: Chain,
     regions: RegionsABC,
     k0: int,
     s: float,
-    budget: int,
     recon_tol: float,
 ) -> DecompositionReport:
-    d = ia.local_dim
-    r = ia.interaction_range
+    d = chain.ia.local_dim
+    r = chain.ia.interaction_range
     kmax = max(len(regions.a), len(regions.c))
-    core = decompose_truncated_marginal(ia, regions, k0, budget)
-    z_b = partition_function(ia, regions.b, budget)
-    z_k0 = partition_function(ia, k_neighborhood(regions, k0), budget)
-    ratio = z_k0 / z_b
+    core = _decompose(chain, regions, k0)
+    z_b = chain.partition_function(regions.b)
+    ratio = chain.partition_function(k_neighborhood(regions, k0)) / z_b
     identity_mass = ratio * core.gamma
-    g_emp = covering_bound(ia, regions, range(k0, kmax + 2), s, budget)
+    g_emp = _covering_bound(chain, regions, range(k0, kmax + 2), s)
 
     per_k = []
     tails = []
     for k in range(k0, kmax):
-        t = tail_term(ia, regions, k, s, budget)
+        t = _tail_term(chain, regions, k, s)
         budget_k = identity_mass * 2.0 ** (-(k - k0 + 1))
         dim_a = d ** min(k + 1, len(regions.a))
         dim_c = d ** min(k + 1, len(regions.c))
@@ -538,11 +564,7 @@ def _attempt_certificate(
         tails.append(t.op)
 
     acs = regions.ac
-    sites = regions.all_sites
-    g_full = gibbs(ia, sites, budget)
-    sandwich = herm_exp(hamiltonian(ia, acs), s)
-    rho_ac = marginal(g_full, acs)
-    lhs = (g_full.z / z_b) * (sandwich @ rho_ac @ sandwich)
+    lhs, rho_ac = _conjugated_marginal(chain, regions, s)
     rhs = ratio * embed(core.tilde_ac, acs)
     for t_op in tails:
         rhs = rhs + embed(t_op, acs)
@@ -600,31 +622,22 @@ def certify_marginal(
 
     If k0 is not given, the smallest feasible k0 in {1..max(|A|,|C|)} is
     searched; the report of the last attempt is returned when none passes.
+    All attempts share one spectral context, so every region Hamiltonian,
+    interface operator and tail term is computed once.
     """
     if len(regions.b) < ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
     kmax = max(len(regions.a), len(regions.c))
     candidates = [k0] if k0 is not None else list(range(1, kmax + 1))
+    chain = Chain(ia, budget)
     attempted = []
     report = None
     for cand in candidates:
-        report = _attempt_certificate(ia, regions, cand, s, budget, recon_tol)
+        report = _attempt_certificate(chain, regions, cand, s, recon_tol)
         attempted.append(cand)
         if report.verdict == VERDICT_SEPARABLE:
             break
-    return DecompositionReport(
-        verdict=report.verdict,
-        k0=report.k0,
-        gamma_k0=report.gamma_k0,
-        z_ratio=report.z_ratio,
-        reconstruction_rel_err=report.reconstruction_rel_err,
-        per_k=report.per_k,
-        constants_used=report.constants_used,
-        core=report.core,
-        negativity_cross_check=report.negativity_cross_check,
-        k0_closed_form=report.k0_closed_form,
-        attempted_k0=tuple(attempted),
-    )
+    return replace(report, attempted_k0=tuple(attempted))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsep import (
+    Chain,
     EmptyIntersectionError,
     GeometryError,
     LocalOperator,
@@ -12,10 +13,13 @@ from chainsep import (
     contraction_check,
     covering_bound,
     difference_decay,
+    embed,
     estimate_uniform_bound,
     expansional,
     factorial_decay_bound,
     gibbs,
+    hamiltonian,
+    herm_exp,
     marginal,
     op_norm,
     truncated_expansional,
@@ -52,8 +56,6 @@ def test_expansional_commuting_decouples():
     # exactly exp of the boundary terms alone
     ia = builtin_models("classical_ising", {"sites": 4})
     rep = expansional(ia, (0, 1), (2, 3), 0.5)
-    from chainsep import embed, hamiltonian, herm_exp
-
     h_xy = hamiltonian(ia, (0, 1, 2, 3))
     h_split = embed(hamiltonian(ia, (0, 1)), (0, 1, 2, 3)) + embed(
         hamiltonian(ia, (2, 3)), (0, 1, 2, 3)
@@ -189,3 +191,16 @@ def test_expansional_inverse_property(seed, s):
     rep = expansional(ia, (0, 1, 2), (3, 4), s)
     assert np.abs((rep.e @ rep.e_inv).matrix - np.eye(32)).max() < 1e-10
     assert max(rep.norm_e, rep.norm_e_inv) >= 1.0 - 1e-12
+    # the spectral context against exponentials of freshly assembled
+    # Hamiltonians: e^{sH_R} from the cached spectrum, and the split
+    # exponential e^{sH_X} (x) e^{sH_Y} against e^{s(H_X (x) 1 + 1 (x) H_Y)}
+    chain = Chain(ia)
+    xy = tuple(range(5))
+    split = embed(hamiltonian(ia, (0, 1, 2)), xy) + embed(hamiltonian(ia, (3, 4)), xy)
+    for got, want in (
+        (chain.exp(xy, s), herm_exp(hamiltonian(ia, xy), s)),
+        (chain.exp((3, 4), s), herm_exp(hamiltonian(ia, (3, 4)), s)),
+        (chain.split_exp((0, 1, 2), (3, 4), s), herm_exp(split, s)),
+    ):
+        assert got.support == want.support
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()

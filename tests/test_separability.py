@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,22 @@ def test_certify_marginal_small_gap_is_undetermined_not_wrong():
     assert rep.verdict in (VERDICT_SEPARABLE, VERDICT_UNDETERMINED)
     if rep.verdict == VERDICT_UNDETERMINED:
         assert rep.attempted_k0 == (1, 2)
+
+
+def test_certify_diagonalizes_each_region_once(monkeypatch):
+    ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1})
+    inputs = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        a = np.ascontiguousarray(a)
+        inputs.append((a.shape[0], hashlib.sha256(a.tobytes()).hexdigest()))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    certify_marginal(ia, RegionsABC.from_sizes(2, 3, 2))
+    assert len(inputs) == len(set(inputs))
+    assert [dim for dim, _ in inputs].count(2**7) == 1
 
 
 def test_certificate_json_roundtrip():
