@@ -1,7 +1,8 @@
 """Dense operator algebra on tensor products of d-dimensional sites.
 
-Operators are plain complex matrices tagged with the sorted list of sites
-they act on.  All functions are pure; nothing here mutates its inputs.
+Operators are plain matrices tagged with the sorted list of sites they act
+on: float64 if given with a real dtype, else complex128, and real inputs give
+real results.  All functions are pure; nothing here mutates its inputs.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ PSD_TOL_SCALE = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """A dense complex matrix together with the sorted sites it acts on."""
+    """A dense matrix (float64 if given real, else complex128) and its sites."""
 
     support: tuple[int, ...]
     matrix: np.ndarray
@@ -30,7 +31,8 @@ class LocalOperator:
             raise GeometryError(f"support must be strictly increasing: {support}")
         if self.local_dim < 2:
             raise ValueError(f"local_dim must be >= 2, got {self.local_dim}")
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
         side = self.local_dim ** len(support)
         if m.shape != (side, side):
             raise ValueError(
@@ -162,20 +164,23 @@ def partial_transpose(op: LocalOperator, subset: Iterable[int]) -> LocalOperator
 
 
 def herm_fn(op: LocalOperator, scalar_fn: Callable) -> LocalOperator:
-    """Apply a scalar function to a Hermitian operator spectrally."""
+    """Apply a scalar function to a Hermitian operator spectrally.
+
+    The result is real when the operator and the values of `scalar_fn` are.
+    """
     if not op.is_hermitian():
         raise ValueError("herm_fn requires a Hermitian operator")
     w, v = np.linalg.eigh(op.matrix)
-    fw = np.asarray(scalar_fn(w), dtype=complex)
+    fw = np.asarray(scalar_fn(w))
     if fw.shape != w.shape:
-        fw = np.asarray([scalar_fn(x) for x in w], dtype=complex)
+        fw = np.asarray([scalar_fn(x) for x in w])
     if not np.all(np.isfinite(fw)):
         raise ValueError("scalar function is not finite on the spectrum")
     return LocalOperator(op.support, (v * fw) @ v.conj().T, op.local_dim)
 
 
 def herm_exp(op: LocalOperator, scale: complex = 1.0) -> LocalOperator:
-    """exp(scale * H) for Hermitian H; complex scales are fine."""
+    """exp(scale * H) for Hermitian H; complex scales give a complex result."""
     return herm_fn(op, lambda w: np.exp(scale * w))
 
 

@@ -10,9 +10,9 @@ import numpy as np
 from .errors import ConfigError, EmptyIntersectionError, GeometryError
 from .linalg import LocalOperator, embed, op_norm
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,15 +47,10 @@ class Interaction:
                 raise GeometryError(
                     f"term {supp} exceeds declared range {self.interaction_range}"
                 )
-            m = np.asarray(mat, dtype=complex)
-            side = self.local_dim ** len(supp)
-            if m.shape != (side, side):
-                raise ValueError(f"term {supp} has wrong shape {m.shape}")
-            if np.abs(m - m.conj().T).max(initial=0.0) > 1e-12 * max(
-                1.0, float(np.linalg.norm(m))
-            ):
+            op = LocalOperator(supp, mat, self.local_dim)  # checks shape, sets dtype
+            if not op.is_hermitian():
                 raise ValueError(f"term {supp} is not Hermitian")
-            terms[supp] = m
+            terms[supp] = op.matrix
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -67,25 +62,6 @@ class Interaction:
             for s in supp:
                 per_site[s] += nrm
         return max(per_site.values(), default=0.0)
-
-    def term_norms(self) -> dict[tuple[int, ...], float]:
-        return {
-            supp: op_norm(LocalOperator(supp, mat, self.local_dim))
-            for supp, mat in self.terms.items()
-        }
-
-    def __add__(self, other: "Interaction") -> "Interaction":
-        if other.local_dim != self.local_dim or other.sites != self.sites:
-            raise GeometryError("can only add interactions on the same chain")
-        terms = {k: v.copy() for k, v in self.terms.items()}
-        for supp, mat in other.terms.items():
-            terms[supp] = terms.get(supp, 0) + mat
-        return Interaction(
-            self.local_dim,
-            self.sites,
-            terms,
-            max(self.interaction_range, other.interaction_range),
-        )
 
 
 @dataclass(frozen=True)
@@ -147,17 +123,28 @@ def k_neighborhood(regions: RegionsABC, k: int) -> tuple[int, ...]:
 
 
 def hamiltonian(ia: Interaction, region: Sequence[int]) -> LocalOperator:
-    """Sum of all interaction terms fully contained in `region`."""
+    """Sum of all interaction terms fully contained in `region`.
+
+    The matrix is allocated once, in the result dtype of the terms.  A term on
+    consecutive sites of `region` is added in place to the diagonal blocks of
+    a view, with no region-sized identity product; others go through `embed`.
+    """
     region = tuple(sorted(set(int(s) for s in region)))
     if not region:
         raise GeometryError("hamiltonian of an empty region is undefined")
-    d = ia.local_dim
-    side = d ** len(region)
-    h = np.zeros((side, side), dtype=complex)
-    region_set = set(region)
-    for supp, mat in ia.terms.items():
-        if set(supp) <= region_set:
+    d, n = ia.local_dim, len(region)
+    pos = {s: i for i, s in enumerate(region)}
+    inside = [(supp, m) for supp, m in ia.terms.items() if set(supp) <= pos.keys()]
+    h = np.zeros((d**n, d**n), np.result_type(float, *{m.dtype for _, m in inside}))
+    for supp, mat in inside:
+        first = pos[supp[0]] if supp else 0
+        if [pos[s] - first for s in supp] != list(range(len(supp))):
             h += embed(LocalOperator(supp, mat, d), region).matrix
+            continue
+        # a writable view: blocks[l, r] is the block h[(l, :, r), (l, :, r)]
+        shape = (d**first, len(mat), d ** (n - first - len(supp)))
+        blocks = np.einsum("larlbr->lrab", h.reshape(shape + shape))
+        blocks += mat
     return LocalOperator(region, h, d)
 
 
@@ -203,7 +190,8 @@ def _classical_ising(sites, coupling=1.0, field=0.0):
 def _xxz(sites, jxy=1.0, jz=1.0, field=0.0):
     terms = {}
     for bond in _bonds(sites):
-        terms[bond] = jxy * (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y))
+        # Y (x) Y is real, so the bond is kept real
+        terms[bond] = jxy * (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y).real)
         terms[bond] = terms[bond] + jz * np.kron(PAULI_Z, PAULI_Z)
     if field:
         for s in sites:

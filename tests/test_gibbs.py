@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from chainsep import (
     BudgetError,
     GeometryError,
+    Interaction,
     LocalOperator,
     RegionsABC,
     builtin_models,
@@ -41,8 +42,6 @@ def test_partition_function_zero_interaction():
 
 def test_partition_function_single_field():
     # H = z-field of weight 0.3 on one site: Z = e^{-0.3} + e^{0.3}
-    from chainsep import Interaction
-
     ia = Interaction(2, (0,), {(0,): 0.3 * PAULI_Z}, 0)
     assert partition_function(ia, (0,)) == pytest.approx(2 * np.cosh(0.3))
 
@@ -115,6 +114,24 @@ def test_partition_ratio_report_random_models():
         ia = _rand_ia(seed, sites=6)
         rep = check_partition_ratios(ia, (0, 1, 2), (3, 4, 5))
         assert rep.all_ok, (seed, rep)
+
+
+def test_partition_ratios_hold_where_z_overflows():
+    # log Z is 700-2300 on these regions, so Z itself is inf; the three
+    # inequality chains still hold and are checked in logs
+    ia = _rand_ia(0, sites=8, strength=2000.0)
+    rep = check_partition_ratios(ia, (0, 1, 2, 3), (4, 5, 6, 7))
+    assert rep.z_ab == np.inf
+    assert rep.all_ok, rep
+
+
+def test_partition_size_bounds_catch_understated_strength(monkeypatch):
+    # with J = 200 the bounds exp((log 2 +- J)|R|) are [0, inf] in floats, so
+    # only a log-domain comparison sees that log Z_AB ~ 2281 exceeds 1606
+    ia = _rand_ia(0, sites=8, strength=2000.0)
+    monkeypatch.setattr(Interaction, "strength", property(lambda self: 200.0))
+    rep = check_partition_ratios(ia, (0, 1, 2, 3), (4, 5, 6, 7))
+    assert not rep.size_bounds_ok, rep
 
 
 def test_partition_ratio_adjacency_required():

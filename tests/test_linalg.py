@@ -138,6 +138,20 @@ def test_herm_exp_vs_series_oracle():
     assert rel < 1e-12
 
 
+def test_herm_exp_keeps_real_operators_real():
+    h = LocalOperator((0,), SX.real)
+    assert h.matrix.dtype == np.float64
+    real = herm_exp(h, -0.7)
+    assert real.matrix.dtype == np.float64
+    assert np.abs(real.matrix - expm_oracle(-0.7 * SX)).max() < 1e-14
+    # a complex scale on a real operator must not lose its imaginary part
+    rotated = herm_exp(h, 0.3j)
+    assert rotated.matrix.dtype == np.complex128
+    expect = np.cos(0.3) * np.eye(2) + 1j * np.sin(0.3) * SX
+    assert np.abs(rotated.matrix - expect).max() < 1e-14
+    assert np.abs(rotated.matrix - expm_oracle(0.3j * SX)).max() < 1e-14
+
+
 def test_herm_fn_rejects_nonhermitian():
     m = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError):

@@ -13,12 +13,16 @@ from chainsep import (
     RegionsABC,
     builtin_models,
     embed,
+    gibbs,
     hamiltonian,
     k_neighborhood,
+    marginal,
     op_norm,
     truncated_hamiltonian,
 )
 from chainsep.model import PAULI_X, PAULI_Z
+
+from helpers import embed_oracle, random_hermitian
 
 
 def test_zero_interaction_hamiltonian():
@@ -47,6 +51,53 @@ def test_tfi_vs_term_by_term_oracle():
         - np.kron(np.kron(eye, eye), PAULI_X)
     )
     assert np.abs(h.matrix - expect).max() < 1e-14
+
+
+FAMILIES = (
+    ("zero", {}),
+    ("tfi", {"coupling": 0.8, "field": 1.3}),
+    ("classical_ising", {"field": 0.4}),
+    ("xxz", {"jxy": 0.6, "jz": 1.1, "field": 0.3}),
+    ("random", {"range": 2, "seed": 5}),
+)
+
+
+def _noncontiguous_interaction():
+    rng = np.random.default_rng(23)
+    terms = {
+        (0, 2): random_hermitian(rng, 4),
+        (1, 3, 4): random_hermitian(rng, 8).real,
+        (2,): 0.5 * PAULI_X,
+        (3, 4): np.kron(PAULI_Z, PAULI_X),
+    }
+    return Interaction(2, (0, 1, 2, 3, 4), terms, 3)
+
+
+@pytest.mark.parametrize(
+    "ia",
+    [builtin_models(name, dict(params, sites=5)) for name, params in FAMILIES]
+    + [_noncontiguous_interaction()],
+    ids=[name for name, _ in FAMILIES] + ["noncontiguous"],
+)
+def test_hamiltonian_vs_brute_force_sum(ia):
+    for region in ((0, 1, 2, 3, 4), (1, 2, 3), (0, 1, 3, 4), (0, 2, 3), (1, 3, 4)):
+        expect = np.zeros((2 ** len(region),) * 2, dtype=complex)
+        for supp, mat in ia.terms.items():
+            if set(supp) <= set(region):
+                expect += embed_oracle(mat, supp, region)
+        h = hamiltonian(ia, region)
+        assert h.support == region
+        assert np.abs(h.matrix - expect).max() < 1e-14, region
+
+
+@pytest.mark.parametrize("name,params", FAMILIES[1:], ids=[n for n, _ in FAMILIES[1:]])
+def test_real_models_stay_real(name, params):
+    ia = builtin_models(name, dict(params, sites=5))
+    want = np.complex128 if name == "random" else np.float64
+    g = gibbs(ia, ia.sites)
+    assert hamiltonian(ia, ia.sites).matrix.dtype == want
+    assert g.rho.matrix.dtype == want
+    assert marginal(g, (0, 4)).matrix.dtype == want
 
 
 def test_hamiltonian_empty_region_rejected():
@@ -131,7 +182,12 @@ def test_boundary_term_norm_bound():
 def test_interaction_additivity():
     a = builtin_models("tfi", {"sites": 4})
     b = builtin_models("classical_ising", {"sites": 4})
-    combined = a + b
+    combined = Interaction(
+        2,
+        a.sites,
+        {k: a.terms.get(k, 0) + b.terms.get(k, 0) for k in a.terms.keys() | b.terms.keys()},
+        1,
+    )
     h = hamiltonian(combined, (0, 1, 2, 3))
     expect = hamiltonian(a, (0, 1, 2, 3)) + hamiltonian(b, (0, 1, 2, 3))
     assert np.abs(h.matrix - expect.matrix).max() < 1e-13
