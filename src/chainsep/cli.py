@@ -10,28 +10,19 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ChainsepError, ConfigError
-from .expansionals import (
-    contraction_check,
-    covering_bound,
-    estimate_uniform_bound,
-)
-from .gibbs import (
-    check_partition_ratios,
-    factorization_error,
-    gibbs,
-    marginal,
-    marginal_inverse_norm,
-    mutual_information,
-)
-from .linalg import LocalOperator, op_norm, trace_norm
+from .expansionals import check_lemmas, covering_bound, estimate_uniform_bound
+from .gibbs import Chain, factorization_error, gibbs, marginal, mutual_information
+from .linalg import LocalOperator
 from .model import ModelSpec, RegionsABC
 from .separability import (
+    TELESCOPE_S,
     VERDICT_SEPARABLE,
     certify_marginal,
     negativity,
@@ -79,7 +70,6 @@ def _pmap(fn, items, jobs: int):
 # ---------------------------------------------------------------------------
 
 _DEFAULTS = {
-    "s": 0.5,
     "seed": 0,
     "jobs": 1,
     "budget": 4096,
@@ -118,8 +108,10 @@ def validate_config(cfg: dict) -> None:
     for name, value in cfg["tolerances"].items():
         if not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerance {name!r} must be positive")
-    if not isinstance(cfg["s"], (int, float)) or abs(cfg["s"]) > 1:
-        raise ConfigError("'s' must be a real number with |s| <= 1")
+    if cfg.get("s", TELESCOPE_S) != TELESCOPE_S:
+        raise ConfigError(
+            f"'s' is fixed at {TELESCOPE_S}: the telescoping identity holds only there"
+        )
     kr = cfg["k_range"]
     if (
         not isinstance(kr, list)
@@ -156,6 +148,12 @@ def _model_spec(cfg: dict) -> ModelSpec:
     if not isinstance(model, dict):
         raise ConfigError("'model' must be an object")
     return ModelSpec.from_dict(model)
+
+
+def _geometry(cfg: dict) -> dict:
+    if "geometry" not in cfg:
+        raise ConfigError("this subcommand requires a 'geometry' section")
+    return cfg["geometry"]
 
 
 def _meta(cfg: dict, **extra) -> dict:
@@ -203,42 +201,12 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
         if nb < 1:
             na, nb, nc = 1, n - 2, 1
         regions = RegionsABC.from_sizes(na, nb, nc)
-
-        pr = check_partition_ratios(ia, regions.a, regions.b, budget)
-        g = gibbs(ia, regions.all_sites, budget)
-        rho_ac = marginal(g, regions.ac)
-        rho_a = marginal(g, regions.a)
-        rho_c = marginal(g, regions.c)
-        from .linalg import embed
-
-        diff = rho_ac - (embed(rho_a, regions.ac) @ embed(rho_c, regions.ac))
-        t1 = trace_norm(diff)
-        mi = mutual_information(ia, regions, budget)
-        pinsker_ok = t1**2 <= 2 * mi + 1e-9
-        norm_order_ok = op_norm(diff) <= t1 + 1e-12
-
-        dim = 2 ** len(regions.ac)
+        # a random Hermitian test operator on A u C for the contraction check
+        dim = ia.local_dim ** len(regions.ac)
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        x_op = LocalOperator(regions.ac, (x + x.conj().T) / 2, 2)
-        # reuse rho on A as a state for the contraction map over the A sites
-        contr = contraction_check(rho_a, x_op)
-
-        floor = marginal_inverse_norm(ia, regions, budget)
-        return (
-            i,
-            seed,
-            n,
-            na,
-            nb,
-            nc,
-            pr.ratio_bound_ok,
-            pr.size_bounds_ok,
-            pr.split_bounds_ok,
-            pinsker_ok,
-            contr.ok,
-            floor.ok,
-            norm_order_ok,
-        )
+        x_op = LocalOperator(regions.ac, (x + x.conj().T) / 2, ia.local_dim)
+        report = check_lemmas(ia, regions, x_op, budget)
+        return (i, seed, n, na, nb, nc, *astuple(report))
 
     rows = _pmap(run_instance, range(cfg["instances"]), cfg["jobs"])
     columns = [
@@ -263,9 +231,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
 
 
 def _geometry_grid(cfg: dict):
-    geo = cfg.get("geometry")
-    if geo is None:
-        raise ConfigError("this subcommand requires a 'geometry' section")
+    geo = _geometry(cfg)
     return [
         (na, nb, nc)
         for na in geo["a"]
@@ -281,19 +247,19 @@ def cmd_scan_negativity(cfg: dict, out: Path) -> int:
 
     def run_point(point):
         na, nb, nc = point
-        n = na + nb + nc
-        ia = ModelSpec(spec.family, spec.params, n, spec.seed).build()
+        ia = replace(spec, sites=na + nb + nc).build()
+        chain = Chain(ia, budget)
         regions = RegionsABC.from_sizes(na, nb, nc)
-        g = gibbs(ia, regions.all_sites, budget)
-        rho_ac = marginal(g, regions.ac)
+        rho_ac = marginal(gibbs(chain, regions.all_sites), regions.ac)
         neg = negativity(rho_ac, (regions.a, regions.c))
-        mi = mutual_information(ia, regions, budget)
-        fe = factorization_error(ia, regions, budget)
+        mi = mutual_information(chain, regions)
+        fe = factorization_error(chain, regions)
         if nb >= ia.interaction_range:
-            verdict = certify_marginal(ia, regions, budget=budget, s=cfg["s"]).verdict
+            verdict = certify_marginal(chain, regions).verdict
         else:
             verdict = "SkippedSmallB"
-        ppt_exact = 2 ** (na + nc) <= 6
+        # PPT decides separability exactly for cuts up to 2 x 3
+        ppt_exact = ia.local_dim ** (na + nc) <= 6
         return (
             model_id,
             na,
@@ -328,22 +294,19 @@ def cmd_scan_negativity(cfg: dict, out: Path) -> int:
 def cmd_scan_decay(cfg: dict, out: Path) -> int:
     spec = _model_spec(cfg)
     budget = cfg["budget"]
-    geo = cfg.get("geometry")
-    if geo is None:
-        raise ConfigError("scan-decay requires a 'geometry' section")
+    geo = _geometry(cfg)
     na, nc = geo["a"][0], geo["c"][0]
     k_lo, k_hi = cfg["k_range"]
 
     # tail-term scan at the largest gap in the grid
     nb = max(geo["b"])
-    n = na + nb + nc
-    ia = ModelSpec(spec.family, spec.params, n, spec.seed).build()
+    chain = Chain(replace(spec, sites=na + nb + nc).build(), budget)
     regions = RegionsABC.from_sizes(na, nb, nc)
-    g_emp = covering_bound(ia, regions, range(k_lo, k_hi + 2), cfg["s"], budget)
+    g_emp = covering_bound(chain, regions, range(k_lo, k_hi + 2), TELESCOPE_S)
     tail_rows = []
     for k in range(k_lo, k_hi + 1):
-        t = tail_term(ia, regions, k, cfg["s"], budget)
-        bound = tail_norm_bound(g_emp, k, ia.interaction_range)
+        t = tail_term(chain, regions, k)
+        bound = tail_norm_bound(g_emp, k, chain.ia.interaction_range)
         tail_rows.append((k, t.norm, bound))
     _write_csv(
         out / "decay_tail.csv",
@@ -353,11 +316,10 @@ def cmd_scan_decay(cfg: dict, out: Path) -> int:
     )
 
     def run_gap(nb: int):
-        n = na + nb + nc
-        ia = ModelSpec(spec.family, spec.params, n, spec.seed).build()
+        chain = Chain(replace(spec, sites=na + nb + nc).build(), budget)
         regions = RegionsABC.from_sizes(na, nb, nc)
-        fe = factorization_error(ia, regions, budget)
-        mi = mutual_information(ia, regions, budget)
+        fe = factorization_error(chain, regions)
+        mi = mutual_information(chain, regions)
         return (nb, fe.op_norm_err, fe.trace_norm_err, mi)
 
     gap_rows = _pmap(run_gap, sorted(geo["b"]), cfg["jobs"])
@@ -385,12 +347,11 @@ def cmd_certify(cfg: dict, out: Path) -> int:
 
     def run_point(point):
         na, nb, nc = point
-        n = na + nb + nc
-        ia = ModelSpec(spec.family, spec.params, n, spec.seed).build()
+        ia = replace(spec, sites=na + nb + nc).build()
         regions = RegionsABC.from_sizes(na, nb, nc)
         if nb < ia.interaction_range:
             return point, None
-        rep = certify_marginal(ia, regions, budget=budget, s=cfg["s"])
+        rep = certify_marginal(ia, regions, budget=budget)
         return point, rep
 
     results = _pmap(run_point, _geometry_grid(cfg), cfg["jobs"])

@@ -5,7 +5,8 @@ E(s) = exp(-s H_{XY}) exp(s(H_X + H_Y)); its norm stays bounded uniformly
 in the interval sizes, and truncating the intervals changes it
 superexponentially little.  This module computes these operators, their
 k-truncations around the middle region, an empirical uniform-norm
-constant, and the partial-trace contraction check.
+constant, the partial-trace contraction check, and the per-instance lemma
+suite built on them.
 """
 from __future__ import annotations
 
@@ -16,8 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
-from .gibbs import DEFAULT_BUDGET, Chain
-from .linalg import LocalOperator, embed, identity, op_norm, partial_trace
+from .gibbs import (
+    DEFAULT_BUDGET,
+    Chain,
+    check_partition_ratios,
+    factorization_error,
+    marginal,
+    mutual_information,
+)
+from .linalg import LocalOperator, embed, identity, min_eig, op_norm, partial_trace
 from .model import Interaction, RegionsABC, k_neighborhood
 
 
@@ -41,14 +49,20 @@ def _as_interval(part: Sequence[int], name: str) -> tuple[int, ...]:
     return part
 
 
-def _expansional(
-    chain: Chain, x: Sequence[int], y: Sequence[int], s: complex
+def expansional(
+    system: Interaction | Chain,
+    x: Sequence[int],
+    y: Sequence[int],
+    s: complex,
+    budget: int = DEFAULT_BUDGET,
 ) -> ExpansionalReport:
-    """Interface operator of (X, Y, s) on `chain`, built once per chain.
+    """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y.
 
-    H_X + H_Y is split, so its exponentials come from the two small spectra;
-    E^{-1} reuses the spectra of E and both norms are kept with them.
+    Built once per Chain.  H_X + H_Y is split, so its exponentials come from
+    the two small spectra; E^{-1} reuses the spectra of E and both norms are
+    kept with them.
     """
+    chain = Chain.of(system, budget)
     x = _as_interval(x, "X")
     y = _as_interval(y, "Y")
     if x[-1] + 1 != y[0]:
@@ -63,17 +77,6 @@ def _expansional(
         return ExpansionalReport(s, x, y, e, e_inv, op_norm(e), op_norm(e_inv))
 
     return chain.cached(("expansional", x, y, s), build)
-
-
-def expansional(
-    ia: Interaction,
-    x: Sequence[int],
-    y: Sequence[int],
-    s: complex,
-    budget: int = DEFAULT_BUDGET,
-) -> ExpansionalReport:
-    """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y."""
-    return _expansional(Chain(ia, budget), x, y, s)
 
 
 _PAIRS = {"A:B": ("A", "B"), "AB:C": ("AB", "C")}
@@ -91,19 +94,8 @@ def _clip_pair(
     )
 
 
-def _truncated_expansional(
-    chain: Chain, regions: RegionsABC, pair: str, k: int, s: complex
-) -> ExpansionalReport:
-    left, right = _clip_pair(regions, pair, k)
-    if not left or not right:
-        raise EmptyIntersectionError(
-            f"pair {pair} at k={k} clips one interval to nothing"
-        )
-    return _expansional(chain, left, right, s)
-
-
 def truncated_expansional(
-    ia: Interaction,
+    system: Interaction | Chain,
     regions: RegionsABC,
     pair: str,
     k: int,
@@ -111,7 +103,12 @@ def truncated_expansional(
     budget: int = DEFAULT_BUDGET,
 ) -> ExpansionalReport:
     """Expansional with both intervals clipped to the k-neighbourhood of B."""
-    return _truncated_expansional(Chain(ia, budget), regions, pair, k, s)
+    left, right = _clip_pair(regions, pair, k)
+    if not left or not right:
+        raise EmptyIntersectionError(
+            f"pair {pair} at k={k} clips one interval to nothing"
+        )
+    return expansional(system, left, right, s, budget)
 
 
 def _truncated_or_identity(
@@ -125,7 +122,7 @@ def _truncated_or_identity(
     left, right = _clip_pair(regions, pair, k)
     if not left or not right:
         return identity(left + right, chain.ia.local_dim)
-    return _expansional(chain, left, right, s).e
+    return expansional(chain, left, right, s).e
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ class UniformBoundEstimate:
 
 
 def estimate_uniform_bound(
-    ia: Interaction,
+    system: Interaction | Chain,
     size_grid: Sequence[tuple[int, int]],
     s_grid: Sequence[complex],
     budget: int = DEFAULT_BUDGET,
@@ -149,8 +146,8 @@ def estimate_uniform_bound(
     """
     if not size_grid or not s_grid:
         raise GeometryError("size and s grids must be nonempty")
-    chain = Chain(ia, budget)
-    sites = ia.sites
+    chain = Chain.of(system, budget)
+    sites = chain.ia.sites
     best = 1.0
     entries = []
     for nx, ny in size_grid:
@@ -160,31 +157,14 @@ def estimate_uniform_bound(
             x = sites[start : start + nx]
             y = sites[start + nx : start + nx + ny]
             for s in s_grid:
-                rep = _expansional(chain, x, y, s)
+                rep = expansional(chain, x, y, s)
                 best = max(best, rep.norm_e, rep.norm_e_inv)
                 entries.append((nx, ny, s, rep.norm_e, rep.norm_e_inv))
     return UniformBoundEstimate(best, tuple(entries))
 
 
-def _covering_bound(
-    chain: Chain, regions: RegionsABC, k_values: Sequence[int], s: complex
-) -> float:
-    best = 1.0
-    for pair in _PAIRS:
-        for k in k_values:
-            try:
-                rep = _truncated_expansional(chain, regions, pair, k, s)
-            except EmptyIntersectionError:
-                continue
-            best = max(best, rep.norm_e, rep.norm_e_inv)
-        left, right = _PAIRS[pair]
-        rep = _expansional(chain, regions.part(left), regions.part(right), s)
-        best = max(best, rep.norm_e, rep.norm_e_inv)
-    return best
-
-
 def covering_bound(
-    ia: Interaction,
+    system: Interaction | Chain,
     regions: RegionsABC,
     k_values: Sequence[int],
     s: complex,
@@ -192,7 +172,19 @@ def covering_bound(
 ) -> float:
     """Uniform-norm constant measured over every truncated expansional used
     downstream: both pairs, all requested k, plus the untruncated ones."""
-    return _covering_bound(Chain(ia, budget), regions, k_values, s)
+    chain = Chain.of(system, budget)
+    best = 1.0
+    for pair in _PAIRS:
+        for k in k_values:
+            try:
+                rep = truncated_expansional(chain, regions, pair, k, s)
+            except EmptyIntersectionError:
+                continue
+            best = max(best, rep.norm_e, rep.norm_e_inv)
+        left, right = _PAIRS[pair]
+        rep = expansional(chain, regions.part(left), regions.part(right), s)
+        best = max(best, rep.norm_e, rep.norm_e_inv)
+    return best
 
 
 def factorial_decay_bound(g_emp: float, ell: int, r: int) -> float:
@@ -212,7 +204,7 @@ class DifferenceDecayReport:
 
 
 def difference_decay(
-    ia: Interaction,
+    system: Interaction | Chain,
     x: Sequence[int],
     y: Sequence[int],
     extensions: tuple[Sequence[int], Sequence[int]],
@@ -230,9 +222,9 @@ def difference_decay(
     if ext_right and y[-1] + 1 != ext_right[0]:
         raise GeometryError("right extension must immediately succeed Y")
 
-    chain = Chain(ia, budget)
-    base = _expansional(chain, x, y, s)
-    big = _expansional(chain, ext_left + x, y + ext_right, s)
+    chain = Chain.of(system, budget)
+    base = expansional(chain, x, y, s)
+    big = expansional(chain, ext_left + x, y + ext_right, s)
     target = big.e.support
     diff = op_norm(big.e - embed(base.e, target))
     diff_inv = op_norm(big.e_inv - embed(base.e_inv, target))
@@ -241,7 +233,7 @@ def difference_decay(
             1.0, base.norm_e, base.norm_e_inv, big.norm_e, big.norm_e_inv
         )
     ell = min(len(x), len(y))
-    bound = factorial_decay_bound(g_emp, ell, ia.interaction_range)
+    bound = factorial_decay_bound(g_emp, ell, chain.ia.interaction_range)
     ok = diff <= bound + 1e-12 and diff_inv <= bound + 1e-12
     return DifferenceDecayReport(ell, diff, diff_inv, bound, g_emp, ok)
 
@@ -262,3 +254,77 @@ def contraction_check(rho_b: LocalOperator, x: LocalOperator) -> ContractionRepo
     in_norm = op_norm(x)
     out_norm = op_norm(out)
     return ContractionReport(in_norm, out_norm, out_norm <= in_norm * (1 + 1e-10) + 1e-12)
+
+
+@dataclass(frozen=True)
+class MarginalFloorReport:
+    inv_norm: float
+    bound: float
+    g_emp: float
+    ok: bool
+
+
+def marginal_inverse_norm(
+    system: Interaction | Chain, regions: RegionsABC, budget: int = DEFAULT_BUDGET
+) -> MarginalFloorReport:
+    """Check ||rho_B^{-1}|| against the expansional-derived exponential bound.
+
+    The uniform constant is measured on this instance from the two
+    expansionals at s = -1/2 that appear in the derivation of the bound.
+    """
+    chain = Chain.of(system, budget)
+    rho_b = marginal(chain.gibbs(regions.all_sites), regions.b)
+    inv_norm = 1.0 / min_eig(rho_b)
+
+    rep_ab = expansional(chain, regions.a, regions.b, -0.5)
+    rep_abc = expansional(chain, regions.a + regions.b, regions.c, -0.5)
+    g_emp = max(
+        1.0, rep_ab.norm_e, rep_ab.norm_e_inv, rep_abc.norm_e, rep_abc.norm_e_inv
+    )
+    ia = chain.ia
+    d, j, r = ia.local_dim, ia.strength, ia.interaction_range
+    bound = g_emp**4 * np.exp(2 * r * j) * np.exp((2 * j + np.log(d)) * len(regions.b))
+    return MarginalFloorReport(inv_norm, float(bound), g_emp, inv_norm <= bound * (1 + 1e-9))
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    """Outcome of each check of the lemma suite on one instance."""
+
+    z_ratio_bound: bool
+    z_size_bounds: bool
+    z_split_bounds: bool
+    pinsker: bool
+    contraction: bool
+    marginal_floor: bool
+    norm_ordering: bool
+
+
+def check_lemmas(
+    system: Interaction | Chain,
+    regions: RegionsABC,
+    x: LocalOperator,
+    budget: int = DEFAULT_BUDGET,
+) -> LemmaReport:
+    """Run the lemma suite on one instance, all of it on one Chain.
+
+    The checks: the three partition-function inequality chains for A, B;
+    Pinsker's inequality ||rho_AC - rho_A x rho_C||_1^2 <= 2 I(A:C); the
+    operator norm of that difference below its trace norm; the contraction
+    of the Hermitian test operator `x` on A u C under the partial-trace map,
+    with rho_A as the state; and the marginal floor of rho_B.
+    """
+    chain = Chain.of(system, budget)
+    pr = check_partition_ratios(chain, regions.a, regions.b)
+    fe = factorization_error(chain, regions)
+    mi = mutual_information(chain, regions)
+    rho_a = marginal(chain.gibbs(regions.all_sites), regions.a)
+    return LemmaReport(
+        z_ratio_bound=pr.ratio_bound_ok,
+        z_size_bounds=pr.size_bounds_ok,
+        z_split_bounds=pr.split_bounds_ok,
+        pinsker=fe.trace_norm_err**2 <= 2 * mi + 1e-9,
+        contraction=contraction_check(rho_a, x).ok,
+        marginal_floor=marginal_inverse_norm(chain, regions).ok,
+        norm_ordering=fe.op_norm_err <= fe.trace_norm_err + 1e-12,
+    )

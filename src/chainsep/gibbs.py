@@ -10,7 +10,6 @@ from .errors import BudgetError, GeometryError
 from .linalg import (
     LocalOperator,
     embed,
-    min_eig,
     op_norm,
     partial_trace,
     trace_norm,
@@ -39,7 +38,6 @@ class GibbsEnsemble:
     region: tuple[int, ...]
     z: float
     rho: LocalOperator
-    h: LocalOperator
 
 
 class Chain:
@@ -49,13 +47,20 @@ class Chain:
     diagonalized at most once; exponentials e^{tH_R} for any t, Gibbs states
     and partition functions are served from that one spectrum.  Everything
     computed is kept until the context is dropped, so a context should live
-    for one computation: each public entry point builds its own.
+    for one unit of work.  Every public function that takes an Interaction
+    also takes a Chain, which brings its own budget; given an Interaction, it
+    builds a Chain of its own.
     """
 
     def __init__(self, ia: Interaction, budget: int = DEFAULT_BUDGET):
         self.ia = ia
         self.budget = budget
         self._memo: dict = {}
+
+    @staticmethod
+    def of(system: Interaction | Chain, budget: int = DEFAULT_BUDGET) -> Chain:
+        """`system` itself if it is a Chain, else a new Chain on it."""
+        return system if isinstance(system, Chain) else Chain(system, budget)
 
     def cached(self, key, build: Callable[[], Any]):
         """The value stored under `key`, computed by `build()` on first use."""
@@ -108,7 +113,7 @@ class Chain:
             rho = LocalOperator(region, boltz.matrix / z, self.ia.local_dim)
             if abs(rho.trace().real - 1.0) > 1e-12:
                 raise RuntimeError("Gibbs state failed its normalization check")
-            return GibbsEnsemble(self.ia, region, z, rho, self.hamiltonian(region))
+            return GibbsEnsemble(self.ia, region, z, rho)
 
         return self.cached(("gibbs", region), build)
 
@@ -118,18 +123,21 @@ class Chain:
 
 
 def partition_function(
-    ia: Interaction, region: Sequence[int], budget: int = DEFAULT_BUDGET
+    system: Interaction | Chain, region: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> float:
-    """Tr e^{-H_R} from the eigenvalues alone; no eigenvectors are computed."""
-    _check_budget(ia, region, budget)
-    w = np.linalg.eigvalsh(hamiltonian(ia, region).matrix)
+    """Tr e^{-H_R}: from a Chain's spectrum, or, for an Interaction, from the
+    eigenvalues alone, with no eigenvectors computed."""
+    if isinstance(system, Chain):
+        return system.partition_function(region)
+    _check_budget(system, region, budget)
+    w = np.linalg.eigvalsh(hamiltonian(system, region).matrix)
     return float(np.exp(-w).sum())
 
 
 def gibbs(
-    ia: Interaction, region: Sequence[int], budget: int = DEFAULT_BUDGET
+    system: Interaction | Chain, region: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> GibbsEnsemble:
-    return Chain(ia, budget).gibbs(region)
+    return Chain.of(system, budget).gibbs(region)
 
 
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
@@ -182,9 +190,9 @@ def mutual_information_of(rho_ac: LocalOperator, cut_a: Sequence[int]) -> float:
 
 
 def mutual_information(
-    ia: Interaction, regions: RegionsABC, budget: int = DEFAULT_BUDGET
+    system: Interaction | Chain, regions: RegionsABC, budget: int = DEFAULT_BUDGET
 ) -> float:
-    g = gibbs(ia, regions.all_sites, budget)
+    g = gibbs(system, regions.all_sites, budget)
     return mutual_information_of(marginal(g, regions.ac), regions.a)
 
 
@@ -207,7 +215,7 @@ class PartitionRatioReport:
 
 
 def check_partition_ratios(
-    ia: Interaction,
+    system: Interaction | Chain,
     a: Sequence[int],
     b: Sequence[int],
     budget: int = DEFAULT_BUDGET,
@@ -224,11 +232,12 @@ def check_partition_ratios(
     if a[-1] + 1 != b[0]:
         raise GeometryError("A and B must be adjacent intervals")
     ab = a + b
-    _check_budget(ia, ab, budget)
-    h = {r: hamiltonian(ia, r) for r in (a, b, ab)}
+    chain = Chain.of(system, budget)
+    ia = chain.ia
+    h = {r: chain.hamiltonian(r) for r in (ab, a, b)}
     log_z = {}
-    for r, h_r in h.items():
-        w = np.linalg.eigvalsh(h_r.matrix)
+    for r in h:
+        w = chain.spectrum(r)[0]
         log_z[r] = float(-w[0] + np.log(np.exp(w[0] - w).sum()))
     lo, hi = np.log1p(-slack), np.log1p(slack)
 
@@ -256,10 +265,10 @@ class FactorizationError:
 
 
 def factorization_error(
-    ia: Interaction, regions: RegionsABC, budget: int = DEFAULT_BUDGET
+    system: Interaction | Chain, regions: RegionsABC, budget: int = DEFAULT_BUDGET
 ) -> FactorizationError:
     """Norms of rho_AC - rho_A x rho_C on the full Gibbs state of ABC."""
-    g = gibbs(ia, regions.all_sites, budget)
+    g = gibbs(system, regions.all_sites, budget)
     rho_ac = marginal(g, regions.ac)
     rho_a = marginal(g, regions.a)
     rho_c = marginal(g, regions.c)
@@ -268,7 +277,7 @@ def factorization_error(
 
 
 def correlation(
-    ia: Interaction,
+    system: Interaction | Chain,
     regions: RegionsABC,
     obs_a: LocalOperator,
     obs_c: LocalOperator,
@@ -279,7 +288,7 @@ def correlation(
         raise GeometryError("obs_a must be supported in A")
     if not set(obs_c.support) <= set(regions.c):
         raise GeometryError("obs_c must be supported in C")
-    g = gibbs(ia, regions.all_sites, budget)
+    g = gibbs(system, regions.all_sites, budget)
     rho_ac = marginal(g, regions.ac)
     rho_a = marginal(g, regions.a)
     rho_c = marginal(g, regions.c)
@@ -290,36 +299,3 @@ def correlation(
         * np.trace(embed(obs_c, regions.c).matrix @ rho_c.matrix).real
     )
     return first - second
-
-
-@dataclass(frozen=True)
-class MarginalFloorReport:
-    inv_norm: float
-    bound: float
-    g_emp: float
-    ok: bool
-
-
-def marginal_inverse_norm(
-    ia: Interaction, regions: RegionsABC, budget: int = DEFAULT_BUDGET
-) -> MarginalFloorReport:
-    """Check ||rho_B^{-1}|| against the expansional-derived exponential bound.
-
-    The uniform constant is measured on this instance from the two
-    expansionals at s = -1/2 that appear in the derivation of the bound.
-    """
-    from .expansionals import _expansional  # late import: avoids a module cycle
-
-    chain = Chain(ia, budget)
-    g = chain.gibbs(regions.all_sites)
-    rho_b = marginal(g, regions.b)
-    inv_norm = 1.0 / min_eig(rho_b)
-
-    rep_ab = _expansional(chain, regions.a, regions.b, -0.5)
-    rep_abc = _expansional(chain, regions.a + regions.b, regions.c, -0.5)
-    g_emp = max(
-        1.0, rep_ab.norm_e, rep_ab.norm_e_inv, rep_abc.norm_e, rep_abc.norm_e_inv
-    )
-    d, j, r = ia.local_dim, ia.strength, ia.interaction_range
-    bound = g_emp**4 * np.exp(2 * r * j) * np.exp((2 * j + np.log(d)) * len(regions.b))
-    return MarginalFloorReport(inv_norm, float(bound), g_emp, inv_norm <= bound * (1 + 1e-9))

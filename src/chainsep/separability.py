@@ -15,11 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
-from .expansionals import (
-    _covering_bound,
-    _truncated_or_identity,
-    factorial_decay_bound,
-)
+from .expansionals import _truncated_or_identity, covering_bound, factorial_decay_bound
 from .gibbs import DEFAULT_BUDGET, Chain, marginal
 from .linalg import (
     LocalOperator,
@@ -30,6 +26,7 @@ from .linalg import (
     op_norm,
     partial_trace,
     partial_transpose,
+    zero,
 )
 from .model import Interaction, RegionsABC, k_neighborhood
 
@@ -41,6 +38,9 @@ VERDICT_UNDETERMINED = "Undetermined"
 NEGATIVITY_ZERO_TOL = 1e-12
 FACTOR_PSD_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
+# conjugating rho_AC by e^{sH_AC} telescopes into a core term plus tails at
+# s = 1/2 only, so the whole certification pipeline works there
+TELESCOPE_S = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def negativity(rho: LocalOperator, cut) -> NegativityResult:
     """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT."""
     _, cut_c = _check_cut(rho, cut)
     w = np.linalg.eigvalsh(partial_transpose(rho, cut_c).matrix)
-    return NegativityResult(float(-w[w < 0].sum()), float(w[0]))
+    return NegativityResult(float(np.abs(w[w < 0]).sum()), float(w[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,12 @@ class SeparableDecomposition:
         )
 
 
+def _rel_err(approx: LocalOperator, ref: LocalOperator) -> float:
+    """Frobenius ||approx - ref|| / ||ref||, on the support of `approx`."""
+    diff = approx.matrix - embed(ref, approx.support).matrix
+    return float(np.linalg.norm(diff)) / max(float(np.linalg.norm(ref.matrix)), 1e-300)
+
+
 @dataclass(frozen=True)
 class DecompositionCheck:
     factors_psd: bool
@@ -160,11 +166,7 @@ def validate_decomposition(
     d = dec.local_dim
     cap = (d ** len(dec.cut[0]) * d ** len(dec.cut[1])) ** 2
     count_ok = len(dec.terms) + (1 if dec.residual_identity_coeff else 0) <= cap
-    rel_err = None
-    if target is not None:
-        recon = dec.reconstruct()
-        scale = max(float(np.linalg.norm(target.matrix)), 1e-300)
-        rel_err = float(np.linalg.norm(recon.matrix - embed(target, recon.support).matrix)) / scale
+    rel_err = None if target is None else _rel_err(dec.reconstruct(), target)
     ok = factors_psd and weights_ok and count_ok and (
         rel_err is None or rel_err <= recon_tol
     )
@@ -257,8 +259,6 @@ class CoreDecomposition:
     k: int
     cut: tuple[tuple[int, ...], tuple[int, ...]]
     gamma: float
-    shift_a: float
-    shift_c: float
     min_eig_a: float
     min_eig_c: float
     gamma_terms: SeparableDecomposition
@@ -272,87 +272,8 @@ class CoreDecomposition:
     reconstruction_rel_err: float
 
 
-def _decompose(chain: Chain, regions: RegionsABC, k: int) -> CoreDecomposition:
-    if len(regions.b) < chain.ia.interaction_range:
-        raise GeometryError("|B| must be at least the interaction range")
-    hood = k_neighborhood(regions, k)
-    hood_set = set(hood)
-    a_clip = tuple(s for s in regions.a if s in hood_set)
-    c_clip = tuple(s for s in regions.c if s in hood_set)
-    if not a_clip or not c_clip:
-        raise EmptyIntersectionError(
-            f"k={k} clips A or C to nothing inside the neighbourhood"
-        )
-    d = chain.ia.local_dim
-    g = chain.gibbs(hood)
-    ac = a_clip + c_clip
-    rho_a = marginal(g, a_clip)
-    rho_c = marginal(g, c_clip)
-    rho_ac = marginal(g, ac)
-
-    exp_a = chain.exp(a_clip, 0.5)
-    exp_c = chain.exp(c_clip, 0.5)
-    tilde_a = exp_a @ rho_a @ exp_a
-    tilde_c = exp_c @ rho_c @ exp_c
-    # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
-    sandwich = chain.split_exp(a_clip, c_clip, 0.5)
-    tilde_ac = sandwich @ rho_ac @ sandwich
-    delta = tilde_ac - (embed(tilde_a, ac) @ embed(tilde_c, ac))
-
-    a_min = min_eig(tilde_a)
-    c_min = min_eig(tilde_c)
-    if a_min <= 0 or c_min <= 0:
-        raise RuntimeError(
-            "conjugated marginals should be positive definite; got "
-            f"min eigs {a_min}, {c_min}"
-        )
-    gamma = a_min * c_min / 2.0
-    fa = tilde_a - a_min * identity(a_clip, d)
-    fc = tilde_c - c_min * identity(c_clip, d)
-    dec = SeparableDecomposition(
-        (a_clip, c_clip),
-        (
-            (1.0, fa, fc),
-            (a_min, identity(a_clip, d), fc),
-            (c_min, fa, identity(c_clip, d)),
-        ),
-        residual_identity_coeff=gamma,
-    )
-    recon = dec.reconstruct() + gamma * identity(ac, d) + delta
-    scale = max(float(np.linalg.norm(tilde_ac.matrix)), 1e-300)
-    rel_err = float(np.linalg.norm(recon.matrix - tilde_ac.matrix)) / scale
-
-    delta_norm = op_norm(delta)
-    threshold = ball_radius(d ** len(a_clip), d ** len(c_clip))
-    ratio = delta_norm / gamma
-    factors_psd = is_psd(fa) and is_psd(fc)
-    if not factors_psd:
-        raise RuntimeError(
-            "shifted factors are not PSD although the shifts equal the "
-            "measured minimal eigenvalues; this indicates a bug"
-        )
-    return CoreDecomposition(
-        k=k,
-        cut=(a_clip, c_clip),
-        gamma=gamma,
-        shift_a=a_min,
-        shift_c=c_min,
-        min_eig_a=a_min,
-        min_eig_c=c_min,
-        gamma_terms=dec,
-        delta=delta,
-        tilde_ac=tilde_ac,
-        delta_norm=delta_norm,
-        ball_ratio=ratio,
-        ball_threshold=threshold,
-        ball_ok=ratio <= threshold * (1 + 1e-12),
-        factors_psd=factors_psd,
-        reconstruction_rel_err=rel_err,
-    )
-
-
 def decompose_truncated_marginal(
-    ia: Interaction,
+    system: Interaction | Chain,
     regions: RegionsABC,
     k: int,
     budget: int = DEFAULT_BUDGET,
@@ -363,7 +284,83 @@ def decompose_truncated_marginal(
     x (min eig of the conjugated C-marginal) / 2, with per-side shifts equal
     to the measured minima, so all shifted factors are PSD by construction.
     """
-    return _decompose(Chain(ia, budget), regions, k)
+    chain = Chain.of(system, budget)
+    if len(regions.b) < chain.ia.interaction_range:
+        raise GeometryError("|B| must be at least the interaction range")
+    hood = k_neighborhood(regions, k)
+    hood_set = set(hood)
+    a_clip = tuple(s for s in regions.a if s in hood_set)
+    c_clip = tuple(s for s in regions.c if s in hood_set)
+    if not a_clip or not c_clip:
+        raise EmptyIntersectionError(
+            f"k={k} clips A or C to nothing inside the neighbourhood"
+        )
+
+    def build():
+        d = chain.ia.local_dim
+        g = chain.gibbs(hood)
+        ac = a_clip + c_clip
+        rho_a = marginal(g, a_clip)
+        rho_c = marginal(g, c_clip)
+        rho_ac = marginal(g, ac)
+
+        exp_a = chain.exp(a_clip, TELESCOPE_S)
+        exp_c = chain.exp(c_clip, TELESCOPE_S)
+        tilde_a = exp_a @ rho_a @ exp_a
+        tilde_c = exp_c @ rho_c @ exp_c
+        # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
+        sandwich = chain.split_exp(a_clip, c_clip, TELESCOPE_S)
+        tilde_ac = sandwich @ rho_ac @ sandwich
+        delta = tilde_ac - (embed(tilde_a, ac) @ embed(tilde_c, ac))
+
+        a_min = min_eig(tilde_a)
+        c_min = min_eig(tilde_c)
+        if a_min <= 0 or c_min <= 0:
+            raise RuntimeError(
+                "conjugated marginals should be positive definite; got "
+                f"min eigs {a_min}, {c_min}"
+            )
+        gamma = a_min * c_min / 2.0
+        fa = tilde_a - a_min * identity(a_clip, d)
+        fc = tilde_c - c_min * identity(c_clip, d)
+        dec = SeparableDecomposition(
+            (a_clip, c_clip),
+            (
+                (1.0, fa, fc),
+                (a_min, identity(a_clip, d), fc),
+                (c_min, fa, identity(c_clip, d)),
+            ),
+            residual_identity_coeff=gamma,
+        )
+        recon = dec.reconstruct() + gamma * identity(ac, d) + delta
+
+        delta_norm = op_norm(delta)
+        threshold = ball_radius(d ** len(a_clip), d ** len(c_clip))
+        ratio = delta_norm / gamma
+        factors_psd = is_psd(fa) and is_psd(fc)
+        if not factors_psd:
+            raise RuntimeError(
+                "shifted factors are not PSD although the shifts equal the "
+                "measured minimal eigenvalues; this indicates a bug"
+            )
+        return CoreDecomposition(
+            k=k,
+            cut=(a_clip, c_clip),
+            gamma=gamma,
+            min_eig_a=a_min,
+            min_eig_c=c_min,
+            gamma_terms=dec,
+            delta=delta,
+            tilde_ac=tilde_ac,
+            delta_norm=delta_norm,
+            ball_ratio=ratio,
+            ball_threshold=threshold,
+            ball_ok=ratio <= threshold * (1 + 1e-12),
+            factors_psd=factors_psd,
+            reconstruction_rel_err=_rel_err(recon, tilde_ac),
+        )
+
+    return chain.cached(("core", regions, k), build)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +368,10 @@ def decompose_truncated_marginal(
 # ---------------------------------------------------------------------------
 
 def _traced_interface_product(
-    chain: Chain, regions: RegionsABC, kk: int, s: float
+    chain: Chain, regions: RegionsABC, kk: int
 ) -> LocalOperator:
     """tr_B[rho^B F_kk], where F_kk is the four-factor product of kk-truncated
-    interface operators.
+    interface operators at s = 1/2.
 
     F_kk acts on the kk-neighbourhood of B only, so the product is computed
     there (at least one site beyond B on each side) and callers embed it.
@@ -382,13 +379,13 @@ def _traced_interface_product(
 
     def build():
         hood = k_neighborhood(regions, max(kk, 1))
-        ea = embed(_truncated_or_identity(chain, regions, "A:B", kk, s), hood)
-        ec = embed(_truncated_or_identity(chain, regions, "AB:C", kk, s), hood)
+        ea = embed(_truncated_or_identity(chain, regions, "A:B", kk, TELESCOPE_S), hood)
+        ec = embed(_truncated_or_identity(chain, regions, "AB:C", kk, TELESCOPE_S), hood)
         f = ea.dagger() @ ec.dagger() @ ec @ ea
         rho_b = chain.gibbs(regions.b).rho
         return partial_trace(embed(rho_b, hood) @ f, regions.b)
 
-    return chain.cached(("traced", regions, kk, s), build)
+    return chain.cached(("traced", regions, kk), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,39 +393,31 @@ class TailTerm:
     k: int
     op: LocalOperator
     norm: float
-    support_size: int
 
 
-def _tail_term(chain: Chain, regions: RegionsABC, k: int, s: float) -> TailTerm:
+def tail_term(
+    system: Interaction | Chain,
+    regions: RegionsABC,
+    k: int,
+    budget: int = DEFAULT_BUDGET,
+) -> TailTerm:
+    """Difference of traced interface products between radii k+1 and k."""
     if k < 0:
         raise GeometryError("k must be nonnegative")
+    chain = Chain.of(system, budget)
 
     def build():
         out_support = tuple(
             t for t in k_neighborhood(regions, k + 1) if t not in set(regions.b)
         )
         if k >= max(len(regions.a), len(regions.c)):
-            d = chain.ia.local_dim
-            side = d ** len(out_support)
-            op = LocalOperator(out_support, np.zeros((side, side)), d)
-            return TailTerm(k, op, 0.0, len(out_support))
-        upper = _traced_interface_product(chain, regions, k + 1, s)
-        lower = _traced_interface_product(chain, regions, k, s)
+            return TailTerm(k, zero(out_support, chain.ia.local_dim), 0.0)
+        upper = _traced_interface_product(chain, regions, k + 1)
+        lower = _traced_interface_product(chain, regions, k)
         op = upper - embed(lower, out_support)
-        return TailTerm(k, op, op_norm(op), len(out_support))
+        return TailTerm(k, op, op_norm(op))
 
-    return chain.cached(("tail", regions, k, s), build)
-
-
-def tail_term(
-    ia: Interaction,
-    regions: RegionsABC,
-    k: int,
-    s: float = 0.5,
-    budget: int = DEFAULT_BUDGET,
-) -> TailTerm:
-    """Difference of traced interface products between radii k+1 and k."""
-    return _tail_term(Chain(ia, budget), regions, k, s)
+    return chain.cached(("tail", regions, k), build)
 
 
 def tail_norm_bound(g_emp: float, k: int, r: int) -> float:
@@ -436,21 +425,45 @@ def tail_norm_bound(g_emp: float, k: int, r: int) -> float:
     return 4.0 * g_emp**3 * factorial_decay_bound(g_emp, k, r)
 
 
-def _conjugated_marginal(
-    chain: Chain, regions: RegionsABC, s: float
-) -> tuple[LocalOperator, LocalOperator]:
-    """(Z_ABC / Z_B) e^{sH_AC} rho_AC e^{sH_AC}, the left side of the
-    telescoping identity, and rho_AC itself."""
+@dataclass(frozen=True, eq=False)
+class _Telescope:
+    """Both sides of the telescoping identity at radius k0, on A u C.
+
+    lhs = (Z_ABC / Z_B) e^{H_AC/2} rho_AC e^{H_AC/2} equals the traced
+    interface product at k0 plus the tails k0..max(|A|,|C|)-1, and that
+    product equals its closed form (Z_{B_k0} / Z_B) rho~_AC, read from the
+    truncated Gibbs state.
+    """
+
+    tails: tuple[TailTerm, ...]
+    z_ratio: float
+    closed_form: LocalOperator
+    lhs: LocalOperator
+    rho_ac: LocalOperator
+
+    def plus_tails(self, head: LocalOperator) -> LocalOperator:
+        for t in self.tails:
+            head = head + embed(t.op, self.lhs.support)
+        return head
+
+
+def _telescope(chain: Chain, regions: RegionsABC, k0: int) -> _Telescope:
+    acs = regions.ac
 
     def build():
-        g_full = chain.gibbs(regions.all_sites)
-        rho_ac = marginal(g_full, regions.ac)
-        # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
-        sandwich = chain.split_exp(regions.a, regions.c, s)
+        kmax = max(len(regions.a), len(regions.c))
+        tails = tuple(tail_term(chain, regions, k) for k in range(k0, kmax))
         z_b = chain.partition_function(regions.b)
-        return (g_full.z / z_b) * (sandwich @ rho_ac @ sandwich), rho_ac
+        ratio = chain.partition_function(k_neighborhood(regions, k0)) / z_b
+        core = decompose_truncated_marginal(chain, regions, k0)
+        g_full = chain.gibbs(regions.all_sites)
+        rho_ac = marginal(g_full, acs)
+        # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
+        sandwich = chain.split_exp(regions.a, regions.c, TELESCOPE_S)
+        lhs = (g_full.z / z_b) * (sandwich @ rho_ac @ sandwich)
+        return _Telescope(tails, ratio, ratio * embed(core.tilde_ac, acs), lhs, rho_ac)
 
-    return chain.cached(("lhs", regions, s), build)
+    return chain.cached(("telescope", regions, k0), build)
 
 
 @dataclass(frozen=True)
@@ -462,48 +475,30 @@ class TelescopeReport:
 
 
 def telescope_verify(
-    ia: Interaction,
+    system: Interaction | Chain,
     regions: RegionsABC,
     k0: int,
-    s: float = 0.5,
     budget: int = DEFAULT_BUDGET,
 ) -> TelescopeReport:
     """Check the telescoping split of the conjugated marginal numerically.
 
     Verifies (a) that the full sandwiched marginal equals the k0 traced
     term plus the finite tail sum, and (b) that the traced k0 term equals
-    its partition-ratio closed form.  Both identities hold at s = 1/2.
+    its partition-ratio closed form.
     """
-    if len(regions.b) < ia.interaction_range:
+    chain = Chain.of(system, budget)
+    if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
     if k0 < 1:
         raise GeometryError("k0 must be >= 1")
-    chain = Chain(ia, budget)
-    acs = regions.ac
-    lhs, _ = _conjugated_marginal(chain, regions, s)
-
-    kmax = max(len(regions.a), len(regions.c))
-    t_k0 = embed(_traced_interface_product(chain, regions, k0, s), acs)
-    rhs = t_k0
-    tail_norms = []
-    for k in range(k0, kmax):
-        t = _tail_term(chain, regions, k, s)
-        tail_norms.append(t.norm)
-        rhs = rhs + embed(t.op, acs)
-    scale = max(float(np.linalg.norm(lhs.matrix)), 1e-300)
-    identity_rel_err = float(np.linalg.norm(lhs.matrix - rhs.matrix)) / scale
-
-    # closed form of the k0 term via the truncated Gibbs state
-    hood = k_neighborhood(regions, k0)
-    a_clip = tuple(t for t in hood if t in set(regions.a))
-    c_clip = tuple(t for t in hood if t in set(regions.c))
-    g_k = chain.gibbs(hood)
-    z_b = chain.partition_function(regions.b)
-    sw = chain.split_exp(a_clip, c_clip, s)
-    closed = embed((g_k.z / z_b) * (sw @ marginal(g_k, a_clip + c_clip) @ sw), acs)
-    cscale = max(float(np.linalg.norm(closed.matrix)), 1e-300)
-    k0_term_rel_err = float(np.linalg.norm(t_k0.matrix - closed.matrix)) / cscale
-    return TelescopeReport(k0, identity_rel_err, k0_term_rel_err, tuple(tail_norms))
+    tel = _telescope(chain, regions, k0)
+    k0_term = embed(_traced_interface_product(chain, regions, k0), regions.ac)
+    return TelescopeReport(
+        k0,
+        _rel_err(tel.plus_tails(k0_term), tel.lhs),
+        _rel_err(k0_term, tel.closed_form),
+        tuple(t.norm for t in tel.tails),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,38 +533,26 @@ def _attempt_certificate(
     chain: Chain,
     regions: RegionsABC,
     k0: int,
-    s: float,
     recon_tol: float,
 ) -> DecompositionReport:
     d = chain.ia.local_dim
     r = chain.ia.interaction_range
     kmax = max(len(regions.a), len(regions.c))
-    core = _decompose(chain, regions, k0)
-    z_b = chain.partition_function(regions.b)
-    ratio = chain.partition_function(k_neighborhood(regions, k0)) / z_b
-    identity_mass = ratio * core.gamma
-    g_emp = _covering_bound(chain, regions, range(k0, kmax + 2), s)
+    core = decompose_truncated_marginal(chain, regions, k0)
+    g_emp = covering_bound(chain, regions, range(k0, kmax + 2), TELESCOPE_S)
+    tel = _telescope(chain, regions, k0)
+    identity_mass = tel.z_ratio * core.gamma
 
     per_k = []
-    tails = []
-    for k in range(k0, kmax):
-        t = _tail_term(chain, regions, k, s)
-        budget_k = identity_mass * 2.0 ** (-(k - k0 + 1))
-        dim_a = d ** min(k + 1, len(regions.a))
-        dim_c = d ** min(k + 1, len(regions.c))
+    for t in tel.tails:
+        budget_k = identity_mass * 2.0 ** (-(t.k - k0 + 1))
+        dim_a = d ** min(t.k + 1, len(regions.a))
+        dim_c = d ** min(t.k + 1, len(regions.c))
         margin = budget_k * ball_radius(dim_a, dim_c) - t.norm
         per_k.append(
-            TailCheck(k, t.norm, budget_k, margin, tail_norm_bound(g_emp, k, r))
+            TailCheck(t.k, t.norm, budget_k, margin, tail_norm_bound(g_emp, t.k, r))
         )
-        tails.append(t.op)
-
-    acs = regions.ac
-    lhs, rho_ac = _conjugated_marginal(chain, regions, s)
-    rhs = ratio * embed(core.tilde_ac, acs)
-    for t_op in tails:
-        rhs = rhs + embed(t_op, acs)
-    scale = max(float(np.linalg.norm(lhs.matrix)), 1e-300)
-    rel_err = float(np.linalg.norm(lhs.matrix - rhs.matrix)) / scale
+    rel_err = _rel_err(tel.plus_tails(tel.closed_form), tel.lhs)
 
     ok = (
         core.ball_ok
@@ -577,30 +560,28 @@ def _attempt_certificate(
         and all(c.ball_margin >= 0 for c in per_k)
         and rel_err <= recon_tol
     )
-    neg = negativity(rho_ac, (regions.a, regions.c)).negativity
+    neg = negativity(tel.rho_ac, (regions.a, regions.c)).negativity
 
     # comparison-only closed form of k0; the feasibility search is authoritative
-    c_prime = max(1.0, 8.0 * d * g_emp**3 / max(identity_mass, 1e-300))
-    alpha_prime = math.log(2.0 * g_emp * d)
-    alpha_zero = math.log(2.0)
-    reff = max(r, 1)
-    k0_closed = reff * math.e * math.exp(
-        reff * (math.log(c_prime) + alpha_zero + alpha_prime)
-    )
     constants = {
         "C": identity_mass,
-        "alpha": 0.0,
-        "C_prime": min(core.min_eig_a, core.min_eig_c),
-        "alpha_prime": 0.0,
+        "alpha": math.log(2.0),
+        "C_prime": max(1.0, 8.0 * d * g_emp**3 / max(identity_mass, 1e-300)),
+        "alpha_prime": math.log(2.0 * g_emp * d),
         "g_emp": g_emp,
         "gamma_k0": core.gamma,
-        "z_ratio": ratio,
+        "z_ratio": tel.z_ratio,
     }
+    reff = max(r, 1)
+    k0_closed = reff * math.e * math.exp(
+        reff
+        * (math.log(constants["C_prime"]) + constants["alpha"] + constants["alpha_prime"])
+    )
     return DecompositionReport(
         verdict=VERDICT_SEPARABLE if ok else VERDICT_UNDETERMINED,
         k0=k0,
         gamma_k0=core.gamma,
-        z_ratio=ratio,
+        z_ratio=tel.z_ratio,
         reconstruction_rel_err=rel_err,
         per_k=tuple(per_k),
         constants_used=constants,
@@ -611,10 +592,9 @@ def _attempt_certificate(
 
 
 def certify_marginal(
-    ia: Interaction,
+    system: Interaction | Chain,
     regions: RegionsABC,
     k0: int | None = None,
-    s: float = 0.5,
     budget: int = DEFAULT_BUDGET,
     recon_tol: float = RECONSTRUCTION_TOL,
 ) -> DecompositionReport:
@@ -625,15 +605,15 @@ def certify_marginal(
     All attempts share one spectral context, so every region Hamiltonian,
     interface operator and tail term is computed once.
     """
-    if len(regions.b) < ia.interaction_range:
+    chain = Chain.of(system, budget)
+    if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
     kmax = max(len(regions.a), len(regions.c))
     candidates = [k0] if k0 is not None else list(range(1, kmax + 1))
-    chain = Chain(ia, budget)
     attempted = []
     report = None
     for cand in candidates:
-        report = _attempt_certificate(chain, regions, cand, s, recon_tol)
+        report = _attempt_certificate(chain, regions, cand, recon_tol)
         attempted.append(cand)
         if report.verdict == VERDICT_SEPARABLE:
             break

@@ -2,8 +2,11 @@
 
 Everything here works at the level of explicit index loops or series
 expansions, on purpose: these implementations share no code path with the
-library routines they check.
+library routines they check.  `record_eigh` counts the library's dense
+eigensolves instead.
 """
+import hashlib
+
 import numpy as np
 
 
@@ -100,3 +103,22 @@ def random_state(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def matrix_digest(m):
+    m = np.ascontiguousarray(m)
+    return m.shape, m.dtype.str, hashlib.sha256(m.tobytes()).hexdigest()
+
+
+def record_eigh(monkeypatch):
+    """List that collects the digest of every matrix passed to np.linalg.eigh
+    from now until the end of the test."""
+    inputs = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        inputs.append(matrix_digest(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return inputs

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from chainsep import ModelSpec, hamiltonian
 from chainsep.cli import load_config, main, validate_config
 from chainsep.errors import ConfigError
+from helpers import matrix_digest, record_eigh
 
 
 def _write(tmp_path, name, payload):
@@ -70,6 +73,15 @@ def test_validate_budget_uses_local_dim(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_validate_rejects_s_other_than_half(tmp_path):
+    # the telescoping identity holds only at s = 1/2; any other s could only
+    # ever certify nothing
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, "c.json", {"s": 0.25}))
+    assert load_config(_write(tmp_path, "h.json", {"s": 0.5}))["s"] == 0.5
+    assert "s" not in load_defaults()
 
 
 def test_validate_rejects_bad_k_range():
@@ -231,3 +243,34 @@ def test_byte_determinism_across_jobs(tmp_path):
     assert (out_a / "scan_negativity.csv").read_bytes() == (
         out_b / "scan_negativity.csv"
     ).read_bytes()
+
+
+def _csv_records(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
+def test_scan_negativity_ppt_exact_uses_local_dim(tmp_path):
+    # qutrits on 1|2|1 give a 3 x 3 edge cut, beyond where PPT is exact
+    model = {"family": "random", "params": {"local_dim": 3}, "sites": 4, "seed": 0}
+    path = _write(
+        tmp_path, "c.json", {"model": model, "geometry": {"a": [1], "b": [2], "c": [1]}}
+    )
+    assert main(["scan-negativity", "--config", path, "--out", str(tmp_path)]) == 0
+    (row,) = _csv_records(tmp_path / "scan_negativity.csv")
+    assert row["ppt_exact"] == "0"
+
+
+def test_scan_negativity_point_diagonalizes_each_matrix_once(tmp_path, monkeypatch):
+    model = {"family": "random", "params": {"range": 2, "strength": 1.5}, "sites": 6, "seed": 1}
+    path = _write(
+        tmp_path, "c.json", {"model": model, "geometry": {"a": [1], "b": [4], "c": [1]}}
+    )
+    inputs = record_eigh(monkeypatch)
+    assert main(["scan-negativity", "--config", path, "--out", str(tmp_path)]) == 0
+    (row,) = _csv_records(tmp_path / "scan_negativity.csv")
+    assert row["certificate_verdict"] != "SkippedSmallB"  # certify ran on this point
+    h_abc = hamiltonian(ModelSpec.from_dict(model).build(), range(6)).matrix
+    assert len(inputs) == len(set(inputs))
+    assert inputs.count(matrix_digest(h_abc)) == 1

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from chainsep import (
     LocalOperator,
     RegionsABC,
     builtin_models,
+    check_lemmas,
     contraction_check,
     covering_bound,
     difference_decay,
@@ -24,7 +27,7 @@ from chainsep import (
     op_norm,
     truncated_expansional,
 )
-from helpers import random_hermitian, random_state
+from helpers import matrix_digest, random_hermitian, random_state, record_eigh
 
 
 def _tfi(n):
@@ -204,3 +207,14 @@ def test_expansional_inverse_property(seed, s):
     ):
         assert got.support == want.support
         assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
+
+
+def test_lemma_suite_diagonalizes_each_matrix_once(monkeypatch):
+    ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 2.0, "seed": 3})
+    regions = RegionsABC.from_sizes(2, 3, 2)
+    x = LocalOperator(regions.ac, random_hermitian(np.random.default_rng(3), 16))
+    inputs = record_eigh(monkeypatch)
+    report = check_lemmas(ia, regions, x)
+    assert all(astuple(report))
+    assert len(inputs) == len(set(inputs))
+    assert inputs.count(matrix_digest(hamiltonian(ia, regions.all_sites).matrix)) == 1

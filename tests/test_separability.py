@@ -1,4 +1,4 @@
-import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsep import (
+    BudgetError,
+    Chain,
     GeometryError,
     LocalOperator,
     RegionsABC,
@@ -34,7 +36,7 @@ from chainsep.separability import (
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
 )
-from helpers import partial_transpose_oracle, random_hermitian, random_state
+from helpers import partial_transpose_oracle, random_hermitian, random_state, record_eigh
 
 
 def _bell():
@@ -53,6 +55,12 @@ def test_negativity_product_state_zero():
     res = negativity(rho, ((0,), (1,)))
     assert res.negativity == pytest.approx(0.0, abs=1e-15)
     assert res.min_pt_eig >= 0
+
+
+def test_negativity_of_ppt_state_is_plus_zero():
+    # no negative eigenvalue to sum: the result is +0.0, never -0.0
+    rho = LocalOperator((0, 1), np.diag([0.4, 0.1, 0.4, 0.1]))
+    assert math.copysign(1.0, negativity(rho, ((0,), (1,))).negativity) == 1.0
 
 
 def test_negativity_cut_validation():
@@ -250,18 +258,40 @@ def test_certify_marginal_small_gap_is_undetermined_not_wrong():
 
 def test_certify_diagonalizes_each_region_once(monkeypatch):
     ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1})
-    inputs = []
-    eigh = np.linalg.eigh
-
-    def recording_eigh(a, *args, **kwargs):
-        a = np.ascontiguousarray(a)
-        inputs.append((a.shape[0], hashlib.sha256(a.tobytes()).hexdigest()))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    inputs = record_eigh(monkeypatch)
     certify_marginal(ia, RegionsABC.from_sizes(2, 3, 2))
     assert len(inputs) == len(set(inputs))
-    assert [dim for dim, _ in inputs].count(2**7) == 1
+    assert [shape[0] for shape, _, _ in inputs].count(2**7) == 1
+
+
+def test_constants_used_reproduce_k0_closed_form():
+    ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1})
+    rep = certify_marginal(ia, RegionsABC.from_sizes(2, 3, 2))
+    c = rep.constants_used
+    d, r = ia.local_dim, ia.interaction_range
+    assert c["alpha"] == pytest.approx(math.log(2.0), rel=1e-15)
+    assert c["alpha_prime"] == pytest.approx(math.log(2.0 * c["g_emp"] * d), rel=1e-15)
+    assert c["C_prime"] == pytest.approx(max(1.0, 8.0 * d * c["g_emp"] ** 3 / c["C"]), rel=1e-15)
+    k0 = r * math.e * math.exp(r * (math.log(c["C_prime"]) + c["alpha"] + c["alpha_prime"]))
+    assert rep.k0_closed_form == pytest.approx(k0, rel=1e-12)
+
+
+def test_public_functions_accept_a_chain():
+    ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 2})
+    regions = RegionsABC.from_sizes(2, 3, 2)
+    chain = Chain(ia)
+    for fn, args in (
+        (certify_marginal, ()),
+        (telescope_verify, (1,)),
+        (tail_term, (1,)),
+        (decompose_truncated_marginal, (1,)),
+    ):
+        fresh, shared = fn(ia, regions, *args), fn(chain, regions, *args)
+        for field in ("verdict", "k0", "attempted_k0", "identity_rel_err", "norm", "gamma"):
+            assert getattr(fresh, field, None) == getattr(shared, field, None)
+    # the Chain's own budget holds, whatever budget the call passes
+    with pytest.raises(BudgetError):
+        certify_marginal(Chain(ia, budget=2**6), regions, budget=2**7)
 
 
 def test_certificate_json_roundtrip():
