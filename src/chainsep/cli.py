@@ -6,6 +6,8 @@ Exit codes: 0 pass, 1 property/certification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import sys
@@ -58,11 +60,38 @@ def _write_csv(path: Path, header_meta: dict, columns, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+@functools.cache
+def _openblas():
+    """(get, set) for the thread count of the OpenBLAS numpy loaded, or None."""
+    maps = Path("/proc/self/maps")  # lists the mapped libraries, where there is a /proc
+    paths = [ln.split()[-1] for ln in maps.read_text().splitlines()] if maps.exists() else []
+    libs = [p for p in paths if "openblas" in Path(p).name.lower()]
+    dll = ctypes.CDLL(libs[0]) if libs else None
+    for sym in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(dll, sym.format(op), None) for op in ("get", "set"))
+        if get is not None and put is not None:
+            return get, put
+    return None
+
+
 def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    """`[fn(it) for it in items]`, `jobs` at a time.  Two or more items run on one
+    BLAS thread each, at any `jobs`, so that the pool does not fight OpenBLAS's own
+    threads and the output, which that thread count moves in the last bits, does
+    not depend on `jobs`.  A lone item keeps BLAS's threads."""
+    items = list(items)
+    blas = _openblas() if len(items) > 1 else None
+    if blas is not None:
+        caller = blas[0]()
+        blas[1](1)
+    try:
+        if jobs <= 1:
+            return [fn(it) for it in items]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        if blas is not None:
+            blas[1](caller)
 
 
 # ---------------------------------------------------------------------------

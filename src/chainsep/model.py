@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,9 +21,9 @@ class Interaction:
     """A finite-range potential: map from site supports to Hermitian blocks.
 
     `interaction_range` is the maximal diameter of a term, where a
-    nearest-neighbour bond has diameter 1.  `strength` is recomputed from
-    the terms as the per-site sup of summed term norms; the inverse
-    temperature is absorbed into it.
+    nearest-neighbour bond has diameter 1.  `strength` is computed from the
+    terms, once per interaction, as the per-site sup of summed term norms;
+    the inverse temperature is absorbed into it.
     """
 
     local_dim: int
@@ -53,7 +54,7 @@ class Interaction:
             terms[supp] = op.matrix
         object.__setattr__(self, "terms", terms)
 
-    @property
+    @cached_property
     def strength(self) -> float:
         """Per-site sup of summed operator norms of the terms touching it."""
         per_site = {s: 0.0 for s in self.sites}

@@ -2,8 +2,8 @@
 
 Everything here works at the level of explicit index loops or series
 expansions, on purpose: these implementations share no code path with the
-library routines they check.  `record_eigh` counts the library's dense
-eigensolves instead.
+library routines they check.  `record_solver` and `record_eigh` count the
+library's dense eigensolves instead.
 """
 import hashlib
 
@@ -110,15 +110,19 @@ def matrix_digest(m):
     return m.shape, m.dtype.str, hashlib.sha256(m.tobytes()).hexdigest()
 
 
-def record_eigh(monkeypatch):
-    """List that collects the digest of every matrix passed to np.linalg.eigh
+def record_solver(monkeypatch, name):
+    """List that collects the digest of every matrix passed to np.linalg.<name>
     from now until the end of the test."""
     inputs = []
-    eigh = np.linalg.eigh
+    solver = getattr(np.linalg, name)
 
-    def recording_eigh(a, *args, **kwargs):
+    def recording_solver(a, *args, **kwargs):
         inputs.append(matrix_digest(a))
-        return eigh(a, *args, **kwargs)
+        return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, name, recording_solver)
     return inputs
+
+
+def record_eigh(monkeypatch):
+    return record_solver(monkeypatch, "eigh")

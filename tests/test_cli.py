@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainsep import ModelSpec, hamiltonian
+from chainsep import ModelSpec, cli, hamiltonian
 from chainsep.cli import load_config, main, validate_config
 from chainsep.errors import ConfigError
 from helpers import matrix_digest, record_eigh
@@ -16,6 +17,7 @@ def _write(tmp_path, name, payload):
 
 
 TFI_MODEL = {"family": "tfi", "params": {}, "sites": 6, "seed": 0}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_load_config_defaults(tmp_path):
@@ -243,6 +245,67 @@ def test_byte_determinism_across_jobs(tmp_path):
     assert (out_a / "scan_negativity.csv").read_bytes() == (
         out_b / "scan_negativity.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # reaches 1|6|1 (dim 256), where a BLAS thread count that followed
+        # `jobs` changes the last bits of certify_summary.csv
+        ("certify", "tfi_certify.json"),
+        ("scan-decay", "tfi_sudden_death.json"),
+    ],
+)
+def test_checked_in_config_byte_identical_across_jobs(tmp_path, command, config):
+    path = str(CONFIGS / config)
+    out = {}
+    for jobs in ("1", "2"):
+        out[jobs] = tmp_path / f"jobs{jobs}"
+        assert main([command, "--config", path, "--out", str(out[jobs]), "--jobs", jobs]) == 0
+    names = sorted(p.name for p in out["1"].glob("*.csv"))
+    assert names and names == sorted(p.name for p in out["2"].glob("*.csv"))
+    for name in names:
+        assert (out["1"] / name).read_bytes() == (out["2"] / name).read_bytes(), name
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count getter, with the caller's count set to 2."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS library is mapped")
+    get, put = blas
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("this OpenBLAS runs one thread only")
+        yield get
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pmap_runs_each_of_several_items_on_one_blas_thread(blas_threads, jobs):
+    assert cli._pmap(lambda _: blas_threads(), range(4), jobs) == [1, 1, 1, 1]
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pmap_lone_item_keeps_the_callers_blas_threads(blas_threads, jobs):
+    assert cli._pmap(lambda _: blas_threads(), [0], jobs) == [2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pmap_restores_blas_threads_when_an_item_raises(blas_threads, jobs):
+    def item(i):
+        if i == 1:
+            raise RuntimeError("item failed")
+        return blas_threads()
+
+    with pytest.raises(RuntimeError, match="item failed"):
+        cli._pmap(item, range(3), jobs)
+    assert blas_threads() == 2
 
 
 def _csv_records(path):

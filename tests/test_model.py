@@ -22,7 +22,7 @@ from chainsep import (
 )
 from chainsep.model import PAULI_X, PAULI_Z
 
-from helpers import embed_oracle, random_hermitian
+from helpers import embed_oracle, random_hermitian, record_solver
 
 
 def test_zero_interaction_hamiltonian():
@@ -145,6 +145,23 @@ def test_tfi_strength_convention():
     ia = builtin_models("tfi", {"sites": 5, "coupling": 1.0, "field": 1.0})
     assert ia.interaction_range == 1
     assert ia.strength == pytest.approx(3.0)
+
+
+def test_strength_is_computed_once(monkeypatch):
+    ia = builtin_models("random", {"sites": 6, "range": 2, "strength": 1.5, "seed": 2})
+    per_site = {s: 0.0 for s in ia.sites}
+    for supp, mat in ia.terms.items():
+        for s in supp:
+            per_site[s] += np.linalg.norm(mat, 2)  # the largest singular value
+    assert ia.strength == pytest.approx(max(per_site.values()), rel=1e-12)
+    calls = record_solver(monkeypatch, "eigvalsh")
+    assert ia.strength == pytest.approx(1.5, rel=1e-12)
+    assert calls == []
+    # a fresh interaction on the same terms pays one op_norm per term, once
+    fresh = Interaction(ia.local_dim, ia.sites, ia.terms, ia.interaction_range)
+    assert fresh.strength == ia.strength
+    assert fresh.strength == ia.strength
+    assert len(calls) == len(ia.terms)
 
 
 def test_zero_model_strength():
