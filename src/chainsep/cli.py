@@ -65,30 +65,30 @@ def _openblas():
     """(get, set) for the thread count of the OpenBLAS numpy loaded, or None."""
     maps = Path("/proc/self/maps")  # lists the mapped libraries, where there is a /proc
     paths = [ln.split()[-1] for ln in maps.read_text().splitlines()] if maps.exists() else []
-    libs = [p for p in paths if "openblas" in Path(p).name.lower()]
-    dll = ctypes.CDLL(libs[0]) if libs else None
-    for sym in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-        get, put = (getattr(dll, sym.format(op), None) for op in ("get", "set"))
+    dll = next((ctypes.CDLL(p) for p in paths if "openblas" in Path(p).name.lower()), None)
+    for p, s in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get, put = (getattr(dll, f"{p}_{op}_num_threads{s}", None) for op in ("get", "set"))
         if get is not None and put is not None:
             return get, put
-    return None
 
 
 def _pmap(fn, items, jobs: int):
-    """`[fn(it) for it in items]`, `jobs` at a time.  Two or more items run on one
-    BLAS thread each, at any `jobs`, so that the pool does not fight OpenBLAS's own
-    threads and the output, which that thread count moves in the last bits, does
-    not depend on `jobs`.  A lone item keeps BLAS's threads."""
-    items = list(items)
-    blas = _openblas() if len(items) > 1 else None
+    if jobs <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def _run_items(fn, items, jobs: int, dim: int):
+    """`_pmap` on one BLAS thread per item if `dim`, the largest matrix side of an
+    item, is at most 256 (README "Performance"); the rule ignores `jobs`, since the
+    BLAS thread count moves the output in the last bits."""
+    blas = _openblas() if dim <= 256 else None
     if blas is not None:
         caller = blas[0]()
         blas[1](1)
     try:
-        if jobs <= 1:
-            return [fn(it) for it in items]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
+        return _pmap(fn, items, jobs)
     finally:
         if blas is not None:
             blas[1](caller)
@@ -237,7 +237,8 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
         report = check_lemmas(ia, regions, x_op, budget)
         return (i, seed, n, na, nb, nc, *astuple(report))
 
-    rows = _pmap(run_instance, range(cfg["instances"]), cfg["jobs"])
+    dim = 2 ** corpus["max_sites"]  # the corpus models are qubit chains
+    rows = _run_items(run_instance, range(cfg["instances"]), cfg["jobs"], dim)
     columns = [
         "instance",
         "seed",
@@ -259,14 +260,10 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     return 0 if all_ok else 1
 
 
-def _geometry_grid(cfg: dict):
+def _geometry_grid(cfg: dict, spec: ModelSpec):
     geo = _geometry(cfg)
-    return [
-        (na, nb, nc)
-        for na in geo["a"]
-        for nb in geo["b"]
-        for nc in geo["c"]
-    ]
+    grid = [(na, nb, nc) for na in geo["a"] for nb in geo["b"] for nc in geo["c"]]
+    return grid, spec.params.get("local_dim", 2) ** max(map(sum, grid))
 
 
 def cmd_scan_negativity(cfg: dict, out: Path) -> int:
@@ -302,7 +299,8 @@ def cmd_scan_negativity(cfg: dict, out: Path) -> int:
             ppt_exact,
         )
 
-    rows = _pmap(run_point, _geometry_grid(cfg), cfg["jobs"])
+    grid, dim = _geometry_grid(cfg, spec)
+    rows = _run_items(run_point, grid, cfg["jobs"], dim)
     columns = [
         "model_id",
         "n_a",
@@ -351,7 +349,8 @@ def cmd_scan_decay(cfg: dict, out: Path) -> int:
         mi = mutual_information(chain, regions)
         return (nb, fe.op_norm_err, fe.trace_norm_err, mi)
 
-    gap_rows = _pmap(run_gap, sorted(geo["b"]), cfg["jobs"])
+    dim = chain.ia.local_dim ** len(chain.ia.sites)  # the largest gap's chain
+    gap_rows = _run_items(run_gap, sorted(geo["b"]), cfg["jobs"], dim)
     points = [(nb, mi) for nb, _, _, mi in gap_rows if mi > 1e-14]
     if len(points) >= 2:
         xs = np.array([p[0] for p in points], dtype=float)
@@ -383,7 +382,8 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         rep = certify_marginal(ia, regions, budget=budget)
         return point, rep
 
-    results = _pmap(run_point, _geometry_grid(cfg), cfg["jobs"])
+    grid, dim = _geometry_grid(cfg, spec)
+    results = _run_items(run_point, grid, cfg["jobs"], dim)
     rows = []
     margins_rows = []
     for (na, nb, nc), rep in results:

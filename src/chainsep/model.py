@@ -21,9 +21,9 @@ class Interaction:
     """A finite-range potential: map from site supports to Hermitian blocks.
 
     `interaction_range` is the maximal diameter of a term, where a
-    nearest-neighbour bond has diameter 1.  `strength` is computed from the
-    terms, once per interaction, as the per-site sup of summed term norms;
-    the inverse temperature is absorbed into it.
+    nearest-neighbour bond has diameter 1.  `strength` is computed once from
+    the terms as the per-site sup of summed term norms; the inverse
+    temperature is absorbed into it.
     """
 
     local_dim: int

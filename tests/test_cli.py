@@ -286,26 +286,69 @@ def blas_threads():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_pmap_runs_each_of_several_items_on_one_blas_thread(blas_threads, jobs):
-    assert cli._pmap(lambda _: blas_threads(), range(4), jobs) == [1, 1, 1, 1]
+@pytest.mark.parametrize("n_items", [1, 4])
+def test_items_up_to_256_run_on_one_blas_thread_each(blas_threads, jobs, n_items):
+    read = cli._run_items(lambda _: blas_threads(), range(n_items), jobs, 256)
+    assert read == [1] * n_items
     assert blas_threads() == 2
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_pmap_lone_item_keeps_the_callers_blas_threads(blas_threads, jobs):
-    assert cli._pmap(lambda _: blas_threads(), [0], jobs) == [2]
+def test_items_above_256_keep_the_callers_blas_threads(blas_threads, jobs):
+    assert cli._run_items(lambda _: blas_threads(), range(4), jobs, 512) == [2] * 4
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_pmap_restores_blas_threads_when_an_item_raises(blas_threads, jobs):
+def test_run_items_restores_blas_threads_when_an_item_raises(blas_threads, jobs):
     def item(i):
         if i == 1:
             raise RuntimeError("item failed")
         return blas_threads()
 
     with pytest.raises(RuntimeError, match="item failed"):
-        cli._pmap(item, range(3), jobs)
+        cli._run_items(item, range(3), jobs, 256)
     assert blas_threads() == 2
+
+
+@pytest.mark.parametrize(
+    "command, model, geometry, dim",
+    [
+        ("certify", TFI_MODEL, {"a": [1], "b": [2, 3], "c": [1, 2]}, 2**6),
+        ("scan-decay", TFI_MODEL, {"a": [1], "b": [3, 2], "c": [1]}, 2**5),
+        (
+            "scan-negativity",
+            {"family": "random", "params": {"local_dim": 3}, "sites": 3, "seed": 0},
+            {"a": [1], "b": [1], "c": [1]},
+            3**3,
+        ),
+    ],
+)
+def test_run_items_is_given_the_largest_matrix_side(
+    tmp_path, monkeypatch, command, model, geometry, dim
+):
+    seen = []
+    run_items = cli._run_items
+    monkeypatch.setattr(cli, "_run_items", lambda *a: seen.append(a[3]) or run_items(*a))
+    path = _write(tmp_path, "c.json", {"model": model, "geometry": geometry})
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) in (0, 1)
+    assert seen == [dim]
+
+
+def test_commands_call_pmap_with_fn_items_jobs(tmp_path, monkeypatch):
+    # bench/worker.py and bench/tracer.py replace `cli._pmap` by wrappers that
+    # take exactly these three arguments
+    calls = []
+    pmap = cli._pmap
+
+    def wrapper(fn, items, jobs):
+        calls.append(jobs)
+        return pmap(fn, items, jobs)
+
+    monkeypatch.setattr(cli, "_pmap", wrapper)
+    corpus = {"min_sites": 4, "max_sites": 4}
+    path = _write(tmp_path, "c.json", {"instances": 2, "jobs": 2, "corpus": corpus})
+    assert main(["verify-lemmas", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [2]
 
 
 def _csv_records(path):
