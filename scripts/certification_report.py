@@ -44,7 +44,7 @@ def main() -> int:
           f"ball ratio {core.ball_ratio:.3e} vs threshold {core.ball_threshold:.3e}"
           f"  -> {'ok' if core.ball_ok else 'too large'}")
     for chk in rep.per_k:
-        print(f"  k={chk.k}: tail norm {chk.norm:.3e}, budget "
+        print(f"  k={chk.k}: tail norm {chk.tail_norm:.3e}, budget "
               f"{chk.identity_budget:.3e}, ball margin {chk.ball_margin:+.3e}, "
               f"factorial bound {chk.factorial_bound:.3e}")
     return 0 if rep.verdict == "SeparableByConstruction" else 1

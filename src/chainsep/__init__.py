@@ -12,11 +12,9 @@ from .linalg import (
     embed,
     herm_exp,
     herm_fn,
-    herm_log,
     identity,
     is_psd,
     min_eig,
-    norms,
     op_norm,
     partial_trace,
     partial_transpose,
@@ -30,13 +28,11 @@ from .model import (
     builtin_models,
     hamiltonian,
     k_neighborhood,
-    truncated_hamiltonian,
 )
 from .gibbs import (
     Chain,
     GibbsEnsemble,
     check_partition_ratios,
-    correlation,
     entropy,
     factorization_error,
     gibbs,
@@ -66,18 +62,12 @@ from .separability import (
     DecompositionReport,
     SeparableDecomposition,
     VERDICT_ENTANGLED,
-    VERDICT_PPT,
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
     ball_radius,
     certify_marginal,
-    certificate_from_json,
-    certificate_to_json,
     decompose_truncated_marginal,
-    decomposition_from_dict,
-    decomposition_to_dict,
     exact_sep_test,
-    identity_ball_certificate,
     negativity,
     tail_norm_bound,
     tail_term,

@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +104,10 @@ _DEFAULTS = {
     "budget": 4096,
     "instances": 100,
     "k_range": [1, 3],
-    "tolerances": {"negativity_zero": 1e-12},
     "corpus": {"max_range": 2, "strength": 2.0, "min_sites": 4, "max_sites": 8},
 }
+# keys a config may set that have no default
+_OPTIONAL = {"model", "geometry", "s", "size_grid", "s_grid"}
 
 
 def load_config(path: str) -> dict:
@@ -120,23 +121,35 @@ def load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
-    tol = dict(_DEFAULTS["tolerances"])
-    tol.update(raw.get("tolerances", {}))
-    cfg["tolerances"] = tol
     validate_config(cfg)
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_keys(section: dict, known, where: str) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
 def validate_config(cfg: dict) -> None:
+    _check_keys(cfg, _DEFAULTS.keys() | _OPTIONAL, "config")
+    if not isinstance(cfg["corpus"], dict):
+        raise ConfigError("'corpus' must be an object")
+    _check_keys(cfg["corpus"], _DEFAULTS["corpus"], "corpus")
     for key in ("seed", "jobs", "budget", "instances"):
-        if not isinstance(cfg[key], int) or cfg[key] < 0:
+        if not _is_int(cfg[key]) or cfg[key] < 0:
             raise ConfigError(f"{key!r} must be a nonnegative integer")
     for key in ("jobs", "instances"):
         if cfg[key] < 1:
             raise ConfigError(f"{key!r} must be >= 1")
-    for name, value in cfg["tolerances"].items():
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerance {name!r} must be positive")
     if cfg.get("s", TELESCOPE_S) != TELESCOPE_S:
         raise ConfigError(
             f"'s' is fixed at {TELESCOPE_S}: the telescoping identity holds only there"
@@ -145,7 +158,7 @@ def validate_config(cfg: dict) -> None:
     if (
         not isinstance(kr, list)
         or len(kr) != 2
-        or not all(isinstance(k, int) and k >= 0 for k in kr)
+        or not all(_is_int(k) and k >= 0 for k in kr)
         or kr[0] > kr[1]
     ):
         raise ConfigError("'k_range' must be [k_min, k_max] with 0 <= k_min <= k_max")
@@ -155,7 +168,7 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("'geometry' must have lists 'a', 'b', 'c'")
         for part in ("a", "b", "c"):
             sizes = geo[part]
-            if not sizes or not all(isinstance(v, int) and v >= 1 for v in sizes):
+            if not sizes or not all(_is_int(v) and v >= 1 for v in sizes):
                 raise ConfigError(f"geometry '{part}' must be a list of sizes >= 1")
         d = _model_spec(cfg).params.get("local_dim", 2) if "model" in cfg else 2
         if not isinstance(d, int) or d < 2:
@@ -170,9 +183,29 @@ def validate_config(cfg: dict) -> None:
                         )
     if "model" in cfg:
         _model_spec(cfg)
+    if "s_grid" in cfg:
+        sg = cfg["s_grid"]
+        if not isinstance(sg, list) or not sg or not all(
+            _is_real(s) and abs(s) <= 1 for s in sg
+        ):
+            raise ConfigError("'s_grid' must be a nonempty list of numbers s with |s| <= 1")
+    if "size_grid" in cfg:
+        sz = cfg["size_grid"]
+        if not isinstance(sz, list) or not sz or not all(
+            isinstance(p, list) and len(p) == 2 and all(_is_int(n) and n >= 1 for n in p)
+            for p in sz
+        ):
+            raise ConfigError("'size_grid' must be a nonempty list of [n_x, n_y], sizes >= 1")
+        sites = _model_spec(cfg).sites if "model" in cfg else None
+        for nx, ny in sz:
+            # a pair that fits nowhere in the chain would be skipped, silently
+            if _is_int(sites) and nx + ny > sites:
+                raise ConfigError(f"size_grid pair [{nx}, {ny}] exceeds the {sites} sites")
 
 
 def _model_spec(cfg: dict) -> ModelSpec:
+    if "model" not in cfg:
+        raise ConfigError("this subcommand requires a 'model' section")
     model = cfg["model"]
     if not isinstance(model, dict):
         raise ConfigError("'model' must be an object")
@@ -401,37 +434,15 @@ def cmd_certify(cfg: dict, out: Path) -> int:
                 rep.negativity_cross_check,
             )
         )
-        for chk in rep.per_k:
+        for c in rep.per_k:
             margins_rows.append(
-                (na, nb, nc, rep.k0, chk.k, chk.norm, chk.identity_budget, chk.ball_margin)
+                (na, nb, nc, rep.k0, c.k, c.tail_norm, c.identity_budget, c.ball_margin)
             )
-        report_path = out / f"certify_a{na}_b{nb}_c{nc}.json"
-        report_path.write_text(
-            json.dumps(
-                {
-                    "verdict": rep.verdict,
-                    "k0": rep.k0,
-                    "attempted_k0": list(rep.attempted_k0),
-                    "gamma_k0": rep.gamma_k0,
-                    "z_ratio": rep.z_ratio,
-                    "reconstruction_rel_err": rep.reconstruction_rel_err,
-                    "negativity_cross_check": rep.negativity_cross_check,
-                    "k0_closed_form": rep.k0_closed_form,
-                    "constants_used": rep.constants_used,
-                    "per_k": [
-                        {
-                            "k": c.k,
-                            "tail_norm": c.norm,
-                            "identity_budget": c.identity_budget,
-                            "ball_margin": c.ball_margin,
-                            "factorial_bound": c.factorial_bound,
-                        }
-                        for c in rep.per_k
-                    ],
-                },
-                indent=2,
-            )
-        )
+        # the report's own fields; `core` holds region-sized matrices, so it
+        # stays out (and `asdict(rep)` would deep-copy it)
+        payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "core"}
+        payload["per_k"] = [asdict(c) for c in rep.per_k]
+        (out / f"certify_a{na}_b{nb}_c{nc}.json").write_text(json.dumps(payload, indent=2))
     _write_csv(
         out / "certify_summary.csv",
         _meta(cfg),

@@ -1,4 +1,4 @@
-"""Gibbs states, partition functions, marginals, and correlation checks."""
+"""Gibbs states, partition functions, marginals and information measures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -274,28 +274,3 @@ def factorization_error(
     rho_c = marginal(g, regions.c)
     diff = rho_ac - (embed(rho_a, regions.ac) @ embed(rho_c, regions.ac))
     return FactorizationError(op_norm(diff), trace_norm(diff))
-
-
-def correlation(
-    system: Interaction | Chain,
-    regions: RegionsABC,
-    obs_a: LocalOperator,
-    obs_c: LocalOperator,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """Connected correlator of observables supported in A and C."""
-    if not set(obs_a.support) <= set(regions.a):
-        raise GeometryError("obs_a must be supported in A")
-    if not set(obs_c.support) <= set(regions.c):
-        raise GeometryError("obs_c must be supported in C")
-    g = gibbs(system, regions.all_sites, budget)
-    rho_ac = marginal(g, regions.ac)
-    rho_a = marginal(g, regions.a)
-    rho_c = marginal(g, regions.c)
-    joint = embed(obs_a, regions.ac) @ embed(obs_c, regions.ac)
-    first = float(np.trace(joint.matrix @ rho_ac.matrix).real)
-    second = float(
-        np.trace(embed(obs_a, regions.a).matrix @ rho_a.matrix).real
-        * np.trace(embed(obs_c, regions.c).matrix @ rho_c.matrix).real
-    )
-    return first - second

@@ -184,46 +184,6 @@ def herm_exp(op: LocalOperator, scale: complex = 1.0) -> LocalOperator:
     return herm_fn(op, lambda w: np.exp(scale * w))
 
 
-def herm_log(op: LocalOperator) -> LocalOperator:
-    if not op.is_hermitian():
-        raise ValueError("herm_log requires a Hermitian operator")
-    w = np.linalg.eigvalsh(op.matrix)
-    if w[0] <= 0:
-        raise ValueError(f"herm_log requires a positive spectrum, min eig {w[0]}")
-    return herm_fn(op, np.log)
-
-
-@dataclass(frozen=True)
-class OperatorNorms:
-    operator_norm: float
-    trace_norm: float
-    frobenius: float
-    min_eig: float | None
-    max_eig: float | None
-
-
-def norms(op: LocalOperator) -> OperatorNorms:
-    m = op.matrix
-    fro = float(np.linalg.norm(m))
-    if op.is_hermitian():
-        w = np.linalg.eigvalsh(m)
-        return OperatorNorms(
-            operator_norm=float(np.abs(w).max()),
-            trace_norm=float(np.abs(w).sum()),
-            frobenius=fro,
-            min_eig=float(w[0]),
-            max_eig=float(w[-1]),
-        )
-    sv = np.linalg.svd(m, compute_uv=False)
-    return OperatorNorms(
-        operator_norm=float(sv.max()),
-        trace_norm=float(sv.sum()),
-        frobenius=fro,
-        min_eig=None,
-        max_eig=None,
-    )
-
-
 def op_norm(op: LocalOperator) -> float:
     if op.is_hermitian():
         return float(np.abs(np.linalg.eigvalsh(op.matrix)).max())

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyIntersectionError, GeometryError
+from .errors import ConfigError, GeometryError
 from .linalg import LocalOperator, embed, op_norm
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -147,18 +147,6 @@ def hamiltonian(ia: Interaction, region: Sequence[int]) -> LocalOperator:
         blocks = np.einsum("larlbr->lrab", h.reshape(shape + shape))
         blocks += mat
     return LocalOperator(region, h, d)
-
-
-def truncated_hamiltonian(
-    ia: Interaction, regions: RegionsABC, which: str, k: int
-) -> LocalOperator:
-    """Hamiltonian of `which` clipped to the k-neighbourhood of B."""
-    clipped = tuple(s for s in regions.part(which) if s in set(k_neighborhood(regions, k)))
-    if not clipped:
-        raise EmptyIntersectionError(
-            f"{which} has empty intersection with the {k}-neighbourhood of B"
-        )
-    return hamiltonian(ia, clipped)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +288,3 @@ class ModelSpec:
             )
         except KeyError as exc:
             raise ConfigError(f"model description missing field {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model description is not valid JSON: {exc}") from exc

@@ -7,10 +7,8 @@ component separable.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .linalg import (
 from .model import Interaction, RegionsABC, k_neighborhood
 
 VERDICT_SEPARABLE = "SeparableByConstruction"
-VERDICT_PPT = "PPTConsistent"
 VERDICT_ENTANGLED = "Entangled"
 VERDICT_UNDETERMINED = "Undetermined"
 
@@ -100,41 +97,6 @@ class SeparableDecomposition:
             out = out + w * (embed(fa, full) @ embed(fc, full))
         return out
 
-    def conjugate(self, ya: LocalOperator, yc: LocalOperator) -> "SeparableDecomposition":
-        """Conjugate every factor by (Ya x Yc); the identity part becomes an
-        ordinary product term Ya Ya^+ x Yc Yc^+."""
-        terms = [
-            (w, ya @ fa @ ya.dagger(), yc @ fc @ yc.dagger())
-            for w, fa, fc in self.terms
-        ]
-        if self.residual_identity_coeff:
-            terms.append(
-                (
-                    self.residual_identity_coeff,
-                    ya @ ya.dagger(),
-                    yc @ yc.dagger(),
-                )
-            )
-        return SeparableDecomposition(self.cut, tuple(terms), 0.0)
-
-    def __add__(self, other: "SeparableDecomposition") -> "SeparableDecomposition":
-        if other.cut != self.cut:
-            raise GeometryError("can only combine decompositions on the same cut")
-        return SeparableDecomposition(
-            self.cut,
-            self.terms + other.terms,
-            self.residual_identity_coeff + other.residual_identity_coeff,
-        )
-
-    def scaled(self, w: float) -> "SeparableDecomposition":
-        if w < 0:
-            raise ValueError("conic combinations need nonnegative weights")
-        return SeparableDecomposition(
-            self.cut,
-            tuple((w * wi, fa, fc) for wi, fa, fc in self.terms),
-            w * self.residual_identity_coeff,
-        )
-
 
 def _rel_err(approx: LocalOperator, ref: LocalOperator) -> float:
     """Frobenius ||approx - ref|| / ||ref||, on the support of `approx`."""
@@ -178,8 +140,6 @@ class Certificate:
     verdict: str
     negativity: float | None = None
     min_pt_eig: float | None = None
-    ball_margin: float | None = None
-    decomposition: SeparableDecomposition | None = None
 
 
 def ball_radius(dim_a: int, dim_c: int) -> float:
@@ -188,57 +148,13 @@ def ball_radius(dim_a: int, dim_c: int) -> float:
     return 1.0 / math.sqrt(dim_a * dim_c)
 
 
-def identity_ball_certificate(delta: LocalOperator, cut) -> Certificate:
-    """Certify 1 + Delta via the separability ball around the identity.
-
-    The ball dimensions are those of Delta's support.  When the ball test
-    passes, PPT is additionally run as a sanity oracle and must agree.
-    """
-    cut_a, cut_c = _check_cut(delta, cut)
-    if not delta.is_hermitian():
-        raise GeometryError("the perturbation must be Hermitian")
-    d = delta.local_dim
-    radius = ball_radius(d ** len(cut_a), d ** len(cut_c))
-    nrm = op_norm(delta)
-    state = identity(delta.support, d) + delta
-    tr = state.trace().real
-    neg = negativity(state * (1.0 / tr), (cut_a, cut_c)) if tr > 0 else None
-    margin = radius - nrm
-    if nrm <= radius * (1 + 1e-12):
-        if neg is None or neg.negativity > FACTOR_PSD_TOL:
-            raise RuntimeError(
-                "ball condition held but the PPT sanity oracle failed; "
-                "this indicates an implementation bug"
-            )
-        return Certificate(
-            VERDICT_SEPARABLE,
-            negativity=neg.negativity,
-            min_pt_eig=neg.min_pt_eig,
-            ball_margin=margin,
-        )
-    if neg is not None and neg.negativity > NEGATIVITY_ZERO_TOL:
-        return Certificate(
-            VERDICT_ENTANGLED,
-            negativity=neg.negativity,
-            min_pt_eig=neg.min_pt_eig,
-            ball_margin=margin,
-        )
-    return Certificate(
-        VERDICT_PPT,
-        negativity=None if neg is None else neg.negativity,
-        min_pt_eig=None if neg is None else neg.min_pt_eig,
-        ball_margin=margin,
-    )
-
-
 def exact_sep_test(rho: LocalOperator, cut) -> Certificate:
     """PPT as an exact separability test, valid only for 2x2 and 2x3 cuts."""
     cut_a, cut_c = _check_cut(rho, cut)
     d = rho.local_dim
     if d ** len(cut_a) * d ** len(cut_c) > 6:
         raise GeometryError(
-            "PPT is only exact up to 2x3; use certify_marginal or the "
-            "identity-ball certificate for larger cuts"
+            "PPT is only exact up to 2x3; use certify_marginal for larger cuts"
         )
     neg = negativity(rho, (cut_a, cut_c))
     verdict = (
@@ -508,7 +424,7 @@ def telescope_verify(
 @dataclass(frozen=True)
 class TailCheck:
     k: int
-    norm: float
+    tail_norm: float
     identity_budget: float
     ball_margin: float
     factorial_bound: float
@@ -618,81 +534,3 @@ def certify_marginal(
         if report.verdict == VERDICT_SEPARABLE:
             break
     return replace(report, attempted_k0=tuple(attempted))
-
-
-# ---------------------------------------------------------------------------
-# Certificate serialization (documented external format)
-# ---------------------------------------------------------------------------
-
-def _matrix_to_lists(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _matrix_from_lists(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
-def decomposition_to_dict(dec: SeparableDecomposition) -> dict:
-    return {
-        "cut": [list(dec.cut[0]), list(dec.cut[1])],
-        "local_dim": dec.local_dim,
-        "residual_identity_coeff": dec.residual_identity_coeff,
-        "terms": [
-            {
-                "weight": w,
-                "factor_a": _matrix_to_lists(fa.matrix),
-                "factor_c": _matrix_to_lists(fc.matrix),
-            }
-            for w, fa, fc in dec.terms
-        ],
-    }
-
-
-def decomposition_from_dict(data: dict) -> SeparableDecomposition:
-    cut_a = tuple(data["cut"][0])
-    cut_c = tuple(data["cut"][1])
-    d = data["local_dim"]
-    terms = tuple(
-        (
-            float(t["weight"]),
-            LocalOperator(cut_a, _matrix_from_lists(t["factor_a"]), d),
-            LocalOperator(cut_c, _matrix_from_lists(t["factor_c"]), d),
-        )
-        for t in data["terms"]
-    )
-    return SeparableDecomposition(
-        (cut_a, cut_c), terms, float(data["residual_identity_coeff"])
-    )
-
-
-def certificate_to_json(cert: Certificate) -> str:
-    payload = {
-        "format": "chainsep-certificate-v1",
-        "verdict": cert.verdict,
-        "negativity": cert.negativity,
-        "min_pt_eig": cert.min_pt_eig,
-        "ball_margin": cert.ball_margin,
-        "tolerances": {
-            "factor_psd": FACTOR_PSD_TOL,
-            "reconstruction": RECONSTRUCTION_TOL,
-            "negativity_zero": NEGATIVITY_ZERO_TOL,
-        },
-        "decomposition": (
-            None
-            if cert.decomposition is None
-            else decomposition_to_dict(cert.decomposition)
-        ),
-    }
-    return json.dumps(payload, indent=2)
-
-
-def certificate_from_json(text: str) -> Certificate:
-    data = json.loads(text)
-    dec = data.get("decomposition")
-    return Certificate(
-        verdict=data["verdict"],
-        negativity=data.get("negativity"),
-        min_pt_eig=data.get("min_pt_eig"),
-        ball_margin=data.get("ball_margin"),
-        decomposition=None if dec is None else decomposition_from_dict(dec),
-    )

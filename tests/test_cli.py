@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from chainsep import ModelSpec, cli, hamiltonian
@@ -25,7 +24,6 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg["seed"] == 7
     assert cfg["budget"] == 4096
-    assert cfg["tolerances"]["negativity_zero"] == 1e-12
 
 
 def test_load_config_missing_file():
@@ -41,9 +39,76 @@ def test_load_config_bad_json(tmp_path):
 
 
 def test_validate_rejects_negative_tolerance(tmp_path):
-    path = _write(tmp_path, "c.json", {"tolerances": {"negativity_zero": -1e-12}})
-    with pytest.raises(ConfigError):
+    # no subcommand reads a tolerance from the config, so `tolerances` is an
+    # unknown key whatever its value
+    for value in ({"negativity_zero": -1e-12}, {"negativity_zero": 1e-12}, 5):
+        path = _write(tmp_path, "c.json", {"tolerances": value})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path)
+        assert main(["check-config", "--config", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"instance": 3},
+        {"seed": 1, "model": TFI_MODEL, "sites": 6},
+        {"corpus": {"max_sites": 6, "min_site": 4}},
+    ],
+)
+def test_unknown_config_keys_exit_2(tmp_path, payload):
+    path = _write(tmp_path, "c.json", payload)
+    with pytest.raises(ConfigError, match="unknown (config|corpus) key"):
         load_config(path)
+    assert main(["check-config", "--config", path]) == 2
+    # a typo must not fall back to the default silently (100 instances here)
+    assert main(["verify-lemmas", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "verify_lemmas.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"jobs": True},
+        {"instances": True},
+        {"k_range": [False, 2]},
+        {"model": TFI_MODEL, "geometry": {"a": [True], "b": [2], "c": [1]}},
+        {"model": TFI_MODEL, "size_grid": [[True, 1]]},
+    ],
+)
+def test_bool_is_not_an_integer(tmp_path, payload):
+    assert main(["check-config", "--config", _write(tmp_path, "c.json", payload)]) == 2
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        {"s_grid": ["x"]},
+        {"s_grid": []},
+        {"s_grid": 0.5},
+        {"s_grid": [0.5, 1.5]},
+        {"s_grid": [-1.01]},
+        {"s_grid": [True]},
+        {"size_grid": [[4, 4]]},  # 8 > 6 sites: no placement, a vacuous g_emp = 1
+        {"size_grid": [[1, 1], [3, 4]]},
+        {"size_grid": []},
+        {"size_grid": [[0, 2]]},
+        {"size_grid": [[2]]},
+        {"size_grid": [[1.5, 2]]},
+        {"size_grid": [2, 2]},
+    ],
+)
+def test_check_config_rejects_bad_estimate_g_grids(tmp_path, grids):
+    path = _write(tmp_path, "c.json", {"model": TFI_MODEL, **grids})
+    assert main(["check-config", "--config", path]) == 2
+    assert main(["estimate-g", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "estimate_g.csv").exists()
+
+
+def test_check_config_accepts_edge_estimate_g_grids(tmp_path):
+    # |s| = 1 and n_x + n_y = sites are allowed
+    payload = {"model": TFI_MODEL, "size_grid": [[3, 3], [1, 1]], "s_grid": [-1, 1.0, 0]}
+    assert main(["check-config", "--config", _write(tmp_path, "c.json", payload)]) == 0
 
 
 def test_validate_rejects_oversized_geometry(tmp_path):
@@ -101,8 +166,11 @@ def load_defaults():
 
 
 def test_exit_code_config_error(tmp_path):
-    path = _write(tmp_path, "c.json", {"tolerances": {"negativity_zero": -1.0}})
+    path = _write(tmp_path, "c.json", {"budget": -1})
     assert main(["check-config", "--config", path]) == 2
+    # a subcommand that needs a model, given none
+    path = _write(tmp_path, "c.json", {})
+    assert main(["estimate-g", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 def test_exit_code_resource_error(tmp_path):
@@ -196,6 +264,30 @@ def test_certify_suffix_gate(tmp_path):
     report = json.loads((tmp_path / "certify_a1_b5_c1.json").read_text())
     assert report["verdict"] == "SeparableByConstruction"
     assert report["constants_used"]["g_emp"] >= 1.0
+    # the per-point JSON is the report's fields, without the core matrices
+    keys = {
+        "verdict",
+        "k0",
+        "attempted_k0",
+        "gamma_k0",
+        "z_ratio",
+        "reconstruction_rel_err",
+        "negativity_cross_check",
+        "k0_closed_form",
+        "constants_used",
+        "per_k",
+    }
+    assert set(report) == keys
+    # certified at k0 = 1 < |A|, so this point has one tail check
+    ising = {"family": "classical_ising", "params": {"field": 0.5}, "sites": 6, "seed": 0}
+    geometry = {"a": [2], "b": [5], "c": [1]}
+    path = _write(tmp_path, "i.json", {"model": ising, "geometry": geometry})
+    assert main(["certify", "--config", path, "--out", str(tmp_path / "ising")]) == 0
+    report = json.loads((tmp_path / "ising" / "certify_a2_b5_c1.json").read_text())
+    assert set(report) == keys and report["k0"] == 1
+    assert [set(c) for c in report["per_k"]] == [
+        {"k", "tail_norm", "identity_budget", "ball_margin", "factorial_bound"}
+    ]
 
 
 def test_estimate_g_output(tmp_path):
@@ -262,8 +354,8 @@ def test_checked_in_config_byte_identical_across_jobs(tmp_path, command, config)
     for jobs in ("1", "2"):
         out[jobs] = tmp_path / f"jobs{jobs}"
         assert main([command, "--config", path, "--out", str(out[jobs]), "--jobs", jobs]) == 0
-    names = sorted(p.name for p in out["1"].glob("*.csv"))
-    assert names and names == sorted(p.name for p in out["2"].glob("*.csv"))
+    names = sorted(p.name for p in out["1"].iterdir() if p.suffix in (".csv", ".json"))
+    assert names and names == sorted(p.name for p in out["2"].iterdir())
     for name in names:
         assert (out["1"] / name).read_bytes() == (out["2"] / name).read_bytes(), name
 

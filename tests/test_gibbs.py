@@ -11,7 +11,6 @@ from chainsep import (
     RegionsABC,
     builtin_models,
     check_partition_ratios,
-    correlation,
     entropy,
     factorization_error,
     gibbs,
@@ -22,7 +21,6 @@ from chainsep import (
     partial_trace,
     partition_function,
     relative_entropy,
-    trace_norm,
 )
 from chainsep.model import PAULI_Z
 
@@ -155,24 +153,6 @@ def test_pinsker_style_bound():
         mi = mutual_information(ia, regions)
         err = factorization_error(ia, regions)
         assert 0.5 * err.trace_norm_err**2 <= mi + 1e-12, seed
-
-
-def test_correlation_bounded_by_trace_distance():
-    ia = builtin_models("tfi", {"sites": 6})
-    regions = RegionsABC.from_sizes(2, 2, 2)
-    obs_a = LocalOperator((0,), PAULI_Z)
-    obs_c = LocalOperator((5,), PAULI_Z)
-    corr = correlation(ia, regions, obs_a, obs_c)
-    err = factorization_error(ia, regions)
-    assert abs(corr) <= err.trace_norm_err + 1e-12
-
-
-def test_correlation_support_validation():
-    ia = builtin_models("tfi", {"sites": 6})
-    regions = RegionsABC.from_sizes(2, 2, 2)
-    obs = LocalOperator((2,), PAULI_Z)
-    with pytest.raises(GeometryError):
-        correlation(ia, regions, obs, obs)
 
 
 def test_marginal_floor_bound():

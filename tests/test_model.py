@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,8 @@ from hypothesis import strategies as st
 
 from chainsep import (
     ConfigError,
-    EmptyIntersectionError,
     GeometryError,
     Interaction,
-    LocalOperator,
     ModelSpec,
     RegionsABC,
     builtin_models,
@@ -18,7 +18,6 @@ from chainsep import (
     k_neighborhood,
     marginal,
     op_norm,
-    truncated_hamiltonian,
 )
 from chainsep.model import PAULI_X, PAULI_Z
 
@@ -120,23 +119,17 @@ def test_k_neighborhood_basic():
     assert k_neighborhood(regions, 7) == regions.all_sites
 
 
-def test_truncated_hamiltonian_signals_and_saturates():
-    ia = builtin_models("tfi", {"sites": 8})
-    regions = RegionsABC.from_sizes(3, 2, 3)
-    with pytest.raises(EmptyIntersectionError):
-        truncated_hamiltonian(ia, regions, "A", 0)
-    big = truncated_hamiltonian(ia, regions, "A", 10)
-    assert np.allclose(big.matrix, hamiltonian(ia, regions.a).matrix)
-
-
 def test_truncated_ac_splits_for_wide_gap():
+    # |B| >= range, so the clipped A u C Hamiltonian is H_A + H_C
     ia = builtin_models("tfi", {"sites": 9})
     regions = RegionsABC.from_sizes(3, 3, 3)
-    k = 2
-    h_ac = truncated_hamiltonian(ia, regions, "AC", k)
-    h_a = truncated_hamiltonian(ia, regions, "A", k)
-    h_c = truncated_hamiltonian(ia, regions, "C", k)
-    split = embed(h_a, h_ac.support) + embed(h_c, h_ac.support)
+    hood = set(k_neighborhood(regions, 2))
+    a_clip = tuple(s for s in regions.a if s in hood)
+    c_clip = tuple(s for s in regions.c if s in hood)
+    h_ac = hamiltonian(ia, a_clip + c_clip)
+    split = embed(hamiltonian(ia, a_clip), h_ac.support) + embed(
+        hamiltonian(ia, c_clip), h_ac.support
+    )
     assert np.abs(h_ac.matrix - split.matrix).max() < 1e-14
 
 
@@ -213,7 +206,7 @@ def test_interaction_additivity():
 def test_model_spec_roundtrip():
     spec = ModelSpec("random", {"range": 2, "strength": 2.0}, sites=6, seed=11)
     text = spec.canonical_json()
-    again = ModelSpec.from_json(text)
+    again = ModelSpec.from_dict(json.loads(text))
     assert again == spec
     assert again.canonical_json() == text
     ia1, ia2 = spec.build(), again.build()

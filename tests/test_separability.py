@@ -14,15 +14,10 @@ from chainsep import (
     SeparableDecomposition,
     builtin_models,
     ball_radius,
-    certificate_from_json,
-    certificate_to_json,
     certify_marginal,
     decompose_truncated_marginal,
-    decomposition_from_dict,
-    decomposition_to_dict,
     exact_sep_test,
     identity,
-    identity_ball_certificate,
     negativity,
     op_norm,
     tail_norm_bound,
@@ -31,8 +26,8 @@ from chainsep import (
     validate_decomposition,
 )
 from chainsep.separability import (
+    FACTOR_PSD_TOL,
     VERDICT_ENTANGLED,
-    VERDICT_PPT,
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
 )
@@ -83,68 +78,10 @@ def test_decomposition_reconstruct_and_validate():
     assert negativity(target * (1 / tr), ((0,), (1,))).negativity < 1e-12
 
 
-def test_decomposition_conjugation_preserves_separability():
-    rng = np.random.default_rng(2)
-    fa = LocalOperator((0,), random_state(rng, 2))
-    fc = LocalOperator((1,), random_state(rng, 2))
-    dec = SeparableDecomposition(((0,), (1,)), ((1.0, fa, fc),), 0.5)
-    ya = LocalOperator((0,), rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    yc = LocalOperator((1,), rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    conj = dec.conjugate(ya, yc)
-    assert conj.residual_identity_coeff == 0.0
-    assert len(conj.terms) == 2
-    assert validate_decomposition(conj).ok
-    # conjugation acts on the reconstruction as (Ya x Yc) . (Ya x Yc)^+
-    y = (
-        LocalOperator((0, 1), np.kron(ya.matrix, yc.matrix))
-    )
-    expect = y @ dec.reconstruct() @ y.dagger()
-    assert np.abs(conj.reconstruct().matrix - expect.matrix).max() < 1e-10
-
-
-def test_decomposition_conic_operations():
-    rng = np.random.default_rng(3)
-    fa = LocalOperator((0,), random_state(rng, 2))
-    fc = LocalOperator((1,), random_state(rng, 2))
-    dec = SeparableDecomposition(((0,), (1,)), ((1.0, fa, fc),), 0.25)
-    both = dec + dec.scaled(2.0)
-    assert both.residual_identity_coeff == pytest.approx(0.75)
-    expect = dec.reconstruct() * 3.0
-    assert np.abs(both.reconstruct().matrix - expect.matrix).max() < 1e-12
-    with pytest.raises(ValueError):
-        dec.scaled(-1.0)
-
-
 def test_ball_radius_values():
     assert ball_radius(2, 2) == pytest.approx(0.5)
     assert ball_radius(2, 3) == pytest.approx(1 / np.sqrt(6))
     assert ball_radius(4, 4) == pytest.approx(0.25)
-
-
-def test_identity_ball_certificate_inside():
-    rng = np.random.default_rng(4)
-    h = random_hermitian(rng, 4)
-    h = h / op_norm(LocalOperator((0, 1), h)) * 0.4  # inside radius 1/2
-    cert = identity_ball_certificate(LocalOperator((0, 1), h), ((0,), (1,)))
-    assert cert.verdict == VERDICT_SEPARABLE
-    assert cert.ball_margin > 0
-
-
-def test_identity_ball_certificate_entangled_outside():
-    # 1 + delta proportional to a state with an entangled admixture
-    bell = _bell()
-    delta = 4.0 * bell - identity((0, 1), 2)
-    cert = identity_ball_certificate(delta, ((0,), (1,)))
-    assert cert.verdict == VERDICT_ENTANGLED
-    assert cert.negativity > 1e-3
-
-
-def test_identity_ball_certificate_ppt_outside():
-    # large but separable perturbation: outside the ball yet PPT
-    delta = LocalOperator((0, 1), np.diag([3.0, 0.0, 0.0, 3.0]))
-    cert = identity_ball_certificate(delta, ((0,), (1,)))
-    assert cert.verdict == VERDICT_PPT
-    assert cert.ball_margin < 0
 
 
 def test_exact_sep_test_verdicts():
@@ -294,40 +231,6 @@ def test_public_functions_accept_a_chain():
         certify_marginal(Chain(ia, budget=2**6), regions, budget=2**7)
 
 
-def test_certificate_json_roundtrip():
-    rng = np.random.default_rng(5)
-    fa = LocalOperator((0,), random_state(rng, 2))
-    fc = LocalOperator((1,), random_state(rng, 2))
-    dec = SeparableDecomposition(((0,), (1,)), ((0.6, fa, fc),), 0.1)
-    from chainsep.separability import Certificate
-
-    cert = Certificate(
-        VERDICT_SEPARABLE,
-        negativity=0.0,
-        min_pt_eig=0.01,
-        ball_margin=0.2,
-        decomposition=dec,
-    )
-    text = certificate_to_json(cert)
-    again = certificate_from_json(text)
-    assert again.verdict == cert.verdict
-    assert again.ball_margin == cert.ball_margin
-    assert np.abs(
-        again.decomposition.reconstruct().matrix - dec.reconstruct().matrix
-    ).max() < 1e-15
-
-
-def test_decomposition_dict_roundtrip_exact():
-    rng = np.random.default_rng(6)
-    fa = LocalOperator((2,), random_state(rng, 2))
-    fc = LocalOperator((5,), random_state(rng, 2))
-    dec = SeparableDecomposition(((2,), (5,)), ((0.25, fa, fc),), 0.75)
-    again = decomposition_from_dict(decomposition_to_dict(dec))
-    assert again.cut == dec.cut
-    assert again.residual_identity_coeff == dec.residual_identity_coeff
-    assert np.array_equal(again.terms[0][1].matrix, fa.matrix)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_negativity_matches_pt_oracle(seed):
@@ -350,7 +253,6 @@ def test_ball_members_are_ppt(seed, shape):
     h = random_hermitian(rng, dim)
     h = h / max(op_norm(LocalOperator(sites, h)), 1e-300)
     h = h * (0.999 * ball_radius(2**na, 2**nc))
-    cert = identity_ball_certificate(
-        LocalOperator(sites, h), (sites[:na], sites[na:])
-    )
-    assert cert.verdict == VERDICT_SEPARABLE
+    state = identity(sites) + LocalOperator(sites, h)
+    neg = negativity(state * (1.0 / state.trace().real), (sites[:na], sites[na:]))
+    assert neg.negativity <= FACTOR_PSD_TOL
