@@ -144,6 +144,14 @@ def validate_config(cfg: dict) -> None:
     if not isinstance(cfg["corpus"], dict):
         raise ConfigError("'corpus' must be an object")
     _check_keys(cfg["corpus"], _DEFAULTS["corpus"], "corpus")
+    corpus = {**_DEFAULTS["corpus"], **cfg["corpus"]}
+    if not (all(_is_int(corpus[k]) for k in ("max_range", "min_sites", "max_sites"))
+            and corpus["max_range"] >= 1 and 3 <= corpus["min_sites"] <= corpus["max_sites"]):
+        raise ConfigError("corpus needs integers max_range >= 1, 3 <= min_sites <= max_sites")
+    if not _is_real(corpus["strength"]) or not 0 <= corpus["strength"] < np.inf:
+        raise ConfigError("corpus 'strength' must be a finite number >= 0")
+    # an unknown family, bad 'sites' or unknown params exit 2 here, not at run time
+    ia = _model_spec(cfg).build() if "model" in cfg else None
     for key in ("seed", "jobs", "budget", "instances"):
         if not _is_int(cfg[key]) or cfg[key] < 0:
             raise ConfigError(f"{key!r} must be a nonnegative integer")
@@ -170,9 +178,7 @@ def validate_config(cfg: dict) -> None:
             sizes = geo[part]
             if not sizes or not all(_is_int(v) and v >= 1 for v in sizes):
                 raise ConfigError(f"geometry '{part}' must be a list of sizes >= 1")
-        d = _model_spec(cfg).params.get("local_dim", 2) if "model" in cfg else 2
-        if not isinstance(d, int) or d < 2:
-            raise ConfigError("model 'local_dim' must be an integer >= 2")
+        d = ia.local_dim if ia else 2
         for na in geo["a"]:
             for nb in geo["b"]:
                 for nc in geo["c"]:
@@ -181,8 +187,6 @@ def validate_config(cfg: dict) -> None:
                             f"grid point |A|={na},|B|={nb},|C|={nc} exceeds "
                             f"budget {cfg['budget']}"
                         )
-    if "model" in cfg:
-        _model_spec(cfg)
     if "s_grid" in cfg:
         sg = cfg["s_grid"]
         if not isinstance(sg, list) or not sg or not all(
@@ -196,11 +200,10 @@ def validate_config(cfg: dict) -> None:
             for p in sz
         ):
             raise ConfigError("'size_grid' must be a nonempty list of [n_x, n_y], sizes >= 1")
-        sites = _model_spec(cfg).sites if "model" in cfg else None
         for nx, ny in sz:
             # a pair that fits nowhere in the chain would be skipped, silently
-            if _is_int(sites) and nx + ny > sites:
-                raise ConfigError(f"size_grid pair [{nx}, {ny}] exceeds the {sites} sites")
+            if ia and nx + ny > len(ia.sites):
+                raise ConfigError(f"size_grid pair [{nx}, {ny}] exceeds {len(ia.sites)} sites")
 
 
 def _model_spec(cfg: dict) -> ModelSpec:

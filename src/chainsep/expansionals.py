@@ -11,7 +11,8 @@ suite built on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,13 +32,27 @@ from .model import Interaction, RegionsABC, k_neighborhood
 
 @dataclass(frozen=True, eq=False)
 class ExpansionalReport:
+    """Both norms of E(s).  E (`e`) and E^{-1} (`e_inv`) are formed on first
+    read from `spectra`, the Chain's own (w, V) of H_XY, H_X and H_Y: arrays,
+    not the Chain, so that a report in the Chain's memo makes no cycle."""
+
     s: complex
     x: tuple[int, ...]
     y: tuple[int, ...]
-    e: LocalOperator
-    e_inv: LocalOperator
     norm_e: float
     norm_e_inv: float
+    spectra: tuple = field(repr=False)
+    local_dim: int
+
+    def _form(self, t: complex, inverse: bool) -> LocalOperator:
+        """e^{-tH_XY} e^{tH_0}, or e^{tH_0} e^{-tH_XY}, by Chain.exp's products."""
+        a, bx, by = ((v * np.exp(c * w)) @ v.conj().T
+                     for (w, v), c in zip(self.spectra, (-t, t, t)))
+        m = np.kron(bx, by) @ a if inverse else a @ np.kron(bx, by)
+        return LocalOperator(self.x + self.y, m, self.local_dim)
+
+    e = cached_property(lambda self: self._form(self.s, False))
+    e_inv = cached_property(lambda self: self._form(-self.s, True))
 
 
 def _as_interval(part: Sequence[int], name: str) -> tuple[int, ...]:
@@ -58,9 +73,14 @@ def expansional(
 ) -> ExpansionalReport:
     """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y.
 
-    Built once per Chain.  H_X + H_Y is split, so its exponentials come from
-    the two small spectra; E^{-1} reuses the spectra of E and both norms are
-    kept with them.
+    Built once per Chain from its spectra, with no SVD and E never formed.  For
+    H_XY = V diag(w) V^dag and H_X + H_Y = W diag(w_0) W^dag, W = V_X (x) V_Y,
+    A = diag(e^{-sw}) V^dag W diag(e^{s w_0}) has the singular values of E at
+    any complex s, so one eigvalsh of A A^dag gives ||E|| = sqrt(lambda_max)
+    and ||E^{-1}|| = 1/sqrt(lambda_min).  lambda_min is off by about
+    eps n lambda_max, so if lambda_min <= 0 or eps n lambda_max / lambda_min
+    > 1e-10, ||E^{-1}|| = sqrt(lambda_max(B B^dag)) instead, for E^{-1} in the
+    same bases, B = diag(e^{-s w_0}) W^dag V diag(e^{sw}).
     """
     chain = Chain.of(system, budget)
     x = _as_interval(x, "X")
@@ -71,10 +91,26 @@ def expansional(
         raise GeometryError(f"|s| must be <= 1, got {abs(s)}")
 
     def build():
-        xy = x + y
-        e = chain.exp(xy, -s) @ chain.split_exp(x, y, s)
-        e_inv = chain.split_exp(x, y, -s) @ chain.exp(xy, s)
-        return ExpansionalReport(s, x, y, e, e_inv, op_norm(e), op_norm(e_inv))
+        spectra = tuple(chain.spectrum(r) for r in (x + y, x, y))
+        f = {(r, t): np.exp(t * sp[0])
+             for r, sp in zip((x + y, x, y), spectra) for t in (s, -s)}
+        for (r, t), fr in f.items():
+            if not np.all(np.isfinite(fr)):
+                raise ValueError(f"e^(tH) overflows on the spectrum of {r} at t={t}")
+        (w, v), (_, vx), (_, vy) = spectra
+        u = v.conj().T @ np.kron(vx, vy)
+
+        def gram_eigvals(left, m, right):  # of G G^dag, G = diag(left) m diag(right)
+            g = left[:, None] * m * right
+            return np.linalg.eigvalsh(g @ g.conj().T)
+        lam = gram_eigvals(f[x + y, -s], u, np.kron(f[x, s], f[y, s]))
+        if np.finfo(float).eps * len(w) * lam[-1] <= 1e-10 * lam[0]:
+            norm_e_inv = 1.0 / math.sqrt(lam[0])
+        else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
+            b_inv = np.kron(f[x, -s], f[y, -s])
+            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, f[x + y, s])[-1])
+        norm_e = math.sqrt(lam[-1])
+        return ExpansionalReport(s, x, y, norm_e, norm_e_inv, spectra, chain.ia.local_dim)
 
     return chain.cached(("expansional", x, y, s), build)
 

@@ -191,12 +191,13 @@ def _xxz(sites, jxy=1.0, jz=1.0, field=0.0):
 def _random(sites, range_=2, strength=2.0, seed=0, local_dim=2):
     """Random finite-range model, deliberately not translation invariant.
 
-    Terms are drawn on all contiguous supports of diameter <= range_, then
-    globally rescaled so the recomputed per-site strength equals `strength`.
+    Terms are drawn on all contiguous supports of diameter <= range_, each
+    normalized by its one op_norm and weighted, then globally rescaled so the
+    per-site sum of their norms equals `strength`.
     """
     rng = np.random.default_rng(seed)
     d = local_dim
-    terms = {}
+    terms, norms = {}, {}
     n = len(sites)
     for length in range(1, range_ + 2):
         for i in range(n - length + 1):
@@ -206,18 +207,17 @@ def _random(sites, range_=2, strength=2.0, seed=0, local_dim=2):
                 (side, side)
             )
             h = (g + g.conj().T) / 2
-            h = h / max(op_norm(LocalOperator(supp, h, d)), 1e-12)
-            terms[supp] = h * rng.uniform(0.2, 1.0)
-    ia = Interaction(d, sites, terms, range_)
-    j = ia.strength
+            nrm = op_norm(LocalOperator(supp, h, d))
+            scale, u = max(nrm, 1e-12), rng.uniform(0.2, 1.0)
+            terms[supp], norms[supp] = h / scale * u, nrm / scale * u  # a term, its norm
+    j = max((sum(v for supp, v in norms.items() if s in supp) for s in sites), default=0.0)
     if j > 0 and strength > 0:
         terms = {k: v * (strength / j) for k, v in terms.items()}
-        ia = Interaction(d, sites, terms, range_)
-    return ia
+    return Interaction(d, sites, terms, range_)
 
 
 _FAMILIES = {
-    "zero": lambda sites, **kw: Interaction(kw.get("local_dim", 2), sites, {}, 0),
+    "zero": lambda sites, local_dim=2: Interaction(local_dim, sites, {}, 0),
     "tfi": _tfi,
     "classical_ising": _classical_ising,
     "xxz": _xxz,
@@ -235,10 +235,10 @@ def builtin_models(name: str, params: Mapping) -> Interaction:
     n = params.pop("sites", None)
     if n is None:
         raise ConfigError("model params must include 'sites'")
-    if isinstance(n, int):
-        sites = tuple(range(n))
-    else:
-        sites = tuple(int(s) for s in n)
+    listed = isinstance(n, (list, tuple))
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in (n if listed else [n])):
+        raise ConfigError(f"model 'sites' must be an integer or a list of integers, got {n!r}")
+    sites = tuple(n) if listed else tuple(range(n))
     seed = params.pop("seed", None)
     if name == "random":
         params.setdefault("seed", 0)
@@ -248,7 +248,7 @@ def builtin_models(name: str, params: Mapping) -> Interaction:
             params["range_"] = params.pop("range")
     try:
         return _FAMILIES[name](sites, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params for family {name!r}: {exc}") from exc
 
 

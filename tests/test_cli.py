@@ -111,6 +111,52 @@ def test_check_config_accepts_edge_estimate_g_grids(tmp_path):
     assert main(["check-config", "--config", _write(tmp_path, "c.json", payload)]) == 0
 
 
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        {"min_sites": 9, "max_sites": 4},
+        {"min_sites": 2, "max_sites": 4},
+        {"max_sites": 4.5},
+        {"strength": "x"},
+        {"strength": -1.0},
+        {"max_range": 0},
+        {"max_range": True},
+    ],
+)
+def test_check_config_rejects_bad_corpus(tmp_path, corpus):
+    path = _write(tmp_path, "c.json", {"instances": 2, "corpus": corpus})
+    assert main(["check-config", "--config", path]) == 2
+    assert main(["verify-lemmas", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "verify_lemmas.csv").exists()
+
+
+def test_check_config_accepts_the_smallest_corpus(tmp_path):
+    # three sites are the fewest that hold A, B and C
+    corpus = {"min_sites": 3, "max_sites": 3, "max_range": 1, "strength": 0}
+    path = _write(tmp_path, "c.json", {"instances": 2, "corpus": corpus})
+    assert main(["check-config", "--config", path]) == 0
+    assert main(["verify-lemmas", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"family": "nope", "sites": 4},
+        {"family": "tfi", "sites": 4.5},
+        {"family": "tfi", "sites": "4"},
+        {"family": "tfi", "sites": True},
+        {"family": "tfi", "sites": 4, "params": {"fields": 1.0}},
+        {"family": "zero", "sites": 4, "params": {"coupling": 1.0}},
+        {"family": "random", "sites": 4, "params": {"local_dim": 1}},
+    ],
+)
+def test_check_config_builds_the_model(tmp_path, model):
+    path = _write(tmp_path, "c.json", {"model": model})
+    assert main(["check-config", "--config", path]) == 2
+    assert main(["estimate-g", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "estimate_g.csv").exists()
+
+
 def test_validate_rejects_oversized_geometry(tmp_path):
     path = _write(
         tmp_path,

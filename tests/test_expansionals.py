@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -12,6 +14,7 @@ from chainsep import (
     LocalOperator,
     RegionsABC,
     builtin_models,
+    certify_marginal,
     check_lemmas,
     contraction_check,
     covering_bound,
@@ -27,7 +30,7 @@ from chainsep import (
     op_norm,
     truncated_expansional,
 )
-from helpers import matrix_digest, random_hermitian, random_state, record_eigh
+from helpers import matrix_digest, random_hermitian, random_state, record_eigh, record_solver
 
 
 def _tfi(n):
@@ -218,3 +221,107 @@ def test_lemma_suite_diagonalizes_each_matrix_once(monkeypatch):
     assert all(astuple(report))
     assert len(inputs) == len(set(inputs))
     assert inputs.count(matrix_digest(hamiltonian(ia, regions.all_sites).matrix)) == 1
+
+
+FAMILIES = [
+    ("tfi", {}),
+    ("xxz", {"jz": 0.5, "field": 0.3}),
+    ("classical_ising", {"field": 0.5}),
+    ("zero", {}),
+    ("random", {"range": 2, "strength": 1.5, "seed": 4}),
+]
+
+
+def _formed(ia, x, y, s):
+    """E and E^{-1} formed explicitly from freshly assembled Hamiltonians."""
+    xy = x + y
+    h_split = embed(hamiltonian(ia, x), xy) + embed(hamiltonian(ia, y), xy)
+    h_xy = hamiltonian(ia, xy)
+    return (
+        (herm_exp(h_xy, -s) @ herm_exp(h_split, s)).matrix,
+        (herm_exp(h_split, -s) @ herm_exp(h_xy, s)).matrix,
+    )
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+@pytest.mark.parametrize("s", [0.5, -0.5, 0.5j, 0.3 + 0.4j])
+def test_expansional_norms_match_svd_of_formed_operators(family, params, s):
+    ia = builtin_models(family, dict(params, sites=6))
+    chain = Chain(ia)
+    for x, y in [((0,), (1, 2, 3, 4, 5)), ((0, 1, 2), (3, 4)), ((1, 2), (3, 4, 5))]:
+        rep = expansional(chain, x, y, s)
+        e, e_inv = _formed(ia, x, y, s)
+        for got, m in ((rep.norm_e, e), (rep.norm_e_inv, e_inv)):
+            want = np.linalg.svd(m, compute_uv=False)[0]
+            assert abs(got - want) <= 1e-10 * want
+
+
+def test_ill_conditioned_inverse_norm_takes_the_inverse_gram(monkeypatch):
+    ia = builtin_models("xxz", {"sites": 4})
+    x, y = (0, 1), (2, 3)
+    e, e_inv = _formed(ia, x, y, 1.0)
+    sv = np.linalg.svd(e, compute_uv=False)
+    # kappa(E) ~ 2e5, so 1/sqrt(lambda_min(A A^dag)) may be off by
+    # eps n kappa^2 > 1e-10 and ||E^{-1}|| comes from the eigvalsh of B B^dag
+    assert np.finfo(float).eps * 16 * (sv[0] / sv[-1]) ** 2 > 1e-10
+    chain = Chain(ia)
+    calls = record_solver(monkeypatch, "eigvalsh")
+    rep = expansional(chain, x, y, 1.0)
+    assert len(calls) == 2
+    want = np.linalg.svd(e_inv, compute_uv=False)[0]
+    assert abs(rep.norm_e_inv - want) <= 1e-10 * want
+    assert abs(rep.norm_e - sv[0]) <= 1e-10 * sv[0]
+    # well conditioned: the one eigvalsh of A A^dag gives both norms
+    calls.clear()
+    expansional(chain, x, y, 0.25)
+    assert len(calls) == 1
+
+
+def test_certify_and_lemmas_call_no_svd(monkeypatch):
+    ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1})
+    regions = RegionsABC.from_sizes(2, 3, 2)
+    x = LocalOperator(regions.ac, random_hermitian(np.random.default_rng(1), 16))
+    svds = record_solver(monkeypatch, "svd")
+    assert certify_marginal(ia, regions).attempted_k0
+    assert all(astuple(check_lemmas(ia, regions, x)))
+    assert svds == []
+
+
+@pytest.mark.parametrize("s", [0.5, 0.5j, 0.3 + 0.4j])
+def test_norm_only_pairs_never_form_e(s):
+    chain = Chain(builtin_models("random", {"sites": 8, "range": 2, "seed": 5}))
+    regions = RegionsABC.from_sizes(2, 4, 2)
+    covering_bound(chain, regions, [1, 2, 3], s)
+    reps = [
+        expansional(chain, regions.part(left), regions.part(right), s)
+        for left, right in (("A", "B"), ("AB", "C"))
+    ]
+    reps += [
+        truncated_expansional(chain, regions, pair, k, s)
+        for pair in ("A:B", "AB:C")
+        for k in (1, 2, 3)
+    ]
+    for rep in reps:
+        assert "e" not in rep.__dict__ and "e_inv" not in rep.__dict__
+    # once read, E and E^{-1} are the products of the spectral context, bit for bit
+    for rep in reps[:2]:
+        x, y = rep.x, rep.y
+        e = chain.exp(x + y, -s) @ chain.split_exp(x, y, s)
+        e_inv = chain.split_exp(x, y, -s) @ chain.exp(x + y, s)
+        assert np.array_equal(rep.e.matrix, e.matrix)
+        assert np.array_equal(rep.e_inv.matrix, e_inv.matrix)
+        assert rep.e is rep.e and rep.e.support == x + y
+
+
+def test_expansional_leaves_no_reference_cycle():
+    chain = Chain(_tfi(6))
+    rep = expansional(chain, (0, 1, 2), (3, 4, 5), 0.5)
+    assert rep.e.dim == 64
+    ref = weakref.ref(chain)
+    gc.disable()
+    try:
+        del chain  # the report outlives its Chain and does not pin it
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert rep.e_inv.dim == 64

@@ -157,6 +157,23 @@ def test_strength_is_computed_once(monkeypatch):
     assert len(calls) == len(ia.terms)
 
 
+def test_random_model_pays_two_op_norms_per_term(monkeypatch):
+    # one to normalize each drawn term, one for the strength, read once
+    import chainsep.model
+
+    supports = []
+
+    def counting_op_norm(op):
+        supports.append(op.support)
+        return op_norm(op)
+
+    monkeypatch.setattr(chainsep.model, "op_norm", counting_op_norm)
+    ia = builtin_models("random", {"sites": 6, "range": 2, "strength": 1.5, "seed": 2})
+    assert ia.strength == pytest.approx(1.5, rel=1e-12)
+    assert ia.strength == pytest.approx(1.5, rel=1e-12)
+    assert sorted(supports) == sorted(2 * list(ia.terms))
+
+
 def test_zero_model_strength():
     assert builtin_models("zero", {"sites": 4}).strength == 0.0
 
