@@ -39,7 +39,6 @@ from .gibbs import (
     marginal,
     mutual_information,
     mutual_information_of,
-    partition_function,
     relative_entropy,
 )
 from .expansionals import (

@@ -110,7 +110,9 @@ _DEFAULTS = {
 _OPTIONAL = {"model", "geometry", "s", "size_grid", "s_grid"}
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: dict | None = None) -> dict:
+    """The config at `path` over the defaults, with the non-None `overrides`
+    (the command line's) applied, validated once."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -121,6 +123,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
+    cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
     validate_config(cfg)
     return cfg
 
@@ -270,7 +273,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
         dim = ia.local_dim ** len(regions.ac)
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x_op = LocalOperator(regions.ac, (x + x.conj().T) / 2, ia.local_dim)
-        report = check_lemmas(ia, regions, x_op, budget)
+        report = check_lemmas(Chain(ia, budget), regions, x_op)
         return (i, seed, n, na, nb, nc, *astuple(report))
 
     dim = 2 ** corpus["max_sites"]  # the corpus models are qubit chains
@@ -415,7 +418,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         regions = RegionsABC.from_sizes(na, nb, nc)
         if nb < ia.interaction_range:
             return point, None
-        rep = certify_marginal(ia, regions, budget=budget)
+        rep = certify_marginal(Chain(ia, budget), regions)
         return point, rep
 
     grid, dim = _geometry_grid(cfg, spec)
@@ -481,7 +484,7 @@ def cmd_estimate_g(cfg: dict, out: Path) -> int:
     ia = spec.build()
     size_grid = [tuple(p) for p in cfg.get("size_grid", [[2, 2], [2, 3], [3, 3]])]
     s_grid = cfg.get("s_grid", [0.25, 0.5, 1.0])
-    est = estimate_uniform_bound(ia, size_grid, s_grid, cfg["budget"])
+    est = estimate_uniform_bound(Chain(ia, cfg["budget"]), size_grid, s_grid)
     rows = [
         (nx, ny, s, ne, ni) for nx, ny, s, ne, ni in est.entries
     ]
@@ -519,12 +522,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        for key in ("seed", "jobs", "budget"):
-            value = getattr(args, key)
-            if value is not None:
-                cfg[key] = value
-        validate_config(cfg)
+        overrides = {key: getattr(args, key) for key in ("seed", "jobs", "budget")}
+        cfg = load_config(args.config, overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

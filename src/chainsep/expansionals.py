@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
 from .gibbs import (
-    DEFAULT_BUDGET,
     Chain,
     check_partition_ratios,
     factorization_error,
@@ -69,7 +68,6 @@ def expansional(
     x: Sequence[int],
     y: Sequence[int],
     s: complex,
-    budget: int = DEFAULT_BUDGET,
 ) -> ExpansionalReport:
     """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y.
 
@@ -82,7 +80,7 @@ def expansional(
     > 1e-10, ||E^{-1}|| = sqrt(lambda_max(B B^dag)) instead, for E^{-1} in the
     same bases, B = diag(e^{-s w_0}) W^dag V diag(e^{sw}).
     """
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     x = _as_interval(x, "X")
     y = _as_interval(y, "Y")
     if x[-1] + 1 != y[0]:
@@ -136,7 +134,6 @@ def truncated_expansional(
     pair: str,
     k: int,
     s: complex,
-    budget: int = DEFAULT_BUDGET,
 ) -> ExpansionalReport:
     """Expansional with both intervals clipped to the k-neighbourhood of B."""
     left, right = _clip_pair(regions, pair, k)
@@ -144,7 +141,7 @@ def truncated_expansional(
         raise EmptyIntersectionError(
             f"pair {pair} at k={k} clips one interval to nothing"
         )
-    return expansional(system, left, right, s, budget)
+    return expansional(system, left, right, s)
 
 
 def _truncated_or_identity(
@@ -172,7 +169,6 @@ def estimate_uniform_bound(
     system: Interaction | Chain,
     size_grid: Sequence[tuple[int, int]],
     s_grid: Sequence[complex],
-    budget: int = DEFAULT_BUDGET,
 ) -> UniformBoundEstimate:
     """Empirical uniform norm constant: grid max of max(||E||, ||E^{-1}||, 1).
 
@@ -182,7 +178,7 @@ def estimate_uniform_bound(
     """
     if not size_grid or not s_grid:
         raise GeometryError("size and s grids must be nonempty")
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     sites = chain.ia.sites
     best = 1.0
     entries = []
@@ -204,11 +200,10 @@ def covering_bound(
     regions: RegionsABC,
     k_values: Sequence[int],
     s: complex,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Uniform-norm constant measured over every truncated expansional used
     downstream: both pairs, all requested k, plus the untruncated ones."""
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     best = 1.0
     for pair in _PAIRS:
         for k in k_values:
@@ -245,10 +240,9 @@ def difference_decay(
     y: Sequence[int],
     extensions: tuple[Sequence[int], Sequence[int]],
     s: complex,
-    g_emp: float | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> DifferenceDecayReport:
-    """Compare ||E_{X,Y} - E_{X~X,YY~}|| against the factorial bound."""
+    """Compare ||E_{X,Y} - E_{X~X,YY~}|| against the factorial bound, with the
+    uniform constant measured on the two expansionals compared."""
     x = _as_interval(x, "X")
     y = _as_interval(y, "Y")
     ext_left = tuple(sorted(int(t) for t in extensions[0]))
@@ -258,16 +252,13 @@ def difference_decay(
     if ext_right and y[-1] + 1 != ext_right[0]:
         raise GeometryError("right extension must immediately succeed Y")
 
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     base = expansional(chain, x, y, s)
     big = expansional(chain, ext_left + x, y + ext_right, s)
     target = big.e.support
     diff = op_norm(big.e - embed(base.e, target))
     diff_inv = op_norm(big.e_inv - embed(base.e_inv, target))
-    if g_emp is None:
-        g_emp = max(
-            1.0, base.norm_e, base.norm_e_inv, big.norm_e, big.norm_e_inv
-        )
+    g_emp = max(1.0, base.norm_e, base.norm_e_inv, big.norm_e, big.norm_e_inv)
     ell = min(len(x), len(y))
     bound = factorial_decay_bound(g_emp, ell, chain.ia.interaction_range)
     ok = diff <= bound + 1e-12 and diff_inv <= bound + 1e-12
@@ -301,14 +292,14 @@ class MarginalFloorReport:
 
 
 def marginal_inverse_norm(
-    system: Interaction | Chain, regions: RegionsABC, budget: int = DEFAULT_BUDGET
+    system: Interaction | Chain, regions: RegionsABC
 ) -> MarginalFloorReport:
     """Check ||rho_B^{-1}|| against the expansional-derived exponential bound.
 
     The uniform constant is measured on this instance from the two
     expansionals at s = -1/2 that appear in the derivation of the bound.
     """
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     rho_b = marginal(chain.gibbs(regions.all_sites), regions.b)
     inv_norm = 1.0 / min_eig(rho_b)
 
@@ -340,7 +331,6 @@ def check_lemmas(
     system: Interaction | Chain,
     regions: RegionsABC,
     x: LocalOperator,
-    budget: int = DEFAULT_BUDGET,
 ) -> LemmaReport:
     """Run the lemma suite on one instance, all of it on one Chain.
 
@@ -350,7 +340,7 @@ def check_lemmas(
     of the Hermitian test operator `x` on A u C under the partial-trace map,
     with rho_A as the state; and the marginal floor of rho_B.
     """
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     pr = check_partition_ratios(chain, regions.a, regions.b)
     fe = factorization_error(chain, regions)
     mi = mutual_information(chain, regions)

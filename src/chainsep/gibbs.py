@@ -18,12 +18,8 @@ from .model import Interaction, RegionsABC, hamiltonian
 
 DEFAULT_BUDGET = 4096
 LOG_FLOOR = 1e-300
-
-
-def _check_budget(ia: Interaction, region: Sequence[int], budget: int) -> None:
-    dim = ia.local_dim ** len(tuple(region))
-    if dim > budget:
-        raise BudgetError(dim, budget)
+# relative slack of the partition-function inequality chains, in the log domain
+PARTITION_RATIO_SLACK = 1e-9
 
 
 def _region(region: Sequence[int]) -> tuple[int, ...]:
@@ -44,12 +40,13 @@ class Chain:
     """Spectral context of one interaction under one dense-size budget.
 
     Each region Hamiltonian is assembled, checked for Hermiticity and
-    diagonalized at most once; exponentials e^{tH_R} for any t, Gibbs states
-    and partition functions are served from that one spectrum.  Everything
-    computed is kept until the context is dropped, so a context should live
-    for one unit of work.  Every public function that takes an Interaction
-    also takes a Chain, which brings its own budget; given an Interaction, it
-    builds a Chain of its own.
+    diagonalized at most once, and only its spectrum is kept; exponentials
+    e^{tH_R} for any t, Gibbs states and partition functions are served from
+    it.  Everything computed is kept until the context is dropped, so a
+    context should live for one unit of work.  Every public function that
+    takes an Interaction also takes a Chain; given an Interaction, it builds
+    a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is the only place a
+    budget is set.
     """
 
     def __init__(self, ia: Interaction, budget: int = DEFAULT_BUDGET):
@@ -58,9 +55,9 @@ class Chain:
         self._memo: dict = {}
 
     @staticmethod
-    def of(system: Interaction | Chain, budget: int = DEFAULT_BUDGET) -> Chain:
+    def of(system: Interaction | Chain) -> Chain:
         """`system` itself if it is a Chain, else a new Chain on it."""
-        return system if isinstance(system, Chain) else Chain(system, budget)
+        return system if isinstance(system, Chain) else Chain(system)
 
     def cached(self, key, build: Callable[[], Any]):
         """The value stored under `key`, computed by `build()` on first use."""
@@ -68,17 +65,15 @@ class Chain:
             self._memo[key] = build()
         return self._memo[key]
 
-    def hamiltonian(self, region: Sequence[int]) -> LocalOperator:
-        region = _region(region)
-        _check_budget(self.ia, region, self.budget)
-        return self.cached(("H", region), lambda: hamiltonian(self.ia, region))
-
     def spectrum(self, region: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors of H_R."""
+        """Eigenvalues (ascending) and eigenvectors of H_R; H_R itself is not kept."""
         region = _region(region)
 
         def build():
-            h = self.hamiltonian(region)
+            dim = self.ia.local_dim ** len(region)
+            if dim > self.budget:
+                raise BudgetError(dim, self.budget)
+            h = hamiltonian(self.ia, region)
             if not h.is_hermitian():
                 raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
             return np.linalg.eigh(h.matrix)
@@ -122,22 +117,8 @@ class Chain:
         return float(np.exp(-self.spectrum(region)[0]).sum())
 
 
-def partition_function(
-    system: Interaction | Chain, region: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> float:
-    """Tr e^{-H_R}: from a Chain's spectrum, or, for an Interaction, from the
-    eigenvalues alone, with no eigenvectors computed."""
-    if isinstance(system, Chain):
-        return system.partition_function(region)
-    _check_budget(system, region, budget)
-    w = np.linalg.eigvalsh(hamiltonian(system, region).matrix)
-    return float(np.exp(-w).sum())
-
-
-def gibbs(
-    system: Interaction | Chain, region: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> GibbsEnsemble:
-    return Chain.of(system, budget).gibbs(region)
+def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
+    return Chain.of(system).gibbs(region)
 
 
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
@@ -189,10 +170,8 @@ def mutual_information_of(rho_ac: LocalOperator, cut_a: Sequence[int]) -> float:
     return max(relative_entropy(rho_ac, product), 0.0)
 
 
-def mutual_information(
-    system: Interaction | Chain, regions: RegionsABC, budget: int = DEFAULT_BUDGET
-) -> float:
-    g = gibbs(system, regions.all_sites, budget)
+def mutual_information(system: Interaction | Chain, regions: RegionsABC) -> float:
+    g = gibbs(system, regions.all_sites)
     return mutual_information_of(marginal(g, regions.ac), regions.a)
 
 
@@ -218,8 +197,6 @@ def check_partition_ratios(
     system: Interaction | Chain,
     a: Sequence[int],
     b: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-    slack: float = 1e-9,
 ) -> PartitionRatioReport:
     """Verify the three partition-function inequality chains for adjacent A, B.
 
@@ -232,14 +209,14 @@ def check_partition_ratios(
     if a[-1] + 1 != b[0]:
         raise GeometryError("A and B must be adjacent intervals")
     ab = a + b
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     ia = chain.ia
-    h = {r: chain.hamiltonian(r) for r in (ab, a, b)}
     log_z = {}
-    for r in h:
+    for r in (ab, a, b):
         w = chain.spectrum(r)[0]
         log_z[r] = float(-w[0] + np.log(np.exp(w[0] - w).sum()))
-    lo, hi = np.log1p(-slack), np.log1p(slack)
+    h = {r: hamiltonian(ia, r) for r in (ab, a, b)}
+    lo, hi = np.log1p(-PARTITION_RATIO_SLACK), np.log1p(PARTITION_RATIO_SLACK)
 
     gap = op_norm(h[ab] - embed(h[a] + h[b], ab))
     log_ratio = log_z[ab] - log_z[a] - log_z[b]
@@ -265,10 +242,10 @@ class FactorizationError:
 
 
 def factorization_error(
-    system: Interaction | Chain, regions: RegionsABC, budget: int = DEFAULT_BUDGET
+    system: Interaction | Chain, regions: RegionsABC
 ) -> FactorizationError:
     """Norms of rho_AC - rho_A x rho_C on the full Gibbs state of ABC."""
-    g = gibbs(system, regions.all_sites, budget)
+    g = gibbs(system, regions.all_sites)
     rho_ac = marginal(g, regions.ac)
     rho_a = marginal(g, regions.a)
     rho_c = marginal(g, regions.c)

@@ -49,10 +49,10 @@ class LocalOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
+    def is_hermitian(self) -> bool:
         m = self.matrix
         scale = max(1.0, float(np.linalg.norm(m)))
-        return float(np.abs(m - m.conj().T).max(initial=0.0)) <= rtol * scale
+        return float(np.abs(m - m.conj().T).max(initial=0.0)) <= HERMITICITY_RTOL * scale
 
     def dagger(self) -> "LocalOperator":
         return LocalOperator(self.support, self.matrix.conj().T, self.local_dim)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
 from .expansionals import _truncated_or_identity, covering_bound, factorial_decay_bound
-from .gibbs import DEFAULT_BUDGET, Chain, marginal
+from .gibbs import Chain, marginal
 from .linalg import (
     LocalOperator,
     embed,
@@ -116,11 +116,9 @@ class DecompositionCheck:
 def validate_decomposition(
     dec: SeparableDecomposition,
     target: LocalOperator | None = None,
-    psd_tol: float = FACTOR_PSD_TOL,
-    recon_tol: float = RECONSTRUCTION_TOL,
 ) -> DecompositionCheck:
     factors_psd = all(
-        is_psd(fa, psd_tol) and is_psd(fc, psd_tol) for _, fa, fc in dec.terms
+        is_psd(f, FACTOR_PSD_TOL) for _, fa, fc in dec.terms for f in (fa, fc)
     )
     weights_ok = all(w >= 0 for w, _, _ in dec.terms) and (
         dec.residual_identity_coeff >= 0
@@ -130,7 +128,7 @@ def validate_decomposition(
     count_ok = len(dec.terms) + (1 if dec.residual_identity_coeff else 0) <= cap
     rel_err = None if target is None else _rel_err(dec.reconstruct(), target)
     ok = factors_psd and weights_ok and count_ok and (
-        rel_err is None or rel_err <= recon_tol
+        rel_err is None or rel_err <= RECONSTRUCTION_TOL
     )
     return DecompositionCheck(factors_psd, weights_ok, count_ok, rel_err, ok)
 
@@ -192,7 +190,6 @@ def decompose_truncated_marginal(
     system: Interaction | Chain,
     regions: RegionsABC,
     k: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> CoreDecomposition:
     """Constructive separable + identity split on the k-neighbourhood of B.
 
@@ -200,7 +197,7 @@ def decompose_truncated_marginal(
     x (min eig of the conjugated C-marginal) / 2, with per-side shifts equal
     to the measured minima, so all shifted factors are PSD by construction.
     """
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
     hood = k_neighborhood(regions, k)
@@ -315,12 +312,11 @@ def tail_term(
     system: Interaction | Chain,
     regions: RegionsABC,
     k: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> TailTerm:
     """Difference of traced interface products between radii k+1 and k."""
     if k < 0:
         raise GeometryError("k must be nonnegative")
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
 
     def build():
         out_support = tuple(
@@ -394,7 +390,6 @@ def telescope_verify(
     system: Interaction | Chain,
     regions: RegionsABC,
     k0: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> TelescopeReport:
     """Check the telescoping split of the conjugated marginal numerically.
 
@@ -402,7 +397,7 @@ def telescope_verify(
     term plus the finite tail sum, and (b) that the traced k0 term equals
     its partition-ratio closed form.
     """
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
     if k0 < 1:
@@ -445,12 +440,7 @@ class DecompositionReport:
     attempted_k0: tuple[int, ...] = ()
 
 
-def _attempt_certificate(
-    chain: Chain,
-    regions: RegionsABC,
-    k0: int,
-    recon_tol: float,
-) -> DecompositionReport:
+def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> DecompositionReport:
     d = chain.ia.local_dim
     r = chain.ia.interaction_range
     kmax = max(len(regions.a), len(regions.c))
@@ -474,7 +464,7 @@ def _attempt_certificate(
         core.ball_ok
         and core.factors_psd
         and all(c.ball_margin >= 0 for c in per_k)
-        and rel_err <= recon_tol
+        and rel_err <= RECONSTRUCTION_TOL
     )
     neg = negativity(tel.rho_ac, (regions.a, regions.c)).negativity
 
@@ -511,8 +501,6 @@ def certify_marginal(
     system: Interaction | Chain,
     regions: RegionsABC,
     k0: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-    recon_tol: float = RECONSTRUCTION_TOL,
 ) -> DecompositionReport:
     """Run the full separability pipeline for rho_AC across the A:C cut.
 
@@ -521,7 +509,7 @@ def certify_marginal(
     All attempts share one spectral context, so every region Hamiltonian,
     interface operator and tail term is computed once.
     """
-    chain = Chain.of(system, budget)
+    chain = Chain.of(system)
     if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
     kmax = max(len(regions.a), len(regions.c))
@@ -529,7 +517,7 @@ def certify_marginal(
     attempted = []
     report = None
     for cand in candidates:
-        report = _attempt_certificate(chain, regions, cand, recon_tol)
+        report = _attempt_certificate(chain, regions, cand)
         attempted.append(cand)
         if report.verdict == VERDICT_SEPARABLE:
             break

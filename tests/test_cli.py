@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -230,6 +231,20 @@ def test_exit_code_resource_error(tmp_path):
         ["estimate-g", "--config", path, "--out", str(tmp_path), "--budget", "8"]
     )
     assert code == 3
+
+
+def test_config_is_validated_once(tmp_path, monkeypatch):
+    """load_config applies the overrides, then validates once (building the
+    model once); the one grid point builds it again."""
+    model = importlib.import_module("chainsep.model")
+    build, calls = model.builtin_models, []
+    monkeypatch.setattr(model, "builtin_models", lambda *a: calls.append(a) or build(*a))
+    geometry = {"a": [1], "b": [5], "c": [1]}
+    path = _write(tmp_path, "c.json", {"model": TFI_MODEL, "geometry": geometry})
+    assert main(["certify", "--config", path, "--out", str(tmp_path), "--seed", "3"]) == 0
+    assert len(calls) == 2
+    # the overrides are validated: 7 sites need a budget of 128
+    assert main(["certify", "--config", path, "--out", str(tmp_path), "--budget", "64"]) == 2
 
 
 def test_check_config_ok(tmp_path):

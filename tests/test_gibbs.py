@@ -1,3 +1,6 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from chainsep import (
     BudgetError,
+    Chain,
     GeometryError,
     Interaction,
     LocalOperator,
@@ -19,9 +23,9 @@ from chainsep import (
     mutual_information,
     mutual_information_of,
     partial_trace,
-    partition_function,
     relative_entropy,
 )
+from chainsep.gibbs import DEFAULT_BUDGET
 from chainsep.model import PAULI_Z
 
 from helpers import random_state
@@ -35,13 +39,13 @@ def _rand_ia(seed, sites=6, rng=2, strength=2.0):
 
 def test_partition_function_zero_interaction():
     ia = builtin_models("zero", {"sites": 5})
-    assert partition_function(ia, range(5)) == pytest.approx(2**5)
+    assert Chain(ia).partition_function(range(5)) == pytest.approx(2**5)
 
 
 def test_partition_function_single_field():
     # H = z-field of weight 0.3 on one site: Z = e^{-0.3} + e^{0.3}
     ia = Interaction(2, (0,), {(0,): 0.3 * PAULI_Z}, 0)
-    assert partition_function(ia, (0,)) == pytest.approx(2 * np.cosh(0.3))
+    assert Chain(ia).partition_function((0,)) == pytest.approx(2 * np.cosh(0.3))
 
 
 def test_gibbs_state_is_normalized_and_psd():
@@ -49,13 +53,60 @@ def test_gibbs_state_is_normalized_and_psd():
     g = gibbs(ia, range(6))
     assert g.rho.trace().real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(g.rho.matrix).min() > 0
-    assert g.z == pytest.approx(partition_function(ia, range(6)))
+    assert g.z == pytest.approx(Chain(ia).partition_function(range(6)))
 
 
 def test_budget_enforced():
     ia = builtin_models("tfi", {"sites": 8})
     with pytest.raises(BudgetError):
-        gibbs(ia, range(8), budget=128)
+        gibbs(Chain(ia, 128), range(8))
+
+
+KNOBS = {"budget", "recon_tol", "slack", "psd_tol", "rtol", "g_emp"}
+LAYERS = ("linalg", "model", "gibbs", "expansionals", "separability", "cli")
+
+
+def _public_callables():
+    """Every public function of the package, and every public method (and
+    constructor) of its public classes, by qualified name."""
+    found = {}
+    for module in (importlib.import_module(f"chainsep.{m}") for m in LAYERS):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{module.__name__}.{name}"] = obj
+            elif inspect.isclass(obj):
+                for attr in dir(obj):
+                    fn = getattr(obj, attr)
+                    if inspect.isfunction(fn) and (attr == "__init__" or attr[0] != "_"):
+                        found[f"{module.__name__}.{name}.{attr}"] = fn
+    return found
+
+
+def test_only_chain_takes_a_budget(monkeypatch):
+    """A knob is an optional parameter.  A budget is set only by Chain(ia,
+    budget), and the tolerances are module constants.  (BudgetError(dim,
+    budget) and factorial_decay_bound(g_emp, ...) take these names as data.)"""
+    knobs = {}
+    for name, fn in _public_callables().items():
+        params = inspect.signature(fn).parameters.items()
+        taken = sorted(p for p, v in params if p in KNOBS and v.default is not v.empty)
+        if taken:
+            knobs[name] = taken
+    assert knobs == {"chainsep.gibbs.Chain.__init__": ["budget"]}
+
+    # an Interaction gets a Chain at the default budget, checked before assembly
+    assembled = []
+    for module in ("chainsep.gibbs", "chainsep.model"):
+        monkeypatch.setattr(
+            importlib.import_module(module), "hamiltonian", lambda *a: assembled.append(a)
+        )
+    ia = builtin_models("tfi", {"sites": 13})
+    with pytest.raises(BudgetError) as exc:
+        gibbs(ia, range(13))
+    assert (exc.value.dim, exc.value.budget) == (2**13, DEFAULT_BUDGET)
+    assert assembled == []
 
 
 def test_marginal_consistency():

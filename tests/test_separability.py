@@ -1,4 +1,7 @@
+import gc
+import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -226,9 +229,29 @@ def test_public_functions_accept_a_chain():
         fresh, shared = fn(ia, regions, *args), fn(chain, regions, *args)
         for field in ("verdict", "k0", "attempted_k0", "identity_rel_err", "norm", "gamma"):
             assert getattr(fresh, field, None) == getattr(shared, field, None)
-    # the Chain's own budget holds, whatever budget the call passes
+    # the Chain's own budget holds
     with pytest.raises(BudgetError):
-        certify_marginal(Chain(ia, budget=2**6), regions, budget=2**7)
+        certify_marginal(Chain(ia, budget=2**6), regions)
+
+
+def test_chain_keeps_no_hamiltonian(monkeypatch):
+    """A Chain keeps each region's spectrum; the assembled H_R is let go."""
+    gibbs_module = importlib.import_module("chainsep.gibbs")
+    assemble = gibbs_module.hamiltonian
+    refs = []
+
+    def recording(ia, region):
+        h = assemble(ia, region)
+        refs.extend((weakref.ref(h), weakref.ref(h.matrix)))
+        return h
+
+    monkeypatch.setattr(gibbs_module, "hamiltonian", recording)
+    ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 2})
+    chain = Chain(ia)
+    rep = certify_marginal(chain, RegionsABC.from_sizes(2, 3, 2))
+    gc.collect()
+    assert rep.verdict and refs
+    assert [r() for r in refs if r() is not None] == []
 
 
 @settings(max_examples=30, deadline=None)
