@@ -1,7 +1,8 @@
 """Gibbs states, partition functions, marginals and information measures."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -20,20 +21,40 @@ DEFAULT_BUDGET = 4096
 LOG_FLOOR = 1e-300
 # relative slack of the partition-function inequality chains, in the log domain
 PARTITION_RATIO_SLACK = 1e-9
+# how far from 1 the trace of a Gibbs state or of a marginal may be
+NORMALIZATION_TOL = 1e-12
 
 
 def _region(region: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(set(int(s) for s in region)))
 
 
+def _state(support: tuple[int, ...], m: np.ndarray, local_dim: int) -> LocalOperator:
+    """`m` as a state on `support`, after checking that its trace is 1."""
+    if abs(np.trace(m).real - 1.0) > NORMALIZATION_TOL:
+        raise RuntimeError("Gibbs state failed its normalization check")
+    return LocalOperator(support, m, local_dim)
+
+
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
-    """A normalized thermal state exp(-H)/Z on a region, with Z alongside."""
+    """The thermal state exp(-H_R)/Z on a region, held as its spectrum.
 
-    interaction: Interaction
+    rho = V diag(p) V^dag, with V the Chain's own eigenvectors of H_R (an
+    array, not the Chain, so a state in the Chain's memo makes no cycle) and
+    p = e^{-w}/Z.  `rho` is formed on first read; `marginal` of a proper
+    subregion never forms it.
+    """
+
     region: tuple[int, ...]
     z: float
-    rho: LocalOperator
+    p: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    local_dim: int
+
+    @cached_property
+    def rho(self) -> LocalOperator:
+        return _state(self.region, (self.v * self.p) @ self.v.conj().T, self.local_dim)
 
 
 class Chain:
@@ -80,13 +101,18 @@ class Chain:
 
         return self.cached(("eigh", region), build)
 
-    def exp(self, region: Sequence[int], t: complex) -> LocalOperator:
-        """e^{t H_R}; complex t is fine."""
-        region = _region(region)
+    def _exp_spectrum(self, region: tuple[int, ...], t: complex) -> tuple:
+        """(e^{tw}, V) for H_R = V diag(w) V^dag, checked for overflow."""
         w, v = self.spectrum(region)
         f = np.exp(t * w)
         if not np.all(np.isfinite(f)):
             raise ValueError(f"e^(tH) overflows on the spectrum of {region} at t={t}")
+        return f, v
+
+    def exp(self, region: Sequence[int], t: complex) -> LocalOperator:
+        """e^{t H_R}; complex t is fine."""
+        region = _region(region)
+        f, v = self._exp_spectrum(region, t)
         return LocalOperator(region, (v * f) @ v.conj().T, self.ia.local_dim)
 
     def split_exp(self, x: Sequence[int], y: Sequence[int], t: complex) -> LocalOperator:
@@ -103,12 +129,9 @@ class Chain:
         region = _region(region)
 
         def build():
-            boltz = self.exp(region, -1.0)
-            z = float(boltz.trace().real)
-            rho = LocalOperator(region, boltz.matrix / z, self.ia.local_dim)
-            if abs(rho.trace().real - 1.0) > 1e-12:
-                raise RuntimeError("Gibbs state failed its normalization check")
-            return GibbsEnsemble(self.ia, region, z, rho)
+            f, v = self._exp_spectrum(region, -1.0)
+            z = float(f.sum())
+            return GibbsEnsemble(region, z, f / z, v, self.ia.local_dim)
 
         return self.cached(("gibbs", region), build)
 
@@ -122,12 +145,24 @@ def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
 
 
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
-    x = tuple(sorted(set(int(s) for s in x)))
-    if not set(x) <= set(g.region):
-        raise GeometryError(f"{x} is not a subregion of {g.region}")
+    """rho_X = tr_{R\\X} rho, straight from the spectrum for a proper subregion.
+
+    With S = V diag(sqrt p), its legs ordered (X, rest of R, eigenvalue) and
+    read as a d_X x (d_rest N) matrix, rho_X = S S^dag: one d_X N^2 Gram,
+    with no N^3 product and no partial trace.
+    """
+    x = _region(x)
+    if not x or not set(x) <= set(g.region):
+        raise GeometryError(f"{x} is not a nonempty subregion of {g.region}")
     if x == g.region:
         return g.rho
-    return partial_trace(g.rho, tuple(s for s in g.region if s not in set(x)))
+    d, n = g.local_dim, len(g.region)
+    legs = [g.region.index(s) for s in x]
+    legs += [i for i in range(n + 1) if i not in legs]
+    v = g.v.reshape((d,) * n + (-1,)).transpose(legs)
+    s = np.multiply(v, np.sqrt(g.p), out=np.empty(v.shape, v.dtype))
+    s = s.reshape(d ** len(x), -1)
+    return _state(x, s @ s.conj().T, d)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +228,19 @@ class PartitionRatioReport:
         return self.ratio_bound_ok and self.size_bounds_ok and self.split_bounds_ok
 
 
+def _crossing_norm(ia: Interaction, a: tuple[int, ...], b: tuple[int, ...]) -> float:
+    """||H_AB - H_A - H_B|| for A left of B, on the window W of the 2r sites
+    around the cut: every term that crosses it lies in W, so the difference is
+    H_W - H_{W n A} - H_{W n B}, embedded, and embedding keeps the norm."""
+    r = ia.interaction_range
+    if not r:
+        return 0.0
+    window = tuple(s for s in a + b if b[0] - r <= s < b[0] + r)
+    w_a = tuple(s for s in window if s < b[0])
+    w_b = tuple(s for s in window if s >= b[0])
+    return op_norm(hamiltonian(ia, window) - (hamiltonian(ia, w_a) + hamiltonian(ia, w_b)))
+
+
 def check_partition_ratios(
     system: Interaction | Chain,
     a: Sequence[int],
@@ -215,10 +263,9 @@ def check_partition_ratios(
     for r in (ab, a, b):
         w = chain.spectrum(r)[0]
         log_z[r] = float(-w[0] + np.log(np.exp(w[0] - w).sum()))
-    h = {r: hamiltonian(ia, r) for r in (ab, a, b)}
     lo, hi = np.log1p(-PARTITION_RATIO_SLACK), np.log1p(PARTITION_RATIO_SLACK)
 
-    gap = op_norm(h[ab] - embed(h[a] + h[b], ab))
+    gap = _crossing_norm(ia, a, b)
     log_ratio = log_z[ab] - log_z[a] - log_z[b]
     ratio_ok = abs(log_ratio) <= gap + hi
 
@@ -247,7 +294,7 @@ def factorization_error(
     """Norms of rho_AC - rho_A x rho_C on the full Gibbs state of ABC."""
     g = gibbs(system, regions.all_sites)
     rho_ac = marginal(g, regions.ac)
-    rho_a = marginal(g, regions.a)
-    rho_c = marginal(g, regions.c)
+    rho_a = partial_trace(rho_ac, regions.c)
+    rho_c = partial_trace(rho_ac, regions.a)
     diff = rho_ac - (embed(rho_a, regions.ac) @ embed(rho_c, regions.ac))
     return FactorizationError(op_norm(diff), trace_norm(diff))

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import GeometryError
 
 HERMITICITY_RTOL = 1e-12
+# side of the blocks is_hermitian compares, so that no matrix-sized
+# difference is formed and the transposed block is read from cache
+HERMITICITY_BLOCK = 128
 PSD_TOL_SCALE = 1e-10
 
 
@@ -50,9 +53,15 @@ class LocalOperator:
         return self.matrix.shape[0]
 
     def is_hermitian(self) -> bool:
+        """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F), block by block."""
         m = self.matrix
-        scale = max(1.0, float(np.linalg.norm(m)))
-        return float(np.abs(m - m.conj().T).max(initial=0.0)) <= HERMITICITY_RTOL * scale
+        tol = HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m)))
+        n, b = len(m), HERMITICITY_BLOCK
+        return all(
+            np.abs(m[i:i + b, j:j + b] - m[j:j + b, i:i + b].conj().T).max() <= tol
+            for i in range(0, n, b)
+            for j in range(i, n, b)
+        )
 
     def dagger(self) -> "LocalOperator":
         return LocalOperator(self.support, self.matrix.conj().T, self.local_dim)

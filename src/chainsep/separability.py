@@ -213,9 +213,9 @@ def decompose_truncated_marginal(
         d = chain.ia.local_dim
         g = chain.gibbs(hood)
         ac = a_clip + c_clip
-        rho_a = marginal(g, a_clip)
-        rho_c = marginal(g, c_clip)
         rho_ac = marginal(g, ac)
+        rho_a = partial_trace(rho_ac, c_clip)
+        rho_c = partial_trace(rho_ac, a_clip)
 
         exp_a = chain.exp(a_clip, TELESCOPE_S)
         exp_c = chain.exp(c_clip, TELESCOPE_S)
@@ -283,20 +283,38 @@ def decompose_truncated_marginal(
 def _traced_interface_product(
     chain: Chain, regions: RegionsABC, kk: int
 ) -> LocalOperator:
-    """tr_B[rho^B F_kk], where F_kk is the four-factor product of kk-truncated
-    interface operators at s = 1/2.
+    """tr_B[rho^B F_kk], where F_kk = M^dag M, M = E_C E_A, is the four-factor
+    product of kk-truncated interface operators at s = 1/2.
 
     F_kk acts on the kk-neighbourhood of B only, so the product is computed
     there (at least one site beyond B on each side) and callers embed it.
+    Under tr_B, rho^B splits into (rho^B)^{1/2} on each side, so the product
+    is the Gram tr_B[N^dag N] of N = M (1 (x) (rho^B)^{1/2} (x) 1): Hermitian
+    PSD by construction, from one matmul of neighbourhood size.
     """
 
     def build():
+        d = chain.ia.local_dim
         hood = k_neighborhood(regions, max(kk, 1))
-        ea = embed(_truncated_or_identity(chain, regions, "A:B", kk, TELESCOPE_S), hood)
-        ec = embed(_truncated_or_identity(chain, regions, "AB:C", kk, TELESCOPE_S), hood)
-        f = ea.dagger() @ ec.dagger() @ ec @ ea
-        rho_b = chain.gibbs(regions.b).rho
-        return partial_trace(embed(rho_b, hood) @ f, regions.b)
+        left = tuple(t for t in hood if t < regions.b[0])
+        right = tuple(t for t in hood if t > regions.b[-1])
+        d_l, d_b, d_r = (d ** len(part) for part in (left, regions.b, right))
+        ea = _truncated_or_identity(chain, regions, "A:B", kk, TELESCOPE_S)
+        ec = _truncated_or_identity(chain, regions, "AB:C", kk, TELESCOPE_S)
+        ea = embed(ea, left + regions.b).matrix
+        ec = embed(ec, hood).matrix
+        g_b = chain.gibbs(regions.b)
+        root_b = (g_b.v * np.sqrt(g_b.p)) @ g_b.v.conj().T
+        # E_A (1 (x) (rho^B)^{1/2}); the B legs are the last of E_A's columns
+        ea_root = (ea.reshape(-1, d_b) @ root_b).reshape(ea.shape)
+        # N = E_C (ea_root (x) 1), computed with rows (row of E_C, right leg)
+        # and columns (left, B), so N comes out with legs (row, right, left, B)
+        dim, d_lb = ec.shape[0], d_l * d_b
+        n = ec.reshape(dim, d_lb, d_r).transpose(0, 2, 1).reshape(-1, d_lb) @ ea_root
+        # contract rows and B: the Gram of the rows (left, right)
+        k = n.reshape(dim, d_r, d_l, d_b).transpose(2, 1, 0, 3).reshape(d_l * d_r, -1)
+        del n  # k is a copy; dropping N first keeps the peak at two such arrays
+        return LocalOperator(left + right, k.conj() @ k.T, d)
 
     return chain.cached(("traced", regions, kk), build)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 
@@ -15,17 +16,20 @@ from chainsep import (
     RegionsABC,
     builtin_models,
     check_partition_ratios,
+    embed,
     entropy,
     factorization_error,
     gibbs,
+    hamiltonian,
     marginal,
     marginal_inverse_norm,
     mutual_information,
     mutual_information_of,
+    op_norm,
     partial_trace,
     relative_entropy,
 )
-from chainsep.gibbs import DEFAULT_BUDGET
+from chainsep.gibbs import DEFAULT_BUDGET, _crossing_norm
 from chainsep.model import PAULI_Z
 
 from helpers import random_state
@@ -109,15 +113,76 @@ def test_only_chain_takes_a_budget(monkeypatch):
     assert assembled == []
 
 
-def test_marginal_consistency():
-    ia = _rand_ia(5)
-    g = gibbs(ia, range(6))
-    m = marginal(g, (1, 2))
-    again = partial_trace(g.rho, (0, 3, 4, 5))
-    assert np.abs(m.matrix - again.matrix).max() < 1e-14
-    assert m.trace().real == pytest.approx(1.0)
+MARGINAL_MODELS = {
+    "tfi": ("tfi", {"sites": 6}),
+    "random": ("random", {"sites": 6, "range": 2, "strength": 2.0, "seed": 5}),
+    "random-d3": ("random", {"sites": 5, "range": 1, "strength": 2.0, "seed": 5, "local_dim": 3}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MARGINAL_MODELS))
+def test_marginal_consistency(model):
+    ia = builtin_models(*MARGINAL_MODELS[model])
+    n = len(ia.sites)
+    g = gibbs(ia, range(n))
+    # contiguous, A u C, a single site, all sites but one
+    for x in ((1, 2), (0, n - 1), (2,), tuple(range(1, n))):
+        m = marginal(g, x)
+        again = partial_trace(g.rho, tuple(s for s in range(n) if s not in x))
+        assert m.support == again.support
+        assert m.matrix.dtype == g.rho.matrix.dtype
+        assert np.abs(m.matrix - again.matrix).max() < 1e-13, x
+        assert m.trace().real == pytest.approx(1.0)
+    assert marginal(g, range(n)) is g.rho
     with pytest.raises(GeometryError):
         marginal(g, (7,))
+
+
+def test_marginals_never_form_the_state():
+    """A Gibbs state is its spectrum: reading marginals leaves rho unformed."""
+    ia = _rand_ia(4)
+    regions = RegionsABC.from_sizes(2, 2, 2)
+    chain = Chain(ia)
+    factorization_error(chain, regions)
+    mutual_information(chain, regions)
+    assert "rho" not in vars(chain.gibbs(regions.all_sites))
+
+
+def test_marginal_checks_the_normalization():
+    g = gibbs(_rand_ia(2), range(6))
+    bad = dataclasses.replace(g, v=g.v * 1.001)
+    with pytest.raises(RuntimeError):
+        marginal(bad, (0, 5))
+    with pytest.raises(RuntimeError):
+        bad.rho
+
+
+def _crossing_norm_oracle(ia, a, b):
+    """||H_AB - H_A - H_B|| from the three whole-region Hamiltonians."""
+    ab = a + b
+    return op_norm(hamiltonian(ia, ab) - embed(hamiltonian(ia, a) + hamiltonian(ia, b), ab))
+
+
+CROSSING_MODELS = [
+    ("zero", {"sites": 7}),
+    ("tfi", {"sites": 7, "coupling": 1.3, "field": 0.7}),
+    ("classical_ising", {"sites": 7, "field": 0.5}),
+    ("xxz", {"sites": 7, "jz": 2.0, "field": 0.3}),
+    ("random", {"sites": 7, "range": 1, "seed": 1}),
+    ("random", {"sites": 7, "range": 2, "seed": 2}),
+    ("random", {"sites": 5, "range": 1, "seed": 3, "local_dim": 3}),
+    ("random", {"sites": 5, "range": 2, "seed": 4, "local_dim": 3}),
+]
+
+
+@pytest.mark.parametrize("family,params", CROSSING_MODELS)
+def test_crossing_norm_matches_the_whole_region_formula(family, params):
+    ia = builtin_models(family, params)
+    sites = ia.sites
+    for cut in range(1, len(sites)):
+        a, b = sites[:cut], sites[cut:]
+        want = _crossing_norm_oracle(ia, a, b)
+        assert _crossing_norm(ia, a, b) == pytest.approx(want, rel=1e-12, abs=1e-14), cut
 
 
 def test_entropy_examples():

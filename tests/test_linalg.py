@@ -17,6 +17,7 @@ from chainsep import (
     partial_transpose,
     trace_norm,
 )
+from chainsep.linalg import HERMITICITY_RTOL
 from helpers import (
     embed_oracle,
     expm_oracle,
@@ -226,3 +227,19 @@ def test_partial_trace_preserves_psd(seed):
 def test_support_must_be_sorted():
     with pytest.raises(GeometryError):
         LocalOperator((2, 1), np.eye(4))
+
+
+@pytest.mark.parametrize("side", [4, 200, 256, 300])
+def test_is_hermitian_matches_the_whole_matrix_check(side):
+    """The blocked check decides as max |M - M^dag| <= rtol max(1, ||M||) does,
+    for a defect in any block, above and below the tolerance."""
+    rng = np.random.default_rng(side)
+    h = random_hermitian(rng, side)
+    tol = HERMITICITY_RTOL * np.linalg.norm(h)
+    for i, j in ((0, side - 1), (side - 1, side // 2), (side // 2, 1), (2, 2)):
+        for size in (0.4 * tol, 3.0 * tol):
+            m = h.copy()
+            m[i, j] += size if i != j else 1j * size
+            want = np.abs(m - m.conj().T).max() <= HERMITICITY_RTOL * np.linalg.norm(m)
+            assert want == (size < tol)
+            assert LocalOperator((0,), m, local_dim=side).is_hermitian() == want, (i, j, size)

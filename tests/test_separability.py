@@ -19,20 +19,26 @@ from chainsep import (
     ball_radius,
     certify_marginal,
     decompose_truncated_marginal,
+    embed,
     exact_sep_test,
     identity,
     negativity,
     op_norm,
+    partial_trace,
     tail_norm_bound,
     tail_term,
     telescope_verify,
     validate_decomposition,
 )
+from chainsep.expansionals import _truncated_or_identity
+from chainsep.model import k_neighborhood
 from chainsep.separability import (
     FACTOR_PSD_TOL,
+    TELESCOPE_S,
     VERDICT_ENTANGLED,
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
+    _traced_interface_product,
 )
 from helpers import partial_transpose_oracle, random_hermitian, random_state, record_eigh
 
@@ -168,6 +174,30 @@ def test_telescope_identity_random_model():
     rep = telescope_verify(ia, RegionsABC.from_sizes(2, 4, 2), 1)
     assert rep.identity_rel_err <= 1e-10
     assert rep.k0_term_rel_err <= 1e-10
+
+
+def _four_factor_traced_product(chain, regions, kk):
+    """tr_B[(rho_B (x) 1) E_A^dag E_C^dag E_C E_A] by the four products."""
+    hood = k_neighborhood(regions, max(kk, 1))
+    ea = embed(_truncated_or_identity(chain, regions, "A:B", kk, TELESCOPE_S), hood)
+    ec = embed(_truncated_or_identity(chain, regions, "AB:C", kk, TELESCOPE_S), hood)
+    f = ea.dagger() @ ec.dagger() @ ec @ ea
+    return partial_trace(embed(chain.gibbs(regions.b).rho, hood) @ f, regions.b)
+
+
+@pytest.mark.parametrize("sizes", [(2, 4, 2), (3, 3, 2)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_traced_interface_product_matches_four_factor_formula(sizes, r):
+    ia = builtin_models("random", {"sites": sum(sizes), "range": r, "seed": 7})
+    regions = RegionsABC.from_sizes(*sizes)
+    chain = Chain(ia)
+    for kk in range(max(sizes[0], sizes[2]) + 2):  # kk = 0 clips both to the identity
+        got = _traced_interface_product(chain, regions, kk)
+        want = _four_factor_traced_product(chain, regions, kk)
+        assert got.support == want.support
+        assert got.is_hermitian()
+        err = np.linalg.norm(got.matrix - want.matrix) / np.linalg.norm(want.matrix)
+        assert err < 1e-12, (kk, err)
 
 
 def test_certify_marginal_tfi_single_site_edges():
