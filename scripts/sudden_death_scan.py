@@ -16,8 +16,6 @@ from chainsep import (
     RegionsABC,
     builtin_models,
     certify_marginal,
-    gibbs,
-    marginal,
     mutual_information,
     negativity,
 )
@@ -39,10 +37,10 @@ def main() -> int:
     for nb in range(1, args.max_gap + 1):
         n = args.na + nb + args.nc
         ia = builtin_models(args.family, {"sites": n, "seed": args.seed})
-        # one spectral context per gap: H_ABC is diagonalized once
+        # one spectral context per gap: H_ABC is diagonalized and rho_AC formed once
         chain = Chain(ia)
         regions = RegionsABC.from_sizes(args.na, nb, args.nc)
-        rho_ac = marginal(gibbs(chain, regions.all_sites), regions.ac)
+        rho_ac = chain.marginal(regions.all_sites, regions.ac)
         neg = negativity(rho_ac, (regions.a, regions.c)).negativity
         mi = mutual_information(chain, regions)
         verdict = ""

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetError, ChainsepError, ConfigError
 from .expansionals import check_lemmas, covering_bound, estimate_uniform_bound
-from .gibbs import Chain, factorization_error, gibbs, marginal, mutual_information
+from .gibbs import Chain, factorization_error, mutual_information
 from .linalg import LocalOperator
 from .model import ModelSpec, RegionsABC
 from .separability import (
@@ -28,6 +28,7 @@ from .separability import (
     VERDICT_SEPARABLE,
     certify_marginal,
     negativity,
+    ppt_is_exact,
     tail_norm_bound,
     tail_term,
 )
@@ -315,7 +316,7 @@ def cmd_scan_negativity(cfg: dict, out: Path) -> int:
         ia = replace(spec, sites=na + nb + nc).build()
         chain = Chain(ia, budget)
         regions = RegionsABC.from_sizes(na, nb, nc)
-        rho_ac = marginal(gibbs(chain, regions.all_sites), regions.ac)
+        rho_ac = chain.marginal(regions.all_sites, regions.ac)
         neg = negativity(rho_ac, (regions.a, regions.c))
         mi = mutual_information(chain, regions)
         fe = factorization_error(chain, regions)
@@ -323,8 +324,7 @@ def cmd_scan_negativity(cfg: dict, out: Path) -> int:
             verdict = certify_marginal(chain, regions).verdict
         else:
             verdict = "SkippedSmallB"
-        # PPT decides separability exactly for cuts up to 2 x 3
-        ppt_exact = ia.local_dim ** (na + nc) <= 6
+        ppt_exact = ppt_is_exact(ia.local_dim, na + nc)
         return (
             model_id,
             na,

@@ -22,7 +22,7 @@ from .gibbs import (
     Chain,
     check_partition_ratios,
     factorization_error,
-    marginal,
+    from_spectrum,
     mutual_information,
 )
 from .linalg import LocalOperator, embed, identity, min_eig, op_norm, partial_trace
@@ -32,26 +32,25 @@ from .model import Interaction, RegionsABC, k_neighborhood
 @dataclass(frozen=True, eq=False)
 class ExpansionalReport:
     """Both norms of E(s).  E (`e`) and E^{-1} (`e_inv`) are formed on first
-    read from `spectra`, the Chain's own (w, V) of H_XY, H_X and H_Y: arrays,
-    not the Chain, so that a report in the Chain's memo makes no cycle."""
+    read from `factors`, the Chain's (e^{-tw}, V) of H_XY, (e^{tw}, V) of H_X
+    and H_Y, at t = s and -s: arrays, not the Chain, so there is no cycle."""
 
     s: complex
     x: tuple[int, ...]
     y: tuple[int, ...]
     norm_e: float
     norm_e_inv: float
-    spectra: tuple = field(repr=False)
+    factors: tuple = field(repr=False)
     local_dim: int
 
-    def _form(self, t: complex, inverse: bool) -> LocalOperator:
-        """e^{-tH_XY} e^{tH_0}, or e^{tH_0} e^{-tH_XY}, by Chain.exp's products."""
-        a, bx, by = ((v * np.exp(c * w)) @ v.conj().T
-                     for (w, v), c in zip(self.spectra, (-t, t, t)))
+    def _form(self, inverse: bool) -> LocalOperator:
+        """E = e^{-sH_XY} e^{sH_0}, or E^{-1} = e^{-sH_0} e^{sH_XY}, by Chain.exp's products."""
+        a, bx, by = (from_spectrum(f, v) for f, v in self.factors[inverse])
         m = np.kron(bx, by) @ a if inverse else a @ np.kron(bx, by)
         return LocalOperator(self.x + self.y, m, self.local_dim)
 
-    e = cached_property(lambda self: self._form(self.s, False))
-    e_inv = cached_property(lambda self: self._form(-self.s, True))
+    e = cached_property(lambda self: self._form(False))
+    e_inv = cached_property(lambda self: self._form(True))
 
 
 def _as_interval(part: Sequence[int], name: str) -> tuple[int, ...]:
@@ -89,26 +88,22 @@ def expansional(
         raise GeometryError(f"|s| must be <= 1, got {abs(s)}")
 
     def build():
-        spectra = tuple(chain.spectrum(r) for r in (x + y, x, y))
-        f = {(r, t): np.exp(t * sp[0])
-             for r, sp in zip((x + y, x, y), spectra) for t in (s, -s)}
-        for (r, t), fr in f.items():
-            if not np.all(np.isfinite(fr)):
-                raise ValueError(f"e^(tH) overflows on the spectrum of {r} at t={t}")
-        (w, v), (_, vx), (_, vy) = spectra
+        factors = tuple(tuple(chain.exp_spectrum(r, c) for r, c in ((x + y, -t), (x, t), (y, t)))
+                        for t in (s, -s))
+        ((f, v), (fx, vx), (fy, vy)), ((f_inv, _), (fx_inv, _), (fy_inv, _)) = factors
         u = v.conj().T @ np.kron(vx, vy)
 
         def gram_eigvals(left, m, right):  # of G G^dag, G = diag(left) m diag(right)
             g = left[:, None] * m * right
             return np.linalg.eigvalsh(g @ g.conj().T)
-        lam = gram_eigvals(f[x + y, -s], u, np.kron(f[x, s], f[y, s]))
-        if np.finfo(float).eps * len(w) * lam[-1] <= 1e-10 * lam[0]:
+        lam = gram_eigvals(f, u, np.kron(fx, fy))
+        if np.finfo(float).eps * len(f) * lam[-1] <= 1e-10 * lam[0]:
             norm_e_inv = 1.0 / math.sqrt(lam[0])
         else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
-            b_inv = np.kron(f[x, -s], f[y, -s])
-            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, f[x + y, s])[-1])
+            b_inv = np.kron(fx_inv, fy_inv)
+            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, f_inv)[-1])
         norm_e = math.sqrt(lam[-1])
-        return ExpansionalReport(s, x, y, norm_e, norm_e_inv, spectra, chain.ia.local_dim)
+        return ExpansionalReport(s, x, y, norm_e, norm_e_inv, factors, chain.ia.local_dim)
 
     return chain.cached(("expansional", x, y, s), build)
 
@@ -300,7 +295,7 @@ def marginal_inverse_norm(
     expansionals at s = -1/2 that appear in the derivation of the bound.
     """
     chain = Chain.of(system)
-    rho_b = marginal(chain.gibbs(regions.all_sites), regions.b)
+    rho_b = chain.marginal(regions.all_sites, regions.b)
     inv_norm = 1.0 / min_eig(rho_b)
 
     rep_ab = expansional(chain, regions.a, regions.b, -0.5)
@@ -344,13 +339,12 @@ def check_lemmas(
     pr = check_partition_ratios(chain, regions.a, regions.b)
     fe = factorization_error(chain, regions)
     mi = mutual_information(chain, regions)
-    rho_a = marginal(chain.gibbs(regions.all_sites), regions.a)
     return LemmaReport(
         z_ratio_bound=pr.ratio_bound_ok,
         z_size_bounds=pr.size_bounds_ok,
         z_split_bounds=pr.split_bounds_ok,
         pinsker=fe.trace_norm_err**2 <= 2 * mi + 1e-9,
-        contraction=contraction_check(rho_a, x).ok,
+        contraction=contraction_check(chain.marginal(regions.all_sites, regions.a), x).ok,
         marginal_floor=marginal_inverse_norm(chain, regions).ok,
         norm_ordering=fe.op_norm_err <= fe.trace_norm_err + 1e-12,
     )

@@ -29,11 +29,21 @@ def _region(region: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(set(int(s) for s in region)))
 
 
+def _boltzmann(w: np.ndarray) -> np.ndarray:
+    """e^{-(w - w_min)} for an ascending spectrum: in (0, 1], so it cannot overflow."""
+    return np.exp(w[0] - w)
+
+
 def _state(support: tuple[int, ...], m: np.ndarray, local_dim: int) -> LocalOperator:
     """`m` as a state on `support`, after checking that its trace is 1."""
     if abs(np.trace(m).real - 1.0) > NORMALIZATION_TOL:
         raise RuntimeError("Gibbs state failed its normalization check")
     return LocalOperator(support, m, local_dim)
+
+
+def from_spectrum(f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(f) V^dag: the one place a function of a spectrum is formed."""
+    return (v * f) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,28 +52,27 @@ class GibbsEnsemble:
 
     rho = V diag(p) V^dag, with V the Chain's own eigenvectors of H_R (an
     array, not the Chain, so a state in the Chain's memo makes no cycle) and
-    p = e^{-w}/Z.  `rho` is formed on first read; `marginal` of a proper
-    subregion never forms it.
+    p = e^{-(w - w_min)} / sum e^{-(w - w_min)}, which cannot overflow.  `rho`
+    is formed on first read; `marginal` of a proper subregion never forms it.
     """
 
     region: tuple[int, ...]
-    z: float
     p: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     local_dim: int
 
     @cached_property
     def rho(self) -> LocalOperator:
-        return _state(self.region, (self.v * self.p) @ self.v.conj().T, self.local_dim)
+        return _state(self.region, from_spectrum(self.p, self.v), self.local_dim)
 
 
 class Chain:
     """Spectral context of one interaction under one dense-size budget.
 
     Each region Hamiltonian is assembled, checked for Hermiticity and
-    diagonalized at most once, and only its spectrum is kept; exponentials
-    e^{tH_R} for any t, Gibbs states and partition functions are served from
-    it.  Everything computed is kept until the context is dropped, so a
+    diagonalized at most once, and only its spectrum is kept; it alone turns
+    that into e^{tH_R} for any t, Gibbs states, marginals and log Z.
+    Everything computed is kept until the context is dropped, so a
     context should live for one unit of work.  Every public function that
     takes an Interaction also takes a Chain; given an Interaction, it builds
     a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is the only place a
@@ -101,19 +110,19 @@ class Chain:
 
         return self.cached(("eigh", region), build)
 
-    def _exp_spectrum(self, region: tuple[int, ...], t: complex) -> tuple:
+    def exp_spectrum(self, region: Sequence[int], t: complex) -> tuple:
         """(e^{tw}, V) for H_R = V diag(w) V^dag, checked for overflow."""
         w, v = self.spectrum(region)
-        f = np.exp(t * w)
+        with np.errstate(over="ignore"):
+            f = np.exp(t * w)
         if not np.all(np.isfinite(f)):
-            raise ValueError(f"e^(tH) overflows on the spectrum of {region} at t={t}")
+            raise ValueError(f"e^(tH) overflows on the spectrum of {_region(region)} at t={t}")
         return f, v
 
     def exp(self, region: Sequence[int], t: complex) -> LocalOperator:
         """e^{t H_R}; complex t is fine."""
-        region = _region(region)
-        f, v = self._exp_spectrum(region, t)
-        return LocalOperator(region, (v * f) @ v.conj().T, self.ia.local_dim)
+        m = from_spectrum(*self.exp_spectrum(region, t))
+        return LocalOperator(_region(region), m, self.ia.local_dim)
 
     def split_exp(self, x: Sequence[int], y: Sequence[int], t: complex) -> LocalOperator:
         """e^{t(H_X + H_Y)} = e^{tH_X} (x) e^{tH_Y} for X entirely left of Y,
@@ -125,19 +134,25 @@ class Chain:
             ex.support + ey.support, np.kron(ex.matrix, ey.matrix), self.ia.local_dim
         )
 
+    def log_partition_function(self, region: Sequence[int]) -> float:
+        """log Tr e^{-H_R} = -w_min + log sum e^{-(w - w_min)}, finite at any coupling."""
+        w = self.spectrum(region)[0]
+        return float(-w[0] + np.log(_boltzmann(w).sum()))
+
     def gibbs(self, region: Sequence[int]) -> GibbsEnsemble:
         region = _region(region)
 
         def build():
-            f, v = self._exp_spectrum(region, -1.0)
-            z = float(f.sum())
-            return GibbsEnsemble(region, z, f / z, v, self.ia.local_dim)
+            w, v = self.spectrum(region)
+            f = _boltzmann(w)
+            return GibbsEnsemble(region, f / f.sum(), v, self.ia.local_dim)
 
         return self.cached(("gibbs", region), build)
 
-    def partition_function(self, region: Sequence[int]) -> float:
-        """Tr e^{-H_R} from the cached spectrum."""
-        return float(np.exp(-self.spectrum(region)[0]).sum())
+    def marginal(self, region: Sequence[int], x: Sequence[int]) -> LocalOperator:
+        """rho_X of the Gibbs state on `region`, formed once per Chain."""
+        region, x = _region(region), _region(x)
+        return self.cached(("marginal", region, x), lambda: marginal(self.gibbs(region), x))
 
 
 def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
@@ -178,19 +193,15 @@ def entropy(rho: LocalOperator) -> float:
 
 def _log_matrix(rho: LocalOperator) -> np.ndarray:
     w, v = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, LOG_FLOOR, None)
-    return (v * np.log(w)) @ v.conj().T
+    return from_spectrum(np.log(np.clip(w, LOG_FLOOR, None)), v)
 
 
 def relative_entropy(rho: LocalOperator, sigma: LocalOperator) -> float:
     """Tr[rho (log rho - log sigma)] for states on the same support."""
     if rho.support != sigma.support:
         raise GeometryError("relative entropy requires matching supports")
-    w = np.linalg.eigvalsh(rho.matrix)
-    w = np.clip(w, LOG_FLOOR, None)
-    tr_rho_log_rho = float((w * np.log(w)).sum())
     tr_rho_log_sigma = float(np.trace(rho.matrix @ _log_matrix(sigma)).real)
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return -entropy(rho) - tr_rho_log_sigma
 
 
 def mutual_information_of(rho_ac: LocalOperator, cut_a: Sequence[int]) -> float:
@@ -206,8 +217,8 @@ def mutual_information_of(rho_ac: LocalOperator, cut_a: Sequence[int]) -> float:
 
 
 def mutual_information(system: Interaction | Chain, regions: RegionsABC) -> float:
-    g = gibbs(system, regions.all_sites)
-    return mutual_information_of(marginal(g, regions.ac), regions.a)
+    rho_ac = Chain.of(system).marginal(regions.all_sites, regions.ac)
+    return mutual_information_of(rho_ac, regions.a)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +259,8 @@ def check_partition_ratios(
 ) -> PartitionRatioReport:
     """Verify the three partition-function inequality chains for adjacent A, B.
 
-    Every inequality is compared in the log domain, with log Z computed from
-    the spectrum shifted by its smallest eigenvalue, so neither Z nor a bound
-    can overflow to inf or underflow to 0 and pass vacuously.
+    Every inequality is compared in the log domain, on log Z, so neither Z
+    nor a bound can overflow to inf or underflow to 0 and pass vacuously.
     """
     a = tuple(sorted(int(s) for s in a))
     b = tuple(sorted(int(s) for s in b))
@@ -259,10 +269,7 @@ def check_partition_ratios(
     ab = a + b
     chain = Chain.of(system)
     ia = chain.ia
-    log_z = {}
-    for r in (ab, a, b):
-        w = chain.spectrum(r)[0]
-        log_z[r] = float(-w[0] + np.log(np.exp(w[0] - w).sum()))
+    log_z = {r: chain.log_partition_function(r) for r in (ab, a, b)}
     lo, hi = np.log1p(-PARTITION_RATIO_SLACK), np.log1p(PARTITION_RATIO_SLACK)
 
     gap = _crossing_norm(ia, a, b)
@@ -292,8 +299,7 @@ def factorization_error(
     system: Interaction | Chain, regions: RegionsABC
 ) -> FactorizationError:
     """Norms of rho_AC - rho_A x rho_C on the full Gibbs state of ABC."""
-    g = gibbs(system, regions.all_sites)
-    rho_ac = marginal(g, regions.ac)
+    rho_ac = Chain.of(system).marginal(regions.all_sites, regions.ac)
     rho_a = partial_trace(rho_ac, regions.c)
     rho_c = partial_trace(rho_ac, regions.a)
     diff = rho_ac - (embed(rho_a, regions.ac) @ embed(rho_c, regions.ac))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
 from .expansionals import _truncated_or_identity, covering_bound, factorial_decay_bound
-from .gibbs import Chain, marginal
+from .gibbs import Chain, from_spectrum
 from .linalg import (
     LocalOperator,
     embed,
@@ -146,11 +146,15 @@ def ball_radius(dim_a: int, dim_c: int) -> float:
     return 1.0 / math.sqrt(dim_a * dim_c)
 
 
+def ppt_is_exact(local_dim: int, n_sites: int) -> bool:
+    """Whether PPT is exact across a cut of `n_sites` sites: up to 2x3 only."""
+    return local_dim**n_sites <= 6
+
+
 def exact_sep_test(rho: LocalOperator, cut) -> Certificate:
     """PPT as an exact separability test, valid only for 2x2 and 2x3 cuts."""
     cut_a, cut_c = _check_cut(rho, cut)
-    d = rho.local_dim
-    if d ** len(cut_a) * d ** len(cut_c) > 6:
+    if not ppt_is_exact(rho.local_dim, len(cut_a) + len(cut_c)):
         raise GeometryError(
             "PPT is only exact up to 2x3; use certify_marginal for larger cuts"
         )
@@ -211,9 +215,8 @@ def decompose_truncated_marginal(
 
     def build():
         d = chain.ia.local_dim
-        g = chain.gibbs(hood)
         ac = a_clip + c_clip
-        rho_ac = marginal(g, ac)
+        rho_ac = chain.marginal(hood, ac)
         rho_a = partial_trace(rho_ac, c_clip)
         rho_c = partial_trace(rho_ac, a_clip)
 
@@ -304,7 +307,7 @@ def _traced_interface_product(
         ea = embed(ea, left + regions.b).matrix
         ec = embed(ec, hood).matrix
         g_b = chain.gibbs(regions.b)
-        root_b = (g_b.v * np.sqrt(g_b.p)) @ g_b.v.conj().T
+        root_b = from_spectrum(np.sqrt(g_b.p), g_b.v)
         # E_A (1 (x) (rho^B)^{1/2}); the B legs are the last of E_A's columns
         ea_root = (ea.reshape(-1, d_b) @ root_b).reshape(ea.shape)
         # N = E_C (ea_root (x) 1), computed with rows (row of E_C, right leg)
@@ -369,7 +372,6 @@ class _Telescope:
     z_ratio: float
     closed_form: LocalOperator
     lhs: LocalOperator
-    rho_ac: LocalOperator
 
     def plus_tails(self, head: LocalOperator) -> LocalOperator:
         for t in self.tails:
@@ -378,20 +380,18 @@ class _Telescope:
 
 
 def _telescope(chain: Chain, regions: RegionsABC, k0: int) -> _Telescope:
-    acs = regions.ac
-
     def build():
         kmax = max(len(regions.a), len(regions.c))
         tails = tuple(tail_term(chain, regions, k) for k in range(k0, kmax))
-        z_b = chain.partition_function(regions.b)
-        ratio = chain.partition_function(k_neighborhood(regions, k0)) / z_b
+        # Z_R / Z_B from log Z, so that neither Z may overflow
+        log_z = chain.log_partition_function
+        ratio, scale = (math.exp(log_z(r) - log_z(regions.b))
+                        for r in (k_neighborhood(regions, k0), regions.all_sites))
         core = decompose_truncated_marginal(chain, regions, k0)
-        g_full = chain.gibbs(regions.all_sites)
-        rho_ac = marginal(g_full, acs)
         # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
         sandwich = chain.split_exp(regions.a, regions.c, TELESCOPE_S)
-        lhs = (g_full.z / z_b) * (sandwich @ rho_ac @ sandwich)
-        return _Telescope(tails, ratio, ratio * embed(core.tilde_ac, acs), lhs, rho_ac)
+        lhs = scale * (sandwich @ chain.marginal(regions.all_sites, regions.ac) @ sandwich)
+        return _Telescope(tails, ratio, ratio * embed(core.tilde_ac, regions.ac), lhs)
 
     return chain.cached(("telescope", regions, k0), build)
 
@@ -484,7 +484,7 @@ def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> Decompos
         and all(c.ball_margin >= 0 for c in per_k)
         and rel_err <= RECONSTRUCTION_TOL
     )
-    neg = negativity(tel.rho_ac, (regions.a, regions.c)).negativity
+    neg = negativity(chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
 
     # comparison-only closed form of k0; the feasibility search is authoritative
     constants = {
@@ -510,7 +510,7 @@ def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> Decompos
         per_k=tuple(per_k),
         constants_used=constants,
         core=core,
-        negativity_cross_check=neg,
+        negativity_cross_check=neg.negativity,
         k0_closed_form=k0_closed,
     )
 

@@ -21,6 +21,8 @@ from chainsep import (
     factorization_error,
     gibbs,
     hamiltonian,
+    herm_exp,
+    identity,
     marginal,
     marginal_inverse_norm,
     mutual_information,
@@ -43,13 +45,13 @@ def _rand_ia(seed, sites=6, rng=2, strength=2.0):
 
 def test_partition_function_zero_interaction():
     ia = builtin_models("zero", {"sites": 5})
-    assert Chain(ia).partition_function(range(5)) == pytest.approx(2**5)
+    assert Chain(ia).log_partition_function(range(5)) == pytest.approx(np.log(2**5))
 
 
 def test_partition_function_single_field():
     # H = z-field of weight 0.3 on one site: Z = e^{-0.3} + e^{0.3}
     ia = Interaction(2, (0,), {(0,): 0.3 * PAULI_Z}, 0)
-    assert Chain(ia).partition_function((0,)) == pytest.approx(2 * np.cosh(0.3))
+    assert Chain(ia).log_partition_function((0,)) == pytest.approx(np.log(2 * np.cosh(0.3)))
 
 
 def test_gibbs_state_is_normalized_and_psd():
@@ -57,7 +59,9 @@ def test_gibbs_state_is_normalized_and_psd():
     g = gibbs(ia, range(6))
     assert g.rho.trace().real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(g.rho.matrix).min() > 0
-    assert g.z == pytest.approx(Chain(ia).partition_function(range(6)))
+    assert g.p.sum() == pytest.approx(1.0)
+    z = np.exp(-np.linalg.eigvalsh(hamiltonian(ia, range(6)).matrix)).sum()
+    assert np.exp(Chain(ia).log_partition_function(range(6))) == pytest.approx(z)
 
 
 def test_budget_enforced():
@@ -237,6 +241,31 @@ def test_partition_ratios_hold_where_z_overflows():
     rep = check_partition_ratios(ia, (0, 1, 2, 3), (4, 5, 6, 7))
     assert rep.z_ab == np.inf
     assert rep.all_ok, rep
+
+
+def test_gibbs_quantities_at_a_coupling_where_z_overflows():
+    """beta is absorbed into J, so J = 1200 is a valid input; log Z = 950 puts
+    Z and e^{-w_min} far beyond the float range, and every Gibbs quantity is
+    still served from the shifted spectrum."""
+    ia = _rand_ia(0, strength=1200.0)
+    chain = Chain(ia)
+    regions = RegionsABC.from_sizes(2, 2, 2)
+    g = gibbs(chain, range(6))
+    h = hamiltonian(ia, range(6))
+    lam = np.linalg.eigvalsh(h.matrix)
+    want = herm_exp(h - lam[0] * identity(range(6)), -1.0).matrix
+    assert np.abs(g.rho.matrix - want / np.trace(want).real).max() < 1e-12
+    assert marginal(g, (0, 5)).trace().real == pytest.approx(1.0)
+    assert np.isfinite(mutual_information(chain, regions))
+    err = factorization_error(chain, regions)
+    assert np.isfinite(err.op_norm_err) and np.isfinite(err.trace_norm_err)
+    assert check_partition_ratios(chain, (0, 1, 2), (3, 4, 5)).all_ok
+
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        log_z = mpmath.log(mpmath.fsum(mpmath.exp(-mpmath.mpf(float(x))) for x in lam))
+        assert log_z > 900
+        assert abs(chain.log_partition_function(range(6)) - log_z) <= 1e-12 * abs(log_z)
 
 
 def test_partition_size_bounds_catch_understated_strength(monkeypatch):

@@ -17,10 +17,12 @@ from chainsep import (
     SeparableDecomposition,
     builtin_models,
     ball_radius,
+    check_lemmas,
     certify_marginal,
     decompose_truncated_marginal,
     embed,
     exact_sep_test,
+    hamiltonian,
     identity,
     negativity,
     op_norm,
@@ -232,6 +234,54 @@ def test_certify_diagonalizes_each_region_once(monkeypatch):
     certify_marginal(ia, RegionsABC.from_sizes(2, 3, 2))
     assert len(inputs) == len(set(inputs))
     assert [shape[0] for shape, _, _ in inputs].count(2**7) == 1
+
+
+def test_certify_where_z_overflows():
+    """classical_ising at coupling 80 on 1|8|1 has log Z = 720.7, past the
+    709.8 where Z overflows; the Z ratios come from differences of log Z."""
+    mpmath = pytest.importorskip("mpmath")
+    ia = builtin_models("classical_ising", {"sites": 10, "coupling": 80.0})
+    regions = RegionsABC.from_sizes(1, 8, 1)
+    chain = Chain(ia)
+    rep = certify_marginal(chain, regions)
+    assert chain.log_partition_function(regions.all_sites) > math.log(np.finfo(float).max)
+    assert rep.reconstruction_rel_err <= 1e-9
+    assert rep.negativity_cross_check <= 1e-12
+
+    def log_z(region):
+        w = np.linalg.eigvalsh(hamiltonian(ia, region).matrix)
+        return mpmath.log(mpmath.fsum(mpmath.exp(-mpmath.mpf(float(x))) for x in w))
+
+    with mpmath.workdps(50):
+        want = mpmath.exp(log_z(k_neighborhood(regions, rep.k0)) - log_z(regions.b))
+        assert math.isfinite(rep.z_ratio)
+        assert abs(rep.z_ratio - want) <= 1e-12 * want
+
+
+def test_each_marginal_is_formed_once_per_chain(monkeypatch):
+    """A Chain forms each reduced state once, whoever asks for it."""
+    form = importlib.import_module("chainsep.gibbs").marginal
+    seen = []
+
+    def recording(g, x):
+        seen.append((g.region, tuple(x)))
+        return form(g, x)
+
+    for name in ("gibbs", "expansionals", "separability", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"chainsep.{name}"), "marginal",
+                            recording, raising=False)
+    # on tfi 1|6|1 the neighbourhood at k0 = 1 is the whole chain
+    certify_marginal(builtin_models("tfi", {"sites": 8}), RegionsABC.from_sizes(1, 6, 1))
+    assert seen == [(tuple(range(8)), (0, 7))]
+
+    seen.clear()
+    rng = np.random.default_rng(0)
+    regions = RegionsABC.from_sizes(2, 2, 2)
+    x = LocalOperator(regions.ac, random_hermitian(rng, 16))
+    ia = builtin_models("random", {"sites": 6, "range": 2, "strength": 2.0, "seed": 0})
+    check_lemmas(Chain(ia), regions, x)
+    everything = tuple(range(6))
+    assert sorted(seen) == sorted((everything, part) for part in (regions.ac, regions.a, regions.b))
 
 
 def test_constants_used_reproduce_k0_closed_form():
