@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import BudgetError, GeometryError
 from .linalg import (
+    HERMITICITY_BLOCK,
     LocalOperator,
     embed,
     op_norm,
@@ -44,6 +45,107 @@ def _state(support: tuple[int, ...], m: np.ndarray, local_dim: int) -> LocalOper
 def from_spectrum(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     """V diag(f) V^dag: the one place a function of a spectrum is formed."""
     return (v * f) @ v.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Block spectra from exact structure
+# ---------------------------------------------------------------------------
+
+def _components(h: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern of h, where i and j are
+    linked if h[i, j] or h[j, i] is nonzero: ascending index arrays, ordered
+    by their least index."""
+    link = h != 0
+    n, b = len(h), HERMITICITY_BLOCK
+    for i in range(0, n, b):  # link |= link.T, block by block, so each block is read from cache
+        for j in range(i, n, b):
+            either = link[i:i + b, j:j + b] | link[j:j + b, i:i + b].T
+            link[i:i + b, j:j + b], link[j:j + b, i:i + b] = either, either.T
+    link.flat[::n + 1] = False
+    root = np.where(link.any(axis=1), -1, np.arange(n))  # a lone index is its own root
+    unseen = np.flatnonzero(root < 0)
+    while unseen.size:  # breadth-first from the least index not yet reached
+        start = frontier = unseen[:1]
+        while frontier.size:
+            root[frontier] = start
+            frontier = np.flatnonzero(link[frontier].any(axis=0) & (root < 0))
+        unseen = np.flatnonzero(root < 0)
+    if not root.any():
+        return [np.arange(n)]
+    order = np.argsort(root, kind="stable")
+    _, first = np.unique(root[order], return_index=True)
+    return np.split(order, first[1:])
+
+
+def _pieces(h: np.ndarray) -> list[tuple] | None:
+    """Split a Hermitian h into independent pieces by two exact symmetries.
+
+    Each connected component c of h's nonzero pattern is a block h[c, c], and
+    blocks of equal size are stacked.  A block that the global flip
+    i -> N-1-i maps onto itself, with b == b[::-1, ::-1], folds into the two
+    Hermitian halves b00 + s b01 J, s = +1 then -1 (J reverses the columns):
+    if (b00 + s b01 J) u = w u, then [u; s J u] / sqrt 2 is an eigenvector of
+    b.  A piece is (matrices (k, m, m), rows (k, m), mirror rows (k, m) or
+    None): eigenvector j of matrix i has the entries u[:, j] at rows[i] and,
+    for a fold, s u[:, j] at mirror[i], each over sqrt 2.  None if h is one
+    block with no fold.
+    """
+    n = len(h)
+    comps = _components(h)
+    pieces, by_size = [], {}
+    for c in comps:
+        if len(c) % 2 == 0 and np.array_equal(c, n - 1 - c[::-1]):
+            b = h if len(c) == n else h[np.ix_(c, c)]
+            # b == b[::-1, ::-1]; its first row first, so most b fail in O(side)
+            if np.array_equal(b[0], b[-1, ::-1]) and np.array_equal(b, b[::-1, ::-1]):
+                m = len(c) // 2
+                b00, b01_j = b[:m, :m], b[:m, m:][:, ::-1]
+                halves = np.empty((2, m, m), h.dtype)
+                np.add(b00, b01_j, out=halves[0])
+                np.subtract(b00, b01_j, out=halves[1])
+                top, mirror = c[:m], c[m:][::-1]
+                pieces.append((halves, np.stack([top, top]), np.stack([mirror, mirror])))
+                continue
+        by_size.setdefault(len(c), []).append(c)
+    if len(comps) == 1 and not pieces:
+        return None
+    for cs in by_size.values():
+        rows = np.stack(cs)
+        pieces.append((h[rows[:, :, None], rows[:, None, :]], rows, None))
+    return pieces
+
+
+def _merge(pieces: list[tuple], n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of the matrix that `pieces` split: every piece solved (a 1 x 1
+    matrix needs no solve) and dropped, the eigenvalues merged in ascending
+    order, and each eigenvector scattered into its sorted column of one V."""
+    spectra = []
+    while pieces:
+        mats, rows, mirror = pieces.pop(0)
+        if mats.shape[-1] == 1:
+            w, u = mats[:, 0, :].real, np.ones_like(mats)
+        else:
+            w, u = np.linalg.eigh(mats)
+        del mats
+        spectra.append((w.ravel(), u, rows, mirror))
+    w = np.concatenate([s[0] for s in spectra])
+    order = np.argsort(w, kind="stable")
+    col = np.empty(n, dtype=np.intp)
+    col[order] = np.arange(n)
+    v = np.zeros((n, n), dtype)
+    start = 0
+    while spectra:
+        _, u, rows, mirror = spectra.pop(0)
+        k, m = rows.shape
+        cols = col[start:start + k * m].reshape(k, 1, m)
+        start += k * m
+        if mirror is not None:
+            u *= np.sqrt(0.5)
+        v[rows[:, :, None], cols] = u
+        if mirror is not None:
+            u[1] *= -1
+            v[mirror[:, :, None], cols] = u
+    return w[order], v
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +198,12 @@ class Chain:
         return self._memo[key]
 
     def spectrum(self, region: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors of H_R; H_R itself is not kept."""
+        """Eigenvalues (ascending) and eigenvectors of H_R; H_R itself is not kept.
+
+        H_R is solved by the blocks its exact structure gives (see `_pieces`),
+        freed before the block solves; a matrix with no such structure goes to
+        one `np.linalg.eigh`.
+        """
         region = _region(region)
 
         def build():
@@ -106,7 +213,13 @@ class Chain:
             h = hamiltonian(self.ia, region)
             if not h.is_hermitian():
                 raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
-            return np.linalg.eigh(h.matrix)
+            h = h.matrix
+            pieces = _pieces(h)
+            if pieces is None:
+                return np.linalg.eigh(h)
+            n, dtype = len(h), h.dtype
+            del h
+            return _merge(pieces, n, dtype)
 
         return self.cached(("eigh", region), build)
 

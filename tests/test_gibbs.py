@@ -1,6 +1,10 @@
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +35,10 @@ from chainsep import (
     partial_trace,
     relative_entropy,
 )
-from chainsep.gibbs import DEFAULT_BUDGET, _crossing_norm
+from chainsep.gibbs import DEFAULT_BUDGET, _components, _crossing_norm
 from chainsep.model import PAULI_Z
 
-from helpers import random_state
+from helpers import matrix_digest, random_hermitian, random_state, record_eigh
 
 
 def _rand_ia(seed, sites=6, rng=2, strength=2.0):
@@ -159,6 +163,142 @@ def test_marginal_checks_the_normalization():
         marginal(bad, (0, 5))
     with pytest.raises(RuntimeError):
         bad.rho
+
+
+# ---------------------------------------------------------------------------
+# Block spectra: Chain.spectrum solves by exact structural blocks and folds
+# the global spin flip
+# ---------------------------------------------------------------------------
+
+SYMMETRIC_MODELS = {
+    "tfi": ("tfi", {"sites": 8}),
+    "xxz": ("xxz", {"sites": 8, "jz": 0.5}),
+    "classical_ising": ("classical_ising", {"sites": 8}),
+    "classical_ising-field": ("classical_ising", {"sites": 8, "field": 0.5}),
+}
+
+
+def _check_spectrum(h, w, v):
+    """(w, V) against a fresh eigvalsh of h, and as a decomposition of h."""
+    scale = max(1.0, float(np.abs(w).max()))
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+    assert np.linalg.norm(h @ v - v * w) <= 1e-12 * scale
+    assert np.linalg.norm(v.conj().T @ v - np.eye(len(w))) <= 1e-12
+
+
+@pytest.mark.parametrize("model", sorted(SYMMETRIC_MODELS))
+def test_block_spectrum_matches_the_full_solve(model, monkeypatch):
+    ia = builtin_models(*SYMMETRIC_MODELS[model])
+    n = len(ia.sites)
+    h = hamiltonian(ia, range(n)).matrix
+    inputs = record_eigh(monkeypatch)
+    w, v = Chain(ia).spectrum(range(n))
+    assert all(shape[-1] < 2**n for shape, _, _ in inputs)  # no full solve
+    assert v.dtype == h.dtype
+    _check_spectrum(h, w, v)
+
+
+def test_block_spectrum_solves_only_the_blocks(monkeypatch):
+    inputs = record_eigh(monkeypatch)
+    for params in ({"sites": 10}, {"sites": 10, "field": 0.5}):
+        ia = builtin_models("classical_ising", params)
+        w, v = Chain(ia).spectrum(range(10))
+        assert np.array_equal(np.abs(v), np.abs(v) > 0)  # a permutation
+    assert inputs == []  # a diagonal H has only 1 x 1 blocks
+    Chain(builtin_models("tfi", {"sites": 10})).spectrum(range(10))
+    # one component, folded by the flip into two stacked halves
+    assert [shape for shape, _, _ in inputs] == [(2, 2**9, 2**9)]
+
+
+def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
+    # a longitudinal field on one site breaks the flip: one full solve
+    ia = builtin_models("tfi", {"sites": 6})
+    terms = dict(ia.terms)
+    terms[(2,)] = terms[(2,)] + 0.3 * PAULI_Z
+    ia = Interaction(2, ia.sites, terms, 1)
+    h = hamiltonian(ia, range(6)).matrix
+    inputs = record_eigh(monkeypatch)
+    w, v = Chain(ia).spectrum(range(6))
+    assert inputs == [matrix_digest(h)]
+    _check_spectrum(h, w, v)
+
+    # one stray off-diagonal pair joins two 1 x 1 blocks of a diagonal H
+    ia = builtin_models("classical_ising", {"sites": 4, "field": 0.5})
+    stray = hamiltonian(ia, range(4)).matrix.copy()
+    stray[1, 6] = stray[6, 1] = 0.25
+    gibbs_module = importlib.import_module("chainsep.gibbs")
+    monkeypatch.setattr(
+        gibbs_module, "hamiltonian", lambda ia, r: LocalOperator(r, stray.copy())
+    )
+    w, v = Chain(ia).spectrum(range(4))
+    assert [shape for shape, _, _ in inputs[1:]] == [(1, 2, 2)]
+    _check_spectrum(stray, w, v)
+
+    # between two S_z sectors of xxz, it merges them
+    h = hamiltonian(builtin_models("xxz", {"sites": 4, "jz": 0.5}), range(4)).matrix.copy()
+    assert len(_components(h)) == 5
+    h[0b0001, 0b0111] = h[0b0111, 0b0001] = 0.25
+    assert len(_components(h)) == 4
+
+
+def test_block_spectrum_folds_a_complex_matrix(monkeypatch):
+    """A dense complex Hermitian H with H == H[::-1, ::-1] is one block and folds."""
+    a = random_hermitian(np.random.default_rng(7), 32)
+    h = a + a[::-1, ::-1]
+    monkeypatch.setattr(
+        importlib.import_module("chainsep.gibbs"), "hamiltonian",
+        lambda ia, r: LocalOperator(r, h.copy()),
+    )
+    inputs = record_eigh(monkeypatch)
+    w, v = Chain(builtin_models("zero", {"sites": 5})).spectrum(range(5))
+    assert [shape for shape, _, _ in inputs] == [(2, 16, 16)]
+    assert v.dtype == complex
+    _check_spectrum(h, w, v)
+
+
+@pytest.mark.parametrize("params", [
+    {"sites": 7, "range": 2, "strength": 1.5, "seed": 1},
+    {"sites": 5, "range": 1, "strength": 2.0, "seed": 5, "local_dim": 3},
+])
+def test_block_spectrum_leaves_random_models_on_the_full_solve(params):
+    ia = builtin_models("random", params)
+    n = len(ia.sites)
+    w, v = Chain(ia).spectrum(range(n))
+    w_ref, v_ref = np.linalg.eigh(hamiltonian(ia, range(n)).matrix)
+    assert matrix_digest(w) == matrix_digest(w_ref)
+    assert matrix_digest(v) == matrix_digest(v_ref)
+
+
+SPECTRUM_PEAK = """
+from chainsep import Chain, builtin_models
+
+def peak():  # VmHWM, in KiB: the peak RSS of this process since its exec
+    return next(int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmHWM"))
+
+ia = builtin_models("tfi", {"sites": 11})
+before = peak()
+Chain(ia).spectrum(range(11))
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_block_spectrum_peak_memory():
+    """The n = 2048 spectrum of tfi peaks at most 3 n^2 doubles above the
+    process before it, the result (w, V) included.  A full eigh with H still
+    alive peaks at about 5 n^2: H, its copy, V and LAPACK's 2 n^2 workspace.
+    (ru_maxrss of a child starts at the RSS of the process that forked it, so
+    a large test process would hide the growth; VmHWM starts afresh.)"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", SPECTRUM_PEAK], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    grown = int(proc.stdout) * 1024
+    assert grown <= 3 * 2048**2 * 8, grown
 
 
 def _crossing_norm_oracle(ia, a, b):
