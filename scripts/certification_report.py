@@ -34,19 +34,16 @@ def main() -> int:
     print(f"geometry: |A|={args.na} |B|={args.nb} |C|={args.nc}")
     print(f"verdict: {rep.verdict}  (attempted k0: {list(rep.attempted_k0)})")
     print(f"k0={rep.k0}  gamma={rep.gamma_k0:.6e}  Z-ratio={rep.z_ratio:.6e}")
-    print(f"identity mass C = {rep.constants_used['C']:.6e}, "
-          f"g_emp = {rep.constants_used['g_emp']:.6g}")
+    print(f"identity mass C = {rep.z_ratio * rep.gamma_k0:.6e}")
     print(f"reconstruction rel err: {rep.reconstruction_rel_err:.3e}")
     print(f"negativity cross-check: {rep.negativity_cross_check:.3e}")
-    print(f"closed-form k0 (comparison only): {rep.k0_closed_form:.3g}")
     core = rep.core
     print(f"core: ||Delta||={core.delta_norm:.3e}  "
           f"ball ratio {core.ball_ratio:.3e} vs threshold {core.ball_threshold:.3e}"
           f"  -> {'ok' if core.ball_ok else 'too large'}")
     for chk in rep.per_k:
         print(f"  k={chk.k}: tail norm {chk.tail_norm:.3e}, budget "
-              f"{chk.identity_budget:.3e}, ball margin {chk.ball_margin:+.3e}, "
-              f"factorial bound {chk.factorial_bound:.3e}")
+              f"{chk.identity_budget:.3e}, ball margin {chk.ball_margin:+.3e}")
     return 0 if rep.verdict == "SeparableByConstruction" else 1
 
 

@@ -53,6 +53,7 @@ from .expansionals import (
     expansional,
     factorial_decay_bound,
     marginal_inverse_norm,
+    tail_norm_bound,
     truncated_expansional,
 )
 from .separability import (
@@ -68,7 +69,6 @@ from .separability import (
     decompose_truncated_marginal,
     exact_sep_test,
     negativity,
-    tail_norm_bound,
     tail_term,
     telescope_verify,
     validate_decomposition,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ChainsepError, ConfigError
-from .expansionals import check_lemmas, covering_bound, estimate_uniform_bound
+from .expansionals import check_lemmas, covering_bound, estimate_uniform_bound, tail_norm_bound
 from .gibbs import Chain, factorization_error, mutual_information
 from .linalg import LocalOperator
 from .model import ModelSpec, RegionsABC
@@ -29,7 +29,6 @@ from .separability import (
     certify_marginal,
     negativity,
     ppt_is_exact,
-    tail_norm_bound,
     tail_term,
 )
 
@@ -361,7 +360,9 @@ def cmd_scan_decay(cfg: dict, out: Path) -> int:
     spec = _model_spec(cfg)
     budget = cfg["budget"]
     geo = _geometry(cfg)
-    na, nc = geo["a"][0], geo["c"][0]
+    if len(geo["a"]) > 1 or len(geo["c"]) > 1:
+        raise ConfigError("scan-decay scans |B| only: geometry 'a' and 'c' take one size each")
+    (na,), (nc,) = geo["a"], geo["c"]
     k_lo, k_hi = cfg["k_range"]
 
     # tail-term scan at the largest gap in the grid

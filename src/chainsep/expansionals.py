@@ -5,8 +5,8 @@ E(s) = exp(-s H_{XY}) exp(s(H_X + H_Y)); its norm stays bounded uniformly
 in the interval sizes, and truncating the intervals changes it
 superexponentially little.  This module computes these operators, their
 k-truncations around the middle region, an empirical uniform-norm
-constant, the partial-trace contraction check, and the per-instance lemma
-suite built on them.
+constant and the proof's factorial bounds built on it, the partial-trace
+contraction check, and the per-instance lemma suite.
 """
 from __future__ import annotations
 
@@ -31,15 +31,13 @@ from .model import Interaction, RegionsABC, k_neighborhood
 
 @dataclass(frozen=True, eq=False)
 class ExpansionalReport:
-    """Both norms of E(s).  E (`e`) and E^{-1} (`e_inv`) are formed on first
-    read from `factors`, the Chain's (e^{-tw}, V) of H_XY, (e^{tw}, V) of H_X
-    and H_Y, at t = s and -s: arrays, not the Chain, so there is no cycle."""
+    """E(s) held as `factors`, the Chain's (e^{-tw}, V) of H_XY, (e^{tw}, V) of
+    H_X and H_Y, at t = s and -s: arrays, not the Chain, so there is no cycle.
+    E (`e`), E^{-1} (`e_inv`) and their norms are each computed on first read."""
 
     s: complex
     x: tuple[int, ...]
     y: tuple[int, ...]
-    norm_e: float
-    norm_e_inv: float
     factors: tuple = field(repr=False)
     local_dim: int
 
@@ -51,6 +49,35 @@ class ExpansionalReport:
 
     e = cached_property(lambda self: self._form(False))
     e_inv = cached_property(lambda self: self._form(True))
+
+    @cached_property
+    def _norms(self) -> tuple[float, float]:
+        """(||E||, ||E^{-1}||) from the spectra, with no SVD and E never formed.
+
+        For H_XY = V diag(w) V^dag and H_X + H_Y = W diag(w_0) W^dag,
+        W = V_X (x) V_Y, A = diag(e^{-sw}) V^dag W diag(e^{s w_0}) has the
+        singular values of E at any complex s, so one eigvalsh of A A^dag gives
+        ||E|| = sqrt(lambda_max) and ||E^{-1}|| = 1/sqrt(lambda_min).
+        lambda_min is off by about eps n lambda_max, so if lambda_min <= 0 or
+        eps n lambda_max / lambda_min > 1e-10, ||E^{-1}|| = sqrt(lambda_max(B B^dag))
+        instead, for E^{-1} in the same bases, B = diag(e^{-s w_0}) W^dag V diag(e^{sw}).
+        """
+        ((f, v), (fx, vx), (fy, vy)), ((f_inv, _), (fx_inv, _), (fy_inv, _)) = self.factors
+        u = v.conj().T @ np.kron(vx, vy)
+
+        def gram_eigvals(left, m, right):  # of G G^dag, G = diag(left) m diag(right)
+            g = left[:, None] * m * right
+            return np.linalg.eigvalsh(g @ g.conj().T)
+        lam = gram_eigvals(f, u, np.kron(fx, fy))
+        if np.finfo(float).eps * len(f) * lam[-1] <= 1e-10 * lam[0]:
+            norm_e_inv = 1.0 / math.sqrt(lam[0])
+        else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
+            b_inv = np.kron(fx_inv, fy_inv)
+            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, f_inv)[-1])
+        return math.sqrt(lam[-1]), norm_e_inv
+
+    norm_e = property(lambda self: self._norms[0])
+    norm_e_inv = property(lambda self: self._norms[1])
 
 
 def _as_interval(part: Sequence[int], name: str) -> tuple[int, ...]:
@@ -68,17 +95,8 @@ def expansional(
     y: Sequence[int],
     s: complex,
 ) -> ExpansionalReport:
-    """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y.
-
-    Built once per Chain from its spectra, with no SVD and E never formed.  For
-    H_XY = V diag(w) V^dag and H_X + H_Y = W diag(w_0) W^dag, W = V_X (x) V_Y,
-    A = diag(e^{-sw}) V^dag W diag(e^{s w_0}) has the singular values of E at
-    any complex s, so one eigvalsh of A A^dag gives ||E|| = sqrt(lambda_max)
-    and ||E^{-1}|| = 1/sqrt(lambda_min).  lambda_min is off by about
-    eps n lambda_max, so if lambda_min <= 0 or eps n lambda_max / lambda_min
-    > 1e-10, ||E^{-1}|| = sqrt(lambda_max(B B^dag)) instead, for E^{-1} in the
-    same bases, B = diag(e^{-s w_0}) W^dag V diag(e^{sw}).
-    """
+    """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y, built
+    once per Chain from its six spectral factors; E and its norms wait for a read."""
     chain = Chain.of(system)
     x = _as_interval(x, "X")
     y = _as_interval(y, "Y")
@@ -90,20 +108,7 @@ def expansional(
     def build():
         factors = tuple(tuple(chain.exp_spectrum(r, c) for r, c in ((x + y, -t), (x, t), (y, t)))
                         for t in (s, -s))
-        ((f, v), (fx, vx), (fy, vy)), ((f_inv, _), (fx_inv, _), (fy_inv, _)) = factors
-        u = v.conj().T @ np.kron(vx, vy)
-
-        def gram_eigvals(left, m, right):  # of G G^dag, G = diag(left) m diag(right)
-            g = left[:, None] * m * right
-            return np.linalg.eigvalsh(g @ g.conj().T)
-        lam = gram_eigvals(f, u, np.kron(fx, fy))
-        if np.finfo(float).eps * len(f) * lam[-1] <= 1e-10 * lam[0]:
-            norm_e_inv = 1.0 / math.sqrt(lam[0])
-        else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
-            b_inv = np.kron(fx_inv, fy_inv)
-            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, f_inv)[-1])
-        norm_e = math.sqrt(lam[-1])
-        return ExpansionalReport(s, x, y, norm_e, norm_e_inv, factors, chain.ia.local_dim)
+        return ExpansionalReport(s, x, y, factors, chain.ia.local_dim)
 
     return chain.cached(("expansional", x, y, s), build)
 
@@ -217,6 +222,11 @@ def factorial_decay_bound(g_emp: float, ell: int, r: int) -> float:
     """g^ell / (floor(ell/r)+1)!, the superexponential truncation bound."""
     reff = max(r, 1)
     return g_emp**ell / math.factorial(ell // reff + 1)
+
+
+def tail_norm_bound(g_emp: float, k: int, r: int) -> float:
+    """4 g^3 g^k / (floor(k/r)+1)!, the proof's tail norm budget."""
+    return 4.0 * g_emp**3 * factorial_decay_bound(g_emp, k, r)
 
 
 @dataclass(frozen=True)

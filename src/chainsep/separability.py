@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
-from .expansionals import _truncated_or_identity, covering_bound, factorial_decay_bound
+from .expansionals import _truncated_or_identity
 from .gibbs import Chain, from_spectrum
 from .linalg import (
     LocalOperator,
@@ -353,11 +353,6 @@ def tail_term(
     return chain.cached(("tail", regions, k), build)
 
 
-def tail_norm_bound(g_emp: float, k: int, r: int) -> float:
-    """4 g^3 g^k / (floor(k/r)+1)!, the proof's tail norm budget."""
-    return 4.0 * g_emp**3 * factorial_decay_bound(g_emp, k, r)
-
-
 @dataclass(frozen=True, eq=False)
 class _Telescope:
     """Both sides of the telescoping identity at radius k0, on A u C.
@@ -440,7 +435,6 @@ class TailCheck:
     tail_norm: float
     identity_budget: float
     ball_margin: float
-    factorial_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,19 +445,14 @@ class DecompositionReport:
     z_ratio: float
     reconstruction_rel_err: float
     per_k: tuple[TailCheck, ...]
-    constants_used: dict
     core: CoreDecomposition
     negativity_cross_check: float
-    k0_closed_form: float
     attempted_k0: tuple[int, ...] = ()
 
 
 def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> DecompositionReport:
     d = chain.ia.local_dim
-    r = chain.ia.interaction_range
-    kmax = max(len(regions.a), len(regions.c))
     core = decompose_truncated_marginal(chain, regions, k0)
-    g_emp = covering_bound(chain, regions, range(k0, kmax + 2), TELESCOPE_S)
     tel = _telescope(chain, regions, k0)
     identity_mass = tel.z_ratio * core.gamma
 
@@ -473,9 +462,7 @@ def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> Decompos
         dim_a = d ** min(t.k + 1, len(regions.a))
         dim_c = d ** min(t.k + 1, len(regions.c))
         margin = budget_k * ball_radius(dim_a, dim_c) - t.norm
-        per_k.append(
-            TailCheck(t.k, t.norm, budget_k, margin, tail_norm_bound(g_emp, t.k, r))
-        )
+        per_k.append(TailCheck(t.k, t.norm, budget_k, margin))
     rel_err = _rel_err(tel.plus_tails(tel.closed_form), tel.lhs)
 
     ok = (
@@ -486,21 +473,6 @@ def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> Decompos
     )
     neg = negativity(chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
 
-    # comparison-only closed form of k0; the feasibility search is authoritative
-    constants = {
-        "C": identity_mass,
-        "alpha": math.log(2.0),
-        "C_prime": max(1.0, 8.0 * d * g_emp**3 / max(identity_mass, 1e-300)),
-        "alpha_prime": math.log(2.0 * g_emp * d),
-        "g_emp": g_emp,
-        "gamma_k0": core.gamma,
-        "z_ratio": tel.z_ratio,
-    }
-    reff = max(r, 1)
-    k0_closed = reff * math.e * math.exp(
-        reff
-        * (math.log(constants["C_prime"]) + constants["alpha"] + constants["alpha_prime"])
-    )
     return DecompositionReport(
         verdict=VERDICT_SEPARABLE if ok else VERDICT_UNDETERMINED,
         k0=k0,
@@ -508,10 +480,8 @@ def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> Decompos
         z_ratio=tel.z_ratio,
         reconstruction_rel_err=rel_err,
         per_k=tuple(per_k),
-        constants_used=constants,
         core=core,
         negativity_cross_check=neg.negativity,
-        k0_closed_form=k0_closed,
     )
 
 

@@ -267,14 +267,29 @@ def test_ill_conditioned_inverse_norm_takes_the_inverse_gram(monkeypatch):
     chain = Chain(ia)
     calls = record_solver(monkeypatch, "eigvalsh")
     rep = expansional(chain, x, y, 1.0)
-    assert len(calls) == 2
+    assert calls == []  # the norms are computed at their first read
     want = np.linalg.svd(e_inv, compute_uv=False)[0]
     assert abs(rep.norm_e_inv - want) <= 1e-10 * want
+    assert len(calls) == 2
     assert abs(rep.norm_e - sv[0]) <= 1e-10 * sv[0]
+    assert len(calls) == 2
     # well conditioned: the one eigvalsh of A A^dag gives both norms
     calls.clear()
-    expansional(chain, x, y, 0.25)
+    rep = expansional(chain, x, y, 0.25)
+    assert rep.norm_e > 0 and rep.norm_e_inv > 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("s", [0.5, -1.0, 0.3 + 0.4j])
+def test_building_an_expansional_solves_nothing(monkeypatch, s):
+    chain = Chain(builtin_models("random", {"sites": 6, "range": 2, "seed": 3}))
+    for region in ((0, 1, 2, 3, 4, 5), (0, 1, 2), (3, 4, 5)):
+        chain.spectrum(region)
+    calls = [record_solver(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
+    rep = expansional(chain, (0, 1, 2), (3, 4, 5), s)
+    assert calls == [[], [], []]
+    assert rep.e.dim == 64 and calls == [[], [], []]
+    assert rep.norm_e > 0 and calls[1]
 
 
 def test_certify_and_lemmas_call_no_svd(monkeypatch):

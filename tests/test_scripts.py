@@ -32,7 +32,7 @@ def test_certification_report():
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert "verdict: Undetermined" in lines[2]
-    # eight summary lines, the core line, and no per-radius rows, as
+    # seven summary lines, the core line, and no per-radius rows, as
     # max(|A|, |C|) = 1 leaves no tail terms
-    assert len(lines) == 9
+    assert len(lines) == 8
     assert not [l for l in lines if l.lstrip().startswith("k=")]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chainsep import (
     BudgetError,
     Chain,
+    ExpansionalReport,
     GeometryError,
     LocalOperator,
     RegionsABC,
@@ -33,6 +34,7 @@ from chainsep import (
     validate_decomposition,
 )
 from chainsep.expansionals import _truncated_or_identity
+from chainsep.gibbs import _region
 from chainsep.model import k_neighborhood
 from chainsep.separability import (
     FACTOR_PSD_TOL,
@@ -284,16 +286,51 @@ def test_each_marginal_is_formed_once_per_chain(monkeypatch):
     assert sorted(seen) == sorted((everything, part) for part in (regions.ac, regions.a, regions.b))
 
 
-def test_constants_used_reproduce_k0_closed_form():
+def test_certify_solves_only_the_regions_its_verdict_reads(monkeypatch):
+    """At 1|6|1, k0 = 1 leaves no tails: the core and the telescope need the
+    spectra of A, C, B and the whole chain, and no interface operator."""
+    solved = []
+    spectrum = Chain.spectrum
+
+    def recording(self, region):
+        solved.append(_region(region))
+        return spectrum(self, region)
+
+    monkeypatch.setattr(Chain, "spectrum", recording)
+    regions = RegionsABC.from_sizes(1, 6, 1)
+    rep = certify_marginal(builtin_models("tfi", {"sites": 8}), regions)
+    assert rep.verdict == VERDICT_SEPARABLE and rep.attempted_k0 == (1,)
+    assert set(solved) == {regions.a, regions.c, regions.b, regions.all_sites}
+
+
+def test_certify_reads_no_interface_operator_norm(monkeypatch):
+    """The tails form E, but no verdict reads ||E|| or ||E^{-1}||."""
+
+    def unread(self):
+        raise AssertionError("an interface-operator norm was read")
+
+    for name in ("norm_e", "norm_e_inv"):
+        monkeypatch.setattr(ExpansionalReport, name, property(unread), raising=False)
     ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1})
-    rep = certify_marginal(ia, RegionsABC.from_sizes(2, 3, 2))
-    c = rep.constants_used
-    d, r = ia.local_dim, ia.interaction_range
-    assert c["alpha"] == pytest.approx(math.log(2.0), rel=1e-15)
-    assert c["alpha_prime"] == pytest.approx(math.log(2.0 * c["g_emp"] * d), rel=1e-15)
-    assert c["C_prime"] == pytest.approx(max(1.0, 8.0 * d * c["g_emp"] ** 3 / c["C"]), rel=1e-15)
-    k0 = r * math.e * math.exp(r * (math.log(c["C_prime"]) + c["alpha"] + c["alpha_prime"]))
-    assert rep.k0_closed_form == pytest.approx(k0, rel=1e-12)
+    chain = Chain(ia)
+    rep = certify_marginal(chain, RegionsABC.from_sizes(2, 3, 2))
+    assert rep.attempted_k0 == (1, 2)  # the k0 = 1 attempt has a tail, so E was formed
+    formed = [v for v in chain._memo.values() if isinstance(v, ExpansionalReport)]
+    assert formed and all("e" in vars(r) for r in formed)
+    with pytest.raises(AssertionError, match="norm was read"):
+        formed[0].norm_e
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certify_where_the_interface_gram_overflows():
+    """tfi at coupling 80 on 1|8|1: the Gram behind ||E|| overflows there,
+    and certify, which reads no norm, never forms it."""
+    ia = builtin_models("tfi", {"sites": 10, "coupling": 80.0})
+    rep = certify_marginal(ia, RegionsABC.from_sizes(1, 8, 1))
+    assert rep.verdict == VERDICT_UNDETERMINED
+    assert math.isfinite(rep.z_ratio)
+    assert rep.negativity_cross_check == 0.0
+    assert rep.reconstruction_rel_err == 0.0
 
 
 def test_public_functions_accept_a_chain():
