@@ -10,7 +10,7 @@ Usage:
 """
 import argparse
 
-from chainsep import RegionsABC, builtin_models, certify_marginal
+from chainsep import RegionsABC, ball_radius, builtin_models, certify_marginal
 
 
 def main() -> int:
@@ -38,8 +38,10 @@ def main() -> int:
     print(f"reconstruction rel err: {rep.reconstruction_rel_err:.3e}")
     print(f"negativity cross-check: {rep.negativity_cross_check:.3e}")
     core = rep.core
+    d = ia.local_dim
+    threshold = ball_radius(d ** len(core.cut[0]), d ** len(core.cut[1]))
     print(f"core: ||Delta||={core.delta_norm:.3e}  "
-          f"ball ratio {core.ball_ratio:.3e} vs threshold {core.ball_threshold:.3e}"
+          f"ball ratio {core.delta_norm / core.gamma:.3e} vs threshold {threshold:.3e}"
           f"  -> {'ok' if core.ball_ok else 'too large'}")
     for chk in rep.per_k:
         print(f"  k={chk.k}: tail norm {chk.tail_norm:.3e}, budget "

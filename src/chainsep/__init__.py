@@ -14,6 +14,7 @@ from .linalg import (
     herm_fn,
     identity,
     is_psd,
+    kron,
     min_eig,
     op_norm,
     partial_trace,
@@ -60,7 +61,6 @@ from .separability import (
     Certificate,
     CoreDecomposition,
     DecompositionReport,
-    SeparableDecomposition,
     VERDICT_ENTANGLED,
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
@@ -71,7 +71,6 @@ from .separability import (
     negativity,
     tail_term,
     telescope_verify,
-    validate_decomposition,
 )
 
 __version__ = "0.1.0"

@@ -303,10 +303,11 @@ def marginal_inverse_norm(
 
     The uniform constant is measured on this instance from the two
     expansionals at s = -1/2 that appear in the derivation of the bound.
+    Both sides are compared as logs, so neither may overflow and pass; if
+    min eig(rho_B) <= 0, the check fails and reports inv_norm = inf.
     """
     chain = Chain.of(system)
-    rho_b = chain.marginal(regions.all_sites, regions.b)
-    inv_norm = 1.0 / min_eig(rho_b)
+    m = min_eig(chain.marginal(regions.all_sites, regions.b))
 
     rep_ab = expansional(chain, regions.a, regions.b, -0.5)
     rep_abc = expansional(chain, regions.a + regions.b, regions.c, -0.5)
@@ -315,8 +316,11 @@ def marginal_inverse_norm(
     )
     ia = chain.ia
     d, j, r = ia.local_dim, ia.strength, ia.interaction_range
-    bound = g_emp**4 * np.exp(2 * r * j) * np.exp((2 * j + np.log(d)) * len(regions.b))
-    return MarginalFloorReport(inv_norm, float(bound), g_emp, inv_norm <= bound * (1 + 1e-9))
+    log_bound = 4 * math.log(g_emp) + 2 * r * j + (2 * j + math.log(d)) * len(regions.b)
+    ok = m > 0 and -math.log(m) <= log_bound + math.log1p(1e-9)
+    with np.errstate(over="ignore"):  # a bound beyond the float range is reported as inf
+        bound = float(np.exp(log_bound))
+    return MarginalFloorReport(1.0 / m if m > 0 else math.inf, bound, g_emp, ok)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from .linalg import (
     HERMITICITY_BLOCK,
     LocalOperator,
     embed,
+    kron,
     op_norm,
     partial_trace,
     trace_norm,
@@ -237,16 +238,6 @@ class Chain:
         m = from_spectrum(*self.exp_spectrum(region, t))
         return LocalOperator(_region(region), m, self.ia.local_dim)
 
-    def split_exp(self, x: Sequence[int], y: Sequence[int], t: complex) -> LocalOperator:
-        """e^{t(H_X + H_Y)} = e^{tH_X} (x) e^{tH_Y} for X entirely left of Y,
-        from the two small spectra instead of one on X u Y."""
-        ex, ey = self.exp(x, t), self.exp(y, t)
-        if ex.support[-1] >= ey.support[0]:
-            raise GeometryError(f"{ex.support} must lie entirely left of {ey.support}")
-        return LocalOperator(
-            ex.support + ey.support, np.kron(ex.matrix, ey.matrix), self.ia.local_dim
-        )
-
     def log_partition_function(self, region: Sequence[int]) -> float:
         """log Tr e^{-H_R} = -w_min + log sum e^{-(w - w_min)}, finite at any coupling."""
         w = self.spectrum(region)[0]
@@ -415,5 +406,5 @@ def factorization_error(
     rho_ac = Chain.of(system).marginal(regions.all_sites, regions.ac)
     rho_a = partial_trace(rho_ac, regions.c)
     rho_c = partial_trace(rho_ac, regions.a)
-    diff = rho_ac - (embed(rho_a, regions.ac) @ embed(rho_c, regions.ac))
+    diff = rho_ac - kron(rho_a, rho_c)
     return FactorizationError(op_norm(diff), trace_norm(diff))

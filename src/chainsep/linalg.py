@@ -132,6 +132,16 @@ def embed(op: LocalOperator, target: Sequence[int]) -> LocalOperator:
     return LocalOperator(target, t.reshape(d**n, d**n), d)
 
 
+def kron(x: LocalOperator, y: LocalOperator) -> LocalOperator:
+    """x (x) y for x entirely left of y: one np.kron, where embed(x) @ embed(y)
+    would take a product of the joint size."""
+    if x.local_dim != y.local_dim:
+        raise GeometryError("operators have different local dimensions")
+    if x.support[-1] >= y.support[0]:
+        raise GeometryError(f"{x.support} must lie entirely left of {y.support}")
+    return LocalOperator(x.support + y.support, np.kron(x.matrix, y.matrix), x.local_dim)
+
+
 def partial_trace(op: LocalOperator, drop: Iterable[int]) -> LocalOperator:
     """Trace out the sites in `drop`; the result lives on the remaining sites."""
     drop = tuple(sorted(set(int(s) for s in drop)))

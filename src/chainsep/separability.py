@@ -20,6 +20,7 @@ from .linalg import (
     embed,
     identity,
     is_psd,
+    kron,
     min_eig,
     op_norm,
     partial_trace,
@@ -33,7 +34,6 @@ VERDICT_ENTANGLED = "Entangled"
 VERDICT_UNDETERMINED = "Undetermined"
 
 NEGATIVITY_ZERO_TOL = 1e-12
-FACTOR_PSD_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 # conjugating rho_AC by e^{sH_AC} telescopes into a core term plus tails at
 # s = 1/2 only, so the whole certification pipeline works there
@@ -70,67 +70,13 @@ def negativity(rho: LocalOperator, cut) -> NegativityResult:
 
 
 # ---------------------------------------------------------------------------
-# Separable decompositions and certificates
+# Certificates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class SeparableDecomposition:
-    """Weighted PSD x PSD product terms across a cut, plus an identity part."""
-
-    cut: tuple[tuple[int, ...], tuple[int, ...]]
-    terms: tuple[tuple[float, LocalOperator, LocalOperator], ...]
-    residual_identity_coeff: float = 0.0
-
-    @property
-    def local_dim(self) -> int:
-        return self.terms[0][1].local_dim if self.terms else 2
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.cut[0]) | set(self.cut[1])))
-
-    def reconstruct(self) -> LocalOperator:
-        full = self.support
-        d = self.local_dim
-        out = self.residual_identity_coeff * identity(full, d)
-        for w, fa, fc in self.terms:
-            out = out + w * (embed(fa, full) @ embed(fc, full))
-        return out
-
 
 def _rel_err(approx: LocalOperator, ref: LocalOperator) -> float:
     """Frobenius ||approx - ref|| / ||ref||, on the support of `approx`."""
     diff = approx.matrix - embed(ref, approx.support).matrix
     return float(np.linalg.norm(diff)) / max(float(np.linalg.norm(ref.matrix)), 1e-300)
-
-
-@dataclass(frozen=True)
-class DecompositionCheck:
-    factors_psd: bool
-    weights_nonnegative: bool
-    term_count_ok: bool
-    reconstruction_rel_err: float | None
-    ok: bool
-
-
-def validate_decomposition(
-    dec: SeparableDecomposition,
-    target: LocalOperator | None = None,
-) -> DecompositionCheck:
-    factors_psd = all(
-        is_psd(f, FACTOR_PSD_TOL) for _, fa, fc in dec.terms for f in (fa, fc)
-    )
-    weights_ok = all(w >= 0 for w, _, _ in dec.terms) and (
-        dec.residual_identity_coeff >= 0
-    )
-    d = dec.local_dim
-    cap = (d ** len(dec.cut[0]) * d ** len(dec.cut[1])) ** 2
-    count_ok = len(dec.terms) + (1 if dec.residual_identity_coeff else 0) <= cap
-    rel_err = None if target is None else _rel_err(dec.reconstruct(), target)
-    ok = factors_psd and weights_ok and count_ok and (
-        rel_err is None or rel_err <= RECONSTRUCTION_TOL
-    )
-    return DecompositionCheck(factors_psd, weights_ok, count_ok, rel_err, ok)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,23 +117,27 @@ def exact_sep_test(rho: LocalOperator, cut) -> Certificate:
 
 @dataclass(frozen=True, eq=False)
 class CoreDecomposition:
-    """Split of e^{H_AC/2} rho_AC e^{H_AC/2} on the k-neighbourhood into
-    separable product terms + identity budget + a small remainder."""
+    """Split of rho~_AC = e^{H_AC/2} rho_AC e^{H_AC/2} on the k-neighbourhood
+    of B, with a = min_eig_a and c = min_eig_c the least eigenvalues of the
+    conjugated one-side marginals rho~_A and rho~_C:
+
+        rho~_AC = F_A (x) F_C + a 1 (x) F_C + c F_A (x) 1 + 2 gamma 1 + Delta,
+
+    F_A = rho~_A - a 1 and F_C = rho~_C - c 1 (both PSD), gamma = a c / 2 and
+    Delta = rho~_AC - rho~_A (x) rho~_C.  The product terms are separable, and
+    so is gamma 1 + Delta when ||Delta|| / gamma is within the ball radius
+    (`ball_ok`).
+    """
 
     k: int
     cut: tuple[tuple[int, ...], tuple[int, ...]]
     gamma: float
     min_eig_a: float
     min_eig_c: float
-    gamma_terms: SeparableDecomposition
-    delta: LocalOperator
     tilde_ac: LocalOperator
+    delta: LocalOperator
     delta_norm: float
-    ball_ratio: float
-    ball_threshold: float
     ball_ok: bool
-    factors_psd: bool
-    reconstruction_rel_err: float
 
 
 def decompose_truncated_marginal(
@@ -215,19 +165,15 @@ def decompose_truncated_marginal(
 
     def build():
         d = chain.ia.local_dim
-        ac = a_clip + c_clip
-        rho_ac = chain.marginal(hood, ac)
-        rho_a = partial_trace(rho_ac, c_clip)
-        rho_c = partial_trace(rho_ac, a_clip)
-
+        rho_ac = chain.marginal(hood, a_clip + c_clip)
         exp_a = chain.exp(a_clip, TELESCOPE_S)
         exp_c = chain.exp(c_clip, TELESCOPE_S)
-        tilde_a = exp_a @ rho_a @ exp_a
-        tilde_c = exp_c @ rho_c @ exp_c
+        tilde_a = exp_a @ partial_trace(rho_ac, c_clip) @ exp_a
+        tilde_c = exp_c @ partial_trace(rho_ac, a_clip) @ exp_c
         # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
-        sandwich = chain.split_exp(a_clip, c_clip, TELESCOPE_S)
+        sandwich = kron(exp_a, exp_c)
         tilde_ac = sandwich @ rho_ac @ sandwich
-        delta = tilde_ac - (embed(tilde_a, ac) @ embed(tilde_c, ac))
+        delta = tilde_ac - kron(tilde_a, tilde_c)
 
         a_min = min_eig(tilde_a)
         c_min = min_eig(tilde_c)
@@ -239,41 +185,16 @@ def decompose_truncated_marginal(
         gamma = a_min * c_min / 2.0
         fa = tilde_a - a_min * identity(a_clip, d)
         fc = tilde_c - c_min * identity(c_clip, d)
-        dec = SeparableDecomposition(
-            (a_clip, c_clip),
-            (
-                (1.0, fa, fc),
-                (a_min, identity(a_clip, d), fc),
-                (c_min, fa, identity(c_clip, d)),
-            ),
-            residual_identity_coeff=gamma,
-        )
-        recon = dec.reconstruct() + gamma * identity(ac, d) + delta
-
-        delta_norm = op_norm(delta)
-        threshold = ball_radius(d ** len(a_clip), d ** len(c_clip))
-        ratio = delta_norm / gamma
-        factors_psd = is_psd(fa) and is_psd(fc)
-        if not factors_psd:
+        if not (is_psd(fa) and is_psd(fc)):
             raise RuntimeError(
                 "shifted factors are not PSD although the shifts equal the "
                 "measured minimal eigenvalues; this indicates a bug"
             )
+        delta_norm = op_norm(delta)
+        radius = ball_radius(d ** len(a_clip), d ** len(c_clip))
         return CoreDecomposition(
-            k=k,
-            cut=(a_clip, c_clip),
-            gamma=gamma,
-            min_eig_a=a_min,
-            min_eig_c=c_min,
-            gamma_terms=dec,
-            delta=delta,
-            tilde_ac=tilde_ac,
-            delta_norm=delta_norm,
-            ball_ratio=ratio,
-            ball_threshold=threshold,
-            ball_ok=ratio <= threshold * (1 + 1e-12),
-            factors_psd=factors_psd,
-            reconstruction_rel_err=_rel_err(recon, tilde_ac),
+            k, (a_clip, c_clip), gamma, a_min, c_min, tilde_ac, delta, delta_norm,
+            ball_ok=delta_norm / gamma <= radius * (1 + 1e-12),
         )
 
     return chain.cached(("core", regions, k), build)
@@ -384,7 +305,7 @@ def _telescope(chain: Chain, regions: RegionsABC, k0: int) -> _Telescope:
                         for r in (k_neighborhood(regions, k0), regions.all_sites))
         core = decompose_truncated_marginal(chain, regions, k0)
         # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
-        sandwich = chain.split_exp(regions.a, regions.c, TELESCOPE_S)
+        sandwich = kron(chain.exp(regions.a, TELESCOPE_S), chain.exp(regions.c, TELESCOPE_S))
         lhs = scale * (sandwich @ chain.marginal(regions.all_sites, regions.ac) @ sandwich)
         return _Telescope(tails, ratio, ratio * embed(core.tilde_ac, regions.ac), lhs)
 
@@ -450,7 +371,9 @@ class DecompositionReport:
     attempted_k0: tuple[int, ...] = ()
 
 
-def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> DecompositionReport:
+def _attempt_certificate(
+    chain: Chain, regions: RegionsABC, k0: int, neg: float
+) -> DecompositionReport:
     d = chain.ia.local_dim
     core = decompose_truncated_marginal(chain, regions, k0)
     tel = _telescope(chain, regions, k0)
@@ -467,11 +390,9 @@ def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> Decompos
 
     ok = (
         core.ball_ok
-        and core.factors_psd
         and all(c.ball_margin >= 0 for c in per_k)
         and rel_err <= RECONSTRUCTION_TOL
     )
-    neg = negativity(chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
 
     return DecompositionReport(
         verdict=VERDICT_SEPARABLE if ok else VERDICT_UNDETERMINED,
@@ -481,7 +402,7 @@ def _attempt_certificate(chain: Chain, regions: RegionsABC, k0: int) -> Decompos
         reconstruction_rel_err=rel_err,
         per_k=tuple(per_k),
         core=core,
-        negativity_cross_check=neg.negativity,
+        negativity_cross_check=neg,
     )
 
 
@@ -502,10 +423,11 @@ def certify_marginal(
         raise GeometryError("|B| must be at least the interaction range")
     kmax = max(len(regions.a), len(regions.c))
     candidates = [k0] if k0 is not None else list(range(1, kmax + 1))
+    neg = negativity(chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
     attempted = []
     report = None
     for cand in candidates:
-        report = _attempt_certificate(chain, regions, cand)
+        report = _attempt_certificate(chain, regions, cand, neg.negativity)
         attempted.append(cand)
         if report.verdict == VERDICT_SEPARABLE:
             break

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from chainsep import (
     identity,
     marginal,
     marginal_inverse_norm,
+    min_eig,
     mutual_information,
     mutual_information_of,
     op_norm,
@@ -446,6 +448,30 @@ def test_marginal_floor_bound():
         rep = marginal_inverse_norm(ia, RegionsABC.from_sizes(2, 2, 2))
         assert rep.ok, (seed, rep)
         assert rep.g_emp >= 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "family, params, geometry, ok",
+    [
+        # min eig(rho_B) rounds below 0 (-7.4e-20 and -5.4e-17): no finite
+        # inverse norm, so the check fails and reports inf
+        ("tfi", {"coupling": 20.0}, (1, 4, 1), False),
+        ("xxz", {"jz": 20.0}, (1, 4, 1), False),
+        # the bound exceeds the float range; compared as logs, it still holds
+        ("tfi", {"coupling": 40.0}, (1, 3, 1), True),
+    ],
+)
+def test_marginal_floor_is_decided_in_the_log_domain(family, params, geometry, ok):
+    ia = builtin_models(family, {"sites": sum(geometry), **params})
+    regions = RegionsABC.from_sizes(*geometry)
+    rep = marginal_inverse_norm(ia, regions)
+    assert rep.ok is ok
+    m = min_eig(Chain(ia).marginal(regions.all_sites, regions.b))
+    if ok:
+        assert m > 0 and rep.inv_norm == 1.0 / m and rep.bound == math.inf
+    else:
+        assert m <= 0 and rep.inv_norm == math.inf and math.isfinite(rep.bound)
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,6 +11,7 @@ from chainsep import (
     herm_fn,
     identity,
     is_psd,
+    kron,
     min_eig,
     op_norm,
     partial_trace,
@@ -64,6 +65,34 @@ def test_embed_trace_scaling():
 def test_embed_requires_subset():
     with pytest.raises(GeometryError):
         embed(LocalOperator((0,), SZ), (1, 2))
+
+
+@pytest.mark.parametrize("x_complex, y_complex", [(False, False), (False, True), (True, False), (True, True)])
+def test_kron_is_the_product_of_embeddings(x_complex, y_complex):
+    rng = np.random.default_rng(4)
+
+    def op(support, is_complex):
+        m = random_hermitian(rng, 2 ** len(support))
+        return LocalOperator(support, m if is_complex else m.real)
+
+    x, y = op((0, 2), x_complex), op((3, 5), y_complex)
+    got = kron(x, y)
+    want = embed(x, got.support) @ embed(y, got.support)
+    assert got.support == (0, 2, 3, 5)
+    assert got.matrix.dtype == want.matrix.dtype
+    if x_complex and y_complex:  # complex products round differently in a matmul
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-15 * np.abs(want.matrix).max()
+    else:
+        assert np.array_equal(got.matrix, want.matrix)
+
+
+def test_kron_needs_x_left_of_y_and_one_local_dim():
+    x, y = LocalOperator((0, 2), np.eye(4)), LocalOperator((2, 3), np.eye(4))
+    for left, right in ((x, y), (y, x), (LocalOperator((4,), SZ), x)):
+        with pytest.raises(GeometryError):
+            kron(left, right)
+    with pytest.raises(GeometryError):
+        kron(LocalOperator((0,), np.eye(3), local_dim=3), LocalOperator((1,), SZ))
 
 
 def test_partial_trace_identity():

@@ -15,7 +15,6 @@ from chainsep import (
     GeometryError,
     LocalOperator,
     RegionsABC,
-    SeparableDecomposition,
     builtin_models,
     ball_radius,
     check_lemmas,
@@ -31,20 +30,25 @@ from chainsep import (
     tail_norm_bound,
     tail_term,
     telescope_verify,
-    validate_decomposition,
 )
 from chainsep.expansionals import _truncated_or_identity
 from chainsep.gibbs import _region
 from chainsep.model import k_neighborhood
 from chainsep.separability import (
-    FACTOR_PSD_TOL,
     TELESCOPE_S,
     VERDICT_ENTANGLED,
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
     _traced_interface_product,
 )
-from helpers import partial_transpose_oracle, random_hermitian, random_state, record_eigh
+from helpers import (
+    conjugated_marginals_oracle,
+    core_split_rel_err,
+    partial_transpose_oracle,
+    random_hermitian,
+    random_state,
+    record_eigh,
+)
 
 
 def _bell():
@@ -78,19 +82,6 @@ def test_negativity_cut_validation():
         negativity(_bell(), ((0,), (2,)))
 
 
-def test_decomposition_reconstruct_and_validate():
-    rng = np.random.default_rng(1)
-    fa = LocalOperator((0,), random_state(rng, 2))
-    fc = LocalOperator((1,), random_state(rng, 2))
-    dec = SeparableDecomposition(((0,), (1,)), ((0.7, fa, fc),), 0.3)
-    target = dec.reconstruct()
-    chk = validate_decomposition(dec, target)
-    assert chk.ok and chk.reconstruction_rel_err < 1e-14
-    # the reconstruction is separable, so PPT must be clean
-    tr = target.trace().real
-    assert negativity(target * (1 / tr), ((0,), (1,))).negativity < 1e-12
-
-
 def test_ball_radius_values():
     assert ball_radius(2, 2) == pytest.approx(0.5)
     assert ball_radius(2, 3) == pytest.approx(1 / np.sqrt(6))
@@ -111,19 +102,11 @@ def test_core_decomposition_tfi():
     regions = RegionsABC.from_sizes(1, 4, 1)
     core = decompose_truncated_marginal(ia, regions, 1)
     assert core.gamma > 0
-    assert core.factors_psd
-    assert core.reconstruction_rel_err <= 1e-9
     assert core.min_eig_a > 0 and core.min_eig_c > 0
-    # the three product terms plus gamma * identity plus delta rebuild the
-    # conjugated truncated marginal
-    rebuilt = (
-        core.gamma_terms.reconstruct()
-        + core.gamma * identity(core.tilde_ac.support, 2)
-        + core.delta
-    )
-    scale = np.linalg.norm(core.tilde_ac.matrix)
-    assert np.linalg.norm(rebuilt.matrix - core.tilde_ac.matrix) / scale <= 1e-9
-    assert validate_decomposition(core.gamma_terms).ok
+    assert core.cut == ((0,), (5,)) and core.tilde_ac.support == (0, 5)
+    # the three product terms plus 2 gamma * identity plus delta rebuild the
+    # conjugated truncated marginal of the oracle
+    assert core_split_rel_err(core, *conjugated_marginals_oracle(ia, regions, 1)) <= 1e-9
 
 
 def test_core_decomposition_ball_controls_separability():
@@ -333,6 +316,26 @@ def test_certify_where_the_interface_gram_overflows():
     assert rep.reconstruction_rel_err == 0.0
 
 
+def test_certify_computes_the_negativity_cross_check_once(monkeypatch):
+    """Each k0 attempt reads the same rho_AC, so its negativity is computed
+    once per call, and the report carries that value unchanged."""
+    separability = importlib.import_module("chainsep.separability")
+    calls = []
+
+    def counting(rho, cut):
+        calls.append(cut)
+        return negativity(rho, cut)
+
+    monkeypatch.setattr(separability, "negativity", counting)
+    ia = builtin_models("random", {"sites": 9, "range": 2, "strength": 1.5, "seed": 1})
+    regions = RegionsABC.from_sizes(2, 5, 2)
+    rep = certify_marginal(ia, regions)
+    assert rep.attempted_k0 == (1, 2)
+    assert calls == [(regions.a, regions.c)]
+    rho_ac = Chain(ia).marginal(regions.all_sites, regions.ac)
+    assert rep.negativity_cross_check == negativity(rho_ac, (regions.a, regions.c)).negativity
+
+
 def test_public_functions_accept_a_chain():
     ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 2})
     regions = RegionsABC.from_sizes(2, 3, 2)
@@ -395,4 +398,4 @@ def test_ball_members_are_ppt(seed, shape):
     h = h * (0.999 * ball_radius(2**na, 2**nc))
     state = identity(sites) + LocalOperator(sites, h)
     neg = negativity(state * (1.0 / state.trace().real), (sites[:na], sites[na:]))
-    assert neg.negativity <= FACTOR_PSD_TOL
+    assert neg.negativity <= 1e-10
