@@ -55,7 +55,6 @@ from .expansionals import (
     factorial_decay_bound,
     marginal_inverse_norm,
     tail_norm_bound,
-    truncated_expansional,
 )
 from .separability import (
     Certificate,

@@ -19,13 +19,20 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ChainsepError, ConfigError
-from .expansionals import check_lemmas, covering_bound, estimate_uniform_bound, tail_norm_bound
+from .expansionals import (
+    LemmaReport,
+    check_lemmas,
+    covering_bound,
+    estimate_uniform_bound,
+    tail_norm_bound,
+)
 from .gibbs import Chain, factorization_error, mutual_information
 from .linalg import LocalOperator
 from .model import ModelSpec, RegionsABC
 from .separability import (
     TELESCOPE_S,
     VERDICT_SEPARABLE,
+    TailCheck,
     certify_marginal,
     negativity,
     ppt_is_exact,
@@ -107,7 +114,7 @@ _DEFAULTS = {
     "corpus": {"max_range": 2, "strength": 2.0, "min_sites": 4, "max_sites": 8},
 }
 # keys a config may set that have no default
-_OPTIONAL = {"model", "geometry", "s", "size_grid", "s_grid"}
+_OPTIONAL = {"model", "geometry", "size_grid", "s_grid"}
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
@@ -161,10 +168,6 @@ def validate_config(cfg: dict) -> None:
     for key in ("jobs", "instances"):
         if cfg[key] < 1:
             raise ConfigError(f"{key!r} must be >= 1")
-    if cfg.get("s", TELESCOPE_S) != TELESCOPE_S:
-        raise ConfigError(
-            f"'s' is fixed at {TELESCOPE_S}: the telescoping identity holds only there"
-        )
     kr = cfg["k_range"]
     if (
         not isinstance(kr, list)
@@ -278,21 +281,8 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
 
     dim = 2 ** corpus["max_sites"]  # the corpus models are qubit chains
     rows = _run_items(run_instance, range(cfg["instances"]), cfg["jobs"], dim)
-    columns = [
-        "instance",
-        "seed",
-        "n",
-        "n_a",
-        "n_b",
-        "n_c",
-        "z_ratio_bound",
-        "z_size_bounds",
-        "z_split_bounds",
-        "pinsker",
-        "contraction",
-        "marginal_floor",
-        "norm_ordering",
-    ]
+    columns = ["instance", "seed", "n", "n_a", "n_b", "n_c"]
+    columns += [f.name for f in fields(LemmaReport)]
     _write_csv(out / "verify_lemmas.csv", _meta(cfg), columns, rows)
     all_ok = all(all(bool(v) for v in row[6:]) for row in rows)
     print(f"verify-lemmas: {'PASS' if all_ok else 'FAIL'} ({len(rows)} instances)")
@@ -442,10 +432,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
                 rep.negativity_cross_check,
             )
         )
-        for c in rep.per_k:
-            margins_rows.append(
-                (na, nb, nc, rep.k0, c.k, c.tail_norm, c.identity_budget, c.ball_margin)
-            )
+        margins_rows += [(na, nb, nc, rep.k0, *astuple(c)) for c in rep.per_k]
         # the report's own fields; `core` holds region-sized matrices, so it
         # stays out (and `asdict(rep)` would deep-copy it)
         payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "core"}
@@ -461,7 +448,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         _write_csv(
             out / "certify_margins.csv",
             _meta(cfg),
-            ["n_a", "n_b", "n_c", "k0", "k", "tail_norm", "identity_budget", "ball_margin"],
+            ["n_a", "n_b", "n_c", "k0", *(f.name for f in fields(TailCheck))],
             margins_rows,
         )
 
@@ -487,14 +474,11 @@ def cmd_estimate_g(cfg: dict, out: Path) -> int:
     size_grid = [tuple(p) for p in cfg.get("size_grid", [[2, 2], [2, 3], [3, 3]])]
     s_grid = cfg.get("s_grid", [0.25, 0.5, 1.0])
     est = estimate_uniform_bound(Chain(ia, cfg["budget"]), size_grid, s_grid)
-    rows = [
-        (nx, ny, s, ne, ni) for nx, ny, s, ne, ni in est.entries
-    ]
     _write_csv(
         out / "estimate_g.csv",
         _meta(cfg, g_emp=est.value),
         ["n_x", "n_y", "s", "norm_e", "norm_e_inv"],
-        rows,
+        est.entries,
     )
     print(f"estimate-g: g_emp = {est.value:.12g}")
     return 0

@@ -3,10 +3,10 @@
 For adjacent intervals X, Y and |s| <= 1 the interface operator is
 E(s) = exp(-s H_{XY}) exp(s(H_X + H_Y)); its norm stays bounded uniformly
 in the interval sizes, and truncating the intervals changes it
-superexponentially little.  This module computes these operators, their
-k-truncations around the middle region, an empirical uniform-norm
-constant and the proof's factorial bounds built on it, the partial-trace
-contraction check, and the per-instance lemma suite.
+superexponentially little.  This module computes these operators, an
+empirical uniform-norm constant over them (the truncations it reads are
+`RegionsABC.clip`'s) and the proof's factorial bounds built on it, the
+partial-trace contraction check, and the per-instance lemma suite.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyIntersectionError, GeometryError
+from .errors import GeometryError
 from .gibbs import (
     Chain,
     check_partition_ratios,
@@ -25,8 +25,8 @@ from .gibbs import (
     from_spectrum,
     mutual_information,
 )
-from .linalg import LocalOperator, embed, identity, min_eig, op_norm, partial_trace
-from .model import Interaction, RegionsABC, k_neighborhood
+from .linalg import LocalOperator, embed, min_eig, op_norm, partial_trace
+from .model import Interaction, RegionsABC
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,49 +113,10 @@ def expansional(
     return chain.cached(("expansional", x, y, s), build)
 
 
-_PAIRS = {"A:B": ("A", "B"), "AB:C": ("AB", "C")}
-
-
-def _clip_pair(
-    regions: RegionsABC, pair: str, k: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Both intervals of `pair` clipped to the k-neighbourhood of B."""
-    if pair not in _PAIRS:
-        raise GeometryError(f"pair must be one of {sorted(_PAIRS)}, got {pair!r}")
-    hood = set(k_neighborhood(regions, k))
-    return tuple(
-        tuple(t for t in regions.part(name) if t in hood) for name in _PAIRS[pair]
-    )
-
-
-def truncated_expansional(
-    system: Interaction | Chain,
-    regions: RegionsABC,
-    pair: str,
-    k: int,
-    s: complex,
-) -> ExpansionalReport:
-    """Expansional with both intervals clipped to the k-neighbourhood of B."""
-    left, right = _clip_pair(regions, pair, k)
-    if not left or not right:
-        raise EmptyIntersectionError(
-            f"pair {pair} at k={k} clips one interval to nothing"
-        )
-    return expansional(system, left, right, s)
-
-
-def _truncated_or_identity(
-    chain: Chain, regions: RegionsABC, pair: str, k: int, s: complex
-) -> LocalOperator:
-    """Like truncated_expansional, but an empty clip yields the identity.
-
-    With one interval clipped away there are no cross terms left, so the
-    interface operator degenerates to the identity on the surviving part.
-    """
-    left, right = _clip_pair(regions, pair, k)
-    if not left or not right:
-        return identity(left + right, chain.ia.local_dim)
-    return expansional(chain, left, right, s).e
+def _uniform(reps) -> float:
+    """g = max(1, ||E||, ||E^{-1}||) over the expansional reports `reps`: the
+    proof's one uniform constant, measured."""
+    return max([1.0] + [n for rep in reps for n in (rep.norm_e, rep.norm_e_inv)])
 
 
 @dataclass(frozen=True)
@@ -180,19 +141,20 @@ def estimate_uniform_bound(
         raise GeometryError("size and s grids must be nonempty")
     chain = Chain.of(system)
     sites = chain.ia.sites
-    best = 1.0
-    entries = []
+    reps, entries = [], []
     for nx, ny in size_grid:
         if nx < 1 or ny < 1:
             raise GeometryError("interval sizes must be >= 1")
+        if nx + ny > len(sites):  # a pair that fits nowhere would measure nothing
+            raise GeometryError(f"sizes ({nx}, {ny}) exceed the {len(sites)} sites")
         for start in range(len(sites) - nx - ny + 1):
             x = sites[start : start + nx]
             y = sites[start + nx : start + nx + ny]
             for s in s_grid:
                 rep = expansional(chain, x, y, s)
-                best = max(best, rep.norm_e, rep.norm_e_inv)
+                reps.append(rep)
                 entries.append((nx, ny, s, rep.norm_e, rep.norm_e_inv))
-    return UniformBoundEstimate(best, tuple(entries))
+    return UniformBoundEstimate(_uniform(reps), tuple(entries))
 
 
 def covering_bound(
@@ -201,21 +163,16 @@ def covering_bound(
     k_values: Sequence[int],
     s: complex,
 ) -> float:
-    """Uniform-norm constant measured over every truncated expansional used
-    downstream: both pairs, all requested k, plus the untruncated ones."""
+    """Uniform-norm constant measured over every interface operator the
+    telescope uses: A:B and AB:C, untruncated and clipped to (a_k, c_k) for
+    each requested k."""
     chain = Chain.of(system)
-    best = 1.0
-    for pair in _PAIRS:
-        for k in k_values:
-            try:
-                rep = truncated_expansional(chain, regions, pair, k, s)
-            except EmptyIntersectionError:
-                continue
-            best = max(best, rep.norm_e, rep.norm_e_inv)
-        left, right = _PAIRS[pair]
-        rep = expansional(chain, regions.part(left), regions.part(right), s)
-        best = max(best, rep.norm_e, rep.norm_e_inv)
-    return best
+    a, b, c = regions.a, regions.b, regions.c
+    pairs = [(a, b), (a + b, c)]
+    for a_k, c_k in map(regions.clip, k_values):
+        if a_k:  # k = 0 clips both to nothing
+            pairs += [(a_k, b), (a_k + b, c_k)]
+    return _uniform(expansional(chain, x, y, s) for x, y in pairs)
 
 
 def factorial_decay_bound(g_emp: float, ell: int, r: int) -> float:
@@ -263,7 +220,7 @@ def difference_decay(
     target = big.e.support
     diff = op_norm(big.e - embed(base.e, target))
     diff_inv = op_norm(big.e_inv - embed(base.e_inv, target))
-    g_emp = max(1.0, base.norm_e, base.norm_e_inv, big.norm_e, big.norm_e_inv)
+    g_emp = _uniform((base, big))
     ell = min(len(x), len(y))
     bound = factorial_decay_bound(g_emp, ell, chain.ia.interaction_range)
     ok = diff <= bound + 1e-12 and diff_inv <= bound + 1e-12
@@ -309,11 +266,8 @@ def marginal_inverse_norm(
     chain = Chain.of(system)
     m = min_eig(chain.marginal(regions.all_sites, regions.b))
 
-    rep_ab = expansional(chain, regions.a, regions.b, -0.5)
-    rep_abc = expansional(chain, regions.a + regions.b, regions.c, -0.5)
-    g_emp = max(
-        1.0, rep_ab.norm_e, rep_ab.norm_e_inv, rep_abc.norm_e, rep_abc.norm_e_inv
-    )
+    a, b, c = regions.a, regions.b, regions.c
+    g_emp = _uniform((expansional(chain, a, b, -0.5), expansional(chain, a + b, c, -0.5)))
     ia = chain.ia
     d, j, r = ia.local_dim, ia.strength, ia.interaction_range
     log_bound = 4 * math.log(g_emp) + 2 * r * j + (2 * j + math.log(d)) * len(regions.b)

@@ -368,8 +368,8 @@ def check_partition_ratios(
     """
     a = tuple(sorted(int(s) for s in a))
     b = tuple(sorted(int(s) for s in b))
-    if a[-1] + 1 != b[0]:
-        raise GeometryError("A and B must be adjacent intervals")
+    if not a or not b or a[-1] + 1 != b[0]:
+        raise GeometryError("A and B must be adjacent nonempty intervals")
     ab = a + b
     chain = Chain.of(system)
     ia = chain.ia

@@ -85,11 +85,9 @@ class RegionsABC:
             raise GeometryError("regions must be adjacent in order A, B, C")
 
     @classmethod
-    def from_sizes(cls, na: int, nb: int, nc: int, first: int = 0) -> "RegionsABC":
-        a = tuple(range(first, first + na))
-        b = tuple(range(first + na, first + na + nb))
-        c = tuple(range(first + na + nb, first + na + nb + nc))
-        return cls(a, b, c)
+    def from_sizes(cls, na: int, nb: int, nc: int) -> "RegionsABC":
+        ab = na + nb
+        return cls(tuple(range(na)), tuple(range(na, ab)), tuple(range(ab, ab + nc)))
 
     @property
     def all_sites(self) -> tuple[int, ...]:
@@ -99,28 +97,18 @@ class RegionsABC:
     def ac(self) -> tuple[int, ...]:
         return self.a + self.c
 
-    def part(self, which: str) -> tuple[int, ...]:
-        table = {
-            "A": self.a,
-            "B": self.b,
-            "C": self.c,
-            "AB": self.a + self.b,
-            "AC": self.a + self.c,
-            "BC": self.b + self.c,
-            "ABC": self.all_sites,
-        }
-        if which not in table:
-            raise GeometryError(f"unknown region name {which!r}")
-        return table[which]
+    def clip(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(a_k, c_k): the sites of A and of C within k of B.  This is the
+        proof's one truncation: every k-truncated object lives on a_k, B, c_k."""
+        if k < 0:
+            raise GeometryError("k must be nonnegative")
+        return self.a[max(len(self.a) - k, 0):], self.c[:k]
 
 
 def k_neighborhood(regions: RegionsABC, k: int) -> tuple[int, ...]:
     """B widened by up to k sites on each side, clipped to the chain."""
-    if k < 0:
-        raise GeometryError("k must be nonnegative")
-    lo = max(regions.a[0], regions.b[0] - k)
-    hi = min(regions.c[-1], regions.b[-1] + k)
-    return tuple(range(lo, hi + 1))
+    a_k, c_k = regions.clip(k)
+    return a_k + regions.b + c_k
 
 
 def hamiltonian(ia: Interaction, region: Sequence[int]) -> LocalOperator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
-from .expansionals import _truncated_or_identity
+from .expansionals import expansional
 from .gibbs import Chain, from_spectrum
 from .linalg import (
     LocalOperator,
@@ -154,10 +154,7 @@ def decompose_truncated_marginal(
     chain = Chain.of(system)
     if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
-    hood = k_neighborhood(regions, k)
-    hood_set = set(hood)
-    a_clip = tuple(s for s in regions.a if s in hood_set)
-    c_clip = tuple(s for s in regions.c if s in hood_set)
+    a_clip, c_clip = regions.clip(k)
     if not a_clip or not c_clip:
         raise EmptyIntersectionError(
             f"k={k} clips A or C to nothing inside the neighbourhood"
@@ -165,7 +162,7 @@ def decompose_truncated_marginal(
 
     def build():
         d = chain.ia.local_dim
-        rho_ac = chain.marginal(hood, a_clip + c_clip)
+        rho_ac = chain.marginal(k_neighborhood(regions, k), a_clip + c_clip)
         exp_a = chain.exp(a_clip, TELESCOPE_S)
         exp_c = chain.exp(c_clip, TELESCOPE_S)
         tilde_a = exp_a @ partial_trace(rho_ac, c_clip) @ exp_a
@@ -218,16 +215,17 @@ def _traced_interface_product(
     """
 
     def build():
-        d = chain.ia.local_dim
-        hood = k_neighborhood(regions, max(kk, 1))
-        left = tuple(t for t in hood if t < regions.b[0])
-        right = tuple(t for t in hood if t > regions.b[-1])
-        d_l, d_b, d_r = (d ** len(part) for part in (left, regions.b, right))
-        ea = _truncated_or_identity(chain, regions, "A:B", kk, TELESCOPE_S)
-        ec = _truncated_or_identity(chain, regions, "AB:C", kk, TELESCOPE_S)
-        ea = embed(ea, left + regions.b).matrix
-        ec = embed(ec, hood).matrix
-        g_b = chain.gibbs(regions.b)
+        d, b = chain.ia.local_dim, regions.b
+        left, right = regions.clip(max(kk, 1))
+        d_l, d_b, d_r = (d ** len(part) for part in (left, b, right))
+        if kk:
+            ea = expansional(chain, left, b, TELESCOPE_S).e
+            ec = expansional(chain, left + b, right, TELESCOPE_S).e
+        else:  # A and C clip to nothing: no cross terms, so E_A = E_C = 1
+            ea = ec = identity(b, d)
+        ea = embed(ea, left + b).matrix
+        ec = embed(ec, left + b + right).matrix
+        g_b = chain.gibbs(b)
         root_b = from_spectrum(np.sqrt(g_b.p), g_b.v)
         # E_A (1 (x) (rho^B)^{1/2}); the B legs are the last of E_A's columns
         ea_root = (ea.reshape(-1, d_b) @ root_b).reshape(ea.shape)
@@ -261,9 +259,8 @@ def tail_term(
     chain = Chain.of(system)
 
     def build():
-        out_support = tuple(
-            t for t in k_neighborhood(regions, k + 1) if t not in set(regions.b)
-        )
+        a_next, c_next = regions.clip(k + 1)
+        out_support = a_next + c_next
         if k >= max(len(regions.a), len(regions.c)):
             return TailTerm(k, zero(out_support, chain.ia.local_dim), 0.0)
         upper = _traced_interface_product(chain, regions, k + 1)

@@ -189,12 +189,12 @@ def test_validate_budget_uses_local_dim(tmp_path):
         load_config(path)
 
 
-def test_validate_rejects_s_other_than_half(tmp_path):
-    # the telescoping identity holds only at s = 1/2; any other s could only
-    # ever certify nothing
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, "c.json", {"s": 0.25}))
-    assert load_config(_write(tmp_path, "h.json", {"s": 0.5}))["s"] == 0.5
+def test_validate_rejects_the_s_key(tmp_path):
+    # the telescoping identity holds only at s = 1/2, so s is no option: the
+    # key is unknown, whatever its value
+    for i, s in enumerate((0.25, 0.5)):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(_write(tmp_path, f"c{i}.json", {"s": s}))
     assert "s" not in load_defaults()
 
 

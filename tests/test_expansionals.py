@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from chainsep import (
     Chain,
-    EmptyIntersectionError,
     GeometryError,
     LocalOperator,
     RegionsABC,
@@ -29,7 +28,6 @@ from chainsep import (
     kron,
     marginal,
     op_norm,
-    truncated_expansional,
 )
 from helpers import matrix_digest, random_hermitian, random_state, record_eigh, record_solver
 
@@ -82,27 +80,6 @@ def test_expansional_validates_geometry():
         expansional(ia, (0, 1), (2, 3), 1.5)  # |s| > 1
 
 
-def test_truncated_expansional_matches_clipped_intervals():
-    ia = _tfi(9)
-    regions = RegionsABC.from_sizes(3, 3, 3)
-    rep = truncated_expansional(ia, regions, "A:B", 2, 0.5)
-    direct = expansional(ia, (1, 2), (3, 4, 5), 0.5)
-    assert rep.e.support == direct.e.support
-    assert np.abs(rep.e.matrix - direct.e.matrix).max() < 1e-14
-    with pytest.raises(EmptyIntersectionError):
-        truncated_expansional(ia, regions, "A:B", 0, 0.5)
-    with pytest.raises(GeometryError):
-        truncated_expansional(ia, regions, "B:C", 1, 0.5)
-
-
-def test_truncation_saturates_at_full_intervals():
-    ia = _tfi(7)
-    regions = RegionsABC.from_sizes(2, 3, 2)
-    rep = truncated_expansional(ia, regions, "AB:C", 5, 0.5)
-    direct = expansional(ia, regions.a + regions.b, regions.c, 0.5)
-    assert np.abs(rep.e.matrix - direct.e.matrix).max() < 1e-14
-
-
 def test_uniform_bound_grid():
     ia = _tfi(6)
     est = estimate_uniform_bound(ia, [(1, 1), (2, 2)], [0.5, -0.5])
@@ -120,13 +97,36 @@ def test_uniform_bound_trivial_for_zero_model():
     assert est.value == pytest.approx(1.0)
 
 
+def test_uniform_bound_rejects_a_pair_that_fits_nowhere():
+    # no placement of 3 + 3 sites in 5: the grid would measure g on nothing
+    ia = _tfi(5)
+    with pytest.raises(GeometryError):
+        estimate_uniform_bound(ia, [(3, 3)], [0.5])
+    with pytest.raises(GeometryError):
+        estimate_uniform_bound(ia, [(2, 3), (3, 3)], [0.5])
+    assert len(estimate_uniform_bound(ia, [(2, 3)], [0.5]).entries) == 1
+
+
 def test_covering_bound_dominates_members():
     ia = _tfi(8)
     regions = RegionsABC.from_sizes(2, 4, 2)
     g = covering_bound(ia, regions, [1, 2], 0.5)
-    rep = truncated_expansional(ia, regions, "A:B", 1, 0.5)
+    a_1, _ = regions.clip(1)
+    rep = expansional(ia, a_1, regions.b, 0.5)
     assert g >= max(rep.norm_e, rep.norm_e_inv) - 1e-14
     assert g >= 1.0
+
+
+def test_covering_bound_is_the_max_over_its_pairs():
+    ia = builtin_models("random", {"sites": 8, "range": 2, "seed": 1})
+    regions = RegionsABC.from_sizes(2, 4, 2)
+    a, b, c = (0, 1), (2, 3, 4, 5), (6, 7)
+    # A:B and AB:C, whole (also k = 2, 3) and at k = 1; k = 0 clips both to nothing
+    pairs = [(a, b), (a + b, c), ((1,), b), ((1,) + b, (6,))]
+    reps = [expansional(ia, x, y, 0.5) for x, y in pairs]
+    want = max(1.0, *(n for rep in reps for n in (rep.norm_e, rep.norm_e_inv)))
+    assert want > 1.0
+    assert covering_bound(ia, regions, [0, 1, 2, 3], 0.5) == want
 
 
 def test_factorial_decay_bound_values():
@@ -308,15 +308,10 @@ def test_norm_only_pairs_never_form_e(s):
     chain = Chain(builtin_models("random", {"sites": 8, "range": 2, "seed": 5}))
     regions = RegionsABC.from_sizes(2, 4, 2)
     covering_bound(chain, regions, [1, 2, 3], s)
-    reps = [
-        expansional(chain, regions.part(left), regions.part(right), s)
-        for left, right in (("A", "B"), ("AB", "C"))
-    ]
-    reps += [
-        truncated_expansional(chain, regions, pair, k, s)
-        for pair in ("A:B", "AB:C")
-        for k in (1, 2, 3)
-    ]
+    a, b, c = regions.a, regions.b, regions.c
+    reps = [expansional(chain, a, b, s), expansional(chain, a + b, c, s)]
+    for a_k, c_k in map(regions.clip, (1, 2, 3)):
+        reps += [expansional(chain, a_k, b, s), expansional(chain, a_k + b, c_k, s)]
     for rep in reps:
         assert "e" not in rep.__dict__ and "e_inv" not in rep.__dict__
     # once read, E and E^{-1} are the products of the spectral context, bit for bit

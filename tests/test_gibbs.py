@@ -423,6 +423,10 @@ def test_partition_ratio_adjacency_required():
     ia = builtin_models("tfi", {"sites": 6})
     with pytest.raises(GeometryError):
         check_partition_ratios(ia, (0, 1), (3, 4))
+    # an empty region is a geometry error too, not an IndexError
+    for a, b in (((), (0, 1)), ((0,), ())):
+        with pytest.raises(GeometryError):
+            check_partition_ratios(ia, a, b)
 
 
 def test_factorization_error_zero_for_free_model():

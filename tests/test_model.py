@@ -119,6 +119,19 @@ def test_k_neighborhood_basic():
     assert k_neighborhood(regions, 7) == regions.all_sites
 
 
+def test_clip_keeps_the_sites_within_k_of_b():
+    regions = RegionsABC.from_sizes(3, 3, 3)
+    assert regions.clip(2) == ((1, 2), (6, 7))
+    assert regions.clip(0) == ((), ())
+    with pytest.raises(GeometryError):
+        regions.clip(-1)
+
+
+def test_clip_saturates_at_full_intervals():
+    regions = RegionsABC.from_sizes(2, 3, 2)
+    assert regions.clip(2) == regions.clip(5) == (regions.a, regions.c)
+
+
 def test_truncated_ac_splits_for_wide_gap():
     # |B| >= range, so the clipped A u C Hamiltonian is H_A + H_C
     ia = builtin_models("tfi", {"sites": 9})
@@ -246,3 +259,8 @@ def test_k_neighborhood_size(na, nb, nc, k):
     hood = k_neighborhood(regions, k)
     assert len(hood) == nb + min(k, na) + min(k, nc)
     assert set(regions.b) <= set(hood)
+    a_k, c_k = regions.clip(k)
+    # the sites of A and of C within k of B, filtered one by one
+    assert a_k == tuple(s for s in regions.a if regions.b[0] - s <= k)
+    assert c_k == tuple(s for s in regions.c if s - regions.b[-1] <= k)
+    assert hood == a_k + regions.b + c_k

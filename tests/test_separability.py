@@ -22,6 +22,7 @@ from chainsep import (
     decompose_truncated_marginal,
     embed,
     exact_sep_test,
+    expansional,
     hamiltonian,
     identity,
     negativity,
@@ -31,7 +32,6 @@ from chainsep import (
     tail_term,
     telescope_verify,
 )
-from chainsep.expansionals import _truncated_or_identity
 from chainsep.gibbs import _region
 from chainsep.model import k_neighborhood
 from chainsep.separability import (
@@ -165,9 +165,14 @@ def test_telescope_identity_random_model():
 
 def _four_factor_traced_product(chain, regions, kk):
     """tr_B[(rho_B (x) 1) E_A^dag E_C^dag E_C E_A] by the four products."""
-    hood = k_neighborhood(regions, max(kk, 1))
-    ea = embed(_truncated_or_identity(chain, regions, "A:B", kk, TELESCOPE_S), hood)
-    ec = embed(_truncated_or_identity(chain, regions, "AB:C", kk, TELESCOPE_S), hood)
+    hood, b = k_neighborhood(regions, max(kk, 1)), regions.b
+    a_k, c_k = regions.clip(kk)
+    if kk:
+        ea = expansional(chain, a_k, b, TELESCOPE_S).e
+        ec = expansional(chain, a_k + b, c_k, TELESCOPE_S).e
+    else:  # A and C clip to nothing, and so do the cross terms
+        ea = ec = identity(b)
+    ea, ec = embed(ea, hood), embed(ec, hood)
     f = ea.dagger() @ ec.dagger() @ ec @ ea
     return partial_trace(embed(chain.gibbs(regions.b).rho, hood) @ f, regions.b)
 
