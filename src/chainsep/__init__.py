@@ -69,7 +69,6 @@ from .separability import (
     exact_sep_test,
     negativity,
     tail_term,
-    telescope_verify,
 )
 
 __version__ = "0.1.0"

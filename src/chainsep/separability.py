@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyIntersectionError, GeometryError
-from .expansionals import expansional
-from .gibbs import Chain, from_spectrum
+from .gibbs import Chain
 from .linalg import (
     LocalOperator,
     embed,
@@ -167,9 +166,7 @@ def decompose_truncated_marginal(
         exp_c = chain.exp(c_clip, TELESCOPE_S)
         tilde_a = exp_a @ partial_trace(rho_ac, c_clip) @ exp_a
         tilde_c = exp_c @ partial_trace(rho_ac, a_clip) @ exp_c
-        # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
-        sandwich = kron(exp_a, exp_c)
-        tilde_ac = sandwich @ rho_ac @ sandwich
+        tilde_ac = _closed_form(chain, regions, k)[1]
         delta = tilde_ac - kron(tilde_a, tilde_c)
 
         a_min = min_eig(tilde_a)
@@ -201,44 +198,28 @@ def decompose_truncated_marginal(
 # Tail terms and the telescoping identity
 # ---------------------------------------------------------------------------
 
-def _traced_interface_product(
-    chain: Chain, regions: RegionsABC, kk: int
-) -> LocalOperator:
-    """tr_B[rho^B F_kk], where F_kk = M^dag M, M = E_C E_A, is the four-factor
-    product of kk-truncated interface operators at s = 1/2.
+def _closed_form(chain: Chain, regions: RegionsABC, k: int) -> tuple[float, LocalOperator]:
+    """(Z_{N_k} / Z_B, S_k rho_{a_k c_k} S_k), whose product F_k is the traced
+    interface product at radius k at s = 1/2.
 
-    F_kk acts on the kk-neighbourhood of B only, so the product is computed
-    there (at least one site beyond B on each side) and callers embed it.
-    Under tr_B, rho^B splits into (rho^B)^{1/2} on each side, so the product
-    is the Gram tr_B[N^dag N] of N = M (1 (x) (rho^B)^{1/2} (x) 1): Hermitian
-    PSD by construction, from one matmul of neighbourhood size.
+    N_k = a_k + B + c_k is the k-neighbourhood of B, rho_{a_k c_k} the marginal
+    of its Gibbs state and S_k = e^{H_{a_k}/2} (x) e^{H_{c_k}/2}.  At k = 0, A
+    and C clip to nothing and F_0 = 1, given on a_1 + c_1.
     """
 
     def build():
-        d, b = chain.ia.local_dim, regions.b
-        left, right = regions.clip(max(kk, 1))
-        d_l, d_b, d_r = (d ** len(part) for part in (left, b, right))
-        if kk:
-            ea = expansional(chain, left, b, TELESCOPE_S).e
-            ec = expansional(chain, left + b, right, TELESCOPE_S).e
-        else:  # A and C clip to nothing: no cross terms, so E_A = E_C = 1
-            ea = ec = identity(b, d)
-        ea = embed(ea, left + b).matrix
-        ec = embed(ec, left + b + right).matrix
-        g_b = chain.gibbs(b)
-        root_b = from_spectrum(np.sqrt(g_b.p), g_b.v)
-        # E_A (1 (x) (rho^B)^{1/2}); the B legs are the last of E_A's columns
-        ea_root = (ea.reshape(-1, d_b) @ root_b).reshape(ea.shape)
-        # N = E_C (ea_root (x) 1), computed with rows (row of E_C, right leg)
-        # and columns (left, B), so N comes out with legs (row, right, left, B)
-        dim, d_lb = ec.shape[0], d_l * d_b
-        n = ec.reshape(dim, d_lb, d_r).transpose(0, 2, 1).reshape(-1, d_lb) @ ea_root
-        # contract rows and B: the Gram of the rows (left, right)
-        k = n.reshape(dim, d_r, d_l, d_b).transpose(2, 1, 0, 3).reshape(d_l * d_r, -1)
-        del n  # k is a copy; dropping N first keeps the peak at two such arrays
-        return LocalOperator(left + right, k.conj() @ k.T, d)
+        if not k:
+            return 1.0, identity(sum(regions.clip(1), ()), chain.ia.local_dim)
+        a_k, c_k = regions.clip(k)
+        hood = k_neighborhood(regions, k)
+        # Z_{N_k} / Z_B from log Z, so that neither Z may overflow
+        log_z = chain.log_partition_function
+        ratio = math.exp(log_z(hood) - log_z(regions.b))
+        # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
+        sandwich = kron(chain.exp(a_k, TELESCOPE_S), chain.exp(c_k, TELESCOPE_S))
+        return ratio, sandwich @ chain.marginal(hood, a_k + c_k) @ sandwich
 
-    return chain.cached(("traced", regions, kk), build)
+    return chain.cached(("closed form", regions, k), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +234,8 @@ def tail_term(
     regions: RegionsABC,
     k: int,
 ) -> TailTerm:
-    """Difference of traced interface products between radii k+1 and k."""
+    """T_k = F_{k+1} - F_k, the difference of the traced interface products
+    at radii k+1 and k, each read in closed form."""
     if k < 0:
         raise GeometryError("k must be nonnegative")
     chain = Chain.of(system)
@@ -263,8 +245,8 @@ def tail_term(
         out_support = a_next + c_next
         if k >= max(len(regions.a), len(regions.c)):
             return TailTerm(k, zero(out_support, chain.ia.local_dim), 0.0)
-        upper = _traced_interface_product(chain, regions, k + 1)
-        lower = _traced_interface_product(chain, regions, k)
+        upper, lower = (ratio * op for ratio, op in
+                        (_closed_form(chain, regions, kk) for kk in (k + 1, k)))
         op = upper - embed(lower, out_support)
         return TailTerm(k, op, op_norm(op))
 
@@ -275,10 +257,10 @@ def tail_term(
 class _Telescope:
     """Both sides of the telescoping identity at radius k0, on A u C.
 
-    lhs = (Z_ABC / Z_B) e^{H_AC/2} rho_AC e^{H_AC/2} equals the traced
-    interface product at k0 plus the tails k0..max(|A|,|C|)-1, and that
-    product equals its closed form (Z_{B_k0} / Z_B) rho~_AC, read from the
-    truncated Gibbs state.
+    lhs = (Z_ABC / Z_B) e^{H_AC/2} rho_AC e^{H_AC/2} is F_kmax, kmax =
+    max(|A|,|C|), whose neighbourhood is the whole chain.  It equals F_k0 plus
+    the tails k0..kmax-1, and F_k0 is the closed form (Z_{B_k0} / Z_B) rho~_AC
+    of the core decomposition at k0.
     """
 
     tails: tuple[TailTerm, ...]
@@ -286,61 +268,17 @@ class _Telescope:
     closed_form: LocalOperator
     lhs: LocalOperator
 
-    def plus_tails(self, head: LocalOperator) -> LocalOperator:
-        for t in self.tails:
-            head = head + embed(t.op, self.lhs.support)
-        return head
-
 
 def _telescope(chain: Chain, regions: RegionsABC, k0: int) -> _Telescope:
     def build():
         kmax = max(len(regions.a), len(regions.c))
         tails = tuple(tail_term(chain, regions, k) for k in range(k0, kmax))
-        # Z_R / Z_B from log Z, so that neither Z may overflow
-        log_z = chain.log_partition_function
-        ratio, scale = (math.exp(log_z(r) - log_z(regions.b))
-                        for r in (k_neighborhood(regions, k0), regions.all_sites))
+        ratio = _closed_form(chain, regions, k0)[0]
+        scale, top = _closed_form(chain, regions, kmax)
         core = decompose_truncated_marginal(chain, regions, k0)
-        # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
-        sandwich = kron(chain.exp(regions.a, TELESCOPE_S), chain.exp(regions.c, TELESCOPE_S))
-        lhs = scale * (sandwich @ chain.marginal(regions.all_sites, regions.ac) @ sandwich)
-        return _Telescope(tails, ratio, ratio * embed(core.tilde_ac, regions.ac), lhs)
+        return _Telescope(tails, ratio, ratio * embed(core.tilde_ac, regions.ac), scale * top)
 
     return chain.cached(("telescope", regions, k0), build)
-
-
-@dataclass(frozen=True)
-class TelescopeReport:
-    k0: int
-    identity_rel_err: float
-    k0_term_rel_err: float
-    tail_norms: tuple[float, ...]
-
-
-def telescope_verify(
-    system: Interaction | Chain,
-    regions: RegionsABC,
-    k0: int,
-) -> TelescopeReport:
-    """Check the telescoping split of the conjugated marginal numerically.
-
-    Verifies (a) that the full sandwiched marginal equals the k0 traced
-    term plus the finite tail sum, and (b) that the traced k0 term equals
-    its partition-ratio closed form.
-    """
-    chain = Chain.of(system)
-    if len(regions.b) < chain.ia.interaction_range:
-        raise GeometryError("|B| must be at least the interaction range")
-    if k0 < 1:
-        raise GeometryError("k0 must be >= 1")
-    tel = _telescope(chain, regions, k0)
-    k0_term = embed(_traced_interface_product(chain, regions, k0), regions.ac)
-    return TelescopeReport(
-        k0,
-        _rel_err(tel.plus_tails(k0_term), tel.lhs),
-        _rel_err(k0_term, tel.closed_form),
-        tuple(t.norm for t in tel.tails),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +321,8 @@ def _attempt_certificate(
         dim_c = d ** min(t.k + 1, len(regions.c))
         margin = budget_k * ball_radius(dim_a, dim_c) - t.norm
         per_k.append(TailCheck(t.k, t.norm, budget_k, margin))
-    rel_err = _rel_err(tel.plus_tails(tel.closed_form), tel.lhs)
+    rebuilt = sum((embed(t.op, regions.ac) for t in tel.tails), tel.closed_form)
+    rel_err = _rel_err(rebuilt, tel.lhs)
 
     ok = (
         core.ball_ok
@@ -413,7 +352,7 @@ def certify_marginal(
     If k0 is not given, the smallest feasible k0 in {1..max(|A|,|C|)} is
     searched; the report of the last attempt is returned when none passes.
     All attempts share one spectral context, so every region Hamiltonian,
-    interface operator and tail term is computed once.
+    closed form and tail term is computed once.
     """
     chain = Chain.of(system)
     if len(regions.b) < chain.ia.interaction_range:

@@ -4,11 +4,14 @@ Everything here works at the level of explicit index loops or series
 expansions, on purpose: these implementations share no code path with the
 library routines they check.  `conjugated_marginals_oracle` takes only the
 Hamiltonian assembly and a whole-matrix exponential from the library, to
-check the spectral route of the certificate's core.  `record_solver` and
-`record_eigh` count the library's dense eigensolves instead.
+check the spectral route of the certificate's core.  `traced_interface_product`
+and `telescope_verify` form the traced products of the telescope from the
+interface operators E, to check the closed forms the library reads instead.
+`record_solver` and `record_eigh` count the library's dense eigensolves.
 """
 import hashlib
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,6 +109,83 @@ def core_split_rel_err(core, tilde_a, tilde_c, tilde_ac):
         for m, want in (
             (core.tilde_ac.matrix, tilde_ac), (core.delta.matrix, delta), (rebuilt, tilde_ac)
         )
+    )
+
+
+def traced_interface_product(chain, regions, kk):
+    """tr_B[rho^B F_kk], where F_kk = M^dag M, M = E_C E_A, is the four-factor
+    product of kk-truncated interface operators at s = 1/2.
+
+    F_kk acts on the kk-neighbourhood of B only, so the product is computed
+    there (at least one site beyond B on each side) and callers embed it.
+    Under tr_B, rho^B splits into (rho^B)^{1/2} on each side, so the product
+    is the Gram tr_B[N^dag N] of N = M (1 (x) (rho^B)^{1/2} (x) 1): Hermitian
+    PSD by construction, from one matmul of neighbourhood size.
+    """
+    from chainsep import LocalOperator, embed, expansional, identity
+    from chainsep.gibbs import from_spectrum
+    from chainsep.separability import TELESCOPE_S
+
+    def build():
+        d, b = chain.ia.local_dim, regions.b
+        left, right = regions.clip(max(kk, 1))
+        d_l, d_b, d_r = (d ** len(part) for part in (left, b, right))
+        if kk:
+            ea = expansional(chain, left, b, TELESCOPE_S).e
+            ec = expansional(chain, left + b, right, TELESCOPE_S).e
+        else:  # A and C clip to nothing: no cross terms, so E_A = E_C = 1
+            ea = ec = identity(b, d)
+        ea = embed(ea, left + b).matrix
+        ec = embed(ec, left + b + right).matrix
+        g_b = chain.gibbs(b)
+        root_b = from_spectrum(np.sqrt(g_b.p), g_b.v)
+        # E_A (1 (x) (rho^B)^{1/2}); the B legs are the last of E_A's columns
+        ea_root = (ea.reshape(-1, d_b) @ root_b).reshape(ea.shape)
+        # N = E_C (ea_root (x) 1), computed with rows (row of E_C, right leg)
+        # and columns (left, B), so N comes out with legs (row, right, left, B)
+        dim, d_lb = ec.shape[0], d_l * d_b
+        n = ec.reshape(dim, d_lb, d_r).transpose(0, 2, 1).reshape(-1, d_lb) @ ea_root
+        # contract rows and B: the Gram of the rows (left, right)
+        k = n.reshape(dim, d_r, d_l, d_b).transpose(2, 1, 0, 3).reshape(d_l * d_r, -1)
+        return LocalOperator(left + right, k.conj() @ k.T, d)
+
+    return chain.cached(("traced", regions, kk), build)
+
+
+@dataclass(frozen=True)
+class TelescopeReport:
+    k0: int
+    identity_rel_err: float
+    k0_term_rel_err: float
+    tail_norms: tuple
+
+
+def telescope_verify(system, regions, k0):
+    """Check the library's telescope at radius k0 against the interface route.
+
+    With P_kk the traced products of `traced_interface_product`, verifies
+    (a) that P_k0 plus the tails P_{k+1} - P_k, k = k0..max(|A|,|C|)-1, which
+    telescope to P_kmax, equals the library's sandwiched marginal `lhs`, and
+    (b) that P_k0 equals the library's closed form at k0.
+    """
+    from chainsep import Chain, GeometryError, embed, op_norm
+    from chainsep.separability import _rel_err, _telescope
+
+    chain = Chain.of(system)
+    if len(regions.b) < chain.ia.interaction_range:
+        raise GeometryError("|B| must be at least the interaction range")
+    if k0 < 1:
+        raise GeometryError("k0 must be >= 1")
+    tel = _telescope(chain, regions, k0)
+    kmax = max(len(regions.a), len(regions.c))
+    products = [embed(traced_interface_product(chain, regions, kk), regions.ac)
+                for kk in range(k0, max(kmax, k0) + 1)]
+    tails = [upper - lower for lower, upper in zip(products, products[1:])]
+    return TelescopeReport(
+        k0,
+        _rel_err(products[-1], tel.lhs),
+        _rel_err(products[0], tel.closed_form),
+        tuple(op_norm(t) for t in tails),
     )
 
 

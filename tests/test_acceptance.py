@@ -42,7 +42,6 @@ from chainsep import (
     partial_transpose,
     tail_norm_bound,
     tail_term,
-    telescope_verify,
     trace_norm,
 )
 from chainsep.separability import VERDICT_SEPARABLE
@@ -55,6 +54,7 @@ from helpers import (
     partial_transpose_oracle,
     random_hermitian,
     random_state,
+    telescope_verify,
 )
 
 

@@ -416,6 +416,8 @@ def test_byte_determinism_across_jobs(tmp_path):
         # reaches 1|6|1 (dim 256), where a BLAS thread count that followed
         # `jobs` changes the last bits of certify_summary.csv
         ("certify", "tfi_certify.json"),
+        # the certify config with tails: every point tries k0 = 1, then 2
+        ("certify", "random_certify.json"),
         ("scan-decay", "tfi_sudden_death.json"),
     ],
 )

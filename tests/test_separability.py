@@ -30,7 +30,6 @@ from chainsep import (
     partial_trace,
     tail_norm_bound,
     tail_term,
-    telescope_verify,
 )
 from chainsep.gibbs import _region
 from chainsep.model import k_neighborhood
@@ -39,7 +38,7 @@ from chainsep.separability import (
     VERDICT_ENTANGLED,
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
-    _traced_interface_product,
+    _closed_form,
 )
 from helpers import (
     conjugated_marginals_oracle,
@@ -48,6 +47,8 @@ from helpers import (
     random_hermitian,
     random_state,
     record_eigh,
+    telescope_verify,
+    traced_interface_product,
 )
 
 
@@ -184,12 +185,44 @@ def test_traced_interface_product_matches_four_factor_formula(sizes, r):
     regions = RegionsABC.from_sizes(*sizes)
     chain = Chain(ia)
     for kk in range(max(sizes[0], sizes[2]) + 2):  # kk = 0 clips both to the identity
-        got = _traced_interface_product(chain, regions, kk)
+        got = traced_interface_product(chain, regions, kk)
         want = _four_factor_traced_product(chain, regions, kk)
         assert got.support == want.support
         assert got.is_hermitian()
         err = np.linalg.norm(got.matrix - want.matrix) / np.linalg.norm(want.matrix)
         assert err < 1e-12, (kk, err)
+
+
+_BASELINE_INSTANCES = [
+    ("tfi", {}, (2, 4, 2)),
+    ("tfi", {}, (3, 3, 2)),
+    ("xxz", {"jz": 0.5}, (2, 5, 2)),
+    ("random", {"range": 1, "seed": 1}, (2, 4, 2)),
+    ("random", {"range": 2, "seed": 1}, (3, 3, 3)),
+    ("random", {"range": 2, "strength": 3.0, "seed": 1}, (2, 4, 3)),
+]
+
+
+@pytest.mark.parametrize("family, params, sizes", _BASELINE_INSTANCES)
+def test_closed_forms_match_interface_products_at_every_radius(family, params, sizes):
+    """F_kk = (Z_{N_kk}/Z_B) S_kk rho S_kk is the traced interface product at
+    every radius, and each tail is the interface route's difference."""
+    ia = builtin_models(family, {"sites": sum(sizes), **params})
+    regions = RegionsABC.from_sizes(*sizes)
+    chain = Chain(ia)
+    kmax = max(sizes[0], sizes[2])
+    for kk in range(kmax + 2):
+        ratio, sandwich = _closed_form(chain, regions, kk)
+        got, want = ratio * sandwich, traced_interface_product(chain, regions, kk)
+        assert got.support == want.support
+        err = np.linalg.norm(got.matrix - want.matrix) / np.linalg.norm(want.matrix)
+        assert err <= 1e-10, (kk, err)
+    for k in range(kmax + 1):
+        upper = traced_interface_product(chain, regions, k + 1)
+        want = upper - embed(traced_interface_product(chain, regions, k), upper.support)
+        got = tail_term(chain, regions, k).op
+        assert got.support == want.support
+        assert op_norm(got - want) <= 1e-11, k
 
 
 def test_certify_marginal_tfi_single_site_edges():
@@ -291,22 +324,27 @@ def test_certify_solves_only_the_regions_its_verdict_reads(monkeypatch):
     assert set(solved) == {regions.a, regions.c, regions.b, regions.all_sites}
 
 
-def test_certify_reads_no_interface_operator_norm(monkeypatch):
-    """The tails form E, but no verdict reads ||E|| or ||E^{-1}||."""
+def test_certify_forms_no_interface_operator(monkeypatch):
+    """The tails come from closed forms: certify builds no interface operator
+    and solves no a_k + B region, which only an interface operator reads."""
+    solved = []
+    spectrum = Chain.spectrum
 
-    def unread(self):
-        raise AssertionError("an interface-operator norm was read")
+    def recording(self, region):
+        solved.append(_region(region))
+        return spectrum(self, region)
 
-    for name in ("norm_e", "norm_e_inv"):
-        monkeypatch.setattr(ExpansionalReport, name, property(unread), raising=False)
+    monkeypatch.setattr(Chain, "spectrum", recording)
     ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1})
     chain = Chain(ia)
-    rep = certify_marginal(chain, RegionsABC.from_sizes(2, 3, 2))
-    assert rep.attempted_k0 == (1, 2)  # the k0 = 1 attempt has a tail, so E was formed
-    formed = [v for v in chain._memo.values() if isinstance(v, ExpansionalReport)]
-    assert formed and all("e" in vars(r) for r in formed)
-    with pytest.raises(AssertionError, match="norm was read"):
-        formed[0].norm_e
+    regions = RegionsABC.from_sizes(2, 3, 2)
+    rep = certify_marginal(chain, regions)
+    assert rep.attempted_k0 == (1, 2)
+    assert ("tail", regions, 1) in chain._memo  # the k0 = 1 attempt has a tail
+    assert not [v for v in chain._memo.values() if isinstance(v, ExpansionalReport)]
+    for k in (1, 2):
+        a_k = regions.clip(k)[0]
+        assert a_k + regions.b not in solved
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
