@@ -22,7 +22,6 @@ from .gibbs import (
     Chain,
     check_partition_ratios,
     factorization_error,
-    from_spectrum,
     mutual_information,
 )
 from .linalg import LocalOperator, embed, min_eig, op_norm, partial_trace
@@ -31,19 +30,21 @@ from .model import Interaction, RegionsABC
 
 @dataclass(frozen=True, eq=False)
 class ExpansionalReport:
-    """E(s) held as `factors`, the Chain's (e^{-tw}, V) of H_XY, (e^{tw}, V) of
-    H_X and H_Y, at t = s and -s: arrays, not the Chain, so there is no cycle.
-    E (`e`), E^{-1} (`e_inv`) and their norms are each computed on first read."""
+    """E(s) held as `spectra`, the Chain's Spectrum of H_XY, H_X and H_Y (not
+    the Chain, so there is no cycle).  E (`e`), E^{-1} (`e_inv`) and their
+    norms are each computed on first read."""
 
     s: complex
     x: tuple[int, ...]
     y: tuple[int, ...]
-    factors: tuple = field(repr=False)
+    spectra: tuple = field(repr=False)
     local_dim: int
 
     def _form(self, inverse: bool) -> LocalOperator:
         """E = e^{-sH_XY} e^{sH_0}, or E^{-1} = e^{-sH_0} e^{sH_XY}, by Chain.exp's products."""
-        a, bx, by = (from_spectrum(f, v) for f, v in self.factors[inverse])
+        t = -self.s if inverse else self.s
+        a, bx, by = (sp.form(lambda w, c=c: np.exp(c * w))
+                     for sp, c in zip(self.spectra, (-t, t, t)))
         m = np.kron(bx, by) @ a if inverse else a @ np.kron(bx, by)
         return LocalOperator(self.x + self.y, m, self.local_dim)
 
@@ -61,19 +62,22 @@ class ExpansionalReport:
         lambda_min is off by about eps n lambda_max, so if lambda_min <= 0 or
         eps n lambda_max / lambda_min > 1e-10, ||E^{-1}|| = sqrt(lambda_max(B B^dag))
         instead, for E^{-1} in the same bases, B = diag(e^{-s w_0}) W^dag V diag(e^{sw}).
+        The one place a dense V is formed, for this read only.
         """
-        ((f, v), (fx, vx), (fy, vy)), ((f_inv, _), (fx_inv, _), (fy_inv, _)) = self.factors
+        s = self.s
+        (w, v), (wx, vx), (wy, vy) = (sp.dense() for sp in self.spectra)
         u = v.conj().T @ np.kron(vx, vy)
+        del v, vx, vy
 
         def gram_eigvals(left, m, right):  # of G G^dag, G = diag(left) m diag(right)
             g = left[:, None] * m * right
             return np.linalg.eigvalsh(g @ g.conj().T)
-        lam = gram_eigvals(f, u, np.kron(fx, fy))
-        if np.finfo(float).eps * len(f) * lam[-1] <= 1e-10 * lam[0]:
+        lam = gram_eigvals(np.exp(-s * w), u, np.kron(np.exp(s * wx), np.exp(s * wy)))
+        if np.finfo(float).eps * len(w) * lam[-1] <= 1e-10 * lam[0]:
             norm_e_inv = 1.0 / math.sqrt(lam[0])
         else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
-            b_inv = np.kron(fx_inv, fy_inv)
-            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, f_inv)[-1])
+            b_inv = np.kron(np.exp(-s * wx), np.exp(-s * wy))
+            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, np.exp(s * w))[-1])
         return math.sqrt(lam[-1]), norm_e_inv
 
     norm_e = property(lambda self: self._norms[0])
@@ -96,7 +100,7 @@ def expansional(
     s: complex,
 ) -> ExpansionalReport:
     """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y, built
-    once per Chain from its six spectral factors; E and its norms wait for a read."""
+    once per Chain from its three spectra; E and its norms wait for a read."""
     chain = Chain.of(system)
     x = _as_interval(x, "X")
     y = _as_interval(y, "Y")
@@ -106,9 +110,10 @@ def expansional(
         raise GeometryError(f"|s| must be <= 1, got {abs(s)}")
 
     def build():
-        factors = tuple(tuple(chain.exp_spectrum(r, c) for r, c in ((x + y, -t), (x, t), (y, t)))
-                        for t in (s, -s))
-        return ExpansionalReport(s, x, y, factors, chain.ia.local_dim)
+        for r in (x + y, x, y):  # e^{-sH_R} must not overflow, nor e^{sH_R} below
+            chain.exp_spectrum(r, -s)
+        spectra = tuple(chain.exp_spectrum(r, s) for r in (x + y, x, y))
+        return ExpansionalReport(s, x, y, spectra, chain.ia.local_dim)
 
     return chain.cached(("expansional", x, y, s), build)
 

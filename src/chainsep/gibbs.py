@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,11 +43,6 @@ def _state(support: tuple[int, ...], m: np.ndarray, local_dim: int) -> LocalOper
     return LocalOperator(support, m, local_dim)
 
 
-def from_spectrum(f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """V diag(f) V^dag: the one place a function of a spectrum is formed."""
-    return (v * f) @ v.conj().T
-
-
 # ---------------------------------------------------------------------------
 # Block spectra from exact structure
 # ---------------------------------------------------------------------------
@@ -82,91 +77,160 @@ def _pieces(h: np.ndarray) -> list[tuple] | None:
     """Split a Hermitian h into independent pieces by two exact symmetries.
 
     Each connected component c of h's nonzero pattern is a block h[c, c], and
-    blocks of equal size are stacked.  A block that the global flip
-    i -> N-1-i maps onto itself, with b == b[::-1, ::-1], folds into the two
+    blocks of equal size are stacked.  The global flip i -> N-1-i maps c onto
+    c' = N-1-c.  If c' == c and b = h[c, c] == b[::-1, ::-1], b folds into the
     Hermitian halves b00 + s b01 J, s = +1 then -1 (J reverses the columns):
     if (b00 + s b01 J) u = w u, then [u; s J u] / sqrt 2 is an eigenvector of
-    b.  A piece is (matrices (k, m, m), rows (k, m), mirror rows (k, m) or
-    None): eigenvector j of matrix i has the entries u[:, j] at rows[i] and,
-    for a fold, s u[:, j] at mirror[i], each over sqrt 2.  None if h is one
-    block with no fold.
+    b.  If c' is another component, of side > 1, and h[c', c'] ==
+    h[c, c][::-1, ::-1], c is solved alone: its eigenvectors at the rows N-1-c
+    are those of h[c', c'].  A piece is (matrices, rows, mirror rows or None,
+    whether c' is paired); see `Piece`.  None if h is one block with no fold.
     """
     n = len(h)
     comps = _components(h)
-    pieces, by_size = [], {}
+    first = {int(c[0]): c for c in comps}
+    pieces, by_size, images = [], {}, set()
     for c in comps:
-        if len(c) % 2 == 0 and np.array_equal(c, n - 1 - c[::-1]):
+        if int(c[0]) in images:
+            continue
+        image = n - 1 - c[::-1]
+        closed = np.array_equal(c, image)
+        other = not closed and len(c) > 1 and np.array_equal(first.get(int(image[0])), image)
+        # h[c', c'] == h[c, c][::-1, ::-1]; its first row first, so most c fail in O(side)
+        if (closed and len(c) % 2 == 0 or other) \
+                and np.array_equal(h[image[0], image], h[c[-1], c][::-1]):
             b = h if len(c) == n else h[np.ix_(c, c)]
-            # b == b[::-1, ::-1]; its first row first, so most b fail in O(side)
-            if np.array_equal(b[0], b[-1, ::-1]) and np.array_equal(b, b[::-1, ::-1]):
+            if np.array_equal(b if closed else h[np.ix_(image, image)], b[::-1, ::-1]):
+                if not closed:
+                    images.add(int(image[0]))
+                    by_size.setdefault((len(c), True), []).append(c)
+                    continue
                 m = len(c) // 2
                 b00, b01_j = b[:m, :m], b[:m, m:][:, ::-1]
                 halves = np.empty((2, m, m), h.dtype)
                 np.add(b00, b01_j, out=halves[0])
                 np.subtract(b00, b01_j, out=halves[1])
                 top, mirror = c[:m], c[m:][::-1]
-                pieces.append((halves, np.stack([top, top]), np.stack([mirror, mirror])))
+                pieces.append((halves, np.stack([top, top]), np.stack([mirror, mirror]), False))
                 continue
-        by_size.setdefault(len(c), []).append(c)
+        by_size.setdefault((len(c), False), []).append(c)
     if len(comps) == 1 and not pieces:
         return None
-    for cs in by_size.values():
+    for (_, paired), cs in by_size.items():
         rows = np.stack(cs)
-        pieces.append((h[rows[:, :, None], rows[:, None, :]], rows, None))
+        pieces.append((h[rows[:, :, None], rows[:, None, :]], rows, None, paired))
     return pieces
 
 
-def _merge(pieces: list[tuple], n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) of the matrix that `pieces` split: every piece solved (a 1 x 1
-    matrix needs no solve) and dropped, the eigenvalues merged in ascending
-    order, and each eigenvector scattered into its sorted column of one V."""
-    spectra = []
-    while pieces:
-        mats, rows, mirror = pieces.pop(0)
-        if mats.shape[-1] == 1:
-            w, u = mats[:, 0, :].real, np.ones_like(mats)
-        else:
-            w, u = np.linalg.eigh(mats)
-        del mats
-        spectra.append((w.ravel(), u, rows, mirror))
-    w = np.concatenate([s[0] for s in spectra])
-    order = np.argsort(w, kind="stable")
-    col = np.empty(n, dtype=np.intp)
-    col[order] = np.arange(n)
-    v = np.zeros((n, n), dtype)
-    start = 0
-    while spectra:
-        _, u, rows, mirror = spectra.pop(0)
-        k, m = rows.shape
-        cols = col[start:start + k * m].reshape(k, 1, m)
-        start += k * m
-        if mirror is not None:
-            u *= np.sqrt(0.5)
-        v[rows[:, :, None], cols] = u
-        if mirror is not None:
-            u[1] *= -1
-            v[mirror[:, :, None], cols] = u
-    return w[order], v
+class Piece(NamedTuple):
+    """k solved m x m blocks of a Hermitian H: eigenvalues w (k, m) and
+    eigenvectors u (k, m, m).  Eigenvector j of block i has the entries
+    u[i, :, j] at the rows rows[i] of H or, for a fold, u[i, :, j] / sqrt 2
+    there and s u[i, :, j] / sqrt 2 at mirror[i], s = +1 for i = 0 and -1 for
+    i = 1; zeros elsewhere."""
+
+    w: np.ndarray
+    u: np.ndarray
+    rows: np.ndarray
+    mirror: np.ndarray | None
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """H = V diag(w) V^dag, held as the solved pieces of V and never as V.
+
+    `w` is every eigenvalue in ascending order.  A matrix with no exact
+    structure is one piece whose u is np.linalg.eigh's own V, read in place.
+    """
+
+    w: np.ndarray
+    pieces: tuple[Piece, ...]
+
+    @property
+    def _whole(self) -> np.ndarray | None:
+        """V itself, if one piece is all of it."""
+        pc = self.pieces[0]
+        return pc.u[0] if pc.u.shape == (1, len(self.w), len(self.w)) else None
+
+    def form(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """V diag(f(w)) V^dag for an elementwise f, from each piece's products:
+        a block gives its own, and a fold's two half-size products give its
+        four quadrants."""
+        v = self._whole
+        if v is not None:
+            return (v * f(self.w)) @ v.conj().T
+        fs = [f(pc.w) for pc in self.pieces]
+        n = len(self.w)
+        out = np.zeros((n, n), np.result_type(*fs, *(pc.u for pc in self.pieces)))
+        for pc, fw in zip(self.pieces, fs):
+            g = (pc.u * fw[:, None, :]) @ pc.u.conj().transpose(0, 2, 1)
+            if pc.mirror is None:
+                out[pc.rows[:, :, None], pc.rows[:, None, :]] = g
+            else:
+                top, mirror = pc.rows[0], pc.mirror[0]
+                out[np.ix_(top, top)] = out[np.ix_(mirror, mirror)] = (g[0] + g[1]) / 2
+                out[np.ix_(top, mirror)] = out[np.ix_(mirror, top)] = (g[0] - g[1]) / 2
+        return out
+
+    def _columns(self, at: np.ndarray, scale: Callable | None = None):
+        """Every column of V, times scale(w) if given, with row R of V put at
+        row at[R]: (w, S) for each group of a stack's matrices, S of shape
+        (N, group columns).  A group has at most N/2 columns unless one matrix
+        has more; this generator lets go of it before it makes the next."""
+        n = len(self.w)
+        for pc in self.pieces:
+            k, m = pc.rows.shape
+            step = max(1, n // (2 * m))
+            for i in range(0, k, step):
+                part = slice(i, i + step)
+                u, w, group = pc.u[part], pc.w[part], np.arange(len(pc.u[part]))[:, None]
+                s = np.zeros((n, len(u), m), u.dtype)
+                s[at[pc.rows[part]], group] = u
+                if pc.mirror is not None:  # [u; +-Ju] / sqrt 2
+                    s[at[pc.mirror[part]], group] = u
+                    sign = np.full((n, len(u), 1), np.sqrt(0.5))
+                    sign[at[pc.mirror[part]], group, 0] = np.sqrt(0.5) * (1 - 2 * (i + group))
+                    s *= sign
+                if scale is not None:
+                    s *= scale(w)
+                yield w, s.reshape(n, -1)
+                del s
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, V) with eigenvalue j for column j of V, V formed whole:
+        the stored eigh output for one piece, a new array otherwise."""
+        v = self._whole
+        if v is not None:
+            return self.w, v
+        parts = list(self._columns(np.arange(len(self.w))))
+        return np.concatenate([w.ravel() for w, _ in parts]), np.hstack([s for _, s in parts])
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
-    """The thermal state exp(-H_R)/Z on a region, held as its spectrum.
+    """The thermal state exp(-H_R)/Z on a region, held as the spectrum of H_R.
 
-    rho = V diag(p) V^dag, with V the Chain's own eigenvectors of H_R (an
-    array, not the Chain, so a state in the Chain's memo makes no cycle) and
+    rho = V diag(p) V^dag, with the Chain's own Spectrum of H_R (not the
+    Chain, so a state in the Chain's memo makes no cycle) and
     p = e^{-(w - w_min)} / sum e^{-(w - w_min)}, which cannot overflow.  `rho`
     is formed on first read; `marginal` of a proper subregion never forms it.
     """
 
     region: tuple[int, ...]
-    p: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
+    spectrum: Spectrum = field(repr=False)
     local_dim: int
 
     @cached_property
+    def _z(self) -> float:
+        return _boltzmann(self.spectrum.w).sum()
+
+    def p(self, w: np.ndarray) -> np.ndarray:
+        """The state's eigenvalue at each eigenvalue w of H_R."""
+        return np.exp(self.spectrum.w[0] - w) / self._z
+
+    @cached_property
     def rho(self) -> LocalOperator:
-        return _state(self.region, from_spectrum(self.p, self.v), self.local_dim)
+        return _state(self.region, self.spectrum.form(self.p), self.local_dim)
 
 
 class Chain:
@@ -198,8 +262,8 @@ class Chain:
             self._memo[key] = build()
         return self._memo[key]
 
-    def spectrum(self, region: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors of H_R; H_R itself is not kept.
+    def spectrum(self, region: Sequence[int]) -> Spectrum:
+        """The Spectrum of H_R; H_R itself is not kept.
 
         H_R is solved by the blocks its exact structure gives (see `_pieces`),
         freed before the block solves; a matrix with no such structure goes to
@@ -217,41 +281,46 @@ class Chain:
             h = h.matrix
             pieces = _pieces(h)
             if pieces is None:
-                return np.linalg.eigh(h)
-            n, dtype = len(h), h.dtype
+                w, v = np.linalg.eigh(h)
+                return Spectrum(w, (Piece(w[None], v[None], np.arange(len(w))[None], None),))
+            n, solved = len(h), []
             del h
-            return _merge(pieces, n, dtype)
+            while pieces:  # each piece solved (a 1 x 1 matrix needs no solve) and dropped
+                mats, rows, mirror, paired = pieces.pop(0)
+                w, u = (np.linalg.eigh(mats) if mats.shape[-1] > 1
+                        else (mats[:, 0, :].real, np.ones_like(mats)))
+                del mats
+                solved.append(Piece(w, u, rows, mirror))
+                if paired:  # the image sector: the same (w, u) at the rows N-1-rows
+                    solved.append(Piece(w, u, n - 1 - rows, None))
+            w = np.sort(np.concatenate([pc.w.ravel() for pc in solved]), kind="stable")
+            return Spectrum(w, tuple(solved))
 
         return self.cached(("eigh", region), build)
 
-    def exp_spectrum(self, region: Sequence[int], t: complex) -> tuple:
-        """(e^{tw}, V) for H_R = V diag(w) V^dag, checked for overflow."""
-        w, v = self.spectrum(region)
+    def exp_spectrum(self, region: Sequence[int], t: complex) -> Spectrum:
+        """The Spectrum of H_R, checked that e^{tw} does not overflow on it."""
+        spectrum = self.spectrum(region)
         with np.errstate(over="ignore"):
-            f = np.exp(t * w)
-        if not np.all(np.isfinite(f)):
+            finite = np.all(np.isfinite(np.exp(t * spectrum.w)))
+        if not finite:
             raise ValueError(f"e^(tH) overflows on the spectrum of {_region(region)} at t={t}")
-        return f, v
+        return spectrum
 
     def exp(self, region: Sequence[int], t: complex) -> LocalOperator:
         """e^{t H_R}; complex t is fine."""
-        m = from_spectrum(*self.exp_spectrum(region, t))
+        m = self.exp_spectrum(region, t).form(lambda w: np.exp(t * w))
         return LocalOperator(_region(region), m, self.ia.local_dim)
 
     def log_partition_function(self, region: Sequence[int]) -> float:
         """log Tr e^{-H_R} = -w_min + log sum e^{-(w - w_min)}, finite at any coupling."""
-        w = self.spectrum(region)[0]
+        w = self.spectrum(region).w
         return float(-w[0] + np.log(_boltzmann(w).sum()))
 
     def gibbs(self, region: Sequence[int]) -> GibbsEnsemble:
         region = _region(region)
-
-        def build():
-            w, v = self.spectrum(region)
-            f = _boltzmann(w)
-            return GibbsEnsemble(region, f / f.sum(), v, self.ia.local_dim)
-
-        return self.cached(("gibbs", region), build)
+        return self.cached(("gibbs", region),
+                           lambda: GibbsEnsemble(region, self.spectrum(region), self.ia.local_dim))
 
     def marginal(self, region: Sequence[int], x: Sequence[int]) -> LocalOperator:
         """rho_X of the Gibbs state on `region`, formed once per Chain."""
@@ -266,9 +335,10 @@ def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
     """rho_X = tr_{R\\X} rho, straight from the spectrum for a proper subregion.
 
-    With S = V diag(sqrt p), its legs ordered (X, rest of R, eigenvalue) and
-    read as a d_X x (d_rest N) matrix, rho_X = S S^dag: one d_X N^2 Gram,
-    with no N^3 product and no partial trace.
+    With S = V diag(sqrt p), its rows ordered (X legs, rest of R) and read as
+    a d_X x (d_rest N) matrix, rho_X = S S^dag: a sum of d_X N m Grams, one
+    per group of m columns of `Spectrum._columns`, with no N^3 product, no
+    partial trace and no N x N copy of a split V.
     """
     x = _region(x)
     if not x or not set(x) <= set(g.region):
@@ -277,11 +347,15 @@ def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
         return g.rho
     d, n = g.local_dim, len(g.region)
     legs = [g.region.index(s) for s in x]
-    legs += [i for i in range(n + 1) if i not in legs]
-    v = g.v.reshape((d,) * n + (-1,)).transpose(legs)
-    s = np.multiply(v, np.sqrt(g.p), out=np.empty(v.shape, v.dtype))
-    s = s.reshape(d ** len(x), -1)
-    return _state(x, s @ s.conj().T, d)
+    legs += [i for i in range(n) if i not in legs]
+    at = np.empty(d ** n, np.intp)  # row R of V goes to row at[R] of S
+    at[np.arange(d ** n).reshape((d,) * n).transpose(legs).ravel()] = np.arange(d ** n)
+    rho_x = None
+    for _, s in g.spectrum._columns(at, lambda w: np.sqrt(g.p(w))):
+        s = s.reshape(d ** len(x), -1)
+        rho_x = s @ s.conj().T if rho_x is None else rho_x + s @ s.conj().T
+        del s
+    return _state(x, rho_x, d)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +371,7 @@ def entropy(rho: LocalOperator) -> float:
 
 def _log_matrix(rho: LocalOperator) -> np.ndarray:
     w, v = np.linalg.eigh(rho.matrix)
-    return from_spectrum(np.log(np.clip(w, LOG_FLOOR, None)), v)
+    return (v * np.log(np.clip(w, LOG_FLOOR, None))) @ v.conj().T
 
 
 def relative_entropy(rho: LocalOperator, sigma: LocalOperator) -> float:

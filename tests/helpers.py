@@ -123,7 +123,6 @@ def traced_interface_product(chain, regions, kk):
     PSD by construction, from one matmul of neighbourhood size.
     """
     from chainsep import LocalOperator, embed, expansional, identity
-    from chainsep.gibbs import from_spectrum
     from chainsep.separability import TELESCOPE_S
 
     def build():
@@ -138,7 +137,7 @@ def traced_interface_product(chain, regions, kk):
         ea = embed(ea, left + b).matrix
         ec = embed(ec, left + b + right).matrix
         g_b = chain.gibbs(b)
-        root_b = from_spectrum(np.sqrt(g_b.p), g_b.v)
+        root_b = g_b.spectrum.form(lambda w: np.sqrt(g_b.p(w)))
         # E_A (1 (x) (rho^B)^{1/2}); the B legs are the last of E_A's columns
         ea_root = (ea.reshape(-1, d_b) @ root_b).reshape(ea.shape)
         # N = E_C (ea_root (x) 1), computed with rows (row of E_C, right leg)

@@ -23,6 +23,7 @@ from chainsep import (
     check_partition_ratios,
     embed,
     entropy,
+    expansional,
     factorization_error,
     gibbs,
     hamiltonian,
@@ -65,7 +66,7 @@ def test_gibbs_state_is_normalized_and_psd():
     g = gibbs(ia, range(6))
     assert g.rho.trace().real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(g.rho.matrix).min() > 0
-    assert g.p.sum() == pytest.approx(1.0)
+    assert g.p(g.spectrum.w).sum() == pytest.approx(1.0)
     z = np.exp(-np.linalg.eigvalsh(hamiltonian(ia, range(6)).matrix)).sum()
     assert np.exp(Chain(ia).log_partition_function(range(6))) == pytest.approx(z)
 
@@ -160,7 +161,9 @@ def test_marginals_never_form_the_state():
 
 def test_marginal_checks_the_normalization():
     g = gibbs(_rand_ia(2), range(6))
-    bad = dataclasses.replace(g, v=g.v * 1.001)
+    (piece,) = g.spectrum.pieces
+    scaled = dataclasses.replace(g.spectrum, pieces=(piece._replace(u=piece.u * 1.001),))
+    bad = dataclasses.replace(g, spectrum=scaled)
     with pytest.raises(RuntimeError):
         marginal(bad, (0, 5))
     with pytest.raises(RuntimeError):
@@ -175,17 +178,24 @@ def test_marginal_checks_the_normalization():
 SYMMETRIC_MODELS = {
     "tfi": ("tfi", {"sites": 8}),
     "xxz": ("xxz", {"sites": 8, "jz": 0.5}),
+    "xxz-9": ("xxz", {"sites": 9, "jz": 0.5}),
+    "xxz-jz2": ("xxz", {"sites": 8, "jz": 2.0}),
+    "xxz-field": ("xxz", {"sites": 8, "jz": 0.5, "field": 0.3}),
     "classical_ising": ("classical_ising", {"sites": 8}),
     "classical_ising-field": ("classical_ising", {"sites": 8, "field": 0.5}),
 }
 
 
-def _check_spectrum(h, w, v):
-    """(w, V) against a fresh eigvalsh of h, and as a decomposition of h."""
+def _check_spectrum(h, spectrum):
+    """The ascending eigenvalues against a fresh eigvalsh of h, and the pieces,
+    formed into one (w, V), as a decomposition of h."""
+    w = spectrum.w
     scale = max(1.0, float(np.abs(w).max()))
     assert np.all(np.diff(w) >= 0)
     assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
-    assert np.linalg.norm(h @ v - v * w) <= 1e-12 * scale
+    w_cols, v = spectrum.dense()
+    assert np.array_equal(np.sort(w_cols, kind="stable"), w)
+    assert np.linalg.norm(h @ v - v * w_cols) <= 1e-12 * scale
     assert np.linalg.norm(v.conj().T @ v - np.eye(len(w))) <= 1e-12
 
 
@@ -195,17 +205,17 @@ def test_block_spectrum_matches_the_full_solve(model, monkeypatch):
     n = len(ia.sites)
     h = hamiltonian(ia, range(n)).matrix
     inputs = record_eigh(monkeypatch)
-    w, v = Chain(ia).spectrum(range(n))
+    spectrum = Chain(ia).spectrum(range(n))
     assert all(shape[-1] < 2**n for shape, _, _ in inputs)  # no full solve
-    assert v.dtype == h.dtype
-    _check_spectrum(h, w, v)
+    assert spectrum.dense()[1].dtype == h.dtype
+    _check_spectrum(h, spectrum)
 
 
 def test_block_spectrum_solves_only_the_blocks(monkeypatch):
     inputs = record_eigh(monkeypatch)
     for params in ({"sites": 10}, {"sites": 10, "field": 0.5}):
         ia = builtin_models("classical_ising", params)
-        w, v = Chain(ia).spectrum(range(10))
+        v = Chain(ia).spectrum(range(10)).dense()[1]
         assert np.array_equal(np.abs(v), np.abs(v) > 0)  # a permutation
     assert inputs == []  # a diagonal H has only 1 x 1 blocks
     Chain(builtin_models("tfi", {"sites": 10})).spectrum(range(10))
@@ -221,9 +231,9 @@ def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
     ia = Interaction(2, ia.sites, terms, 1)
     h = hamiltonian(ia, range(6)).matrix
     inputs = record_eigh(monkeypatch)
-    w, v = Chain(ia).spectrum(range(6))
+    spectrum = Chain(ia).spectrum(range(6))
     assert inputs == [matrix_digest(h)]
-    _check_spectrum(h, w, v)
+    _check_spectrum(h, spectrum)
 
     # one stray off-diagonal pair joins two 1 x 1 blocks of a diagonal H
     ia = builtin_models("classical_ising", {"sites": 4, "field": 0.5})
@@ -233,9 +243,18 @@ def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
     monkeypatch.setattr(
         gibbs_module, "hamiltonian", lambda ia, r: LocalOperator(r, stray.copy())
     )
-    w, v = Chain(ia).spectrum(range(4))
+    spectrum = Chain(ia).spectrum(range(4))
     assert [shape for shape, _, _ in inputs[1:]] == [(1, 2, 2)]
-    _check_spectrum(stray, w, v)
+    _check_spectrum(stray, spectrum)
+
+    # a block the flip maps onto itself folds only if its side is even
+    a = random_hermitian(np.random.default_rng(3), 27)
+    odd = (a + a[::-1, ::-1]).real
+    monkeypatch.setattr(gibbs_module, "hamiltonian", lambda ia, r: LocalOperator(r, odd.copy(), 3))
+    inputs.clear()
+    spectrum = Chain(builtin_models("zero", {"sites": 3, "local_dim": 3})).spectrum(range(3))
+    assert inputs == [matrix_digest(odd)]
+    _check_spectrum(odd, spectrum)
 
     # between two S_z sectors of xxz, it merges them
     h = hamiltonian(builtin_models("xxz", {"sites": 4, "jz": 0.5}), range(4)).matrix.copy()
@@ -244,63 +263,205 @@ def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
     assert len(_components(h)) == 4
 
 
-def test_block_spectrum_folds_a_complex_matrix(monkeypatch):
-    """A dense complex Hermitian H with H == H[::-1, ::-1] is one block and folds."""
-    a = random_hermitian(np.random.default_rng(7), 32)
-    h = a + a[::-1, ::-1]
+def _complex_fold(sites):
+    """A dense complex Hermitian H with H == H[::-1, ::-1] on `sites` qubits."""
+    a = random_hermitian(np.random.default_rng(sites + 2), 2**sites)
+    return a + a[::-1, ::-1]
+
+
+def _patch_complex_fold(monkeypatch):
     monkeypatch.setattr(
         importlib.import_module("chainsep.gibbs"), "hamiltonian",
-        lambda ia, r: LocalOperator(r, h.copy()),
+        lambda ia, r: LocalOperator(tuple(r), _complex_fold(len(r))),
     )
+
+
+def test_block_spectrum_folds_a_complex_matrix(monkeypatch):
+    """A dense complex Hermitian H with H == H[::-1, ::-1] is one block and folds."""
+    h = _complex_fold(5)
+    _patch_complex_fold(monkeypatch)
     inputs = record_eigh(monkeypatch)
-    w, v = Chain(builtin_models("zero", {"sites": 5})).spectrum(range(5))
+    spectrum = Chain(builtin_models("zero", {"sites": 5})).spectrum(range(5))
     assert [shape for shape, _, _ in inputs] == [(2, 16, 16)]
-    assert v.dtype == complex
-    _check_spectrum(h, w, v)
+    assert spectrum.dense()[1].dtype == complex
+    _check_spectrum(h, spectrum)
 
 
-@pytest.mark.parametrize("params", [
+def test_block_spectrum_solves_each_sector_pair_once(monkeypatch):
+    """The flip maps the S_z sector c of xxz onto N-1-c.  With no field the two
+    blocks map exactly, and one solve serves both; a field breaks that, and
+    the two are solved as one stack of 2."""
+    inputs = record_eigh(monkeypatch)
+    sides = (12, 66, 220, 495, 792)
+    for params, k in (({"jz": 0.5}, 1), ({"jz": 0.5, "field": 0.3}, 2)):
+        inputs.clear()
+        Chain(builtin_models("xxz", dict(params, sites=12))).spectrum(range(12))
+        want = [(k, m, m) for m in sides] + [(2, 462, 462)]
+        assert sorted(shape for shape, _, _ in inputs) == sorted(want), params
+
+
+ORACLE_MODELS = dict(SYMMETRIC_MODELS, **{"complex-fold": ("zero", {"sites": 5})})
+
+
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
+    """Marginals, the whole state, e^{tH}, log Z and the interface norms, all
+    read from the pieces, against np.linalg.eigh of the assembled H."""
+    if model == "complex-fold":
+        _patch_complex_fold(monkeypatch)
+    assemble = importlib.import_module("chainsep.gibbs").hamiltonian
+    ia = builtin_models(*ORACLE_MODELS[model])
+    n = len(ia.sites)
+    everything = tuple(range(n))
+
+    def dense(region):
+        return np.linalg.eigh(assemble(ia, region).matrix)
+
+    chain = Chain(ia)
+    assert all(pc.u.shape[-1] < 2**n for pc in chain.spectrum(everything).pieces)
+    w, v = dense(everything)
+    p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
+    rho = (v * p) @ v.conj().T
+    g = chain.gibbs(everything)
+    assert np.abs(g.rho.matrix - rho).max() <= 1e-12
+    for x in ((1, 2), (0, n - 1), (0, 2, 3)):
+        want = partial_trace(LocalOperator(everything, rho), tuple(set(everything) - set(x)))
+        assert np.abs(marginal(g, x).matrix - want.matrix).max() <= 1e-12, x
+    for t in (0.5, -1.0, 0.3 + 0.4j):
+        want = (v * np.exp(t * w)) @ v.conj().T
+        assert np.abs(chain.exp(everything, t).matrix - want).max() <= 1e-12 * np.abs(want).max()
+    log_z = -w[0] + np.log(np.exp(w[0] - w).sum())
+    assert abs(chain.log_partition_function(everything) - log_z) <= 1e-12 * max(1.0, abs(log_z))
+    x, y = everything[:3], everything[3:]
+    (wx, vx), (wy, vy) = dense(x), dense(y)
+    for s in (0.5, 0.3 + 0.4j):
+        # E = V diag(e^{-sw}) V^dag W diag(e^{s w_0}) W^dag, W = V_X (x) V_Y
+        a = np.exp(-s * w)[:, None] * (v.conj().T @ np.kron(vx, vy)) \
+            * np.kron(np.exp(s * wx), np.exp(s * wy))
+        sv = np.linalg.svd(a, compute_uv=False)
+        rep = expansional(chain, x, y, s)
+        assert abs(rep.norm_e - sv[0]) <= 1e-12 * sv[0], s
+        assert abs(rep.norm_e_inv - 1 / sv[-1]) <= 1e-12 / sv[-1], s
+
+
+RANDOM_MODELS = [
     {"sites": 7, "range": 2, "strength": 1.5, "seed": 1},
     {"sites": 5, "range": 1, "strength": 2.0, "seed": 5, "local_dim": 3},
-])
+]
+
+
+@pytest.mark.parametrize("params", RANDOM_MODELS)
 def test_block_spectrum_leaves_random_models_on_the_full_solve(params):
     ia = builtin_models("random", params)
     n = len(ia.sites)
-    w, v = Chain(ia).spectrum(range(n))
+    spectrum = Chain(ia).spectrum(range(n))
+    w, v = spectrum.dense()
     w_ref, v_ref = np.linalg.eigh(hamiltonian(ia, range(n)).matrix)
     assert matrix_digest(w) == matrix_digest(w_ref)
     assert matrix_digest(v) == matrix_digest(v_ref)
+    # one piece, read in place: the eigh output itself, with no copy
+    (piece,) = spectrum.pieces
+    assert w is spectrum.w and np.shares_memory(v, piece.u)
 
 
-SPECTRUM_PEAK = """
-from chainsep import Chain, builtin_models
+@pytest.mark.parametrize("params", RANDOM_MODELS)
+def test_every_reader_of_a_random_model_is_the_full_solve_bit_for_bit(params):
+    """A region with no exact structure is one piece, np.linalg.eigh's own
+    (w, V), so each reader does the arithmetic below on it, bit for bit."""
+    ia = builtin_models("random", params)
+    n, d = len(ia.sites), ia.local_dim
+    everything, x, y = tuple(range(n)), (0, 1), tuple(range(2, n))
+    w, v = np.linalg.eigh(hamiltonian(ia, everything).matrix)
+    f = np.exp(w[0] - w)
+    p = f / f.sum()
+    chain = Chain(ia)
+    g = chain.gibbs(everything)
+    pairs = [(g.rho.matrix, (v * p) @ v.conj().T)]
+    for sub in ((1, 2), (0, n - 1), (0, 2, 3)):
+        legs = list(sub) + [i for i in range(n + 1) if i not in sub]
+        vt = v.reshape((d,) * n + (-1,)).transpose(legs)
+        s = np.multiply(vt, np.sqrt(p), out=np.empty(vt.shape, vt.dtype)).reshape(d ** len(sub), -1)
+        pairs.append((marginal(g, sub).matrix, s @ s.conj().T))
+    for t in (0.5, -1.0, 0.3 + 0.4j):
+        pairs.append((chain.exp(everything, t).matrix, (v * np.exp(t * w)) @ v.conj().T))
+    pairs.append((chain.log_partition_function(everything), float(-w[0] + np.log(f.sum()))))
+    (wx, vx), (wy, vy) = (np.linalg.eigh(hamiltonian(ia, r).matrix) for r in (x, y))
+    u = v.conj().T @ np.kron(vx, vy)
+
+    def gram_eigvals(left, m, right):
+        g = left[:, None] * m * right
+        return np.linalg.eigvalsh(g @ g.conj().T)
+    for s in (0.5, 0.3 + 0.4j):
+        lam = gram_eigvals(np.exp(-s * w), u, np.kron(np.exp(s * wx), np.exp(s * wy)))
+        if np.finfo(float).eps * len(w) * lam[-1] <= 1e-10 * lam[0]:
+            norm_e_inv = 1.0 / math.sqrt(lam[0])
+        else:
+            b_inv = np.kron(np.exp(-s * wx), np.exp(-s * wy))
+            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, np.exp(s * w))[-1])
+        rep = expansional(chain, x, y, s)
+        pairs += [(rep.norm_e, math.sqrt(lam[-1])), (rep.norm_e_inv, norm_e_inv)]
+    for i, (got, want) in enumerate(pairs):
+        assert matrix_digest(np.asarray(got)) == matrix_digest(np.asarray(want)), i
+
+
+PEAK = """
+import sys
+from chainsep import Chain, RegionsABC, builtin_models, gibbs, marginal
 
 def peak():  # VmHWM, in KiB: the peak RSS of this process since its exec
     return next(int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmHWM"))
 
 ia = builtin_models("tfi", {"sites": 11})
 before = peak()
-Chain(ia).spectrum(range(11))
-print(peak() - before)
+if sys.argv[1] == "spectrum":
+    held = sum(pc.u.nbytes for pc in Chain(ia).spectrum(range(11)).pieces)
+else:
+    regions = RegionsABC.from_sizes(1, 9, 1)
+    marginal(gibbs(ia, regions.all_sites), regions.ac)
+    held = 0
+print(peak() - before, held)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
-def test_block_spectrum_peak_memory():
-    """The n = 2048 spectrum of tfi peaks at most 3 n^2 doubles above the
-    process before it, the result (w, V) included.  A full eigh with H still
-    alive peaks at about 5 n^2: H, its copy, V and LAPACK's 2 n^2 workspace.
+def _peak_growth(what):
+    """(peak RSS growth, bytes of eigenvectors held) of a fresh process.
     (ru_maxrss of a child starts at the RSS of the process that forked it, so
     a large test process would hide the growth; VmHWM starts afresh.)"""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", SPECTRUM_PEAK], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PEAK, what], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    grown = int(proc.stdout) * 1024
-    assert grown <= 3 * 2048**2 * 8, grown
+    grown, held = map(int, proc.stdout.split())
+    return grown * 1024, held
+
+
+N2_DOUBLES = 2048**2 * 8
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_block_spectrum_peak_memory():
+    """The n = 2048 spectrum of tfi keeps the fold's two half-size u, n^2/2
+    doubles, and peaks at most 2.125 n^2 doubles above the process before it
+    (about 2.01 n^2, set in the stacked eigh of the halves: the halves, its
+    copy of one, its 2 m^2 workspace and the u it returns).  A full eigh with
+    H still alive peaks at about 5 n^2: H, its copy, V and LAPACK's 2 n^2
+    workspace."""
+    grown, held = _peak_growth("spectrum")
+    assert held == N2_DOUBLES // 2
+    assert grown <= 2.125 * N2_DOUBLES, grown / N2_DOUBLES
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_gibbs_marginal_peak_memory():
+    """gibbs and rho_AC of tfi on 1|9|1 (n = 2048) peak at most 2.125 n^2
+    doubles above the process before them: no more than the spectrum alone,
+    since the marginal scatters n^2/2 doubles at a time next to the n^2/2 of
+    u.  A dense V and its scaled copy V sqrt(p) peak at about 2.27 n^2."""
+    grown, _ = _peak_growth("marginal")
+    assert grown <= 2.125 * N2_DOUBLES, grown / N2_DOUBLES
 
 
 def _crossing_norm_oracle(ia, a, b):
