@@ -49,7 +49,6 @@ from .expansionals import (
     check_lemmas,
     contraction_check,
     covering_bound,
-    difference_decay,
     estimate_uniform_bound,
     expansional,
     factorial_decay_bound,
@@ -57,16 +56,13 @@ from .expansionals import (
     tail_norm_bound,
 )
 from .separability import (
-    Certificate,
     CoreDecomposition,
     DecompositionReport,
-    VERDICT_ENTANGLED,
     VERDICT_SEPARABLE,
     VERDICT_UNDETERMINED,
     ball_radius,
     certify_marginal,
     decompose_truncated_marginal,
-    exact_sep_test,
     negativity,
     tail_term,
 )

@@ -1,12 +1,12 @@
-"""Interface operators relating coupled and decoupled Gibbs factors.
+"""Norms of the interface operators relating coupled and decoupled Gibbs factors.
 
 For adjacent intervals X, Y and |s| <= 1 the interface operator is
 E(s) = exp(-s H_{XY}) exp(s(H_X + H_Y)); its norm stays bounded uniformly
-in the interval sizes, and truncating the intervals changes it
-superexponentially little.  This module computes these operators, an
-empirical uniform-norm constant over them (the truncations it reads are
-`RegionsABC.clip`'s) and the proof's factorial bounds built on it, the
-partial-trace contraction check, and the per-instance lemma suite.
+in the interval sizes.  This module computes ||E|| and ||E^{-1}|| from the
+Chain's spectra without forming E, an empirical uniform-norm constant over
+them (the truncations it reads are `RegionsABC.clip`'s) and the proof's
+factorial bounds built on it, the partial-trace contraction check, and the
+per-instance lemma suite.
 """
 from __future__ import annotations
 
@@ -31,25 +31,11 @@ from .model import Interaction, RegionsABC
 @dataclass(frozen=True, eq=False)
 class ExpansionalReport:
     """E(s) held as `spectra`, the Chain's Spectrum of H_XY, H_X and H_Y (not
-    the Chain, so there is no cycle).  E (`e`), E^{-1} (`e_inv`) and their
-    norms are each computed on first read."""
+    the Chain, so there is no cycle).  ||E|| and ||E^{-1}|| are computed on
+    first read; E itself is never formed."""
 
     s: complex
-    x: tuple[int, ...]
-    y: tuple[int, ...]
     spectra: tuple = field(repr=False)
-    local_dim: int
-
-    def _form(self, inverse: bool) -> LocalOperator:
-        """E = e^{-sH_XY} e^{sH_0}, or E^{-1} = e^{-sH_0} e^{sH_XY}, by Chain.exp's products."""
-        t = -self.s if inverse else self.s
-        a, bx, by = (sp.form(lambda w, c=c: np.exp(c * w))
-                     for sp, c in zip(self.spectra, (-t, t, t)))
-        m = np.kron(bx, by) @ a if inverse else a @ np.kron(bx, by)
-        return LocalOperator(self.x + self.y, m, self.local_dim)
-
-    e = cached_property(lambda self: self._form(False))
-    e_inv = cached_property(lambda self: self._form(True))
 
     @cached_property
     def _norms(self) -> tuple[float, float]:
@@ -100,7 +86,7 @@ def expansional(
     s: complex,
 ) -> ExpansionalReport:
     """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y, built
-    once per Chain from its three spectra; E and its norms wait for a read."""
+    once per Chain from its three spectra; its norms wait for a read."""
     chain = Chain.of(system)
     x = _as_interval(x, "X")
     y = _as_interval(y, "Y")
@@ -113,7 +99,7 @@ def expansional(
         for r in (x + y, x, y):  # e^{-sH_R} must not overflow, nor e^{sH_R} below
             chain.exp_spectrum(r, -s)
         spectra = tuple(chain.exp_spectrum(r, s) for r in (x + y, x, y))
-        return ExpansionalReport(s, x, y, spectra, chain.ia.local_dim)
+        return ExpansionalReport(s, spectra)
 
     return chain.cached(("expansional", x, y, s), build)
 
@@ -189,47 +175,6 @@ def factorial_decay_bound(g_emp: float, ell: int, r: int) -> float:
 def tail_norm_bound(g_emp: float, k: int, r: int) -> float:
     """4 g^3 g^k / (floor(k/r)+1)!, the proof's tail norm budget."""
     return 4.0 * g_emp**3 * factorial_decay_bound(g_emp, k, r)
-
-
-@dataclass(frozen=True)
-class DifferenceDecayReport:
-    ell: int
-    difference_norm: float
-    inverse_difference_norm: float
-    bound: float
-    g_emp: float
-    ok: bool
-
-
-def difference_decay(
-    system: Interaction | Chain,
-    x: Sequence[int],
-    y: Sequence[int],
-    extensions: tuple[Sequence[int], Sequence[int]],
-    s: complex,
-) -> DifferenceDecayReport:
-    """Compare ||E_{X,Y} - E_{X~X,YY~}|| against the factorial bound, with the
-    uniform constant measured on the two expansionals compared."""
-    x = _as_interval(x, "X")
-    y = _as_interval(y, "Y")
-    ext_left = tuple(sorted(int(t) for t in extensions[0]))
-    ext_right = tuple(sorted(int(t) for t in extensions[1]))
-    if ext_left and ext_left[-1] + 1 != x[0]:
-        raise GeometryError("left extension must immediately precede X")
-    if ext_right and y[-1] + 1 != ext_right[0]:
-        raise GeometryError("right extension must immediately succeed Y")
-
-    chain = Chain.of(system)
-    base = expansional(chain, x, y, s)
-    big = expansional(chain, ext_left + x, y + ext_right, s)
-    target = big.e.support
-    diff = op_norm(big.e - embed(base.e, target))
-    diff_inv = op_norm(big.e_inv - embed(base.e_inv, target))
-    g_emp = _uniform((base, big))
-    ell = min(len(x), len(y))
-    bound = factorial_decay_bound(g_emp, ell, chain.ia.interaction_range)
-    ok = diff <= bound + 1e-12 and diff_inv <= bound + 1e-12
-    return DifferenceDecayReport(ell, diff, diff_inv, bound, g_emp, ok)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,6 @@ def min_eig(op: LocalOperator) -> float:
     return float(np.linalg.eigvalsh(op.matrix)[0])
 
 
-def is_psd(op: LocalOperator, tol_scale: float = PSD_TOL_SCALE) -> bool:
-    """PSD up to the eigensolver noise floor: min eig >= -tol*max(1, ||M||)."""
-    return min_eig(op) >= -tol_scale * max(1.0, op_norm(op))
+def is_psd(op: LocalOperator) -> bool:
+    """PSD up to the eigensolver noise floor: min eig >= -PSD_TOL_SCALE max(1, ||M||)."""
+    return min_eig(op) >= -PSD_TOL_SCALE * max(1.0, op_norm(op))

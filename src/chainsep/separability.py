@@ -29,10 +29,8 @@ from .linalg import (
 from .model import Interaction, RegionsABC, k_neighborhood
 
 VERDICT_SEPARABLE = "SeparableByConstruction"
-VERDICT_ENTANGLED = "Entangled"
 VERDICT_UNDETERMINED = "Undetermined"
 
-NEGATIVITY_ZERO_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-9
 # conjugating rho_AC by e^{sH_AC} telescopes into a core term plus tails at
 # s = 1/2 only, so the whole certification pipeline works there
@@ -49,7 +47,8 @@ class NegativityResult:
     min_pt_eig: float
 
 
-def _check_cut(rho: LocalOperator, cut) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def negativity(rho: LocalOperator, cut) -> NegativityResult:
+    """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT."""
     cut_a = tuple(sorted(int(s) for s in cut[0]))
     cut_c = tuple(sorted(int(s) for s in cut[1]))
     if set(cut_a) & set(cut_c) or set(cut_a) | set(cut_c) != set(rho.support):
@@ -58,12 +57,6 @@ def _check_cut(rho: LocalOperator, cut) -> tuple[tuple[int, ...], tuple[int, ...
         )
     if not cut_a or not cut_c:
         raise GeometryError("both sides of the cut must be nonempty")
-    return cut_a, cut_c
-
-
-def negativity(rho: LocalOperator, cut) -> NegativityResult:
-    """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT."""
-    _, cut_c = _check_cut(rho, cut)
     w = np.linalg.eigvalsh(partial_transpose(rho, cut_c).matrix)
     return NegativityResult(float(np.abs(w[w < 0]).sum()), float(w[0]))
 
@@ -78,13 +71,6 @@ def _rel_err(approx: LocalOperator, ref: LocalOperator) -> float:
     return float(np.linalg.norm(diff)) / max(float(np.linalg.norm(ref.matrix)), 1e-300)
 
 
-@dataclass(frozen=True, eq=False)
-class Certificate:
-    verdict: str
-    negativity: float | None = None
-    min_pt_eig: float | None = None
-
-
 def ball_radius(dim_a: int, dim_c: int) -> float:
     """Operator-norm radius around the identity inside which 1 + Delta stays
     separable across the cut."""
@@ -94,20 +80,6 @@ def ball_radius(dim_a: int, dim_c: int) -> float:
 def ppt_is_exact(local_dim: int, n_sites: int) -> bool:
     """Whether PPT is exact across a cut of `n_sites` sites: up to 2x3 only."""
     return local_dim**n_sites <= 6
-
-
-def exact_sep_test(rho: LocalOperator, cut) -> Certificate:
-    """PPT as an exact separability test, valid only for 2x2 and 2x3 cuts."""
-    cut_a, cut_c = _check_cut(rho, cut)
-    if not ppt_is_exact(rho.local_dim, len(cut_a) + len(cut_c)):
-        raise GeometryError(
-            "PPT is only exact up to 2x3; use certify_marginal for larger cuts"
-        )
-    neg = negativity(rho, (cut_a, cut_c))
-    verdict = (
-        VERDICT_SEPARABLE if neg.negativity <= NEGATIVITY_ZERO_TOL else VERDICT_ENTANGLED
-    )
-    return Certificate(verdict, negativity=neg.negativity, min_pt_eig=neg.min_pt_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -253,34 +225,6 @@ def tail_term(
     return chain.cached(("tail", regions, k), build)
 
 
-@dataclass(frozen=True, eq=False)
-class _Telescope:
-    """Both sides of the telescoping identity at radius k0, on A u C.
-
-    lhs = (Z_ABC / Z_B) e^{H_AC/2} rho_AC e^{H_AC/2} is F_kmax, kmax =
-    max(|A|,|C|), whose neighbourhood is the whole chain.  It equals F_k0 plus
-    the tails k0..kmax-1, and F_k0 is the closed form (Z_{B_k0} / Z_B) rho~_AC
-    of the core decomposition at k0.
-    """
-
-    tails: tuple[TailTerm, ...]
-    z_ratio: float
-    closed_form: LocalOperator
-    lhs: LocalOperator
-
-
-def _telescope(chain: Chain, regions: RegionsABC, k0: int) -> _Telescope:
-    def build():
-        kmax = max(len(regions.a), len(regions.c))
-        tails = tuple(tail_term(chain, regions, k) for k in range(k0, kmax))
-        ratio = _closed_form(chain, regions, k0)[0]
-        scale, top = _closed_form(chain, regions, kmax)
-        core = decompose_truncated_marginal(chain, regions, k0)
-        return _Telescope(tails, ratio, ratio * embed(core.tilde_ac, regions.ac), scale * top)
-
-    return chain.cached(("telescope", regions, k0), build)
-
-
 # ---------------------------------------------------------------------------
 # The full certification pipeline
 # ---------------------------------------------------------------------------
@@ -309,20 +253,26 @@ class DecompositionReport:
 def _attempt_certificate(
     chain: Chain, regions: RegionsABC, k0: int, neg: float
 ) -> DecompositionReport:
+    """The verdict at radius k0.  Its telescope check on A u C: F_kmax, kmax =
+    max(|A|,|C|), is (Z_ABC / Z_B) e^{H_AC/2} rho_AC e^{H_AC/2}, and equals
+    F_k0 = (Z_{B_k0} / Z_B) rho~_AC of the core plus the tails k0..kmax-1."""
     d = chain.ia.local_dim
     core = decompose_truncated_marginal(chain, regions, k0)
-    tel = _telescope(chain, regions, k0)
-    identity_mass = tel.z_ratio * core.gamma
+    kmax = max(len(regions.a), len(regions.c))
+    tails = [tail_term(chain, regions, k) for k in range(k0, kmax)]
+    ratio = _closed_form(chain, regions, k0)[0]
+    scale, top = _closed_form(chain, regions, kmax)
+    identity_mass = ratio * core.gamma
 
     per_k = []
-    for t in tel.tails:
+    for t in tails:
         budget_k = identity_mass * 2.0 ** (-(t.k - k0 + 1))
         dim_a = d ** min(t.k + 1, len(regions.a))
         dim_c = d ** min(t.k + 1, len(regions.c))
         margin = budget_k * ball_radius(dim_a, dim_c) - t.norm
         per_k.append(TailCheck(t.k, t.norm, budget_k, margin))
-    rebuilt = sum((embed(t.op, regions.ac) for t in tel.tails), tel.closed_form)
-    rel_err = _rel_err(rebuilt, tel.lhs)
+    f_k0 = ratio * embed(core.tilde_ac, regions.ac)
+    rel_err = _rel_err(sum((embed(t.op, regions.ac) for t in tails), f_k0), scale * top)
 
     ok = (
         core.ball_ok
@@ -334,7 +284,7 @@ def _attempt_certificate(
         verdict=VERDICT_SEPARABLE if ok else VERDICT_UNDETERMINED,
         k0=k0,
         gamma_k0=core.gamma,
-        z_ratio=tel.z_ratio,
+        z_ratio=ratio,
         reconstruction_rel_err=rel_err,
         per_k=tuple(per_k),
         core=core,

@@ -28,7 +28,6 @@ from chainsep import (
     covering_bound,
     decompose_truncated_marginal,
     embed,
-    exact_sep_test,
     factorization_error,
     gibbs,
     herm_exp,
@@ -44,8 +43,8 @@ from chainsep import (
     tail_term,
     trace_norm,
 )
-from chainsep.separability import VERDICT_SEPARABLE
 from helpers import (
+    NEGATIVITY_ZERO_TOL,
     conjugated_marginals_oracle,
     core_split_rel_err,
     embed_oracle,
@@ -228,7 +227,7 @@ def test_acceptance_6_identity_ball(capfd):
         if (da, dc) == (2, 2):
             state = identity((0, 1), 2) + LocalOperator((0, 1), h)
             state = state * (1.0 / state.trace().real)
-            if exact_sep_test(state, ((0,), (1,))).verdict != VERDICT_SEPARABLE:
+            if negativity(state, ((0,), (1,))).negativity > NEGATIVITY_ZERO_TOL:
                 fails += 1
         else:
             # 2x3 cut: PPT on the raw matrix (the qutrit factor has no

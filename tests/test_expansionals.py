@@ -17,7 +17,6 @@ from chainsep import (
     check_lemmas,
     contraction_check,
     covering_bound,
-    difference_decay,
     embed,
     estimate_uniform_bound,
     expansional,
@@ -29,31 +28,46 @@ from chainsep import (
     marginal,
     op_norm,
 )
-from helpers import matrix_digest, random_hermitian, random_state, record_eigh, record_solver
+from helpers import (
+    interface_operator,
+    matrix_digest,
+    random_hermitian,
+    random_state,
+    record_eigh,
+    record_solver,
+)
 
 
 def _tfi(n):
     return builtin_models("tfi", {"sites": n})
 
 
+def _oracle_norms(ia, x, y, s):
+    """(||E(s)||, ||E(s)^{-1}||) of the oracle, with E(s)^{-1} = E(-conj s)^dag."""
+    return tuple(op_norm(interface_operator(ia, x, y, t)) for t in (s, -np.conj(s)))
+
+
 def test_expansional_identity_for_zero_interaction():
     ia = builtin_models("zero", {"sites": 4})
     rep = expansional(ia, (0, 1), (2, 3), 0.5)
-    assert np.allclose(rep.e.matrix, np.eye(16))
-    assert rep.norm_e == pytest.approx(1.0)
+    assert abs(rep.norm_e - 1.0) < 1e-14 and abs(rep.norm_e_inv - 1.0) < 1e-14
 
 
 def test_expansional_identity_at_s_zero():
     ia = _tfi(4)
     rep = expansional(ia, (0, 1), (2, 3), 0.0)
-    assert np.abs(rep.e.matrix - np.eye(16)).max() < 1e-14
+    assert abs(rep.norm_e - 1.0) < 1e-14 and abs(rep.norm_e_inv - 1.0) < 1e-14
 
 
 def test_expansional_inverse_relation():
     ia = _tfi(5)
-    rep = expansional(ia, (0, 1), (2, 3, 4), 0.5)
-    prod = rep.e @ rep.e_inv
+    x, y = (0, 1), (2, 3, 4)
+    # the oracle's inverse: E(s) E(-conj s)^dag = 1
+    prod = interface_operator(ia, x, y, 0.5) @ interface_operator(ia, x, y, -0.5).dagger()
     assert np.abs(prod.matrix - np.eye(32)).max() < 1e-12
+    rep = expansional(ia, x, y, 0.5)
+    for got, want in zip((rep.norm_e, rep.norm_e_inv), _oracle_norms(ia, x, y, 0.5)):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_expansional_commuting_decouples():
@@ -66,8 +80,9 @@ def test_expansional_commuting_decouples():
         hamiltonian(ia, (2, 3)), (0, 1, 2, 3)
     )
     boundary = h_xy - h_split
-    expect = herm_exp(boundary, -0.5)
-    assert np.abs(rep.e.matrix - expect.matrix).max() < 1e-12
+    for got, t in ((rep.norm_e, -0.5), (rep.norm_e_inv, 0.5)):
+        want = op_norm(herm_exp(boundary, t))
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_expansional_validates_geometry():
@@ -139,33 +154,31 @@ def test_factorial_decay_bound_values():
     assert factorial_decay_bound(3.0, 40, 1) < 1e-18
 
 
+def _difference_decay(ia, ell, split):
+    """||E_big - E_small|| and ||E_big^{-1} - E_small^{-1}|| at s = 1/2, for
+    X, Y the ell sites left and right of `split` and X~X, YY~ the whole chain,
+    and the factorial bound with g measured on the two expansionals."""
+    x, y = tuple(range(split - ell, split)), tuple(range(split, split + ell))
+    big_x, big_y = tuple(range(split)), tuple(range(split, len(ia.sites)))
+    diffs = []
+    for t in (0.5, -0.5):  # E(1/2)^{-1} = E(-1/2)^dag, and ^dag keeps the norm
+        big = interface_operator(ia, big_x, big_y, t)
+        diffs.append(op_norm(big - embed(interface_operator(ia, x, y, t), big.support)))
+    reps = [expansional(ia, x, y, 0.5), expansional(ia, big_x, big_y, 0.5)]
+    g = max(1.0, *(n for rep in reps for n in (rep.norm_e, rep.norm_e_inv)))
+    return diffs, factorial_decay_bound(g, ell, ia.interaction_range)
+
+
 def test_difference_decay_examples():
     ia = _tfi(8)
     for ell in (1, 2, 3):
-        x = tuple(range(3 - ell, 3))[-ell:]
-        rep = difference_decay(
-            ia,
-            tuple(range(3 - ell, 3)),
-            tuple(range(3, 3 + ell)),
-            (tuple(range(0, 3 - ell)), tuple(range(3 + ell, 8))),
-            0.5,
-        )
-        assert rep.ok, rep
-        assert rep.difference_norm <= rep.bound + 1e-12
+        diffs, bound = _difference_decay(ia, ell, 3)
+        assert max(diffs) <= bound + 1e-12, (ell, diffs, bound)
 
 
 def test_difference_decay_shrinks_with_ell():
     ia = _tfi(8)
-    norms = []
-    for ell in (1, 2, 3):
-        rep = difference_decay(
-            ia,
-            tuple(range(4 - ell, 4)),
-            tuple(range(4, 4 + ell)),
-            (tuple(range(0, 4 - ell)), tuple(range(4 + ell, 8))),
-            0.5,
-        )
-        norms.append(rep.difference_norm)
+    norms = [_difference_decay(ia, ell, 4)[0][0] for ell in (1, 2, 3)]
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -196,7 +209,8 @@ def test_expansional_inverse_property(seed, s):
         "random", {"sites": 5, "range": 2, "strength": 1.5, "seed": seed}
     )
     rep = expansional(ia, (0, 1, 2), (3, 4), s)
-    assert np.abs((rep.e @ rep.e_inv).matrix - np.eye(32)).max() < 1e-10
+    for got, want in zip((rep.norm_e, rep.norm_e_inv), _oracle_norms(ia, (0, 1, 2), (3, 4), s)):
+        assert abs(got - want) <= 1e-10 * want
     assert max(rep.norm_e, rep.norm_e_inv) >= 1.0 - 1e-12
     # the spectral context against exponentials of freshly assembled
     # Hamiltonians: e^{sH_R} from the cached spectrum, and the split
@@ -234,14 +248,9 @@ FAMILIES = [
 
 
 def _formed(ia, x, y, s):
-    """E and E^{-1} formed explicitly from freshly assembled Hamiltonians."""
-    xy = x + y
-    h_split = embed(hamiltonian(ia, x), xy) + embed(hamiltonian(ia, y), xy)
-    h_xy = hamiltonian(ia, xy)
-    return (
-        (herm_exp(h_xy, -s) @ herm_exp(h_split, s)).matrix,
-        (herm_exp(h_split, -s) @ herm_exp(h_xy, s)).matrix,
-    )
+    """E(s) and E(s)^{-1} = E(-conj s)^dag of the oracle, as matrices."""
+    return (interface_operator(ia, x, y, s).matrix,
+            interface_operator(ia, x, y, -np.conj(s)).dagger().matrix)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -289,8 +298,8 @@ def test_building_an_expansional_solves_nothing(monkeypatch, s):
     calls = [record_solver(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
     rep = expansional(chain, (0, 1, 2), (3, 4, 5), s)
     assert calls == [[], [], []]
-    assert rep.e.dim == 64 and calls == [[], [], []]
-    assert rep.norm_e > 0 and calls[1]
+    assert rep.norm_e > 0 and rep.norm_e_inv > 0
+    assert calls[1] and calls[0] == calls[2] == []
 
 
 def test_certify_and_lemmas_call_no_svd(monkeypatch):
@@ -312,22 +321,16 @@ def test_norm_only_pairs_never_form_e(s):
     reps = [expansional(chain, a, b, s), expansional(chain, a + b, c, s)]
     for a_k, c_k in map(regions.clip, (1, 2, 3)):
         reps += [expansional(chain, a_k, b, s), expansional(chain, a_k + b, c_k, s)]
+    # the norms were read, and a report holds its spectra and norms only
     for rep in reps:
-        assert "e" not in rep.__dict__ and "e_inv" not in rep.__dict__
-    # once read, E and E^{-1} are the products of the spectral context, bit for bit
-    for rep in reps[:2]:
-        x, y = rep.x, rep.y
-        e = chain.exp(x + y, -s) @ kron(chain.exp(x, s), chain.exp(y, s))
-        e_inv = kron(chain.exp(x, -s), chain.exp(y, -s)) @ chain.exp(x + y, s)
-        assert np.array_equal(rep.e.matrix, e.matrix)
-        assert np.array_equal(rep.e_inv.matrix, e_inv.matrix)
-        assert rep.e is rep.e and rep.e.support == x + y
+        assert set(rep.__dict__) == {"s", "spectra", "_norms"}
 
 
 def test_expansional_leaves_no_reference_cycle():
     chain = Chain(_tfi(6))
     rep = expansional(chain, (0, 1, 2), (3, 4, 5), 0.5)
-    assert rep.e.dim == 64
+    unread = expansional(chain, (0, 1), (2, 3), 0.5)
+    assert rep.norm_e > 0
     ref = weakref.ref(chain)
     gc.disable()
     try:
@@ -335,4 +338,4 @@ def test_expansional_leaves_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
-    assert rep.e_inv.dim == 64
+    assert rep.norm_e_inv > 0 and unread.norm_e > 0 and unread.norm_e_inv > 0

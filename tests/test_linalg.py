@@ -10,7 +10,6 @@ from chainsep import (
     herm_exp,
     herm_fn,
     identity,
-    is_psd,
     kron,
     min_eig,
     op_norm,
@@ -249,7 +248,7 @@ def test_partial_trace_preserves_psd(seed):
     rng = np.random.default_rng(seed)
     rho = LocalOperator((0, 1, 2), random_state(rng, 8))
     out = partial_trace(rho, (1,))
-    assert is_psd(out, 1e-12)
+    assert min_eig(out) >= -1e-12 * max(1, op_norm(out))
     assert out.trace().real == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,5 +1,6 @@
 """The scripts under scripts/ and README's Python examples, run as a user
-would, from the repository root."""
+would, from the repository root, and the readers of every exported name."""
+import ast
 import os
 import re
 import subprocess
@@ -59,3 +60,24 @@ def test_readme_python_examples_run():
     proc = _python("-W", "error::RuntimeWarning", "-c", "\n".join(blocks))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "SeparableByConstruction"  # as the comment says
+
+
+def test_every_export_is_used_outside_the_tests():
+    """Each name chainsep's __init__ exports is read by another module of the
+    package, a script, the benchmark or a README example: a name only the
+    tests read does not belong in the library.  A read is a loaded name or an
+    attribute; imports and the name's own def or class are not reads."""
+    init = ast.parse((ROOT / "src" / "chainsep" / "__init__.py").read_text())
+    exports = [a.name for node in init.body if isinstance(node, ast.ImportFrom)
+               for a in node.names]
+    sources = [p.read_text() for d in ("src/chainsep", "scripts", "bench")
+               for p in sorted((ROOT / d).glob("*.py")) if p.name != "__init__.py"]
+    sources += re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    read = set()
+    for node in (n for src in sources for n in ast.walk(ast.parse(src))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    assert len(exports) > 40
+    assert [name for name in exports if name not in read] == []
