@@ -122,6 +122,64 @@ def _pieces(h: np.ndarray) -> list[tuple] | None:
     return pieces
 
 
+def _mirror_split(mats, rows, mirror, reverse) -> list[list] | None:
+    """The sub-blocks of each block of a `_pieces` stack under the site
+    reflection R (e_i -> e_reverse[i]), or None if R maps a block off itself.
+
+    R sends block i's basis vector j to sign[j] times vector perm[j] (for a
+    fold half s, (e_top + s e_mirror)/sqrt 2 gains s if R top[j] is a mirror
+    row).  A block b that commutes with R is Q_t^T b Q_t, t = +-1, where Q_t
+    has the columns (e_j + t sign_j e_perm_j)/sqrt 2 for pairs j < perm[j],
+    then e_j for the fixed points with sign t.  Per block, a list of
+    (sub-block, rows r, partner of each pair row, t sign there) per nonempty
+    Q_t, pairs first in r.
+    """
+    m = rows.shape[1]
+    j, blocks = np.arange(m), []
+    for i, b in enumerate(mats):
+        at = np.full(len(reverse), -1)
+        at[rows[i]] = j
+        if mirror is not None:
+            at[mirror[i]] = j + m
+        image = at[reverse[rows[i]]]
+        if image.min() < 0:
+            return None
+        perm, sign = image % m, np.where(image < m, 1, 1 - 2 * i)
+        pairs, fixed, parts = np.flatnonzero(perm > j), perm == j, []
+        for t in (1, -1):
+            r = np.concatenate([pairs, np.flatnonzero(fixed & (sign == t))])
+            if r.size:
+                f, ts, rows_r = len(pairs), t * sign[pairs], b.take(r, 0)
+                sub = rows_r.take(r, 1)
+                sub[:, :f] += rows_r.take(perm[pairs], 1) * ts
+                sub[f:, :f] *= np.sqrt(0.5)
+                sub[:f, f:] = sub[f:, :f].conj().T
+                parts.append((sub, r, perm[pairs], ts))
+        blocks.append(parts)
+    return blocks
+
+
+def _solve_split(blocks: list, w: np.ndarray, u: np.ndarray) -> None:
+    """Fill the (w, u) of a stack, u zero, from its `_mirror_split`: each
+    sub-block goes to eigh alone and is dropped before the next, and Q_t u_t
+    is put in the block's u at the columns that keep its eigenvalues
+    ascending."""
+    for i in range(len(u)):
+        parts, solved = blocks.pop(0), []
+        while parts:
+            sub, r, partner, ts = parts.pop(0)
+            solved.append((*np.linalg.eigh(sub), r, partner, ts))
+            del sub
+        ws = np.concatenate([wt for wt, *_ in solved])
+        order = np.argsort(ws, kind="stable")
+        w[i], at = ws[order], np.argsort(order)  # at: the column of each eigenpair
+        for wt, ut, r, partner, ts in solved:
+            cols, f, at = at[:len(wt)], len(partner), at[len(wt):]
+            ut[:f] *= np.sqrt(0.5)  # pair row j: (e_j + ts e_partner) / sqrt 2
+            u[i][np.ix_(r, cols)] = ut
+            u[i][np.ix_(partner, cols)] = ut[:f] * ts[:, None]
+
+
 class Piece(NamedTuple):
     """k solved m x m blocks of a Hermitian H: eigenvalues w (k, m) and
     eigenvectors u (k, m, m).  Eigenvector j of block i has the entries
@@ -266,8 +324,9 @@ class Chain:
         """The Spectrum of H_R; H_R itself is not kept.
 
         H_R is solved by the blocks its exact structure gives (see `_pieces`),
-        freed before the block solves; a matrix with no such structure goes to
-        one `np.linalg.eigh`.
+        freed before the block solves, and each block is split once more by
+        the site reflection if the terms inside R are mirror images (see
+        `_mirror_split`); a matrix with neither goes to one `np.linalg.eigh`.
         """
         region = _region(region)
 
@@ -279,17 +338,31 @@ class Chain:
             if not h.is_hermitian():
                 raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
             h = h.matrix
-            pieces = _pieces(h)
+            pieces, n = _pieces(h), len(h)
+            reverse = (np.arange(n).reshape((self.ia.local_dim,) * len(region)).T.ravel()
+                       if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)
             if pieces is None:
-                w, v = np.linalg.eigh(h)
-                return Spectrum(w, (Piece(w[None], v[None], np.arange(len(w))[None], None),))
-            n, solved = len(h), []
+                if reverse is None:
+                    w, v = np.linalg.eigh(h)
+                    return Spectrum(w, (Piece(w[None], v[None], np.arange(n)[None], None),))
+                pieces = [(h[None], np.arange(n)[None], None, False)]
+            solved = []
             del h
             while pieces:  # each piece solved (a 1 x 1 matrix needs no solve) and dropped
                 mats, rows, mirror, paired = pieces.pop(0)
-                w, u = (np.linalg.eigh(mats) if mats.shape[-1] > 1
-                        else (mats[:, 0, :].real, np.ones_like(mats)))
-                del mats
+                split = None
+                if reverse is not None and mats.shape[-1] > 1:
+                    # the kept (w, u) first, so the sub-blocks come and go above
+                    # them on the heap and do not leave holes beneath them
+                    w, u = np.empty(mats.shape[:2]), np.zeros(mats.shape, mats.dtype)
+                    split = _mirror_split(mats, rows, mirror, reverse)
+                if split is not None:
+                    del mats
+                    _solve_split(split, w, u)
+                else:
+                    w, u = (np.linalg.eigh(mats) if mats.shape[-1] > 1
+                            else (mats[:, 0, :].real, np.ones_like(mats)))
+                    del mats
                 solved.append(Piece(w, u, rows, mirror))
                 if paired:  # the image sector: the same (w, u) at the rows N-1-rows
                     solved.append(Piece(w, u, n - 1 - rows, None))

@@ -64,6 +64,22 @@ class Interaction:
                 per_site[s] += nrm
         return max(per_site.values(), default=0.0)
 
+    def is_mirror_symmetric(self, region: Sequence[int]) -> bool:
+        """Whether reflecting `region` (position i to n-1-i) maps each term
+        inside it, legs reversed, exactly onto the term on the image support.
+        Read from the terms: H_R's float sums round differently on its two
+        sides."""
+        region = sorted(set(int(s) for s in region))
+        pos, d = {s: i for i, s in enumerate(region)}, self.local_dim
+        for supp, mat in self.terms.items():
+            if set(supp) <= pos.keys():
+                k, image = len(supp), tuple(region[-1 - pos[s]] for s in reversed(supp))
+                legs = [*range(k)[::-1], *range(k, 2 * k)[::-1]]
+                reflected = mat.reshape((d,) * 2 * k).transpose(legs).reshape(mat.shape)
+                if not np.array_equal(self.terms.get(image), reflected):
+                    return False
+        return True
+
 
 @dataclass(frozen=True)
 class RegionsABC:
