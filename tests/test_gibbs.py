@@ -293,7 +293,11 @@ def test_blocks_the_reflection_maps_apart_are_not_split(monkeypatch):
     assert ia.is_mirror_symmetric(range(5))
     gibbs_module = importlib.import_module("chainsep.gibbs")
     split, results = gibbs_module._mirror_split, []
-    monkeypatch.setattr(gibbs_module, "_mirror_split", lambda *a: results.append(split(*a)) or results[-1])
+
+    def recording_split(*args):
+        results.append(split(*args))
+        return results[-1]
+    monkeypatch.setattr(gibbs_module, "_mirror_split", recording_split)
     _check_spectrum(hamiltonian(ia, range(5)).matrix, Chain(ia).spectrum(range(5)))
     assert results and all(r is None for r in results)
 
@@ -307,7 +311,8 @@ def test_mirror_test_reads_the_terms():
         assert all(ia.is_mirror_symmetric(range(i, j)) for i in range(6) for j in range(i + 1, 7))
     for local_dim in (2, 3):
         ia = builtin_models("random", {"sites": 5, "local_dim": local_dim})
-        assert not any(ia.is_mirror_symmetric(range(i, j)) for i in range(5) for j in range(i + 2, 6))
+        intervals = [range(i, j) for i in range(5) for j in range(i + 2, 6)]
+        assert not any(ia.is_mirror_symmetric(r) for r in intervals)
     terms = dict(builtin_models("tfi", {"sites": 6}).terms)
     terms[(2,)] = terms[(2,)] + 0.3 * PAULI_Z
     ia = Interaction(2, tuple(range(6)), terms, 1)
@@ -316,7 +321,8 @@ def test_mirror_test_reads_the_terms():
     xz, zx = np.kron(PAULI_X, PAULI_Z), np.kron(PAULI_Z, PAULI_X)
     chiral = Interaction(2, tuple(range(4)), {(0, 1): xz, (1, 2): xz, (2, 3): xz}, 1)
     assert not chiral.is_mirror_symmetric(range(4))
-    ia = Interaction(2, tuple(range(4)), {(0, 1): xz, (1, 2): np.kron(PAULI_X, PAULI_X), (2, 3): zx}, 1)
+    xx = np.kron(PAULI_X, PAULI_X)
+    ia = Interaction(2, tuple(range(4)), {(0, 1): xz, (1, 2): xx, (2, 3): zx}, 1)
     assert ia.is_mirror_symmetric(range(4))
     _check_spectrum(hamiltonian(ia, range(4)).matrix, Chain(ia).spectrum(range(4)))
 
