@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BudgetError, GeometryError
 from .linalg import (
-    HERMITICITY_BLOCK,
+    HERMITICITY_RTOL,
     LocalOperator,
     embed,
     kron,
@@ -17,7 +17,7 @@ from .linalg import (
     partial_trace,
     trace_norm,
 )
-from .model import Interaction, RegionsABC, hamiltonian
+from .model import Entries, Interaction, RegionsABC, hamiltonian, hamiltonian_entries
 
 DEFAULT_BUDGET = 4096
 LOG_FLOOR = 1e-300
@@ -47,47 +47,59 @@ def _state(support: tuple[int, ...], m: np.ndarray, local_dim: int) -> LocalOper
 # Block spectra from exact structure
 # ---------------------------------------------------------------------------
 
-def _components(h: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern of h, where i and j are
-    linked if h[i, j] or h[j, i] is nonzero: ascending index arrays, ordered
-    by their least index."""
-    link = h != 0
-    n, b = len(h), HERMITICITY_BLOCK
-    for i in range(0, n, b):  # link |= link.T, block by block, so each block is read from cache
-        for j in range(i, n, b):
-            either = link[i:i + b, j:j + b] | link[j:j + b, i:i + b].T
-            link[i:i + b, j:j + b], link[j:j + b, i:i + b] = either, either.T
-    link.flat[::n + 1] = False
-    root = np.where(link.any(axis=1), -1, np.arange(n))  # a lone index is its own root
-    unseen = np.flatnonzero(root < 0)
-    while unseen.size:  # breadth-first from the least index not yet reached
-        start = frontier = unseen[:1]
-        while frontier.size:
-            root[frontier] = start
-            frontier = np.flatnonzero(link[frontier].any(axis=0) & (root < 0))
-        unseen = np.flatnonzero(root < 0)
-    if not root.any():
-        return [np.arange(n)]
-    order = np.argsort(root, kind="stable")
-    _, first = np.unique(root[order], return_index=True)
-    return np.split(order, first[1:])
+def _mates(h: Entries, keys: np.ndarray) -> np.ndarray:
+    """h's value at each of the ascending `keys`, 0 where a key is no entry."""
+    if np.array_equal(keys, h.keys):
+        return h.values
+    at = np.searchsorted(h.keys, keys)
+    return np.where(np.append(h.keys, -1)[at] == keys, np.append(h.values, 0)[at], 0)
 
 
-def _pieces(h: np.ndarray) -> list[tuple] | None:
+def _is_hermitian(h: Entries) -> bool:
+    """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F), read from the entries."""
+    col, row = np.divmod(h.keys, h.side)[::-1]
+    order = np.argsort(col, kind="stable")  # by column, so the transposed keys ascend
+    mate = _mates(h, (col * h.side + row)[order])
+    tol = HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(h.values)))
+    return bool(np.abs(h.values[order] - mate.conj()).max(initial=0.0) <= tol)
+
+
+def _components(h: Entries) -> np.ndarray:
+    """The connected components of h's pattern, where i and j are linked by an
+    entry at (i, j) or (j, i), as the least index of each index's component."""
+    i, j = np.divmod(h.keys, h.side)
+    root = np.arange(h.side)
+    while True:  # each index takes its neighbours' least root, then its root's
+        low = root.copy()
+        np.minimum.at(low, i, root[j])
+        np.minimum.at(low, j, root[i])
+        low = low[low]
+        if np.array_equal(low, root):
+            return root
+        root = low
+
+
+def _pieces(h: Entries) -> list[tuple] | None:
     """Split a Hermitian h into independent pieces by two exact symmetries.
 
-    Each connected component c of h's nonzero pattern is a block h[c, c], and
-    blocks of equal size are stacked.  The global flip i -> N-1-i maps c onto
+    Each connected component c of h's pattern is a block h[c, c], and blocks
+    of equal size are stacked.  The global flip i -> N-1-i maps c onto
     c' = N-1-c.  If c' == c and b = h[c, c] == b[::-1, ::-1], b folds into the
     Hermitian halves b00 + s b01 J, s = +1 then -1 (J reverses the columns):
     if (b00 + s b01 J) u = w u, then [u; s J u] / sqrt 2 is an eigenvector of
     b.  If c' is another component, of side > 1, and h[c', c'] ==
     h[c, c][::-1, ::-1], c is solved alone: its eigenvectors at the rows N-1-c
-    are those of h[c', c'].  A piece is (matrices, rows, mirror rows or None,
-    whether c' is paired); see `Piece`.  None if h is one block with no fold.
+    are those of h[c', c'].  A piece is (rows, mirror rows or None, whether c'
+    is paired), its matrices left to `_gather`; see `Piece`.  None if h is one
+    block with no fold.
     """
-    n = len(h)
-    comps = _components(h)
+    n, root = h.side, _components(h)
+    order = np.argsort(root, kind="stable")  # ascending within a component, least index first
+    comps = np.split(order, np.unique(root[order], return_index=True)[1][1:])
+    # the components with an entry that the flip does not map onto an equal one
+    flipped = n * n - 1 - h.keys[::-1]  # ascending
+    unmapped = np.zeros(n, bool)
+    unmapped[root[n - 1 - flipped[_mates(h, flipped) != h.values[::-1]] // n]] = True
     first = {int(c[0]): c for c in comps}
     pieces, by_size, images = [], {}, set()
     for c in comps:
@@ -96,33 +108,43 @@ def _pieces(h: np.ndarray) -> list[tuple] | None:
         image = n - 1 - c[::-1]
         closed = np.array_equal(c, image)
         other = not closed and len(c) > 1 and np.array_equal(first.get(int(image[0])), image)
-        # h[c', c'] == h[c, c][::-1, ::-1]; its first row first, so most c fail in O(side)
-        if (closed and len(c) % 2 == 0 or other) \
-                and np.array_equal(h[image[0], image], h[c[-1], c][::-1]):
-            b = h if len(c) == n else h[np.ix_(c, c)]
-            if np.array_equal(b if closed else h[np.ix_(image, image)], b[::-1, ::-1]):
-                if not closed:
-                    images.add(int(image[0]))
-                    by_size.setdefault((len(c), True), []).append(c)
-                    continue
-                m = len(c) // 2
-                b00, b01_j = b[:m, :m], b[:m, m:][:, ::-1]
-                halves = np.empty((2, m, m), h.dtype)
-                np.add(b00, b01_j, out=halves[0])
-                np.subtract(b00, b01_j, out=halves[1])
-                top, mirror = c[:m], c[m:][::-1]
-                pieces.append((halves, np.stack([top, top]), np.stack([mirror, mirror]), False))
-                continue
-        by_size.setdefault((len(c), False), []).append(c)
+        maps = (closed and len(c) % 2 == 0 or other) and not unmapped[c[0]] | unmapped[image[0]]
+        if maps and closed:
+            top, mirror = c[:len(c) // 2], c[len(c) // 2:][::-1]
+            pieces.append((np.stack([top, top]), np.stack([mirror, mirror]), False))
+            continue
+        if maps:
+            images.add(int(image[0]))
+        by_size.setdefault((len(c), bool(maps)), []).append(c)
     if len(comps) == 1 and not pieces:
         return None
-    for (_, paired), cs in by_size.items():
-        rows = np.stack(cs)
-        pieces.append((h[rows[:, :, None], rows[:, None, :]], rows, None, paired))
-    return pieces
+    return pieces + [(np.stack(cs), None, paired) for (_, paired), cs in by_size.items()]
 
 
-def _mirror_split(mats, rows, mirror, reverse) -> list[list] | None:
+def _gather(h: Entries, rows, mirror, blocks=slice(None), r=slice(None)) -> np.ndarray:
+    """The rows r of the blocks `blocks` of a `_pieces` stack, read from h's
+    entries: H[rows[i][r], rows[i]] for a sector, and for a fold half
+    0 + H[top[r], top] + s H[top[r], mirror], s = 1 - 2i, summed in that order."""
+    ids, j = np.arange(len(rows))[blocks], np.arange(rows.shape[1])
+    lines = rows[ids][:, r].ravel()
+    start = np.searchsorted(h.keys, lines * h.side)
+    count = np.searchsorted(h.keys, (lines + 1) * h.side) - start
+    line = np.repeat(np.arange(lines.size), count)  # each entry's output row, and its index
+    at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    col = np.empty(h.side, np.intp)
+    col[rows] = j
+    if mirror is not None:
+        col[mirror] = j + len(j)
+    col, v = col[h.keys[at] % h.side], h.values[at]
+    cross = col >= len(j)
+    v = np.where(cross & (ids.repeat(lines.size // len(ids))[line] == 1), -v, v)
+    out = np.zeros((lines.size, len(j)), h.values.dtype)
+    out[line[~cross], col[~cross]] += v[~cross]
+    out[line[cross], col[cross] - len(j)] += v[cross]
+    return out.reshape(len(ids), -1, len(j))
+
+
+def _mirror_split(h: Entries, rows, mirror, reverse) -> list[list] | None:
     """The sub-blocks of each block of a `_pieces` stack under the site
     reflection R (e_i -> e_reverse[i]), or None if R maps a block off itself.
 
@@ -132,11 +154,11 @@ def _mirror_split(mats, rows, mirror, reverse) -> list[list] | None:
     has the columns (e_j + t sign_j e_perm_j)/sqrt 2 for pairs j < perm[j],
     then e_j for the fixed points with sign t.  Per block, a list of
     (sub-block, rows r, partner of each pair row, t sign there) per nonempty
-    Q_t, pairs first in r.
+    Q_t, pairs first in r; each is formed from the rows r of b alone.
     """
     m = rows.shape[1]
     j, blocks = np.arange(m), []
-    for i, b in enumerate(mats):
+    for i in range(len(rows)):
         at = np.full(len(reverse), -1)
         at[rows[i]] = j
         if mirror is not None:
@@ -149,7 +171,7 @@ def _mirror_split(mats, rows, mirror, reverse) -> list[list] | None:
         for t in (1, -1):
             r = np.concatenate([pairs, np.flatnonzero(fixed & (sign == t))])
             if r.size:
-                f, ts, rows_r = len(pairs), t * sign[pairs], b.take(r, 0)
+                f, ts, rows_r = len(pairs), t * sign[pairs], _gather(h, rows, mirror, [i], r)[0]
                 sub = rows_r.take(r, 1)
                 sub[:, :f] += rows_r.take(perm[pairs], 1) * ts
                 sub[f:, :f] *= np.sqrt(0.5)
@@ -323,10 +345,11 @@ class Chain:
     def spectrum(self, region: Sequence[int]) -> Spectrum:
         """The Spectrum of H_R; H_R itself is not kept.
 
-        H_R is solved by the blocks its exact structure gives (see `_pieces`),
-        freed before the block solves, and each block is split once more by
-        the site reflection if the terms inside R are mirror images (see
-        `_mirror_split`); a matrix with neither goes to one `np.linalg.eigh`.
+        H_R is assembled as its entries and solved by the blocks its exact
+        structure gives (see `_pieces`), each gathered from the entries only to
+        be solved; the site reflection splits a block once more if the terms in
+        R are mirror images (see `_mirror_split`).  Only a matrix with neither
+        is formed whole, for one `np.linalg.eigh`.
         """
         region = _region(region)
 
@@ -334,33 +357,31 @@ class Chain:
             dim = self.ia.local_dim ** len(region)
             if dim > self.budget:
                 raise BudgetError(dim, self.budget)
-            h = hamiltonian(self.ia, region)
-            if not h.is_hermitian():
+            h = hamiltonian_entries(self.ia, region)
+            if not _is_hermitian(h):
                 raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
-            h = h.matrix
-            pieces, n = _pieces(h), len(h)
+            pieces, n = _pieces(h), dim
             reverse = (np.arange(n).reshape((self.ia.local_dim,) * len(region)).T.ravel()
                        if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)
             if pieces is None:
                 if reverse is None:
+                    h = h.dense()
                     w, v = np.linalg.eigh(h)
                     return Spectrum(w, (Piece(w[None], v[None], np.arange(n)[None], None),))
-                pieces = [(h[None], np.arange(n)[None], None, False)]
+                pieces = [(np.arange(n)[None], None, False)]
             solved = []
-            del h
-            while pieces:  # each piece solved (a 1 x 1 matrix needs no solve) and dropped
-                mats, rows, mirror, paired = pieces.pop(0)
-                split = None
-                if reverse is not None and mats.shape[-1] > 1:
+            for rows, mirror, paired in pieces:  # each gathered, solved and dropped
+                (k, m), split = rows.shape, None
+                if reverse is not None and m > 1:
                     # the kept (w, u) first, so the sub-blocks come and go above
                     # them on the heap and do not leave holes beneath them
-                    w, u = np.empty(mats.shape[:2]), np.zeros(mats.shape, mats.dtype)
-                    split = _mirror_split(mats, rows, mirror, reverse)
+                    w, u = np.empty((k, m)), np.zeros((k, m, m), h.values.dtype)
+                    split = _mirror_split(h, rows, mirror, reverse)
                 if split is not None:
-                    del mats
                     _solve_split(split, w, u)
                 else:
-                    w, u = (np.linalg.eigh(mats) if mats.shape[-1] > 1
+                    mats = _gather(h, rows, mirror)
+                    w, u = (np.linalg.eigh(mats) if m > 1
                             else (mats[:, 0, :].real, np.ones_like(mats)))
                     del mats
                 solved.append(Piece(w, u, rows, mirror))

@@ -4,12 +4,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .linalg import LocalOperator, embed, op_norm
+from .linalg import LocalOperator, op_norm
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -127,30 +127,69 @@ def k_neighborhood(regions: RegionsABC, k: int) -> tuple[int, ...]:
     return a_k + regions.b + c_k
 
 
-def hamiltonian(ia: Interaction, region: Sequence[int]) -> LocalOperator:
-    """Sum of all interaction terms fully contained in `region`.
+ASSEMBLY_BAND = 2**18  # entries of each dense band of rows H_R is summed in: 2 MB of doubles
 
-    The matrix is allocated once, in the result dtype of the terms.  A term on
-    consecutive sites of `region` is added in place to the diagonal blocks of
-    a view, with no region-sized identity product; others go through `embed`.
-    """
+
+class Entries(NamedTuple):
+    """A side x side matrix as its nonzero entries: keys row * side + col, ascending."""
+
+    keys: np.ndarray
+    values: np.ndarray
+    side: int
+
+    def dense(self) -> np.ndarray:
+        """The matrix itself, zero off the entries."""
+        m = np.zeros(self.side**2, self.values.dtype)
+        m[self.keys] = self.values
+        return m.reshape(self.side, self.side)
+
+
+def hamiltonian_entries(ia: Interaction, region: Sequence[int]) -> Entries:
+    """H_R, the sum of all interaction terms fully contained in `region`, as its
+    nonzero entries.  A term on the positions P of R puts its entry (a, b) at
+    each row that reads a on P and column that reads b on P, the two agreeing
+    off P.  The rows are summed a band at a time, each term added in place in
+    term order, in the terms' result dtype: `dense()` is, bit for bit, the
+    embedded terms added one by one to zero."""
     region = tuple(sorted(set(int(s) for s in region)))
     if not region:
         raise GeometryError("hamiltonian of an empty region is undefined")
-    d, n = ia.local_dim, len(region)
-    pos = {s: i for i, s in enumerate(region)}
-    inside = [(supp, m) for supp, m in ia.terms.items() if set(supp) <= pos.keys()]
-    h = np.zeros((d**n, d**n), np.result_type(float, *{m.dtype for _, m in inside}))
-    for supp, mat in inside:
-        first = pos[supp[0]] if supp else 0
-        if [pos[s] - first for s in supp] != list(range(len(supp))):
-            h += embed(LocalOperator(supp, mat, d), region).matrix
-            continue
-        # a writable view: blocks[l, r] is the block h[(l, :, r), (l, :, r)]
-        shape = (d**first, len(mat), d ** (n - first - len(supp)))
-        blocks = np.einsum("larlbr->lrab", h.reshape(shape + shape))
-        blocks += mat
-    return LocalOperator(region, h, d)
+    if not set(region) <= set(ia.sites):
+        raise GeometryError(f"region {region} has sites outside the chain {ia.sites}")
+    d, n, pos = ia.local_dim, len(region), {s: i for i, s in enumerate(region)}
+    inside = [([pos[s] for s in t], m) for t, m in ia.terms.items() if set(t) <= pos.keys()]
+    dtype = np.result_type(float, *{m.dtype for _, m in inside})
+    c = next(c for c in range(n + 1) if d ** (2 * n - c) <= ASSEMBLY_BAND or c == n)
+    rows, keys, values = d ** (n - c), [], []
+    for b, lead in enumerate(np.ndindex((d,) * c)):  # the rows that read `lead` on positions < c
+        band = np.zeros((rows, d**n), dtype)
+        for at, mat in inside:  # each term added in place to a view of the entries it reaches
+            k = len(at)
+            if k and at[0] >= c and at[-1] - at[0] == k - 1:
+                # I (x) M (x) I where the columns read `lead` too: M at each (l, :, r) block
+                shape = (d ** (at[0] - c), len(mat), d ** (n - at[-1] - 1))
+                own = band[:, b * rows:(b + 1) * rows].reshape(shape + shape)
+                np.einsum("larlbr->lrab", own)[...] += mat
+                continue
+            # a digit per axis: off P a column reads its row's (`lead` before c), on P any
+            y = {p: chr(65 + i) for i, p in enumerate(at)}
+            row = "".join(chr(97 + q) for q in range(c, n))
+            col = [(lead[q], "") if q < c and q not in y else (slice(None), y.get(q, chr(97 + q)))
+                   for q in range(n)]
+            view = np.einsum(f"{row}{''.join(a for _, a in col)}->{row}{''.join(y.values())}",
+                             band.reshape((d,) * (2 * n - c))[(...,) + tuple(i for i, _ in col)])
+            m = mat.reshape((d,) * 2 * k)[tuple(lead[p] if p < c else slice(None) for p in at)]
+            view += m.reshape([d if q in y else 1 for q in range(c, n)] + [d] * k)
+        kept = np.flatnonzero(band != 0)
+        keys.append(kept + b * band.size)
+        values.append(band.ravel()[kept])
+    return Entries(np.concatenate(keys), np.concatenate(values), d**n)
+
+
+def hamiltonian(ia: Interaction, region: Sequence[int]) -> LocalOperator:
+    """Sum of all interaction terms fully contained in `region`, from its entries."""
+    region = tuple(sorted(set(int(s) for s in region)))
+    return LocalOperator(region, hamiltonian_entries(ia, region).dense(), ia.local_dim)
 
 
 # ---------------------------------------------------------------------------

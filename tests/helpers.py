@@ -10,7 +10,8 @@ E^{-1}): freshly assembled Hamiltonians exponentiated whole, where the library
 only reads ||E|| and ||E^{-1}|| from its cached spectra.
 `traced_interface_product` and `telescope_verify` form the traced products of
 the telescope from it, to check the closed forms the library reads instead.
-`record_solver` and `record_eigh` count the library's dense eigensolves.
+`record_solver` and `record_eigh` count the library's dense eigensolves, and
+`feed_hamiltonian` hands `Chain.spectrum` a matrix of a test's own.
 """
 import hashlib
 import itertools
@@ -271,3 +272,20 @@ def record_solver(monkeypatch, name):
 
 def record_eigh(monkeypatch):
     return record_solver(monkeypatch, "eigh")
+
+
+def entries_of(m):
+    """A dense matrix as its nonzero entries, in the library's `Entries` form."""
+    from chainsep.model import Entries
+
+    keys = np.flatnonzero(m)
+    return Entries(keys, m.ravel()[keys], len(m))
+
+
+def feed_hamiltonian(monkeypatch, build):
+    """From now until the end of the test, `Chain.spectrum` reads the entries of
+    build(region) as the Hamiltonian of each region it solves."""
+    import importlib
+
+    gibbs_module = importlib.import_module("chainsep.gibbs")  # not chainsep.gibbs, a function
+    monkeypatch.setattr(gibbs_module, "hamiltonian_entries", lambda ia, r: entries_of(build(r)))

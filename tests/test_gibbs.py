@@ -20,6 +20,7 @@ from chainsep import (
     LocalOperator,
     RegionsABC,
     builtin_models,
+    certify_marginal,
     check_partition_ratios,
     embed,
     entropy,
@@ -39,9 +40,16 @@ from chainsep import (
     relative_entropy,
 )
 from chainsep.gibbs import DEFAULT_BUDGET, _components, _crossing_norm
-from chainsep.model import PAULI_X, PAULI_Z
+from chainsep.model import PAULI_X, PAULI_Z, Entries
 
-from helpers import matrix_digest, random_hermitian, random_state, record_eigh
+from helpers import (
+    entries_of,
+    feed_hamiltonian,
+    matrix_digest,
+    random_hermitian,
+    random_state,
+    record_eigh,
+)
 
 
 def _rand_ia(seed, sites=6, rng=2, strength=2.0):
@@ -114,9 +122,10 @@ def test_only_chain_takes_a_budget(monkeypatch):
     # an Interaction gets a Chain at the default budget, checked before assembly
     assembled = []
     for module in ("chainsep.gibbs", "chainsep.model"):
-        monkeypatch.setattr(
-            importlib.import_module(module), "hamiltonian", lambda *a: assembled.append(a)
-        )
+        for name in ("hamiltonian", "hamiltonian_entries"):
+            monkeypatch.setattr(
+                importlib.import_module(module), name, lambda *a: assembled.append(a)
+            )
     ia = builtin_models("tfi", {"sites": 13})
     with pytest.raises(BudgetError) as exc:
         gibbs(ia, range(13))
@@ -358,10 +367,7 @@ def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
         builtin_models("classical_ising", {"sites": 4, "field": 0.5}), range(4)
     ).matrix.copy()
     stray[1, 6] = stray[6, 1] = 0.25
-    gibbs_module = importlib.import_module("chainsep.gibbs")
-    monkeypatch.setattr(
-        gibbs_module, "hamiltonian", lambda ia, r: LocalOperator(r, stray.copy())
-    )
+    feed_hamiltonian(monkeypatch, lambda r: stray)
     spectrum = Chain(_unmirrored(4)).spectrum(range(4))
     assert [shape for shape, _, _ in inputs[1:]] == [(1, 2, 2)]
     _check_spectrum(stray, spectrum)
@@ -369,7 +375,7 @@ def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
     # a block the flip maps onto itself folds only if its side is even
     a = random_hermitian(np.random.default_rng(3), 27)
     odd = (a + a[::-1, ::-1]).real
-    monkeypatch.setattr(gibbs_module, "hamiltonian", lambda ia, r: LocalOperator(r, odd.copy(), 3))
+    feed_hamiltonian(monkeypatch, lambda r: odd)
     inputs.clear()
     spectrum = Chain(_unmirrored(3, local_dim=3)).spectrum(range(3))
     assert inputs == [matrix_digest(odd)]
@@ -377,9 +383,9 @@ def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
 
     # between two S_z sectors of xxz, it merges them
     h = hamiltonian(builtin_models("xxz", {"sites": 4, "jz": 0.5}), range(4)).matrix.copy()
-    assert len(_components(h)) == 5
+    assert len(np.unique(_components(entries_of(h)))) == 5
     h[0b0001, 0b0111] = h[0b0111, 0b0001] = 0.25
-    assert len(_components(h)) == 4
+    assert len(np.unique(_components(entries_of(h)))) == 4
 
 
 def _unmirrored(sites, local_dim=2):
@@ -398,10 +404,7 @@ def _complex_fold(sites):
 
 
 def _patch_complex_fold(monkeypatch):
-    monkeypatch.setattr(
-        importlib.import_module("chainsep.gibbs"), "hamiltonian",
-        lambda ia, r: LocalOperator(tuple(r), _complex_fold(len(r))),
-    )
+    feed_hamiltonian(monkeypatch, lambda r: _complex_fold(len(r)))
 
 
 def test_block_spectrum_folds_a_complex_matrix(monkeypatch):
@@ -431,6 +434,35 @@ def test_block_spectrum_solves_each_sector_pair_once(monkeypatch):
         assert sorted(shape for shape, _, _ in inputs) == sorted(want), params
 
 
+def test_structured_spectra_form_no_dense_hamiltonian(monkeypatch):
+    """Every block is gathered from H's entries; only a region that is one
+    block with no fold and no mirror, a random model's, forms H whole, once."""
+    formed, dense = [], Entries.dense
+
+    def refuse(h):
+        raise AssertionError(f"formed a dense {h.side} x {h.side} H")
+    monkeypatch.setattr(Entries, "dense", refuse)
+    for ia in (builtin_models("tfi", {"sites": 10}),
+               builtin_models("xxz", {"sites": 10, "jz": 0.5}),
+               builtin_models("xxz", {"sites": 10, "jz": 0.5, "field": 0.3}),
+               builtin_models("classical_ising", {"sites": 10, "field": 0.5}),
+               _spin_one(6, False), _spin_one(5, True)):
+        n = len(ia.sites)
+        assert len(Chain(ia).spectrum(range(n)).w) == ia.local_dim**n
+    monkeypatch.setattr(Entries, "dense", lambda h: formed.append(h.side) or dense(h))
+    Chain(_rand_ia(1, sites=7)).spectrum(range(7))
+    assert formed == [2**7]
+
+
+def test_regions_outside_the_chain_are_rejected():
+    """A site the chain does not have is an error, not a free spin."""
+    ia = builtin_models("tfi", {"sites": 4})
+    with pytest.raises(GeometryError):
+        Chain(ia).spectrum((0, 1, 99))
+    with pytest.raises(GeometryError):
+        certify_marginal(ia, RegionsABC.from_sizes(1, 4, 1))
+
+
 # every SYMMETRIC_MODELS spectrum is split by the reflection; the Gram route to
 # ||E|| loses about 1e-12 relative on the off-grid tfi chains at 9-10 sites
 # (before the split as after it), so they are read here at 8
@@ -447,13 +479,13 @@ def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
     read from the pieces, against np.linalg.eigh of the assembled H."""
     if model == "complex-fold":
         _patch_complex_fold(monkeypatch)
-    assemble = importlib.import_module("chainsep.gibbs").hamiltonian
+    assemble = importlib.import_module("chainsep.gibbs").hamiltonian_entries
     ia = builtin_models(*ORACLE_MODELS[model])
     n = len(ia.sites)
     everything = tuple(range(n))
 
     def dense(region):
-        return np.linalg.eigh(assemble(ia, region).matrix)
+        return np.linalg.eigh(assemble(ia, region).dense())
 
     chain = Chain(ia)
     assert all(pc.u.shape[-1] < 2**n for pc in chain.spectrum(everything).pieces)
@@ -582,24 +614,27 @@ N2_DOUBLES = 2048**2 * 8
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_block_spectrum_peak_memory():
     """The n = 2048 spectrum of tfi keeps the fold's two half-size u, n^2/2
-    doubles, and peaks at most 1.75 n^2 doubles above the process before it
-    (about 1.63 n^2, set before any solve: H, the fold's halves and a boolean
-    n x n pattern; the quarter-size sub-blocks are solved one at a time, after
-    the halves are freed).  A full eigh with H still alive peaks at about
-    5 n^2: H, its copy, V and LAPACK's 2 n^2 workspace."""
+    doubles, and peaks at most 1.3 n^2 doubles above the process before it.
+    No n x n matrix is formed: H is held as its entries, and only the rows
+    each sub-block of the reflection split reads are gathered from them.  The
+    peak (about 1.05 n^2) is the u, the four quarter-size sub-blocks (n^2/4)
+    and the eigh of one of them.  Forming H and the fold's halves before the
+    solves peaked at about 1.63 n^2; a full eigh with H still alive peaks at
+    about 5 n^2: H, its copy, V and LAPACK's 2 n^2 workspace."""
     grown, held = _peak_growth("spectrum")
     assert held == N2_DOUBLES // 2
-    assert grown <= 1.75 * N2_DOUBLES, grown / N2_DOUBLES
+    assert grown <= 1.3 * N2_DOUBLES, grown / N2_DOUBLES
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_gibbs_marginal_peak_memory():
-    """gibbs and rho_AC of tfi on 1|9|1 (n = 2048) peak at most 1.75 n^2
-    doubles above the process before them: no more than the spectrum alone,
-    since the marginal scatters n^2/2 doubles at a time next to the n^2/2 of
-    u.  A dense V and its scaled copy V sqrt(p) peak at about 2.27 n^2."""
+    """gibbs and rho_AC of tfi on 1|9|1 (n = 2048) peak at most 1.5 n^2
+    doubles above the process before them.  The peak (about 1.15 n^2) is set
+    by the marginal, which scatters n^2/2 doubles of columns at a time next
+    to the n^2/2 of u; the spectrum before it peaks lower.  A dense V and its
+    scaled copy V sqrt(p) peak at about 2.27 n^2."""
     grown, _ = _peak_growth("marginal")
-    assert grown <= 1.75 * N2_DOUBLES, grown / N2_DOUBLES
+    assert grown <= 1.5 * N2_DOUBLES, grown / N2_DOUBLES
 
 
 def _crossing_norm_oracle(ia, a, b):

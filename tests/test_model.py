@@ -19,7 +19,7 @@ from chainsep import (
     marginal,
     op_norm,
 )
-from chainsep.model import PAULI_X, PAULI_Z
+from chainsep.model import PAULI_X, PAULI_Z, hamiltonian_entries
 
 from helpers import embed_oracle, random_hermitian, record_solver
 
@@ -75,18 +75,44 @@ def _noncontiguous_interaction():
 @pytest.mark.parametrize(
     "ia",
     [builtin_models(name, dict(params, sites=5)) for name, params in FAMILIES]
-    + [_noncontiguous_interaction()],
-    ids=[name for name, _ in FAMILIES] + ["noncontiguous"],
+    + [_noncontiguous_interaction(),
+       builtin_models("random", {"sites": 5, "range": 1, "seed": 3, "local_dim": 3})],
+    ids=[name for name, _ in FAMILIES] + ["noncontiguous", "random-d3"],
 )
 def test_hamiltonian_vs_brute_force_sum(ia):
+    """Bit for bit: the terms inside the region, embedded and added one by one
+    in term order to zero, in their result dtype (regions of at most 3 sites
+    at d = 3, where the oracle's index loops are slow)."""
+    d = ia.local_dim
     for region in ((0, 1, 2, 3, 4), (1, 2, 3), (0, 1, 3, 4), (0, 2, 3), (1, 3, 4)):
-        expect = np.zeros((2 ** len(region),) * 2, dtype=complex)
-        for supp, mat in ia.terms.items():
-            if set(supp) <= set(region):
-                expect += embed_oracle(mat, supp, region)
+        if d ** len(region) > 32:
+            continue
+        inside = [(supp, mat) for supp, mat in ia.terms.items() if set(supp) <= set(region)]
+        dtype = np.result_type(float, *(mat.dtype for _, mat in inside))
+        expect = np.zeros((d ** len(region),) * 2, dtype=dtype)
+        for supp, mat in inside:
+            term = embed_oracle(mat, supp, region, d)
+            expect += term if dtype == complex else term.real
         h = hamiltonian(ia, region)
         assert h.support == region
-        assert np.abs(h.matrix - expect).max() < 1e-14, region
+        assert h.matrix.dtype == dtype and h.matrix.tobytes() == expect.tobytes(), region
+
+
+@pytest.mark.parametrize("band", [1, 8, 64])
+def test_hamiltonian_is_the_same_summed_in_bands(band, monkeypatch):
+    """Rows are summed a band at a time; any band gives the entries, bit for
+    bit, of the whole matrix summed at once, on contiguous, noncontiguous and
+    d = 3 regions."""
+    models = [builtin_models("tfi", {"sites": 6, "coupling": 0.7, "field": 1.1}),
+              builtin_models("random", {"sites": 4, "range": 1, "seed": 2, "local_dim": 3}),
+              _noncontiguous_interaction()]
+    regions = [(0, 1, 2, 3), (0, 2, 3), (1, 3)]
+    whole = [hamiltonian_entries(ia, r) for ia in models for r in regions]
+    monkeypatch.setattr("chainsep.model.ASSEMBLY_BAND", band)
+    for h, again in zip(whole, (hamiltonian_entries(ia, r) for ia in models for r in regions)):
+        assert np.all(h.values != 0) and np.all(np.diff(h.keys) > 0)
+        assert h.keys.tobytes() == again.keys.tobytes()
+        assert h.values.tobytes() == again.values.tobytes()
 
 
 @pytest.mark.parametrize("name,params", FAMILIES[1:], ids=[n for n, _ in FAMILIES[1:]])

@@ -30,7 +30,7 @@ from chainsep import (
     tail_term,
 )
 from chainsep.gibbs import _region
-from chainsep.model import k_neighborhood
+from chainsep.model import Entries, k_neighborhood
 from chainsep.separability import (
     TELESCOPE_S,
     VERDICT_SEPARABLE,
@@ -397,17 +397,24 @@ def test_public_functions_accept_a_chain():
 
 
 def test_chain_keeps_no_hamiltonian(monkeypatch):
-    """A Chain keeps each region's spectrum; the assembled H_R is let go."""
+    """A Chain keeps each region's spectrum; the assembled H_R, its entries
+    and the dense matrix scattered from them, is let go."""
     gibbs_module = importlib.import_module("chainsep.gibbs")
-    assemble = gibbs_module.hamiltonian
+    assemble, dense = gibbs_module.hamiltonian_entries, Entries.dense
     refs = []
 
     def recording(ia, region):
         h = assemble(ia, region)
-        refs.extend((weakref.ref(h), weakref.ref(h.matrix)))
+        refs.extend((weakref.ref(h.keys), weakref.ref(h.values)))
         return h
 
-    monkeypatch.setattr(gibbs_module, "hamiltonian", recording)
+    def recording_dense(h):
+        m = dense(h)
+        refs.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(gibbs_module, "hamiltonian_entries", recording)
+    monkeypatch.setattr(Entries, "dense", recording_dense)
     ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 2})
     chain = Chain(ia)
     rep = certify_marginal(chain, RegionsABC.from_sizes(2, 3, 2))
