@@ -89,7 +89,7 @@ def _pieces(h: Entries) -> list[tuple] | None:
     if (b00 + s b01 J) u = w u, then [u; s J u] / sqrt 2 is an eigenvector of
     b.  If c' is another component, of side > 1, and h[c', c'] ==
     h[c, c][::-1, ::-1], c is solved alone: its eigenvectors at the rows N-1-c
-    are those of h[c', c'].  A piece is (rows, mirror rows or None, whether c'
+    are those of h[c', c'].  A piece is (rows, whether it is a fold, whether c'
     is paired), its matrices left to `_gather`; see `Piece`.  None if h is one
     block with no fold.
     """
@@ -109,110 +109,122 @@ def _pieces(h: Entries) -> list[tuple] | None:
         closed = np.array_equal(c, image)
         other = not closed and len(c) > 1 and np.array_equal(first.get(int(image[0])), image)
         maps = (closed and len(c) % 2 == 0 or other) and not unmapped[c[0]] | unmapped[image[0]]
-        if maps and closed:
-            top, mirror = c[:len(c) // 2], c[len(c) // 2:][::-1]
-            pieces.append((np.stack([top, top]), np.stack([mirror, mirror]), False))
+        if maps and closed:  # its mirror rows c[len(c) // 2:][::-1] are N-1-top
+            pieces.append((c[None, :len(c) // 2], True, False))
             continue
         if maps:
             images.add(int(image[0]))
         by_size.setdefault((len(c), bool(maps)), []).append(c)
     if len(comps) == 1 and not pieces:
         return None
-    return pieces + [(np.stack(cs), None, paired) for (_, paired), cs in by_size.items()]
+    return pieces + [(np.stack(cs), False, paired) for (_, paired), cs in by_size.items()]
 
 
-def _gather(h: Entries, rows, mirror, blocks=slice(None), r=slice(None)) -> np.ndarray:
-    """The rows r of the blocks `blocks` of a `_pieces` stack, read from h's
-    entries: H[rows[i][r], rows[i]] for a sector, and for a fold half
-    0 + H[top[r], top] + s H[top[r], mirror], s = 1 - 2i, summed in that order."""
-    ids, j = np.arange(len(rows))[blocks], np.arange(rows.shape[1])
-    lines = rows[ids][:, r].ravel()
+def _gather(h: Entries, rows, s=0, split=None) -> np.ndarray:
+    """The blocks H[rows[i], rows[i]] (k, m, m), read from h's entries; for a
+    fold half 0 + H[top, top] + s H[top, N-1-top], top = rows[0], summed in
+    that order.  With the `split` (ts, fixed) of one block b, its sub-block
+    Q_t^T b Q_t (see `Piece`), formed straight from b's rows r, the f pairs and
+    then `fixed`: b[r, r] + b[r, f + j] ts_j at each pair column j, the pair
+    columns of the fixed rows times 1/sqrt 2, and the pair rows of the fixed
+    columns their conjugate."""
+    k, m = rows.shape
+    lines, legs = rows, [(rows, np.arange(m), 1)]  # (H columns, output columns, factor)
+    if split is not None:
+        ts, fixed = split
+        f = len(ts)
+        lines, j = rows[:, np.concatenate([np.arange(f), fixed])], np.arange(f + len(fixed))
+        legs = [(lines, j, 1), (rows[:, f:2 * f], j[:f], ts)]
+    if s:
+        legs = [leg for c, to, fac in legs for leg in ((c, to, fac), (h.side - 1 - c, to, s * fac))]
+    lines = lines.ravel()
     start = np.searchsorted(h.keys, lines * h.side)
     count = np.searchsorted(h.keys, (lines + 1) * h.side) - start
     line = np.repeat(np.arange(lines.size), count)  # each entry's output row, and its index
     at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-    col = np.empty(h.side, np.intp)
-    col[rows] = j
-    if mirror is not None:
-        col[mirror] = j + len(j)
-    col, v = col[h.keys[at] % h.side], h.values[at]
-    cross = col >= len(j)
-    v = np.where(cross & (ids.repeat(lines.size // len(ids))[line] == 1), -v, v)
-    out = np.zeros((lines.size, len(j)), h.values.dtype)
-    out[line[~cross], col[~cross]] += v[~cross]
-    out[line[cross], col[cross] - len(j)] += v[cross]
-    return out.reshape(len(ids), -1, len(j))
+    col, v = h.keys[at] % h.side, h.values[at]
+    out = np.zeros((lines.size, len(legs[0][1])), h.values.dtype)
+    to, factor = np.empty(h.side, np.intp), np.empty(h.side)
+    for c, leg, fac in legs:  # a leg's columns are distinct, so no += below drops a repeat
+        to.fill(-1)
+        to[c], factor[c] = leg, fac
+        dest = to[col]
+        keep = dest >= 0
+        out[line[keep], dest[keep]] += v[keep] * factor[col[keep]]
+    out = out.reshape(k, -1, out.shape[1])
+    if split is not None:
+        out[:, f:, :f] *= np.sqrt(0.5)
+        out[:, :f, f:] = out[:, f:, :f].conj().transpose(0, 2, 1)
+    return out
 
 
-def _mirror_split(h: Entries, rows, mirror, reverse) -> list[list] | None:
-    """The sub-blocks of each block of a `_pieces` stack under the site
-    reflection R (e_i -> e_reverse[i]), or None if R maps a block off itself.
+def _mirror_split(rows: np.ndarray, fold: bool, reverse: np.ndarray) -> list[tuple] | None:
+    """The sub-blocks of each block of a `_pieces` stack (a fold's halves, if
+    `fold`) under the site reflection R (e_i -> e_reverse[i]), or None if R
+    maps a block off itself.
 
-    R sends block i's basis vector j to sign[j] times vector perm[j] (for a
-    fold half s, (e_top + s e_mirror)/sqrt 2 gains s if R top[j] is a mirror
-    row).  A block b that commutes with R is Q_t^T b Q_t, t = +-1, where Q_t
-    has the columns (e_j + t sign_j e_perm_j)/sqrt 2 for pairs j < perm[j],
-    then e_j for the fixed points with sign t.  Per block, a list of
-    (sub-block, rows r, partner of each pair row, t sign there) per nonempty
-    Q_t, pairs first in r; each is formed from the rows r of b alone.
+    R sends block i's basis vector j to sign[j] times vector perm[j] (a fold
+    half s's (e_top + s e_mirror)/sqrt 2 gains s if R top[j] is a mirror row).
+    A block b that commutes with R is Q_t^T b Q_t, t = +-1, where Q_t has the
+    columns (e_j + t sign_j e_perm_j)/sqrt 2 for pairs j < perm[j], then e_j
+    for the fixed points with sign t.  Per block, its rows in the order (pairs,
+    their perm[j], fixed points) and, per half, the `split` of each nonempty
+    Q_t in that order (see `Piece`).
     """
-    m = rows.shape[1]
+    m, n = rows.shape[1], len(reverse)
     j, blocks = np.arange(m), []
-    for i in range(len(rows)):
-        at = np.full(len(reverse), -1)
-        at[rows[i]] = j
-        if mirror is not None:
-            at[mirror[i]] = j + m
-        image = at[reverse[rows[i]]]
+    for b in rows:
+        at = np.full(n, -1)
+        at[b] = j
+        if fold:
+            at[n - 1 - b] = j + m
+        image = at[reverse[b]]
         if image.min() < 0:
             return None
-        perm, sign = image % m, np.where(image < m, 1, 1 - 2 * i)
-        pairs, fixed, parts = np.flatnonzero(perm > j), perm == j, []
-        for t in (1, -1):
-            r = np.concatenate([pairs, np.flatnonzero(fixed & (sign == t))])
-            if r.size:
-                f, ts, rows_r = len(pairs), t * sign[pairs], _gather(h, rows, mirror, [i], r)[0]
-                sub = rows_r.take(r, 1)
-                sub[:, :f] += rows_r.take(perm[pairs], 1) * ts
-                sub[f:, :f] *= np.sqrt(0.5)
-                sub[:f, f:] = sub[f:, :f].conj().T
-                parts.append((sub, r, perm[pairs], ts))
-        blocks.append(parts)
+        perm, crossed = image % m, image >= m
+        pairs, fixed = np.flatnonzero(perm > j), np.flatnonzero(perm == j)
+        halves = []
+        for s in (1, -1) if fold else (1,):
+            sign = np.where(crossed, s, 1)
+            splits = [(t * sign[pairs], 2 * len(pairs) + np.flatnonzero(sign[fixed] == t))
+                      for t in (1, -1)]
+            halves.append([sp for sp in splits if len(sp[0]) + len(sp[1])])
+        blocks.append((b[np.concatenate([pairs, perm[pairs], fixed])], halves))
     return blocks
 
 
-def _solve_split(blocks: list, w: np.ndarray, u: np.ndarray) -> None:
-    """Fill the (w, u) of a stack, u zero, from its `_mirror_split`: each
-    sub-block goes to eigh alone and is dropped before the next, and Q_t u_t
-    is put in the block's u at the columns that keep its eigenvalues
-    ascending."""
-    for i in range(len(u)):
-        parts, solved = blocks.pop(0), []
-        while parts:
-            sub, r, partner, ts = parts.pop(0)
-            solved.append((*np.linalg.eigh(sub), r, partner, ts))
-            del sub
-        ws = np.concatenate([wt for wt, *_ in solved])
-        order = np.argsort(ws, kind="stable")
-        w[i], at = ws[order], np.argsort(order)  # at: the column of each eigenpair
-        for wt, ut, r, partner, ts in solved:
-            cols, f, at = at[:len(wt)], len(partner), at[len(wt):]
-            ut[:f] *= np.sqrt(0.5)  # pair row j: (e_j + ts e_partner) / sqrt 2
-            u[i][np.ix_(r, cols)] = ut
-            u[i][np.ix_(partner, cols)] = ut[:f] * ts[:, None]
+def _lift(split: tuple, x: np.ndarray, out: np.ndarray, at=None, scale=1.0) -> None:
+    """out[at[j]] = scale (Q_t x)[j] for each row j of the block that Q_t
+    reaches (at[j] = j if `at` is None): Q_t applied to the first axis of x, in
+    the sub-block's coordinates, put in the block's."""
+    ts, fixed = split
+    f = len(ts)
+    rows = (slice(0, f), slice(f, 2 * f), fixed) if at is None else (at[:f], at[f:2 * f], at[fixed])
+    out[rows[0]] = x[:f] * (scale * np.sqrt(0.5))
+    out[rows[1]] = x[:f] * (scale * np.sqrt(0.5) * ts)[:, None]
+    out[rows[2]] = x[f:] * scale
 
 
 class Piece(NamedTuple):
-    """k solved m x m blocks of a Hermitian H: eigenvalues w (k, m) and
-    eigenvectors u (k, m, m).  Eigenvector j of block i has the entries
-    u[i, :, j] at the rows rows[i] of H or, for a fold, u[i, :, j] / sqrt 2
-    there and s u[i, :, j] / sqrt 2 at mirror[i], s = +1 for i = 0 and -1 for
-    i = 1; zeros elsewhere."""
+    """k solved m x m matrices of a Hermitian H: eigenvalues w (k, m) and
+    eigenvectors u (k, m, m), each of a block of H that has the coordinates
+    rows[i] of H or, for a fold half of `sign` s = +-1 (0 for none), the
+    vectors (e_top + s e_{N-1-top}) / sqrt 2 at top = rows[i].
+
+    A sub-block of the site reflection is a piece of its own: k = 1, `rows`
+    its block's rows in the order (f pairs, their partners, fixed points),
+    shared by the block's pieces, which come one after another, and `split`
+    = (ts, fixed).  Row a < f of u stands for the block vector
+    (e_a + ts[a] e_{f+a}) / sqrt 2, and row f + b for e_fixed[b].  Every
+    reader applies that Q_t on the fly (`_lift`); no u is put in its block's
+    coordinates for keeps.
+    """
 
     w: np.ndarray
     u: np.ndarray
     rows: np.ndarray
-    mirror: np.ndarray | None
+    sign: int
+    split: tuple | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +232,9 @@ class Spectrum:
     """H = V diag(w) V^dag, held as the solved pieces of V and never as V.
 
     `w` is every eigenvalue in ascending order.  A matrix with no exact
-    structure is one piece whose u is np.linalg.eigh's own V, read in place.
+    structure is one piece whose u is np.linalg.eigh's own V, read in place;
+    a block the site reflection splits is one piece per sub-block, whose u is
+    never put in the block's coordinates for keeps.
     """
 
     w: np.ndarray
@@ -234,43 +248,60 @@ class Spectrum:
 
     def form(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """V diag(f(w)) V^dag for an elementwise f, from each piece's products:
-        a block gives its own, and a fold's two half-size products give its
-        four quadrants."""
+        a sub-block's u f(w) u^dag is lifted to its block's coordinates by
+        Q_t (.) Q_t^T and summed there; a block is put at its rows, and a
+        fold's two half-size sums give its four quadrants."""
         v = self._whole
         if v is not None:
             return (v * f(self.w)) @ v.conj().T
         fs = [f(pc.w) for pc in self.pieces]
         n = len(self.w)
         out = np.zeros((n, n), np.result_type(*fs, *(pc.u for pc in self.pieces)))
-        for pc, fw in zip(self.pieces, fs):
+        summed: dict = {}  # the block's products so far, by fold sign
+        for i, (pc, fw) in enumerate(zip(self.pieces, fs)):
             g = (pc.u * fw[:, None, :]) @ pc.u.conj().transpose(0, 2, 1)
-            if pc.mirror is None:
-                out[pc.rows[:, :, None], pc.rows[:, None, :]] = g
+            if pc.split is not None:  # Q g Q^T: Q on the rows of g, then on its columns
+                side = pc.rows.shape[1]
+                qg, g = np.zeros((side, g.shape[1]), g.dtype), g[0]
+                _lift(pc.split, g, qg)
+                g = np.zeros((1, side, side), g.dtype)
+                _lift(pc.split, qg.T, g[0].T)
+            if pc.sign in summed:
+                summed[pc.sign] += g
             else:
-                top, mirror = pc.rows[0], pc.mirror[0]
-                out[np.ix_(top, top)] = out[np.ix_(mirror, mirror)] = (g[0] + g[1]) / 2
-                out[np.ix_(top, mirror)] = out[np.ix_(mirror, top)] = (g[0] - g[1]) / 2
+                summed[pc.sign] = g
+            if i + 1 < len(self.pieces) and self.pieces[i + 1].rows is pc.rows:
+                continue
+            if not pc.sign:
+                out[pc.rows[:, :, None], pc.rows[:, None, :]] = summed.pop(0)
+            else:
+                top, mirror = pc.rows[0], n - 1 - pc.rows[0]
+                plus, minus = summed.pop(1)[0], summed.pop(-1)[0]
+                out[np.ix_(top, top)] = out[np.ix_(mirror, mirror)] = (plus + minus) / 2
+                out[np.ix_(top, mirror)] = out[np.ix_(mirror, top)] = (plus - minus) / 2
         return out
 
     def _columns(self, at: np.ndarray, scale: Callable | None = None):
         """Every column of V, times scale(w) if given, with row R of V put at
-        row at[R]: (w, S) for each group of a stack's matrices, S of shape
-        (N, group columns).  A group has at most N/2 columns unless one matrix
-        has more; this generator lets go of it before it makes the next."""
+        row at[R]: (w, S) for each group of a piece's matrices, S of shape
+        (N, group columns).  A group is one sub-block, or at most N/2 columns
+        of a stack unless one matrix has more; this generator lets go of it
+        before it makes the next."""
         n = len(self.w)
         for pc in self.pieces:
-            k, m = pc.rows.shape
+            k, m = pc.w.shape
             step = max(1, n // (2 * m))
             for i in range(0, k, step):
                 part = slice(i, i + step)
                 u, w, group = pc.u[part], pc.w[part], np.arange(len(pc.u[part]))[:, None]
                 s = np.zeros((n, len(u), m), u.dtype)
-                s[at[pc.rows[part]], group] = u
-                if pc.mirror is not None:  # [u; +-Ju] / sqrt 2
-                    s[at[pc.mirror[part]], group] = u
-                    sign = np.full((n, len(u), 1), np.sqrt(0.5))
-                    sign[at[pc.mirror[part]], group, 0] = np.sqrt(0.5) * (1 - 2 * (i + group))
-                    s *= sign
+                halves = ([(pc.rows, np.sqrt(0.5)), (n - 1 - pc.rows, pc.sign * np.sqrt(0.5))]
+                          if pc.sign else [(pc.rows, 1.0)])  # a fold's [u; +-Ju] / sqrt 2
+                for rows, f in halves:
+                    if pc.split is not None:
+                        _lift(pc.split, u[0], s[:, 0], at[rows[0]], f)
+                    else:
+                        s[at[rows[part]], group] = u if f == 1 else u * f
                 if scale is not None:
                     s *= scale(w)
                 yield w, s.reshape(n, -1)
@@ -348,8 +379,10 @@ class Chain:
         H_R is assembled as its entries and solved by the blocks its exact
         structure gives (see `_pieces`), each gathered from the entries only to
         be solved; the site reflection splits a block once more if the terms in
-        R are mirror images (see `_mirror_split`).  Only a matrix with neither
-        is formed whole, for one `np.linalg.eigh`.
+        R are mirror images (see `_mirror_split`), and then each sub-block is
+        gathered, solved and kept as a piece of its own before the next is
+        gathered.  Only a matrix with neither is formed whole, for one
+        `np.linalg.eigh`.
         """
         region = _region(region)
 
@@ -360,33 +393,37 @@ class Chain:
             h = hamiltonian_entries(self.ia, region)
             if not _is_hermitian(h):
                 raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
-            pieces, n = _pieces(h), dim
+            blocks, n = _pieces(h), dim
             reverse = (np.arange(n).reshape((self.ia.local_dim,) * len(region)).T.ravel()
                        if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)
-            if pieces is None:
+            if blocks is None:
                 if reverse is None:
                     h = h.dense()
                     w, v = np.linalg.eigh(h)
-                    return Spectrum(w, (Piece(w[None], v[None], np.arange(n)[None], None),))
-                pieces = [(np.arange(n)[None], None, False)]
+                    return Spectrum(w, (Piece(w[None], v[None], np.arange(n)[None], 0, None),))
+                blocks = [(np.arange(n)[None], False, False)]
             solved = []
-            for rows, mirror, paired in pieces:  # each gathered, solved and dropped
-                (k, m), split = rows.shape, None
-                if reverse is not None and m > 1:
-                    # the kept (w, u) first, so the sub-blocks come and go above
-                    # them on the heap and do not leave holes beneath them
-                    w, u = np.empty((k, m)), np.zeros((k, m, m), h.values.dtype)
-                    split = _mirror_split(h, rows, mirror, reverse)
-                if split is not None:
-                    _solve_split(split, w, u)
-                else:
-                    mats = _gather(h, rows, mirror)
-                    w, u = (np.linalg.eigh(mats) if m > 1
+            for rows, fold, paired in blocks:  # each (sub-)block gathered, solved and dropped
+                halves, found = (1, -1) if fold else (0,), []
+                splits = (_mirror_split(rows, fold, reverse)
+                          if reverse is not None and rows.shape[1] > 1 else None)
+                if splits is None:
+                    mats = np.concatenate([_gather(h, rows, s) for s in halves])
+                    w, u = (np.linalg.eigh(mats) if rows.shape[1] > 1
                             else (mats[:, 0, :].real, np.ones_like(mats)))
                     del mats
-                solved.append(Piece(w, u, rows, mirror))
+                    found = [Piece(w, u, rows, 0, None)] if not fold else [
+                        Piece(w[i:i + 1], u[i:i + 1], rows, s, None) for i, s in enumerate(halves)]
+                for b, parts in splits or ():
+                    b = b[None]  # one array for the block's pieces
+                    for s, subs in zip(halves, parts):
+                        for split in subs:
+                            w, u = np.linalg.eigh(_gather(h, b, s, split)[0])
+                            found.append(Piece(w[None], u[None], b, s, split))
+                solved += found
                 if paired:  # the image sector: the same (w, u) at the rows N-1-rows
-                    solved.append(Piece(w, u, n - 1 - rows, None))
+                    image = {id(pc.rows): n - 1 - pc.rows for pc in found}
+                    solved += [pc._replace(rows=image[id(pc.rows)]) for pc in found]
             w = np.sort(np.concatenate([pc.w.ravel() for pc in solved]), kind="stable")
             return Spectrum(w, tuple(solved))
 

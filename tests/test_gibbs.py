@@ -288,6 +288,39 @@ def test_mirror_split_of_a_three_level_chain(dense, monkeypatch):
         assert all(len(shape) == 2 for shape in shapes) and max(shapes)[0] < 51
 
 
+PIECE_CASES = dict(
+    {model: (SYMMETRIC_MODELS[model], None) for model in SYMMETRIC_MODELS},
+    offset=(("tfi", {"sites": 12, "coupling": 0.679, "field": 1.14}), tuple(range(3, 10))),
+    **{"spin-one": (False, None), "spin-one-dense": (True, None)},
+)
+
+
+@pytest.mark.parametrize("case", sorted(PIECE_CASES))
+def test_each_sub_block_is_a_piece_of_its_own(case):
+    """Every stored u is one solved matrix, a sub-block of the reflection
+    (of side at most a quarter of the space plus half its palindromes for
+    the qubit chains), never a block's u filled from its sub-blocks; and no
+    group of columns that `_columns` yields is wider than its piece."""
+    model, region = PIECE_CASES[case]
+    ia = _spin_one(5, model) if case.startswith("spin-one") else builtin_models(*model)
+    region = tuple(ia.sites) if region is None else region
+    spectrum, n = Chain(ia).spectrum(region), len(region)
+    for pc in spectrum.pieces:
+        k, m = pc.w.shape
+        assert pc.u.shape == (k, m, m)
+        if m > 1:
+            assert k == 1 and pc.split is not None
+            assert ia.local_dim == 3 or m <= 2 ** (n - 2) + 2 ** ((n + 1) // 2 - 1)
+    groups = spectrum._columns(np.arange(len(spectrum.w)))
+    for pc in spectrum.pieces:
+        left = pc.w.size
+        while left:
+            w, s = next(groups)
+            assert np.shares_memory(w, pc.w) and s.shape[1] == w.size <= left
+            left -= w.size
+    assert next(groups, None) is None
+
+
 def test_blocks_the_reflection_maps_apart_are_not_split(monkeypatch):
     """A spin-1 chain with the palindromic hop S+ (x) S-^2 (x) S+ keeps S_z and
     the dipole sum_i i m_i, which the reflection does not keep: it maps each
@@ -575,7 +608,7 @@ def test_every_reader_of_a_random_model_is_the_full_solve_bit_for_bit(params):
 
 
 PEAK = """
-import sys
+import sys, tracemalloc
 from chainsep import Chain, RegionsABC, builtin_models, gibbs, marginal
 
 def peak():  # VmHWM, in KiB: the peak RSS of this process since its exec
@@ -583,29 +616,35 @@ def peak():  # VmHWM, in KiB: the peak RSS of this process since its exec
 
 ia = builtin_models("tfi", {"sites": 11})
 before = peak()
+if sys.argv[2] == "traced":
+    tracemalloc.start()
 if sys.argv[1] == "spectrum":
-    held = sum(pc.u.nbytes for pc in Chain(ia).spectrum(range(11)).pieces)
+    held = [pc.u.nbytes for pc in Chain(ia).spectrum(range(11)).pieces]
 else:
     regions = RegionsABC.from_sizes(1, 9, 1)
     marginal(gibbs(ia, regions.all_sites), regions.ac)
-    held = 0
-print(peak() - before, held)
+    held = []
+grown = tracemalloc.get_traced_memory()[1] if sys.argv[2] == "traced" else (peak() - before) * 1024
+print(grown, *held)
 """
 
 
-def _peak_growth(what):
-    """(peak RSS growth, bytes of eigenvectors held) of a fresh process.
+def _peak_growth(what, traced=False):
+    """(peak growth in bytes, bytes of eigenvectors held by each piece) of a
+    fresh process: the growth of its peak RSS or, if `traced`, the tracemalloc
+    peak of the arrays it allocates, which no allocator's heap layout moves.
     (ru_maxrss of a child starts at the RSS of the process that forked it, so
     a large test process would hide the growth; VmHWM starts afresh.)"""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK, what], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PEAK, what, "traced" if traced else "rss"],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    grown, held = map(int, proc.stdout.split())
-    return grown * 1024, held
+    grown, *held = map(int, proc.stdout.split())
+    return grown, held
 
 
 N2_DOUBLES = 2048**2 * 8
@@ -613,28 +652,39 @@ N2_DOUBLES = 2048**2 * 8
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_block_spectrum_peak_memory():
-    """The n = 2048 spectrum of tfi keeps the fold's two half-size u, n^2/2
-    doubles, and peaks at most 1.3 n^2 doubles above the process before it.
-    No n x n matrix is formed: H is held as its entries, and only the rows
-    each sub-block of the reflection split reads are gathered from them.  The
-    peak (about 1.05 n^2) is the u, the four quarter-size sub-blocks (n^2/4)
-    and the eigh of one of them.  Forming H and the fold's halves before the
-    solves peaked at about 1.63 n^2; a full eigh with H still alive peaks at
-    about 5 n^2: H, its copy, V and LAPACK's 2 n^2 workspace."""
+    """The n = 2048 spectrum of tfi keeps the u of the reflection's four
+    sub-blocks (sides 528, 496, 528 and 496), sum m_t^2 = n^2/4 doubles, and
+    no n x n matrix or half-size u is formed.  Each sub-block is gathered
+    from H's entries and solved before the next, so the arrays peak (about
+    0.32 n^2, by tracemalloc) at the last solve: three stored u, the last
+    sub-block and its eigh output.  The RSS (about 0.63 n^2) adds eigh's copy
+    of its input and LAPACK's 2 m^2 workspace, which tracemalloc does not see.
+    Bounds: 0.75 and 0.4 n^2, each the reading plus about a fifth.  Filling
+    each fold half's u from its two sub-blocks peaked at 0.92 n^2 (1.01 n^2
+    traced); a full eigh with H still alive peaks at about 5 n^2: H, its copy,
+    V and LAPACK's 2 n^2 workspace."""
     grown, held = _peak_growth("spectrum")
-    assert held == N2_DOUBLES // 2
-    assert grown <= 1.3 * N2_DOUBLES, grown / N2_DOUBLES
+    assert held == [8 * m * m for m in (528, 496, 528, 496)]
+    assert sum(held) <= 1.001 * N2_DOUBLES / 4
+    assert grown <= 0.75 * N2_DOUBLES, grown / N2_DOUBLES
+    traced, _ = _peak_growth("spectrum", traced=True)
+    assert traced <= 0.4 * N2_DOUBLES, traced / N2_DOUBLES
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_gibbs_marginal_peak_memory():
-    """gibbs and rho_AC of tfi on 1|9|1 (n = 2048) peak at most 1.5 n^2
-    doubles above the process before them.  The peak (about 1.15 n^2) is set
-    by the marginal, which scatters n^2/2 doubles of columns at a time next
-    to the n^2/2 of u; the spectrum before it peaks lower.  A dense V and its
-    scaled copy V sqrt(p) peak at about 2.27 n^2."""
+    """gibbs and rho_AC of tfi on 1|9|1 (n = 2048).  The arrays peak (about
+    0.58 n^2, by tracemalloc) in the marginal: the spectrum's n^2/4, one
+    sub-block's column group of n x 528 doubles, and its pair rows scaled
+    by 1/2 on their way in (496 x 528).  The RSS grows by about 0.89 n^2.
+    Bounds: 1.05 and 0.7 n^2, each the reading plus about a fifth.
+    Scattering a fold half's u (n^2/4 of the n^2/2 held) into n x n/2 columns
+    peaked at 1.38 n^2 (1.01 n^2 traced); a dense V and its scaled copy
+    V sqrt(p) peak at about 2.27 n^2."""
     grown, _ = _peak_growth("marginal")
-    assert grown <= 1.5 * N2_DOUBLES, grown / N2_DOUBLES
+    assert grown <= 1.05 * N2_DOUBLES, grown / N2_DOUBLES
+    traced, _ = _peak_growth("marginal", traced=True)
+    assert traced <= 0.7 * N2_DOUBLES, traced / N2_DOUBLES
 
 
 def _crossing_norm_oracle(ia, a, b):
@@ -792,10 +842,12 @@ def test_marginal_floor_bound():
 @pytest.mark.parametrize(
     "family, params, geometry, ok",
     [
-        # min eig(rho_B) rounds below 0 (-7.4e-20 and -5.4e-17): no finite
-        # inverse norm, so the check fails and reports inf
-        ("tfi", {"coupling": 20.0}, (1, 4, 1), False),
-        ("xxz", {"jz": 20.0}, (1, 4, 1), False),
+        # min eig(rho_B) is rounding noise at these couplings (of order 1e-18
+        # to 1e-22, of either sign, as the marginal's sums round), so the
+        # report is held to the m it read: no finite inverse norm and a failed
+        # check if m <= 0, else 1/m against the bound
+        ("tfi", {"coupling": 20.0}, (1, 4, 1), None),
+        ("xxz", {"jz": 20.0}, (1, 4, 1), None),
         # the bound exceeds the float range; compared as logs, it still holds
         ("tfi", {"coupling": 40.0}, (1, 3, 1), True),
     ],
@@ -803,13 +855,34 @@ def test_marginal_floor_bound():
 def test_marginal_floor_is_decided_in_the_log_domain(family, params, geometry, ok):
     ia = builtin_models(family, {"sites": sum(geometry), **params})
     regions = RegionsABC.from_sizes(*geometry)
-    rep = marginal_inverse_norm(ia, regions)
-    assert rep.ok is ok
-    m = min_eig(Chain(ia).marginal(regions.all_sites, regions.b))
-    if ok:
-        assert m > 0 and rep.inv_norm == 1.0 / m and rep.bound == math.inf
+    chain = Chain(ia)
+    rep = marginal_inverse_norm(chain, regions)
+    m = min_eig(chain.marginal(regions.all_sites, regions.b))
+    assert math.isfinite(rep.g_emp)
+    if m <= 0:
+        assert ok is None and rep.ok is False and rep.inv_norm == math.inf
+        assert math.isfinite(rep.bound)
     else:
-        assert m <= 0 and rep.inv_norm == math.inf and math.isfinite(rep.bound)
+        assert rep.inv_norm == 1.0 / m
+        assert rep.ok is (-math.log(m) <= math.log(rep.bound) + math.log1p(1e-9))
+        assert ok in (None, rep.ok)
+    if ok:
+        assert rep.bound == math.inf
+
+
+def test_marginal_floor_fails_on_a_marginal_that_is_not_positive():
+    """min eig(rho_B) <= 0 gives no finite inverse norm and fails the check,
+    however large the bound: rho_B is put in the Chain's memo beforehand, a
+    matrix of trace 1 with one eigenvalue -1e-12."""
+    ia = builtin_models("tfi", {"sites": 5})
+    regions = RegionsABC.from_sizes(1, 3, 1)
+    chain = Chain(ia)
+    rho_b = LocalOperator(regions.b, np.diag([-1e-12, *np.full(7, (1 + 1e-12) / 7)]))
+    chain._memo[("marginal", regions.all_sites, regions.b)] = rho_b
+    assert min_eig(chain.marginal(regions.all_sites, regions.b)) < 0
+    rep = marginal_inverse_norm(chain, regions)
+    assert rep.ok is False and rep.inv_norm == math.inf
+    assert math.isfinite(rep.bound) and rep.g_emp >= 1.0
 
 
 @settings(max_examples=20, deadline=None)
