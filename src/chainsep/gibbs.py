@@ -79,19 +79,16 @@ def _components(h: Entries) -> np.ndarray:
         root = low
 
 
-def _pieces(h: Entries) -> list[tuple] | None:
-    """Split a Hermitian h into independent pieces by two exact symmetries.
+def _pieces(h: Entries) -> list[tuple]:
+    """The blocks of a Hermitian h: (c, flip, paired) for each connected
+    component c of its pattern, c ascending, so c[0] is its least index.
 
-    Each connected component c of h's pattern is a block h[c, c], and blocks
-    of equal size are stacked.  The global flip i -> N-1-i maps c onto
-    c' = N-1-c.  If c' == c and b = h[c, c] == b[::-1, ::-1], b folds into the
-    Hermitian halves b00 + s b01 J, s = +1 then -1 (J reverses the columns):
-    if (b00 + s b01 J) u = w u, then [u; s J u] / sqrt 2 is an eigenvector of
-    b.  If c' is another component, of side > 1, and h[c', c'] ==
-    h[c, c][::-1, ::-1], c is solved alone: its eigenvectors at the rows N-1-c
-    are those of h[c', c'].  A piece is (rows, whether it is a fold, whether c'
-    is paired), its matrices left to `_gather`; see `Piece`.  None if h is one
-    block with no fold.
+    The global flip i -> N-1-i maps c onto c' = N-1-c.  If c' == c and
+    b = h[c, c] == b[::-1, ::-1], `flip` is True: the flip is a symmetry of
+    b (see `_sectors`).  If c' is another component, of side > 1, and
+    h[c', c'] == h[c, c][::-1, ::-1], `paired` is True and c' is left out:
+    its eigenvectors are c's, put at the rows N-1-c, with the same
+    eigenvalues.
     """
     n, root = h.side, _components(h)
     order = np.argsort(root, kind="stable")  # ascending within a component, least index first
@@ -101,130 +98,87 @@ def _pieces(h: Entries) -> list[tuple] | None:
     unmapped = np.zeros(n, bool)
     unmapped[root[n - 1 - flipped[_mates(h, flipped) != h.values[::-1]] // n]] = True
     first = {int(c[0]): c for c in comps}
-    pieces, by_size, images = [], {}, set()
+    blocks, images = [], set()
     for c in comps:
         if int(c[0]) in images:
             continue
         image = n - 1 - c[::-1]
         closed = np.array_equal(c, image)
         other = not closed and len(c) > 1 and np.array_equal(first.get(int(image[0])), image)
-        maps = (closed and len(c) % 2 == 0 or other) and not unmapped[c[0]] | unmapped[image[0]]
-        if maps and closed:  # its mirror rows c[len(c) // 2:][::-1] are N-1-top
-            pieces.append((c[None, :len(c) // 2], True, False))
-            continue
-        if maps:
+        maps = not unmapped[c[0]] | unmapped[image[0]]
+        if maps and other:
             images.add(int(image[0]))
-        by_size.setdefault((len(c), bool(maps)), []).append(c)
-    if len(comps) == 1 and not pieces:
-        return None
-    return pieces + [(np.stack(cs), False, paired) for (_, paired), cs in by_size.items()]
-
-
-def _gather(h: Entries, rows, s=0, split=None) -> np.ndarray:
-    """The blocks H[rows[i], rows[i]] (k, m, m), read from h's entries; for a
-    fold half 0 + H[top, top] + s H[top, N-1-top], top = rows[0], summed in
-    that order.  With the `split` (ts, fixed) of one block b, its sub-block
-    Q_t^T b Q_t (see `Piece`), formed straight from b's rows r, the f pairs and
-    then `fixed`: b[r, r] + b[r, f + j] ts_j at each pair column j, the pair
-    columns of the fixed rows times 1/sqrt 2, and the pair rows of the fixed
-    columns their conjugate."""
-    k, m = rows.shape
-    lines, legs = rows, [(rows, np.arange(m), 1)]  # (H columns, output columns, factor)
-    if split is not None:
-        ts, fixed = split
-        f = len(ts)
-        lines, j = rows[:, np.concatenate([np.arange(f), fixed])], np.arange(f + len(fixed))
-        legs = [(lines, j, 1), (rows[:, f:2 * f], j[:f], ts)]
-    if s:
-        legs = [leg for c, to, fac in legs for leg in ((c, to, fac), (h.side - 1 - c, to, s * fac))]
-    lines = lines.ravel()
-    start = np.searchsorted(h.keys, lines * h.side)
-    count = np.searchsorted(h.keys, (lines + 1) * h.side) - start
-    line = np.repeat(np.arange(lines.size), count)  # each entry's output row, and its index
-    at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-    col, v = h.keys[at] % h.side, h.values[at]
-    out = np.zeros((lines.size, len(legs[0][1])), h.values.dtype)
-    to, factor = np.empty(h.side, np.intp), np.empty(h.side)
-    for c, leg, fac in legs:  # a leg's columns are distinct, so no += below drops a repeat
-        to.fill(-1)
-        to[c], factor[c] = leg, fac
-        dest = to[col]
-        keep = dest >= 0
-        out[line[keep], dest[keep]] += v[keep] * factor[col[keep]]
-    out = out.reshape(k, -1, out.shape[1])
-    if split is not None:
-        out[:, f:, :f] *= np.sqrt(0.5)
-        out[:, :f, f:] = out[:, f:, :f].conj().transpose(0, 2, 1)
-    return out
-
-
-def _mirror_split(rows: np.ndarray, fold: bool, reverse: np.ndarray) -> list[tuple] | None:
-    """The sub-blocks of each block of a `_pieces` stack (a fold's halves, if
-    `fold`) under the site reflection R (e_i -> e_reverse[i]), or None if R
-    maps a block off itself.
-
-    R sends block i's basis vector j to sign[j] times vector perm[j] (a fold
-    half s's (e_top + s e_mirror)/sqrt 2 gains s if R top[j] is a mirror row).
-    A block b that commutes with R is Q_t^T b Q_t, t = +-1, where Q_t has the
-    columns (e_j + t sign_j e_perm_j)/sqrt 2 for pairs j < perm[j], then e_j
-    for the fixed points with sign t.  Per block, its rows in the order (pairs,
-    their perm[j], fixed points) and, per half, the `split` of each nonempty
-    Q_t in that order (see `Piece`).
-    """
-    m, n = rows.shape[1], len(reverse)
-    j, blocks = np.arange(m), []
-    for b in rows:
-        at = np.full(n, -1)
-        at[b] = j
-        if fold:
-            at[n - 1 - b] = j + m
-        image = at[reverse[b]]
-        if image.min() < 0:
-            return None
-        perm, crossed = image % m, image >= m
-        pairs, fixed = np.flatnonzero(perm > j), np.flatnonzero(perm == j)
-        halves = []
-        for s in (1, -1) if fold else (1,):
-            sign = np.where(crossed, s, 1)
-            splits = [(t * sign[pairs], 2 * len(pairs) + np.flatnonzero(sign[fixed] == t))
-                      for t in (1, -1)]
-            halves.append([sp for sp in splits if len(sp[0]) + len(sp[1])])
-        blocks.append((b[np.concatenate([pairs, perm[pairs], fixed])], halves))
+        blocks.append((c, maps and closed, maps and other))
     return blocks
 
 
-def _lift(split: tuple, x: np.ndarray, out: np.ndarray, at=None, scale=1.0) -> None:
-    """out[at[j]] = scale (Q_t x)[j] for each row j of the block that Q_t
-    reaches (at[j] = j if `at` is None): Q_t applied to the first axis of x, in
-    the sub-block's coordinates, put in the block's."""
-    ts, fixed = split
-    f = len(ts)
-    rows = (slice(0, f), slice(f, 2 * f), fixed) if at is None else (at[:f], at[f:2 * f], at[fixed])
-    out[rows[0]] = x[:f] * (scale * np.sqrt(0.5))
-    out[rows[1]] = x[:f] * (scale * np.sqrt(0.5) * ts)[:, None]
-    out[rows[2]] = x[f:] * scale
+def _sectors(c: np.ndarray, n: int, flip: bool, reverse: np.ndarray | None):
+    """The sub-blocks of the block c of an n x n H under its symmetry group
+    G: (rows, chi, size) for each character chi of G that keeps an orbit.
+
+    G holds 1, the flip F (i -> n-1-i) if `flip`, and the site reflection R
+    (i -> reverse[i]) if it is given and maps c onto itself; with both, also
+    FR.  Each orbit O of G on c stands for its least index o.  chi keeps O
+    if it is 1 on every g with g o = o, and then sum_{i in O} chi(g_i) e_i
+    / sqrt|O|, where g_i o = i, is a unit vector of chi's sub-block.  For
+    the kept orbits a, rows[g, a] = g o_a, with g in the order of chi's
+    entries (rows[0] are the o_a), and size[a] = |O_a|.
+    """
+    images, chars = [c], np.ones((1, 1))
+    gens = [np.arange(n)[::-1]] if flip else []
+    if reverse is not None and np.array_equal(np.sort(reverse[c]), c):
+        gens.append(reverse)
+    for gen in gens:  # each g is followed by g gen, and each chi splits by its value at gen
+        images = [x for g in images for x in (g, gen[g])]
+        chars = np.kron(chars, [[1, 1], [1, -1]])
+    images = np.stack(images)
+    reps = images.min(0) == c
+    images = images[:, reps]
+    fixes = images == c[reps]
+    size = len(chars) / fixes.sum(0)  # |O| = |G| / |the g that fix o|
+    for chi in chars:
+        kept = ~(fixes & (chi < 0)[:, None]).any(0)
+        if kept.any():
+            yield images[:, kept], chi, size[kept]
+
+
+def _gather(h: Entries, rows: np.ndarray, chi: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The sub-block of a `_sectors` entry, read from h's entries in the rows
+    of the representatives: sub[a, b] = sqrt(|O_a| |O_b|) / |G| sum_g chi(g)
+    H[o_a, g o_b], each leg g added in the order of chi."""
+    m = rows.shape[1]
+    start = np.searchsorted(h.keys, rows[0] * h.side)
+    count = np.searchsorted(h.keys, (rows[0] + 1) * h.side) - start
+    line = np.repeat(np.arange(m), count)  # each entry's output row, and its index
+    at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    col, v = h.keys[at] % h.side, h.values[at]
+    out, to = np.zeros((m, m), h.values.dtype), np.empty(h.side, np.intp)
+    for image, sign in zip(rows, chi):  # a leg's columns are distinct: no += drops a repeat
+        to.fill(-1)
+        to[image] = np.arange(m)
+        dest = to[col]
+        keep = dest >= 0
+        a, b = line[keep], dest[keep]
+        out[a, b] += sign * np.sqrt(size[a] * size[b]) / len(chi) * v[keep]
+    return out
 
 
 class Piece(NamedTuple):
-    """k solved m x m matrices of a Hermitian H: eigenvalues w (k, m) and
-    eigenvectors u (k, m, m), each of a block of H that has the coordinates
-    rows[i] of H or, for a fold half of `sign` s = +-1 (0 for none), the
-    vectors (e_top + s e_{N-1-top}) / sqrt 2 at top = rows[i].
+    """k solved m x m matrices of a Hermitian H: eigenvalues w (k, m),
+    eigenvectors u (k, m, m), and one leg per element g of their block's
+    symmetry group: rows[g] and coef[g], each (k, m).
 
-    A sub-block of the site reflection is a piece of its own: k = 1, `rows`
-    its block's rows in the order (f pairs, their partners, fixed points),
-    shared by the block's pieces, which come one after another, and `split`
-    = (ts, fixed).  Row a < f of u stands for the block vector
-    (e_a + ts[a] e_{f+a}) / sqrt 2, and row f + b for e_fixed[b].  Every
-    reader applies that Q_t on the fly (`_lift`); no u is put in its block's
-    coordinates for keeps.
+    Column j of u[i] is the eigenvector of H that is coef[g, i, a] u[i, a, j]
+    at the row rows[g, i, a], for every g and a, and 0 off those rows (legs
+    that meet at a row agree there).  A sub-block of `_sectors` is a piece
+    with k = 1 and coef = chi(g) / sqrt|O|; only 1 x 1 blocks are stacked,
+    as one piece with one leg, coef 1.
     """
 
     w: np.ndarray
     u: np.ndarray
     rows: np.ndarray
-    sign: int
-    split: tuple | None
+    coef: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +187,8 @@ class Spectrum:
 
     `w` is every eigenvalue in ascending order.  A matrix with no exact
     structure is one piece whose u is np.linalg.eigh's own V, read in place;
-    a block the site reflection splits is one piece per sub-block, whose u is
-    never put in the block's coordinates for keeps.
+    any other is one piece per sub-block, whose u is put in H's coordinates
+    only by `_columns`, as V is read.
     """
 
     w: np.ndarray
@@ -247,64 +201,31 @@ class Spectrum:
         return pc.u[0] if pc.u.shape == (1, len(self.w), len(self.w)) else None
 
     def form(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """V diag(f(w)) V^dag for an elementwise f, from each piece's products:
-        a sub-block's u f(w) u^dag is lifted to its block's coordinates by
-        Q_t (.) Q_t^T and summed there; a block is put at its rows, and a
-        fold's two half-size sums give its four quadrants."""
+        """V diag(f(w)) V^dag for an elementwise f: the sum of (S f(w)) S^dag
+        over the column groups (w, S) of `_columns`."""
         v = self._whole
         if v is not None:
             return (v * f(self.w)) @ v.conj().T
-        fs = [f(pc.w) for pc in self.pieces]
-        n = len(self.w)
-        out = np.zeros((n, n), np.result_type(*fs, *(pc.u for pc in self.pieces)))
-        summed: dict = {}  # the block's products so far, by fold sign
-        for i, (pc, fw) in enumerate(zip(self.pieces, fs)):
-            g = (pc.u * fw[:, None, :]) @ pc.u.conj().transpose(0, 2, 1)
-            if pc.split is not None:  # Q g Q^T: Q on the rows of g, then on its columns
-                side = pc.rows.shape[1]
-                qg, g = np.zeros((side, g.shape[1]), g.dtype), g[0]
-                _lift(pc.split, g, qg)
-                g = np.zeros((1, side, side), g.dtype)
-                _lift(pc.split, qg.T, g[0].T)
-            if pc.sign in summed:
-                summed[pc.sign] += g
-            else:
-                summed[pc.sign] = g
-            if i + 1 < len(self.pieces) and self.pieces[i + 1].rows is pc.rows:
-                continue
-            if not pc.sign:
-                out[pc.rows[:, :, None], pc.rows[:, None, :]] = summed.pop(0)
-            else:
-                top, mirror = pc.rows[0], n - 1 - pc.rows[0]
-                plus, minus = summed.pop(1)[0], summed.pop(-1)[0]
-                out[np.ix_(top, top)] = out[np.ix_(mirror, mirror)] = (plus + minus) / 2
-                out[np.ix_(top, mirror)] = out[np.ix_(mirror, top)] = (plus - minus) / 2
-        return out
+        return sum((s * f(w)) @ s.conj().T for w, s in self._columns(np.arange(len(self.w))))
 
-    def _columns(self, at: np.ndarray, scale: Callable | None = None):
-        """Every column of V, times scale(w) if given, with row R of V put at
-        row at[R]: (w, S) for each group of a piece's matrices, S of shape
-        (N, group columns).  A group is one sub-block, or at most N/2 columns
-        of a stack unless one matrix has more; this generator lets go of it
-        before it makes the next."""
+    def _columns(self, at: np.ndarray):
+        """Every column of V, with row R of V put at row at[R]: (w, S) for
+        each group of a piece's matrices, w their eigenvalues and S of shape
+        (N, w.size).  A group is one sub-block, or at most N/2 columns of a
+        stack; this generator lets go of it before it makes the next."""
         n = len(self.w)
         for pc in self.pieces:
             k, m = pc.w.shape
             step = max(1, n // (2 * m))
             for i in range(0, k, step):
                 part = slice(i, i + step)
-                u, w, group = pc.u[part], pc.w[part], np.arange(len(pc.u[part]))[:, None]
-                s = np.zeros((n, len(u), m), u.dtype)
-                halves = ([(pc.rows, np.sqrt(0.5)), (n - 1 - pc.rows, pc.sign * np.sqrt(0.5))]
-                          if pc.sign else [(pc.rows, 1.0)])  # a fold's [u; +-Ju] / sqrt 2
-                for rows, f in halves:
-                    if pc.split is not None:
-                        _lift(pc.split, u[0], s[:, 0], at[rows[0]], f)
-                    else:
-                        s[at[rows[part]], group] = u if f == 1 else u * f
-                if scale is not None:
-                    s *= scale(w)
-                yield w, s.reshape(n, -1)
+                u, legs = pc.u[part], at[pc.rows[:, part]]
+                s, coef = np.zeros((n, len(u), m), u.dtype), np.zeros(n)
+                for rows, c in zip(legs, pc.coef[:, part]):  # u unscaled, scaled in place below
+                    s[rows, np.arange(len(u))[:, None]] = u
+                    coef[rows] = c
+                s *= coef[:, None, None]
+                yield pc.w[part].ravel(), s.reshape(n, -1)
                 del s
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +235,7 @@ class Spectrum:
         if v is not None:
             return self.w, v
         parts = list(self._columns(np.arange(len(self.w))))
-        return np.concatenate([w.ravel() for w, _ in parts]), np.hstack([s for _, s in parts])
+        return np.concatenate([w for w, _ in parts]), np.hstack([s for _, s in parts])
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,53 +298,48 @@ class Chain:
         """The Spectrum of H_R; H_R itself is not kept.
 
         H_R is assembled as its entries and solved by the blocks its exact
-        structure gives (see `_pieces`), each gathered from the entries only to
-        be solved; the site reflection splits a block once more if the terms in
-        R are mirror images (see `_mirror_split`), and then each sub-block is
-        gathered, solved and kept as a piece of its own before the next is
-        gathered.  Only a matrix with neither is formed whole, for one
-        `np.linalg.eigh`.
+        structure gives (see `_pieces`).  Each block of side > 1 is split by
+        its symmetry group (the flip, and the site reflection if the terms in
+        R are mirror images; see `_sectors`), and each sub-block is gathered
+        from the entries, solved and kept as a piece of its own before the
+        next is gathered.  The 1 x 1 blocks are one piece, with no solve.
+        Only a matrix that is one block with no symmetry is formed whole,
+        for one `np.linalg.eigh`.
         """
         region = _region(region)
 
         def build():
-            dim = self.ia.local_dim ** len(region)
-            if dim > self.budget:
-                raise BudgetError(dim, self.budget)
+            n = self.ia.local_dim ** len(region)
+            if n > self.budget:
+                raise BudgetError(n, self.budget)
             h = hamiltonian_entries(self.ia, region)
             if not _is_hermitian(h):
                 raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
-            blocks, n = _pieces(h), dim
+            blocks = _pieces(h)
             reverse = (np.arange(n).reshape((self.ia.local_dim,) * len(region)).T.ravel()
                        if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)
-            if blocks is None:
-                if reverse is None:
-                    h = h.dense()
-                    w, v = np.linalg.eigh(h)
-                    return Spectrum(w, (Piece(w[None], v[None], np.arange(n)[None], 0, None),))
-                blocks = [(np.arange(n)[None], False, False)]
-            solved = []
-            for rows, fold, paired in blocks:  # each (sub-)block gathered, solved and dropped
-                halves, found = (1, -1) if fold else (0,), []
-                splits = (_mirror_split(rows, fold, reverse)
-                          if reverse is not None and rows.shape[1] > 1 else None)
-                if splits is None:
-                    mats = np.concatenate([_gather(h, rows, s) for s in halves])
-                    w, u = (np.linalg.eigh(mats) if rows.shape[1] > 1
-                            else (mats[:, 0, :].real, np.ones_like(mats)))
-                    del mats
-                    found = [Piece(w, u, rows, 0, None)] if not fold else [
-                        Piece(w[i:i + 1], u[i:i + 1], rows, s, None) for i, s in enumerate(halves)]
-                for b, parts in splits or ():
-                    b = b[None]  # one array for the block's pieces
-                    for s, subs in zip(halves, parts):
-                        for split in subs:
-                            w, u = np.linalg.eigh(_gather(h, b, s, split)[0])
-                            found.append(Piece(w[None], u[None], b, s, split))
+            if reverse is None and len(blocks[0][0]) == n and not blocks[0][1]:
+                w, v = np.linalg.eigh(h.dense())
+                return Spectrum(w, (Piece(w[None], v[None], np.arange(n)[None, None],
+                                          np.ones((1, 1, n))),))
+            solved, singles = [], []
+            for c, flip, paired in blocks:  # each sub-block gathered, solved and dropped
+                if len(c) == 1:
+                    singles.append(c)
+                    continue
+                found = []
+                for rows, chi, size in _sectors(c, n, flip, reverse):
+                    w, u = np.linalg.eigh(_gather(h, rows, chi, size))
+                    coef = chi[:, None] * np.sqrt(1 / size)
+                    found.append(Piece(w[None], u[None], rows[:, None], coef[:, None]))
                 solved += found
                 if paired:  # the image sector: the same (w, u) at the rows N-1-rows
-                    image = {id(pc.rows): n - 1 - pc.rows for pc in found}
-                    solved += [pc._replace(rows=image[id(pc.rows)]) for pc in found]
+                    solved += [pc._replace(rows=n - 1 - pc.rows) for pc in found]
+            if singles:
+                r = np.concatenate(singles)
+                w = _mates(h, r * (n + 1)).real  # the diagonal entries, ascending keys
+                solved.append(Piece(w[:, None], np.ones((len(r), 1, 1), h.values.dtype),
+                                    r[None, :, None], np.ones((1, len(r), 1))))
             w = np.sort(np.concatenate([pc.w.ravel() for pc in solved]), kind="stable")
             return Spectrum(w, tuple(solved))
 
@@ -482,7 +398,8 @@ def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
     at = np.empty(d ** n, np.intp)  # row R of V goes to row at[R] of S
     at[np.arange(d ** n).reshape((d,) * n).transpose(legs).ravel()] = np.arange(d ** n)
     rho_x = None
-    for _, s in g.spectrum._columns(at, lambda w: np.sqrt(g.p(w))):
+    for w, s in g.spectrum._columns(at):
+        s *= np.sqrt(g.p(w))
         s = s.reshape(d ** len(x), -1)
         rho_x = s @ s.conj().T if rho_x is None else rho_x + s @ s.conj().T
         del s

@@ -40,7 +40,7 @@ from chainsep import (
     relative_entropy,
 )
 from chainsep.gibbs import DEFAULT_BUDGET, _components, _crossing_norm
-from chainsep.model import PAULI_X, PAULI_Z, Entries
+from chainsep.model import PAULI_X, PAULI_Z, Entries, hamiltonian_entries
 
 from helpers import (
     entries_of,
@@ -180,8 +180,8 @@ def test_marginal_checks_the_normalization():
 
 
 # ---------------------------------------------------------------------------
-# Block spectra: Chain.spectrum solves by exact structural blocks, folds the
-# global spin flip and splits by the site reflection
+# Block spectra: Chain.spectrum solves by exact structural blocks, each split
+# by its symmetry group of the global spin flip and the site reflection
 # ---------------------------------------------------------------------------
 
 SYMMETRIC_MODELS = {
@@ -296,21 +296,27 @@ PIECE_CASES = dict(
 
 
 @pytest.mark.parametrize("case", sorted(PIECE_CASES))
-def test_each_sub_block_is_a_piece_of_its_own(case):
-    """Every stored u is one solved matrix, a sub-block of the reflection
-    (of side at most a quarter of the space plus half its palindromes for
-    the qubit chains), never a block's u filled from its sub-blocks; and no
-    group of columns that `_columns` yields is wider than its piece."""
+def test_each_sub_block_is_a_piece_of_its_own(case, monkeypatch):
+    """Every stored u is one solved matrix, a sub-block of the block's
+    symmetry group (of side at most a quarter of the space plus half its
+    palindromes for the qubit chains), never a block's u filled from its
+    sub-blocks: the u of side > 1, a sector pair's counted once, are the
+    eigh outputs.  And no group of columns that `_columns` yields is wider
+    than its piece."""
     model, region = PIECE_CASES[case]
     ia = _spin_one(5, model) if case.startswith("spin-one") else builtin_models(*model)
     region = tuple(ia.sites) if region is None else region
+    inputs = record_eigh(monkeypatch)
     spectrum, n = Chain(ia).spectrum(region), len(region)
+    solved = {}
     for pc in spectrum.pieces:
         k, m = pc.w.shape
         assert pc.u.shape == (k, m, m)
         if m > 1:
-            assert k == 1 and pc.split is not None
+            assert k == 1
             assert ia.local_dim == 3 or m <= 2 ** (n - 2) + 2 ** ((n + 1) // 2 - 1)
+            solved[id(pc.u)] = pc.u.shape[1:]
+    assert sorted(solved.values()) == sorted(shape for shape, _, _ in inputs if shape[0] > 1)
     groups = spectrum._columns(np.arange(len(spectrum.w)))
     for pc in spectrum.pieces:
         left = pc.w.size
@@ -321,27 +327,57 @@ def test_each_sub_block_is_a_piece_of_its_own(case):
     assert next(groups, None) is None
 
 
-def test_blocks_the_reflection_maps_apart_are_not_split(monkeypatch):
-    """A spin-1 chain with the palindromic hop S+ (x) S-^2 (x) S+ keeps S_z and
-    the dipole sum_i i m_i, which the reflection does not keep: it maps each
-    sector with a dipole off the middle one onto another sector, and no
-    stack is split."""
+def _dipole_chain():
+    """A spin-1 chain with the palindromic hop S+ (x) S-^2 (x) S+, which keeps
+    S_z and the dipole sum_i i m_i; the reflection does not keep the dipole."""
     up = np.diag([np.sqrt(2), np.sqrt(2)], 1)
     hop = np.kron(np.kron(up, up.T @ up.T), up)
     hop = hop + hop.reshape((3,) * 6).transpose(2, 1, 0, 5, 4, 3).reshape(27, 27)
     terms = {(s, s + 1, s + 2): hop + hop.T for s in range(3)}
     terms.update({(s,): np.diag([0.3, 0.0, 0.3]) for s in range(5)})
-    ia = Interaction(3, tuple(range(5)), terms, 2)
-    assert ia.is_mirror_symmetric(range(5))
-    gibbs_module = importlib.import_module("chainsep.gibbs")
-    split, results = gibbs_module._mirror_split, []
+    return Interaction(3, tuple(range(5)), terms, 2)
 
-    def recording_split(*args):
-        results.append(split(*args))
-        return results[-1]
-    monkeypatch.setattr(gibbs_module, "_mirror_split", recording_split)
+
+def test_blocks_the_reflection_maps_apart_are_not_split(monkeypatch):
+    """The dipole chain's sectors of side > 1 are 24 flip pairs.  The
+    reflection maps 20 of them onto another sector, and each of those is
+    solved whole: ten of side 3, five of 2, four of 4 and one of 6.  It
+    maps the other four onto themselves and splits them: 3 into 2 + 1
+    twice, 6 into 5 + 1, and 2 into 2 (both palindromes)."""
+    ia = _dipole_chain()
+    assert ia.is_mirror_symmetric(range(5))
+    inputs = record_eigh(monkeypatch)
     _check_spectrum(hamiltonian(ia, range(5)).matrix, Chain(ia).spectrum(range(5)))
-    assert results and all(r is None for r in results)
+    whole = [3] * 10 + [2] * 5 + [4] * 4 + [6]
+    split = [2, 1, 2, 1, 5, 1, 2]
+    assert sorted(shape for shape, _, _ in inputs) == sorted((m, m) for m in whole + split)
+
+
+SECTOR_CHAINS = {
+    "tfi": lambda: builtin_models("tfi", {"sites": 8}),
+    "xxz": lambda: builtin_models("xxz", {"sites": 8, "jz": 0.5}),
+    "spin-one": lambda: _spin_one(5, False),
+    "spin-one-dense": lambda: _spin_one(5, True),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(SECTOR_CHAINS))
+def test_kept_orbits_over_the_characters_fill_each_block(chain):
+    """The orbits that each character of a block's group keeps, summed over
+    the characters, are as many as the block's side, on every block of
+    side > 1, and at least one block splits."""
+    ia = SECTOR_CHAINS[chain]()
+    n, d = len(ia.sites), ia.local_dim
+    assert ia.is_mirror_symmetric(range(n))
+    reverse = np.arange(d**n).reshape((d,) * n).T.ravel()
+    gibbs_module = importlib.import_module("chainsep.gibbs")
+    split = 0
+    for c, flip, _ in gibbs_module._pieces(hamiltonian_entries(ia, range(n))):
+        if len(c) > 1:
+            kept = [rows.shape[1] for rows, _, _ in gibbs_module._sectors(c, d**n, flip, reverse)]
+            assert sum(kept) == len(c)
+            split += len(kept) > 1
+    assert split
 
 
 def test_mirror_test_reads_the_terms():
@@ -377,8 +413,8 @@ def test_block_spectrum_solves_only_the_blocks(monkeypatch):
         assert np.array_equal(np.abs(v), np.abs(v) > 0)  # a permutation
     assert inputs == []  # a diagonal H has only 1 x 1 blocks
     Chain(builtin_models("tfi", {"sites": 10})).spectrum(range(10))
-    # one component, folded by the flip into two halves of 512, each split
-    # once more by the reflection and solved alone: no side above 272
+    # one component, whose group {1, F, R, FR} splits it into four
+    # character sub-blocks, each solved alone: no side above 272
     assert [shape for shape, _, _ in inputs] == [(272, 272), (240, 240), (256, 256), (256, 256)]
 
 
@@ -402,16 +438,17 @@ def test_block_spectrum_falls_back_when_a_symmetry_breaks(monkeypatch):
     stray[1, 6] = stray[6, 1] = 0.25
     feed_hamiltonian(monkeypatch, lambda r: stray)
     spectrum = Chain(_unmirrored(4)).spectrum(range(4))
-    assert [shape for shape, _, _ in inputs[1:]] == [(1, 2, 2)]
+    assert [shape for shape, _, _ in inputs[1:]] == [(2, 2)]
     _check_spectrum(stray, spectrum)
 
-    # a block the flip maps onto itself folds only if its side is even
+    # a block of odd side that the flip maps onto itself splits around the
+    # fixed middle index: 13 pairs and it for +1, the 13 pairs for -1
     a = random_hermitian(np.random.default_rng(3), 27)
     odd = (a + a[::-1, ::-1]).real
     feed_hamiltonian(monkeypatch, lambda r: odd)
     inputs.clear()
     spectrum = Chain(_unmirrored(3, local_dim=3)).spectrum(range(3))
-    assert inputs == [matrix_digest(odd)]
+    assert [shape for shape, _, _ in inputs] == [(14, 14), (13, 13)]
     _check_spectrum(odd, spectrum)
 
     # between two S_z sectors of xxz, it merges them
@@ -441,12 +478,13 @@ def _patch_complex_fold(monkeypatch):
 
 
 def test_block_spectrum_folds_a_complex_matrix(monkeypatch):
-    """A dense complex Hermitian H with H == H[::-1, ::-1] is one block and folds."""
+    """A dense complex Hermitian H with H == H[::-1, ::-1] is one block and
+    folds: its two flip sectors are solved one after the other."""
     h = _complex_fold(5)
     _patch_complex_fold(monkeypatch)
     inputs = record_eigh(monkeypatch)
     spectrum = Chain(_unmirrored(5)).spectrum(range(5))
-    assert [shape for shape, _, _ in inputs] == [(2, 16, 16)]
+    assert [shape for shape, _, _ in inputs] == [(16, 16), (16, 16)]
     assert spectrum.dense()[1].dtype == complex
     _check_spectrum(h, spectrum)
 
@@ -455,8 +493,8 @@ def test_block_spectrum_solves_each_sector_pair_once(monkeypatch):
     """The flip maps the S_z sector c of xxz onto N-1-c.  With no field the two
     blocks map exactly, and one solve serves both; a field breaks that, and
     both are solved.  The reflection maps each sector onto itself and splits
-    it in two: 12 into 6 + 6, ..., 792 into 396 + 396; the folded halves of
-    the sector 924 split into 252 + 210 and 220 + 242."""
+    it in two: 12 into 6 + 6, ..., 792 into 396 + 396; the sector 924, which
+    the flip maps onto itself too, splits into 252, 210, 220 and 242."""
     inputs = record_eigh(monkeypatch)
     splits = ((6, 6), (36, 30), (110, 110), (255, 240), (396, 396))
     for params, k in (({"jz": 0.5}, 1), ({"jz": 0.5, "field": 0.3}, 2)):
@@ -652,12 +690,12 @@ N2_DOUBLES = 2048**2 * 8
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_block_spectrum_peak_memory():
-    """The n = 2048 spectrum of tfi keeps the u of the reflection's four
+    """The n = 2048 spectrum of tfi keeps the u of its group's four
     sub-blocks (sides 528, 496, 528 and 496), sum m_t^2 = n^2/4 doubles, and
     no n x n matrix or half-size u is formed.  Each sub-block is gathered
     from H's entries and solved before the next, so the arrays peak (about
-    0.32 n^2, by tracemalloc) at the last solve: three stored u, the last
-    sub-block and its eigh output.  The RSS (about 0.63 n^2) adds eigh's copy
+    0.33 n^2, by tracemalloc) at the last solve: three stored u, the last
+    sub-block and its eigh output.  The RSS (about 0.64 n^2) adds eigh's copy
     of its input and LAPACK's 2 m^2 workspace, which tracemalloc does not see.
     Bounds: 0.75 and 0.4 n^2, each the reading plus about a fifth.  Filling
     each fold half's u from its two sub-blocks peaked at 0.92 n^2 (1.01 n^2
@@ -674,17 +712,18 @@ def test_block_spectrum_peak_memory():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_gibbs_marginal_peak_memory():
     """gibbs and rho_AC of tfi on 1|9|1 (n = 2048).  The arrays peak (about
-    0.58 n^2, by tracemalloc) in the marginal: the spectrum's n^2/4, one
-    sub-block's column group of n x 528 doubles, and its pair rows scaled
-    by 1/2 on their way in (496 x 528).  The RSS grows by about 0.89 n^2.
-    Bounds: 1.05 and 0.7 n^2, each the reading plus about a fifth.
-    Scattering a fold half's u (n^2/4 of the n^2/2 held) into n x n/2 columns
-    peaked at 1.38 n^2 (1.01 n^2 traced); a dense V and its scaled copy
-    V sqrt(p) peak at about 2.27 n^2."""
+    0.52 n^2, by tracemalloc) in the marginal: the spectrum's n^2/4 and one
+    sub-block's column group of n x 528 doubles, into which the u rows go
+    unscaled, to be scaled in place.  The RSS grows by about 0.91 n^2.
+    Bounds: 1.05 n^2 for the RSS and 0.62 n^2 traced, the tracemalloc
+    reading plus a fifth.  Scaling the u rows into a copy on their way in
+    peaked at 0.58 n^2 traced; scattering a fold half's u (n^2/4 of the
+    n^2/2 held) into n x n/2 columns peaked at 1.38 n^2 (1.01 n^2 traced);
+    a dense V and its scaled copy V sqrt(p) peak at about 2.27 n^2."""
     grown, _ = _peak_growth("marginal")
     assert grown <= 1.05 * N2_DOUBLES, grown / N2_DOUBLES
     traced, _ = _peak_growth("marginal", traced=True)
-    assert traced <= 0.7 * N2_DOUBLES, traced / N2_DOUBLES
+    assert traced <= 0.62 * N2_DOUBLES, traced / N2_DOUBLES
 
 
 def _crossing_norm_oracle(ia, a, b):
