@@ -40,7 +40,6 @@ from .gibbs import (
     marginal,
     mutual_information,
     mutual_information_of,
-    relative_entropy,
 )
 from .expansionals import (
     ContractionReport,

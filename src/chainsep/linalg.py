@@ -7,6 +7,7 @@ real results.  All functions are pure; nothing here mutates its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -14,9 +15,6 @@ import numpy as np
 from .errors import GeometryError
 
 HERMITICITY_RTOL = 1e-12
-# side of the blocks is_hermitian compares, so that no matrix-sized
-# difference is formed and the transposed block is read from cache
-HERMITICITY_BLOCK = 128
 PSD_TOL_SCALE = 1e-10
 
 
@@ -53,18 +51,20 @@ class LocalOperator:
         return self.matrix.shape[0]
 
     def is_hermitian(self) -> bool:
-        """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F), block by block."""
+        """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F)."""
         m = self.matrix
         tol = HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m)))
-        n, b = len(m), HERMITICITY_BLOCK
-        return all(
-            np.abs(m[i:i + b, j:j + b] - m[j:j + b, i:i + b].conj().T).max() <= tol
-            for i in range(0, n, b)
-            for j in range(i, n, b)
-        )
+        return bool(np.abs(m - m.conj().T).max() <= tol)
 
-    def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.support, self.matrix.conj().T, self.local_dim)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The ascending spectrum of a Hermitian operator, solved once: the
+        operator is a frozen value, so every scalar read of it shares one solve."""
+        if not self.is_hermitian():
+            raise ValueError("the spectrum is defined for Hermitian operators only")
+        w = np.linalg.eigvalsh(self.matrix)
+        w.flags.writeable = False
+        return w
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -204,21 +204,15 @@ def herm_exp(op: LocalOperator, scale: complex = 1.0) -> LocalOperator:
 
 
 def op_norm(op: LocalOperator) -> float:
-    if op.is_hermitian():
-        return float(np.abs(np.linalg.eigvalsh(op.matrix)).max())
-    return float(np.linalg.svd(op.matrix, compute_uv=False).max())
+    return float(np.abs(op.eigenvalues).max())
 
 
 def trace_norm(op: LocalOperator) -> float:
-    if op.is_hermitian():
-        return float(np.abs(np.linalg.eigvalsh(op.matrix)).sum())
-    return float(np.linalg.svd(op.matrix, compute_uv=False).sum())
+    return float(np.abs(op.eigenvalues).sum())
 
 
 def min_eig(op: LocalOperator) -> float:
-    if not op.is_hermitian():
-        raise ValueError("min_eig requires a Hermitian operator")
-    return float(np.linalg.eigvalsh(op.matrix)[0])
+    return float(op.eigenvalues[0])
 
 
 def is_psd(op: LocalOperator) -> bool:

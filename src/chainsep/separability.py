@@ -57,7 +57,7 @@ def negativity(rho: LocalOperator, cut) -> NegativityResult:
         )
     if not cut_a or not cut_c:
         raise GeometryError("both sides of the cut must be nonempty")
-    w = np.linalg.eigvalsh(partial_transpose(rho, cut_c).matrix)
+    w = partial_transpose(rho, cut_c).eigenvalues
     return NegativityResult(float(np.abs(w[w < 0]).sum()), float(w[0]))
 
 

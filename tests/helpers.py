@@ -10,6 +10,8 @@ E^{-1}): freshly assembled Hamiltonians exponentiated whole, where the library
 only reads ||E|| and ||E^{-1}|| from its cached spectra.
 `traced_interface_product` and `telescope_verify` form the traced products of
 the telescope from it, to check the closed forms the library reads instead.
+`relative_entropy` forms both matrix logarithms whole, to check the library's
+I(A:C), a sum of entropies, against D(rho_AC || rho_A x rho_C).
 `record_solver` and `record_eigh` count the library's dense eigensolves, and
 `feed_hamiltonian` hands `Chain.spectrum` a matrix of a test's own.
 """
@@ -222,6 +224,16 @@ def partial_transpose_oracle(matrix, support, subset, d=2):
                 nr[p], nc[p] = cidx[p], ridx[p]
             out[np.ravel_multi_index(nr, (d,) * n), np.ravel_multi_index(nc, (d,) * n)] = matrix[row, col]
     return out
+
+
+def relative_entropy(rho, sigma):
+    """D(rho || sigma) = tr rho (log rho - log sigma) of two density matrices,
+    each logarithm formed whole from its own eigh."""
+    def log(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
+
+    return float(np.trace(rho @ (log(rho) - log(sigma))).real)
 
 
 def expm_oracle(matrix, terms=30):

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import inspect
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -18,6 +20,7 @@ from chainsep import (
     GeometryError,
     Interaction,
     LocalOperator,
+    ModelSpec,
     RegionsABC,
     builtin_models,
     certify_marginal,
@@ -37,7 +40,6 @@ from chainsep import (
     mutual_information_of,
     op_norm,
     partial_trace,
-    relative_entropy,
 )
 from chainsep.gibbs import DEFAULT_BUDGET, _components, _crossing_norm
 from chainsep.model import PAULI_X, PAULI_Z, Entries, hamiltonian_entries
@@ -46,9 +48,11 @@ from helpers import (
     entries_of,
     feed_hamiltonian,
     matrix_digest,
+    partial_trace_oracle,
     random_hermitian,
     random_state,
     record_eigh,
+    relative_entropy,
 )
 
 
@@ -761,12 +765,25 @@ def test_entropy_examples():
     assert entropy(pure) == pytest.approx(0.0, abs=1e-12)
 
 
+def _mutual_information_oracle(m, n_a, n_sites):
+    """D(rho || rho_A x rho_C) of the oracle, for A the first n_a of n_sites."""
+    sites = tuple(range(n_sites))
+    rho_a = partial_trace_oracle(m, sites, sites[n_a:])
+    rho_c = partial_trace_oracle(m, sites, sites[:n_a])
+    return relative_entropy(m, np.kron(rho_a, rho_c))
+
+
 def test_relative_entropy_examples():
-    rho = LocalOperator((0,), np.diag([0.75, 0.25]))
-    sigma = LocalOperator((0,), np.eye(2) / 2)
+    rho, sigma = np.diag([0.75, 0.25]), np.eye(2) / 2
     expect = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
     assert relative_entropy(rho, sigma) == pytest.approx(expect)
     assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
+    # I(A:C) = S(A) + S(C) - S(AC) is the relative entropy to the product of marginals
+    rng = np.random.default_rng(37)
+    for n_sites, n_a in ((2, 1), (3, 1), (3, 2), (4, 2)):
+        m = random_state(rng, 2**n_sites)
+        got = mutual_information_of(LocalOperator(tuple(range(n_sites)), m), range(n_a))
+        assert abs(got - _mutual_information_oracle(m, n_a, n_sites)) <= 1e-13
 
 
 def test_mutual_information_pure_bell():
@@ -831,6 +848,33 @@ def test_gibbs_quantities_at_a_coupling_where_z_overflows():
         log_z = mpmath.log(mpmath.fsum(mpmath.exp(-mpmath.mpf(float(x))) for x in lam))
         assert log_z > 900
         assert abs(chain.log_partition_function(range(6)) - log_z) <= 1e-12 * abs(log_z)
+
+
+def test_mutual_information_against_mpmath():
+    """On the three rho_AC of configs/random_decay.json (random, 2|3..5|2),
+    I(A:C) is within 2e-15 absolute of the exact I(A:C) of the float rho_AC,
+    from 50-digit spectra of rho_AC and of its partial traces."""
+    mpmath = pytest.importorskip("mpmath")
+    config = Path(__file__).resolve().parent.parent / "configs" / "random_decay.json"
+    cfg = json.loads(config.read_text())
+    spec = ModelSpec.from_dict(cfg["model"])
+
+    def exact_entropy(m):
+        w = mpmath.eighe(m, eigvals_only=True)
+        return -mpmath.fsum(x * mpmath.log(x) for x in w)
+
+    for n_b in cfg["geometry"]["b"]:
+        chain = Chain(dataclasses.replace(spec, sites=2 + n_b + 2).build())
+        regions = RegionsABC.from_sizes(2, n_b, 2)
+        rho = chain.marginal(regions.all_sites, regions.ac).matrix
+        with mpmath.workdps(50):
+            m, rho_a, rho_c = mpmath.matrix(rho.tolist()), mpmath.matrix(4, 4), mpmath.matrix(4, 4)
+            for i, j, k in itertools.product(range(4), repeat=3):  # exact sums of floats
+                rho_a[i, j] += m[4 * i + k, 4 * j + k]
+                rho_c[i, j] += m[4 * k + i, 4 * k + j]
+            want = exact_entropy(rho_a) + exact_entropy(rho_c) - exact_entropy(m)
+        got = mutual_information(chain, regions)
+        assert abs(got - float(want)) <= 2e-15, (n_b, got, float(want))
 
 
 def test_partition_size_bounds_catch_understated_strength(monkeypatch):
@@ -928,9 +972,11 @@ def test_marginal_floor_fails_on_a_marginal_that_is_not_positive():
 @given(st.integers(0, 10_000))
 def test_relative_entropy_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    rho = LocalOperator((0, 1), random_state(rng, 4))
-    sigma = LocalOperator((0, 1), random_state(rng, 4))
+    rho, sigma = random_state(rng, 4), random_state(rng, 4)
     assert relative_entropy(rho, sigma) >= -1e-10
+    want = _mutual_information_oracle(rho, 1, 2)
+    assert want >= -1e-10
+    assert abs(mutual_information_of(LocalOperator((0, 1), rho), (0,)) - want) <= 1e-13
 
 
 @settings(max_examples=15, deadline=None)

@@ -205,10 +205,15 @@ def test_norms_diagonal():
 def test_norm_ordering_random():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        m = random_hermitian(rng, 8)
         op = LocalOperator((0, 1, 2), m)
-        assert op_norm(op) <= np.linalg.norm(m) + 1e-12
+        assert min_eig(op) <= op_norm(op) <= np.linalg.norm(m) + 1e-12
         assert np.linalg.norm(m) <= trace_norm(op) + 1e-12
+    # the spectrum, and every norm read from it, is defined for Hermitian operators only
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for read in (op_norm, trace_norm, min_eig):
+        with pytest.raises(ValueError):
+            read(LocalOperator((0, 1, 2), g))
 
 
 # -- invariants ------------------------------------------------------------
@@ -259,8 +264,8 @@ def test_support_must_be_sorted():
 
 @pytest.mark.parametrize("side", [4, 200, 256, 300])
 def test_is_hermitian_matches_the_whole_matrix_check(side):
-    """The blocked check decides as max |M - M^dag| <= rtol max(1, ||M||) does,
-    for a defect in any block, above and below the tolerance."""
+    """The check decides as max |M - M^dag| <= rtol max(1, ||M||) does, for a
+    defect anywhere in the matrix, above and below the tolerance."""
     rng = np.random.default_rng(side)
     h = random_hermitian(rng, side)
     tol = HERMITICITY_RTOL * np.linalg.norm(h)

@@ -21,6 +21,7 @@ from chainsep import (
     certify_marginal,
     decompose_truncated_marginal,
     embed,
+    factorization_error,
     hamiltonian,
     identity,
     negativity,
@@ -47,6 +48,7 @@ from helpers import (
     random_hermitian,
     random_state,
     record_eigh,
+    record_solver,
     telescope_verify,
     traced_interface_product,
 )
@@ -172,8 +174,8 @@ def _four_factor_traced_product(chain, regions, kk):
         ec = interface_operator(chain.ia, a_k + b, c_k, TELESCOPE_S)
     else:  # A and C clip to nothing, and so do the cross terms
         ea = ec = identity(b)
-    ea, ec = embed(ea, hood), embed(ec, hood)
-    f = ea.dagger() @ ec.dagger() @ ec @ ea
+    ea, ec = embed(ea, hood).matrix, embed(ec, hood).matrix
+    f = LocalOperator(hood, ea.conj().T @ ec.conj().T @ ec @ ea)
     return partial_trace(embed(chain.gibbs(regions.b).rho, hood) @ f, regions.b)
 
 
@@ -256,6 +258,19 @@ def test_certify_diagonalizes_each_region_once(monkeypatch):
     certify_marginal(ia, RegionsABC.from_sizes(2, 3, 2))
     assert len(inputs) == len(set(inputs))
     assert [shape[0] for shape, _, _ in inputs].count(2**7) == 1
+
+
+def test_each_small_operator_is_solved_once(monkeypatch):
+    """The norms, least eigenvalue and PSD check of one operator all read its
+    one cached spectrum, so no matrix reaches eigvalsh twice."""
+    chain = Chain(builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1}))
+    regions = RegionsABC.from_sizes(2, 3, 2)
+    inputs = record_solver(monkeypatch, "eigvalsh")
+    factorization_error(chain, regions)
+    for k in (1, 2):
+        decompose_truncated_marginal(chain, regions, k)
+    assert len(inputs) == 11  # the difference, then per k two minima, two PSD checks, Delta
+    assert len(set(inputs)) == len(inputs)
 
 
 def test_certify_where_z_overflows():
