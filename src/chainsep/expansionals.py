@@ -195,36 +195,53 @@ def contraction_check(rho_b: LocalOperator, x: LocalOperator) -> ContractionRepo
     return ContractionReport(in_norm, out_norm, out_norm <= in_norm * (1 + 1e-10) + 1e-12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalFloorReport:
+    """||rho_B^{-1}|| = `inv_norm` against g^4 e^{2rJ + (2J + log d)|B|}, g from the
+    two expansionals at s = -1/2 of its derivation.  Holds the Chain, which does
+    not keep it (no cycle); g, `bound` and `ok` wait for a read.  `ok` fails if
+    min eig(rho_B) <= 0, else compares logs, measuring g only if g = 1 does not decide."""
+
     inv_norm: float
-    bound: float
-    g_emp: float
-    ok: bool
+    chain: Chain = field(repr=False)
+    regions: RegionsABC
+
+    def _log_bound(self, log_g: float) -> float:
+        # g = 1 is log_g = 0.0 in the one expression, summed left to right:
+        # g >= 1 makes 4 log g >= 0 and rounded addition is monotone, so a pass
+        # at g = 1 is a pass at the measured g
+        ia = self.chain.ia
+        d, j, r = ia.local_dim, ia.strength, ia.interaction_range
+        return 4 * log_g + 2 * r * j + (2 * j + math.log(d)) * len(self.regions.b)
+
+    @cached_property
+    def g_emp(self) -> float:
+        a, b, c = self.regions.a, self.regions.b, self.regions.c
+        return _uniform((expansional(self.chain, a, b, -0.5),
+                         expansional(self.chain, a + b, c, -0.5)))
+
+    @cached_property
+    def bound(self) -> float:
+        with np.errstate(over="ignore"):  # a bound beyond the float range is reported as inf
+            return float(np.exp(self._log_bound(math.log(self.g_emp))))
+
+    @cached_property
+    def ok(self) -> bool:
+        m = min_eig(self.chain.marginal(self.regions.all_sites, self.regions.b))
+        if not m > 0:
+            return False
+        lhs, slack = -math.log(m), math.log1p(1e-9)
+        return (lhs <= self._log_bound(0.0) + slack
+                or lhs <= self._log_bound(math.log(self.g_emp)) + slack)
 
 
 def marginal_inverse_norm(
     system: Interaction | Chain, regions: RegionsABC
 ) -> MarginalFloorReport:
-    """Check ||rho_B^{-1}|| against the expansional-derived exponential bound.
-
-    The uniform constant is measured on this instance from the two
-    expansionals at s = -1/2 that appear in the derivation of the bound.
-    Both sides are compared as logs, so neither may overflow and pass; if
-    min eig(rho_B) <= 0, the check fails and reports inv_norm = inf.
-    """
+    """||rho_B^{-1}|| against its bound: reads min eig(rho_B) now, the rest on demand."""
     chain = Chain.of(system)
     m = min_eig(chain.marginal(regions.all_sites, regions.b))
-
-    a, b, c = regions.a, regions.b, regions.c
-    g_emp = _uniform((expansional(chain, a, b, -0.5), expansional(chain, a + b, c, -0.5)))
-    ia = chain.ia
-    d, j, r = ia.local_dim, ia.strength, ia.interaction_range
-    log_bound = 4 * math.log(g_emp) + 2 * r * j + (2 * j + math.log(d)) * len(regions.b)
-    ok = m > 0 and -math.log(m) <= log_bound + math.log1p(1e-9)
-    with np.errstate(over="ignore"):  # a bound beyond the float range is reported as inf
-        bound = float(np.exp(log_bound))
-    return MarginalFloorReport(1.0 / m if m > 0 else math.inf, bound, g_emp, ok)
+    return MarginalFloorReport(1.0 / m if m > 0 else math.inf, chain, regions)
 
 
 @dataclass(frozen=True)

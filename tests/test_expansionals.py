@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chainsep import (
     Chain,
     GeometryError,
+    LemmaReport,
     LocalOperator,
     RegionsABC,
     builtin_models,
@@ -26,6 +27,7 @@ from chainsep import (
     herm_exp,
     kron,
     marginal,
+    min_eig,
     op_norm,
 )
 from helpers import (
@@ -238,6 +240,19 @@ def test_lemma_suite_diagonalizes_each_matrix_once(monkeypatch):
     assert all(astuple(report))
     assert len(inputs) == len(set(inputs))
     assert inputs.count(matrix_digest(hamiltonian(ia, regions.all_sites).matrix)) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lemma_suite_at_a_coupling_whose_interface_norms_overflow():
+    """At tfi coupling 80 the Gram of the interface norms overflows; the
+    marginal floor is decided without them, from min eig(rho_B) alone."""
+    ia = builtin_models("tfi", {"sites": 10, "coupling": 80.0})
+    regions = RegionsABC.from_sizes(1, 8, 1)
+    chain = Chain(ia)
+    x = LocalOperator(regions.ac, random_hermitian(np.random.default_rng(0), 4))
+    report = check_lemmas(chain, regions, x)
+    assert isinstance(report, LemmaReport)
+    assert report.marginal_floor == (min_eig(chain.marginal(regions.all_sites, regions.b)) > 0)
 
 
 FAMILIES = [

@@ -41,6 +41,7 @@ from chainsep import (
     op_norm,
     partial_trace,
 )
+from chainsep.expansionals import _uniform
 from chainsep.gibbs import DEFAULT_BUDGET, _components, _crossing_norm
 from chainsep.model import PAULI_X, PAULI_Z, Entries, hamiltonian_entries
 
@@ -966,6 +967,33 @@ def test_marginal_floor_fails_on_a_marginal_that_is_not_positive():
     rep = marginal_inverse_norm(chain, regions)
     assert rep.ok is False and rep.inv_norm == math.inf
     assert math.isfinite(rep.bound) and rep.g_emp >= 1.0
+
+
+def test_marginal_floor_measures_g_only_when_g_one_does_not_decide():
+    """With min eig(rho_B) between the g = 1 bound and the measured one, the
+    measured g decides: ok, and just past the measured bound, not ok.  g and
+    the bound are the ones of the two expansionals at s = -1/2, bit for bit."""
+    ia = builtin_models("tfi", {"sites": 5})
+    regions = RegionsABC.from_sizes(1, 3, 1)
+    a, b, c = regions.a, regions.b, regions.c
+    fresh = Chain(ia)
+    g = _uniform((expansional(fresh, a, b, -0.5), expansional(fresh, a + b, c, -0.5)))
+    d, j, r = ia.local_dim, ia.strength, ia.interaction_range
+    log_bound = 4 * math.log(g) + 2 * r * j + (2 * j + math.log(d)) * len(b)
+    log_bound_at_1 = 4 * 0.0 + 2 * r * j + (2 * j + math.log(d)) * len(b)
+    assert log_bound - log_bound_at_1 > 0.1
+    for m, ok in ((math.exp(-(log_bound + log_bound_at_1) / 2), True),
+                  (math.exp(-log_bound) * (1 - 1e-8), False)):
+        chain = Chain(ia)
+        rho_b = LocalOperator(b, np.diag([m, *np.full(7, (1 - m) / 7)]))
+        chain._memo[("marginal", regions.all_sites, b)] = rho_b
+        assert min_eig(chain.marginal(regions.all_sites, b)) == m
+        rep = marginal_inverse_norm(chain, regions)
+        assert rep.inv_norm == 1.0 / m
+        assert not [k for k in chain._memo if k[0] == "expansional"]
+        assert rep.ok is ok
+        assert [k for k in chain._memo if k[0] == "expansional"]  # g was measured
+        assert rep.g_emp == g and rep.bound == float(np.exp(log_bound))
 
 
 @settings(max_examples=20, deadline=None)

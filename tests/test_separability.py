@@ -338,6 +338,28 @@ def test_certify_solves_only_the_regions_its_verdict_reads(monkeypatch):
     assert set(solved) == {regions.a, regions.c, regions.b, regions.all_sites}
 
 
+def test_lemma_suite_solves_only_the_regions_its_verdicts_read(monkeypatch):
+    """The partition-function chains read A, B and AB, the marginals ABC; the
+    marginal floor is decided at g = 1, so no interface operator is built and
+    C, which only an interface operator reads, is never solved."""
+    solved = []
+    spectrum = Chain.spectrum
+
+    def recording(self, region):
+        solved.append(_region(region))
+        return spectrum(self, region)
+
+    monkeypatch.setattr(Chain, "spectrum", recording)
+    ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 2.0, "seed": 3})
+    chain = Chain(ia)
+    regions = RegionsABC.from_sizes(2, 3, 2)
+    x = LocalOperator(regions.ac, random_hermitian(np.random.default_rng(3), 16))
+    assert check_lemmas(chain, regions, x).marginal_floor
+    assert set(solved) == {regions.all_sites, regions.a + regions.b, regions.a, regions.b}
+    assert regions.c not in solved
+    assert not [k for k in chain._memo if k[0] == "expansional"]
+
+
 def test_certify_forms_no_interface_operator(monkeypatch):
     """The tails come from closed forms: certify builds no interface operator
     and solves no a_k + B region, which only an interface operator reads."""
