@@ -16,7 +16,8 @@ from .linalg import (
     partial_trace,
     trace_norm,
 )
-from .model import Entries, Interaction, RegionsABC, hamiltonian, hamiltonian_entries
+from .model import (ASSEMBLY_BAND, Entries, Interaction, RegionsABC, hamiltonian,
+                    hamiltonian_entries)
 
 DEFAULT_BUDGET = 4096
 LOG_FLOOR = 1e-300
@@ -187,7 +188,7 @@ class Spectrum:
     `w` is every eigenvalue in ascending order.  A matrix with no exact
     structure is one piece whose u is np.linalg.eigh's own V, read in place;
     any other is one piece per sub-block, whose u is put in H's coordinates
-    only by `_columns`, as V is read.
+    only by `_lift`, on the rows it touches, as V is read.
     """
 
     w: np.ndarray
@@ -200,32 +201,64 @@ class Spectrum:
         return pc.u[0] if pc.u.shape == (1, len(self.w), len(self.w)) else None
 
     def form(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """V diag(f(w)) V^dag for an elementwise f: the sum of (S f(w)) S^dag
-        over the column groups (w, S) of `_columns`."""
+        """V diag(f(w)) V^dag for an elementwise f: each solved matrix's own
+        product u f(w) u^dag, lifted by `_lift` to the rows it touches."""
         v = self._whole
         if v is not None:
             return (v * f(self.w)) @ v.conj().T
-        return sum((s * f(w)) @ s.conj().T for w, s in self._columns(np.arange(len(self.w))))
+        n = len(self.w)
+        out = np.zeros((n, n), np.result_type(f(self.w[:1]), *(pc.u for pc in self.pieces)))
+        for pc, rows, orbit, coef in self._lift(np.arange(n)[None]):
+            prod = (pc.u * f(pc.w)[:, None]) @ pc.u.conj().swapaxes(1, 2)
+            prod = np.take(np.take(prod, orbit[0], 1), orbit[0], 2)
+            prod *= coef[0][:, :, None]
+            prod *= coef[0][:, None]
+            if rows.shape == (1, n):
+                out += prod[0]
+            else:
+                out[rows[:, :, None], rows[:, None]] += prod
+        return out
+
+    def _lift(self, at: np.ndarray):
+        """Each piece on the rows it touches, row at[x, y] of V read as row y
+        of layer x: (pc, ys, orbit, coef), ys (k, r) the y that each of its k
+        matrices' legs reach, ascending, orbit (layers, r) and coef (layers, k,
+        r): row at[x, ys[i, t]] of matrix i's columns is coef[x, i, t] times
+        row orbit[x, t] of u[i] (stacked matrices are 1 x 1), 0 off the legs.
+        In one layer, one matrix on over half the rows is read on all."""
+        (d, side), to = at.shape, np.argsort(at, axis=None)  # V's row R is at.flat[to[R]]
+        for pc in self.pieces:
+            legs, k, m = pc.rows.shape
+            x, y = np.divmod(to[pc.rows], side)
+            # each matrix's own ys, apart from the others' by the key (matrix, y)
+            ys, j = np.unique(np.arange(k)[:, None] * side + y, return_inverse=True)
+            r = len(ys) // k  # the matrices of a piece reach equally many rows
+            ys, j = ys.reshape(k, r) % side, j.reshape(y.shape) - np.arange(k)[:, None] * r
+            if d == k == 1 and 2 * r > side:  # so that `form` adds it in place
+                ys, j, r = np.arange(side)[None], y, side
+            orbit, coef, e = np.zeros((d, r), np.intp), np.zeros((d, k, r)), np.arange(k)[:, None]
+            for g in range(legs):  # legs that meet at a row agree there
+                orbit[x[g], j[g]] = np.arange(m)
+                coef[x[g], e, j[g]] = pc.coef[g]
+            yield pc, ys, orbit, coef
 
     def _columns(self, at: np.ndarray):
-        """Every column of V, with row R of V put at row at[R]: (w, S) for
-        each group of a piece's matrices, w their eigenvalues and S of shape
-        (N, w.size).  A group is one sub-block, or at most N/2 columns of a
-        stack; this generator lets go of it before it makes the next."""
-        n = len(self.w)
-        for pc in self.pieces:
-            k, m = pc.w.shape
-            step = max(1, n // (2 * m))
-            for i in range(0, k, step):
-                part = slice(i, i + step)
-                u, legs = pc.u[part], at[pc.rows[:, part]]
-                s, coef = np.zeros((n, len(u), m), u.dtype), np.zeros(n)
-                for rows, c in zip(legs, pc.coef[:, part]):  # u unscaled, scaled in place below
-                    s[rows, np.arange(len(u))[:, None]] = u
-                    coef[rows] = c
-                s *= coef[:, None, None]
-                yield pc.w[part].ravel(), s.reshape(n, -1)
-                del s
+        """Every column of V on the rows `_lift` gives: (w, ys, S) for each
+        group of b matrices of a piece and c of their columns, w (b, c), ys as
+        in `_lift` and S[x, i, t] the columns' row at[x, ys[i, t]], of at most
+        ASSEMBLY_BAND numbers or one column, let go of before the next."""
+        d = len(at)
+        for pc, ys, orbit, coef in self._lift(at):
+            (k, r), m = ys.shape, pc.w.shape[1]
+            c = min(m, max(1, ASSEMBLY_BAND // (d * r)))
+            b = max(1, ASSEMBLY_BAND // (d * r * c))
+            for i in range(0, k, b):
+                part, e = slice(i, i + b), np.arange(i, min(i + b, k))[:, None]
+                for col in range(0, m, c):
+                    s = pc.u[e, orbit[:, None], col:col + c]
+                    s *= coef[:, part, :, None]
+                    yield pc.w[part, col:col + c], ys[part], s
+                    del s
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, V) with eigenvalue j for column j of V, V formed whole:
@@ -233,8 +266,13 @@ class Spectrum:
         v = self._whole
         if v is not None:
             return self.w, v
-        parts = list(self._columns(np.arange(len(self.w))))
-        return np.concatenate([w for w, _ in parts]), np.hstack([s for _, s in parts])
+        n = len(self.w)
+        v, w = np.zeros((n, n), np.result_type(*(pc.u for pc in self.pieces))), []
+        for wg, rows, s in self._columns(np.arange(n)[None]):
+            cols = sum(map(len, w)) + np.arange(wg.size).reshape(wg.shape)
+            v[rows[:, :, None], cols[:, None]] = s[0]
+            w.append(wg.ravel())
+        return np.concatenate(w), v
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,9 +420,10 @@ def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
     """rho_X = tr_{R\\X} rho, straight from the spectrum for a proper subregion.
 
     With S = V diag(sqrt p), its rows ordered (X legs, rest of R) and read as
-    a d_X x (d_rest N) matrix, rho_X = S S^dag: a sum of d_X N m Grams, one
-    per group of m columns of `Spectrum._columns`, with no N^3 product, no
-    partial trace and no N x N copy of a split V.
+    a d_X x (d_rest N) matrix, rho_X = S S^dag: the sum over the column groups
+    of `Spectrum._columns` of their Grams over (the rest rows each group's
+    piece reaches x its columns), with no N^3 product, no partial trace and
+    no array of N rows for a split V.
     """
     x = _region(x)
     if not x or not set(x) <= set(g.region):
@@ -394,12 +433,11 @@ def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
     d, n = g.local_dim, len(g.region)
     legs = [g.region.index(s) for s in x]
     legs += [i for i in range(n) if i not in legs]
-    at = np.empty(d ** n, np.intp)  # row R of V goes to row at[R] of S
-    at[np.arange(d ** n).reshape((d,) * n).transpose(legs).ravel()] = np.arange(d ** n)
+    grid = np.arange(d ** n).reshape((d,) * n).transpose(legs).reshape(d ** len(x), -1)
     rho_x = None
-    for w, s in g.spectrum._columns(at):
-        s *= np.sqrt(g.p(w))
-        s = s.reshape(d ** len(x), -1)
+    for w, _, s in g.spectrum._columns(grid):  # V's rows as (X digits, rest)
+        s *= np.sqrt(g.p(w))[:, None]
+        s = s.reshape(len(s), -1)
         rho_x = s @ s.conj().T if rho_x is None else rho_x + s @ s.conj().T
         del s
     return _state(x, rho_x, d)

@@ -127,7 +127,7 @@ def k_neighborhood(regions: RegionsABC, k: int) -> tuple[int, ...]:
     return a_k + regions.b + c_k
 
 
-ASSEMBLY_BAND = 2**18  # entries of each dense band of rows H_R is summed in: 2 MB of doubles
+ASSEMBLY_BAND = 2**18  # the most numbers in a transient band or column group: 2 MB of doubles
 
 
 class Entries(NamedTuple):

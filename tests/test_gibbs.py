@@ -43,7 +43,7 @@ from chainsep import (
 )
 from chainsep.expansionals import _uniform
 from chainsep.gibbs import DEFAULT_BUDGET, _components, _crossing_norm
-from chainsep.model import PAULI_X, PAULI_Z, Entries, hamiltonian_entries
+from chainsep.model import ASSEMBLY_BAND, PAULI_X, PAULI_Z, Entries, hamiltonian_entries
 
 from helpers import (
     entries_of,
@@ -307,7 +307,7 @@ def test_each_sub_block_is_a_piece_of_its_own(case, monkeypatch):
     palindromes for the qubit chains), never a block's u filled from its
     sub-blocks: the u of side > 1, a sector pair's counted once, are the
     eigh outputs.  And no group of columns that `_columns` yields is wider
-    than its piece."""
+    than its piece, or holds more than ASSEMBLY_BAND numbers."""
     model, region = PIECE_CASES[case]
     ia = _spin_one(5, model) if case.startswith("spin-one") else builtin_models(*model)
     region = tuple(ia.sites) if region is None else region
@@ -322,12 +322,13 @@ def test_each_sub_block_is_a_piece_of_its_own(case, monkeypatch):
             assert ia.local_dim == 3 or m <= 2 ** (n - 2) + 2 ** ((n + 1) // 2 - 1)
             solved[id(pc.u)] = pc.u.shape[1:]
     assert sorted(solved.values()) == sorted(shape for shape, _, _ in inputs if shape[0] > 1)
-    groups = spectrum._columns(np.arange(len(spectrum.w)))
+    groups = spectrum._columns(np.arange(len(spectrum.w))[None])
     for pc in spectrum.pieces:
         left = pc.w.size
         while left:
-            w, s = next(groups)
-            assert np.shares_memory(w, pc.w) and s.shape[1] == w.size <= left
+            w, rows, s = next(groups)
+            assert np.shares_memory(w, pc.w) and s.shape[1:] == (*rows.shape, w.shape[1])
+            assert len(s) == 1 and w.size <= left and s.size <= ASSEMBLY_BAND
             left -= w.size
     assert next(groups, None) is None
 
@@ -546,16 +547,25 @@ ORACLE_MODELS = dict(SYMMETRIC_MODELS, **{
     "tfi-offgrid": ("tfi", {"sites": 8, "coupling": 0.679, "field": 1.14}),
     "tfi-offgrid-9": ("tfi", {"sites": 8, "coupling": 1.405, "field": 0.677}),
     "complex-fold": ("random", {"sites": 5, "range": 1}),
+    "random": ("random", {"sites": 6, "range": 2, "strength": 2.0, "seed": 5}),
 })
+# with column groups of at most 64 numbers, every piece kind (whole, sector, mirror
+# sub-block, 1 x 1 stack) is read in several groups, which the 8-site models never are
+SMALL_GROUPS = "-small-groups"
 
 
-@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS) + [m + SMALL_GROUPS for m in ORACLE_MODELS])
 def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
     """Marginals, the whole state, e^{tH}, log Z and the interface norms, all
-    read from the pieces, against np.linalg.eigh of the assembled H."""
+    read from the pieces, against np.linalg.eigh of the assembled H.  Only
+    `random` is one whole piece."""
+    gibbs_module = importlib.import_module("chainsep.gibbs")
+    if model.endswith(SMALL_GROUPS):
+        model = model.removesuffix(SMALL_GROUPS)
+        monkeypatch.setattr(gibbs_module, "ASSEMBLY_BAND", 64)
     if model == "complex-fold":
         _patch_complex_fold(monkeypatch)
-    assemble = importlib.import_module("chainsep.gibbs").hamiltonian_entries
+    assemble = gibbs_module.hamiltonian_entries
     ia = builtin_models(*ORACLE_MODELS[model])
     n = len(ia.sites)
     everything = tuple(range(n))
@@ -564,7 +574,14 @@ def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
         return np.linalg.eigh(assemble(ia, region).dense())
 
     chain = Chain(ia)
-    assert all(pc.u.shape[-1] < 2**n for pc in chain.spectrum(everything).pieces)
+    spectrum = chain.spectrum(everything)
+    assert all(pc.u.shape[-1] < 2**n for pc in spectrum.pieces) == (model != "random")
+    groups = spectrum._columns(np.arange(2**n).reshape(4, -1))
+    # a group holds at most ASSEMBLY_BAND numbers, or one column of one matrix
+    assert all(s.size <= gibbs_module.ASSEMBLY_BAND or s.shape[1] * s.shape[3] == 1
+               for _, _, s in groups)
+    if gibbs_module.ASSEMBLY_BAND == 64:
+        assert len(list(spectrum._columns(np.arange(2**n)[None]))) > len(spectrum.pieces)
     w, v = dense(everything)
     p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
     rho = (v * p) @ v.conj().T
@@ -651,38 +668,42 @@ def test_every_reader_of_a_random_model_is_the_full_solve_bit_for_bit(params):
 
 
 PEAK = """
-import sys, tracemalloc
+import json, sys, tracemalloc
 from chainsep import Chain, RegionsABC, builtin_models, gibbs, marginal
 
 def peak():  # VmHWM, in KiB: the peak RSS of this process since its exec
     return next(int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmHWM"))
 
-ia = builtin_models("tfi", {"sites": 11})
+ia = builtin_models(*json.loads(sys.argv[3]))
+n = len(ia.sites)
 before = peak()
 if sys.argv[2] == "traced":
     tracemalloc.start()
+chain = Chain(ia, 2**n)
 if sys.argv[1] == "spectrum":
-    held = [pc.u.nbytes for pc in Chain(ia).spectrum(range(11)).pieces]
+    held = [pc.u.nbytes for pc in chain.spectrum(range(n)).pieces]
 else:
-    regions = RegionsABC.from_sizes(1, 9, 1)
-    marginal(gibbs(ia, regions.all_sites), regions.ac)
+    regions = RegionsABC.from_sizes(1, n - 2, 1)
+    marginal(gibbs(chain, regions.all_sites), regions.ac)
     held = []
 grown = tracemalloc.get_traced_memory()[1] if sys.argv[2] == "traced" else (peak() - before) * 1024
 print(grown, *held)
 """
 
 
-def _peak_growth(what, traced=False):
+def _peak_growth(what, traced=False, model=("tfi", {"sites": 11})):
     """(peak growth in bytes, bytes of eigenvectors held by each piece) of a
-    fresh process: the growth of its peak RSS or, if `traced`, the tracemalloc
-    peak of the arrays it allocates, which no allocator's heap layout moves.
-    (ru_maxrss of a child starts at the RSS of the process that forked it, so
-    a large test process would hide the growth; VmHWM starts afresh.)"""
+    fresh process that reads the spectrum of `model`'s whole chain or, for
+    "marginal", rho_AC on 1|n-2|1: the growth of its peak RSS or, if
+    `traced`, the tracemalloc peak of the arrays it allocates, which no
+    allocator's heap layout moves.  (ru_maxrss of a child starts at the RSS
+    of the process that forked it, so a large test process would hide the
+    growth; VmHWM starts afresh.)"""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK, what, "traced" if traced else "rss"],
+        [sys.executable, "-c", PEAK, what, "traced" if traced else "rss", json.dumps(model)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -691,6 +712,7 @@ def _peak_growth(what, traced=False):
 
 
 N2_DOUBLES = 2048**2 * 8
+MB = 2**20
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
@@ -700,7 +722,7 @@ def test_block_spectrum_peak_memory():
     no n x n matrix or half-size u is formed.  Each sub-block is gathered
     from H's entries and solved before the next, so the arrays peak (about
     0.33 n^2, by tracemalloc) at the last solve: three stored u, the last
-    sub-block and its eigh output.  The RSS (about 0.64 n^2) adds eigh's copy
+    sub-block and its eigh output.  The RSS (about 0.65 n^2) adds eigh's copy
     of its input and LAPACK's 2 m^2 workspace, which tracemalloc does not see.
     Bounds: 0.75 and 0.4 n^2, each the reading plus about a fifth.  Filling
     each fold half's u from its two sub-blocks peaked at 0.92 n^2 (1.01 n^2
@@ -714,21 +736,39 @@ def test_block_spectrum_peak_memory():
     assert traced <= 0.4 * N2_DOUBLES, traced / N2_DOUBLES
 
 
+# (model, RSS bound, traced bound) of a whole-chain Gibbs state and rho_AC off the tfi fold
+MARGINAL_PEAKS = [
+    (("classical_ising", {"sites": 12, "field": 0.5}), 8 * MB, 5 * MB),
+    (("xxz", {"sites": 13, "jz": 0.5}), 64 * MB, 32 * MB),
+]
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_gibbs_marginal_peak_memory():
-    """gibbs and rho_AC of tfi on 1|9|1 (n = 2048).  The arrays peak (about
-    0.52 n^2, by tracemalloc) in the marginal: the spectrum's n^2/4 and one
-    sub-block's column group of n x 528 doubles, into which the u rows go
-    unscaled, to be scaled in place.  The RSS grows by about 0.91 n^2.
-    Bounds: 1.05 n^2 for the RSS and 0.62 n^2 traced, the tracemalloc
-    reading plus a fifth.  Scaling the u rows into a copy on their way in
-    peaked at 0.58 n^2 traced; scattering a fold half's u (n^2/4 of the
-    n^2/2 held) into n x n/2 columns peaked at 1.38 n^2 (1.01 n^2 traced);
-    a dense V and its scaled copy V sqrt(p) peak at about 2.27 n^2."""
+    """gibbs and rho_AC on 1|n-2|1 add nothing to the peak of the spectrum
+    itself: `_columns` reads each piece on the rows it touches, in groups of
+    at most ASSEMBLY_BAND numbers (2 MB of doubles).
+    - tfi, 1|9|1 (n = 2048): 0.67 n^2 RSS and 0.33 n^2 traced, the readings
+      of test_block_spectrum_peak_memory, so its bounds too.  Column groups of
+      n x 528 doubles, each sub-block's rows scattered into all n rows, peaked
+      at 0.91 n^2 (0.52 n^2 traced).
+    - classical_ising with a field, 12 sites (n = 4096, one stack of 1 x 1
+      blocks, a column one row each): 3.6 MB RSS and 4.2 MB traced, the
+      spectrum's; bounds 8 and 5 MB.  Groups of n/2 columns of n rows
+      peaked at 65 MB.
+    - xxz jz = 0.5, 13 sites (n = 8192, S_z sectors, each on its own rows):
+      54 MB RSS and 27 MB traced, the spectrum's; bounds 64 and 32 MB, each
+      the reading plus about a fifth.  Sectors scattered into all n rows
+      peaked at 114 MB (75 MB traced)."""
     grown, _ = _peak_growth("marginal")
-    assert grown <= 1.05 * N2_DOUBLES, grown / N2_DOUBLES
+    assert grown <= 0.75 * N2_DOUBLES, grown / N2_DOUBLES
     traced, _ = _peak_growth("marginal", traced=True)
-    assert traced <= 0.62 * N2_DOUBLES, traced / N2_DOUBLES
+    assert traced <= 0.4 * N2_DOUBLES, traced / N2_DOUBLES
+    for model, rss_bound, traced_bound in MARGINAL_PEAKS:
+        grown, _ = _peak_growth("marginal", model=model)
+        assert grown <= rss_bound, (model, grown / MB)
+        traced, _ = _peak_growth("marginal", traced=True, model=model)
+        assert traced <= traced_bound, (model, traced / MB)
 
 
 def _crossing_norm_oracle(ia, a, b):
