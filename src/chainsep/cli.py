@@ -26,7 +26,7 @@ from .expansionals import (
     estimate_uniform_bound,
     tail_norm_bound,
 )
-from .gibbs import Chain, factorization_error, mutual_information
+from .gibbs import DEFAULT_BUDGET, Chain, factorization_error, mutual_information
 from .linalg import LocalOperator
 from .model import ModelSpec, RegionsABC
 from .separability import (
@@ -108,7 +108,7 @@ def _run_items(fn, items, jobs: int, dim: int):
 _DEFAULTS = {
     "seed": 0,
     "jobs": 1,
-    "budget": 4096,
+    "budget": DEFAULT_BUDGET,
     "instances": 100,
     "k_range": [1, 3],
     "corpus": {"max_range": 2, "strength": 2.0, "min_sites": 4, "max_sites": 8},

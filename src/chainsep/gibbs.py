@@ -164,21 +164,25 @@ def _gather(h: Entries, rows: np.ndarray, chi: np.ndarray, size: np.ndarray) -> 
 
 
 class Piece(NamedTuple):
-    """k solved m x m matrices of a Hermitian H: eigenvalues w (k, m),
-    eigenvectors u (k, m, m), and one leg per element g of their block's
-    symmetry group: rows[g] and coef[g], each (k, m).
-
-    Column j of u[i] is the eigenvector of H that is coef[g, i, a] u[i, a, j]
-    at the row rows[g, i, a], for every g and a, and 0 off those rows (legs
-    that meet at a row agree there).  A sub-block of `_sectors` is a piece
-    with k = 1 and coef = chi(g) / sqrt|O|; only 1 x 1 blocks are stacked,
-    as one piece with one leg, coef 1.
-    """
+    """One solved m x m matrix of a Hermitian H, eigenvalues w (m,) and
+    eigenvectors u (m, m), and where it sits in H: column j of u is the
+    eigenvector of H that is coef[t] u[orbit[t], j] at the row rows[t], for
+    the rows it touches, ascending, and 0 off them."""
 
     w: np.ndarray
     u: np.ndarray
     rows: np.ndarray
+    orbit: np.ndarray
     coef: np.ndarray
+
+
+def _piece(w: np.ndarray, u: np.ndarray, rows: np.ndarray, chi: np.ndarray, size: np.ndarray):
+    """A solved sub-block of `_sectors`: each row g o_a that a leg reaches
+    reads row a of u, with coef chi(g) / sqrt|O_a| (legs that meet at a row
+    agree there)."""
+    at, first = np.unique(rows, return_index=True)
+    g, a = np.divmod(first, rows.shape[1])
+    return Piece(w, u, at, a, chi[g] * np.sqrt(1 / size[a]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,78 +191,64 @@ class Spectrum:
 
     `w` is every eigenvalue in ascending order.  A matrix with no exact
     structure is one piece whose u is np.linalg.eigh's own V, read in place;
-    any other is one piece per sub-block, whose u is put in H's coordinates
-    only by `_lift`, on the rows it touches, as V is read.
+    any other is one piece per sub-block, and its 1 x 1 blocks are
+    `diagonal`: (rows, values), the eigenvector of each value the unit
+    vector at its row.
     """
 
     w: np.ndarray
     pieces: tuple[Piece, ...]
+    diagonal: tuple[np.ndarray, np.ndarray]
 
     @property
     def _whole(self) -> np.ndarray | None:
         """V itself, if one piece is all of it."""
-        pc = self.pieces[0]
-        return pc.u[0] if pc.u.shape == (1, len(self.w), len(self.w)) else None
+        n = len(self.w)
+        return self.pieces[0].u if [pc.u.shape for pc in self.pieces] == [(n, n)] else None
 
     def form(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """V diag(f(w)) V^dag for an elementwise f: each solved matrix's own
-        product u f(w) u^dag, lifted by `_lift` to the rows it touches."""
+        product u f(w) u^dag, added on the rows it touches."""
         v = self._whole
         if v is not None:
             return (v * f(self.w)) @ v.conj().T
         n = len(self.w)
         out = np.zeros((n, n), np.result_type(f(self.w[:1]), *(pc.u for pc in self.pieces)))
-        for pc, rows, orbit, coef in self._lift(np.arange(n)[None]):
-            prod = (pc.u * f(pc.w)[:, None]) @ pc.u.conj().swapaxes(1, 2)
-            prod = np.take(np.take(prod, orbit[0], 1), orbit[0], 2)
-            prod *= coef[0][:, :, None]
-            prod *= coef[0][:, None]
-            if rows.shape == (1, n):
-                out += prod[0]
+        for pc in self.pieces:
+            orbit, coef = pc.orbit, pc.coef
+            if 2 * len(pc.rows) > n:  # padded to all rows, so that it is added in place
+                orbit, coef = np.zeros(n, np.intp), np.zeros(n)
+                orbit[pc.rows], coef[pc.rows] = pc.orbit, pc.coef
+            prod = (pc.u * f(pc.w)) @ pc.u.conj().T  # lets the last piece's prod go first
+            prod = prod.take(orbit, 0).take(orbit, 1)
+            prod *= coef[:, None]
+            prod *= coef
+            if len(orbit) == n:
+                out += prod
             else:
-                out[rows[:, :, None], rows[:, None]] += prod
+                out[pc.rows[:, None], pc.rows] += prod
+        rows, values = self.diagonal
+        out[rows, rows] += f(values)
         return out
 
-    def _lift(self, at: np.ndarray):
-        """Each piece on the rows it touches, row at[x, y] of V read as row y
-        of layer x: (pc, ys, orbit, coef), ys (k, r) the y that each of its k
-        matrices' legs reach, ascending, orbit (layers, r) and coef (layers, k,
-        r): row at[x, ys[i, t]] of matrix i's columns is coef[x, i, t] times
-        row orbit[x, t] of u[i] (stacked matrices are 1 x 1), 0 off the legs.
-        In one layer, one matrix on over half the rows is read on all."""
+    def _columns(self, at: np.ndarray):
+        """Each piece's columns with V's row at[x, y] read as row y of layer
+        x: (w, ys, S) for each group of c of its columns, w (c,), ys the y its
+        rows reach, ascending, and S[x, t] the columns' row at[x, ys[t]], of
+        at most ASSEMBLY_BAND numbers or one column, let go of before the
+        next."""
         (d, side), to = at.shape, np.argsort(at, axis=None)  # V's row R is at.flat[to[R]]
         for pc in self.pieces:
-            legs, k, m = pc.rows.shape
             x, y = np.divmod(to[pc.rows], side)
-            # each matrix's own ys, apart from the others' by the key (matrix, y)
-            ys, j = np.unique(np.arange(k)[:, None] * side + y, return_inverse=True)
-            r = len(ys) // k  # the matrices of a piece reach equally many rows
-            ys, j = ys.reshape(k, r) % side, j.reshape(y.shape) - np.arange(k)[:, None] * r
-            if d == k == 1 and 2 * r > side:  # so that `form` adds it in place
-                ys, j, r = np.arange(side)[None], y, side
-            orbit, coef, e = np.zeros((d, r), np.intp), np.zeros((d, k, r)), np.arange(k)[:, None]
-            for g in range(legs):  # legs that meet at a row agree there
-                orbit[x[g], j[g]] = np.arange(m)
-                coef[x[g], e, j[g]] = pc.coef[g]
-            yield pc, ys, orbit, coef
-
-    def _columns(self, at: np.ndarray):
-        """Every column of V on the rows `_lift` gives: (w, ys, S) for each
-        group of b matrices of a piece and c of their columns, w (b, c), ys as
-        in `_lift` and S[x, i, t] the columns' row at[x, ys[i, t]], of at most
-        ASSEMBLY_BAND numbers or one column, let go of before the next."""
-        d = len(at)
-        for pc, ys, orbit, coef in self._lift(at):
-            (k, r), m = ys.shape, pc.w.shape[1]
-            c = min(m, max(1, ASSEMBLY_BAND // (d * r)))
-            b = max(1, ASSEMBLY_BAND // (d * r * c))
-            for i in range(0, k, b):
-                part, e = slice(i, i + b), np.arange(i, min(i + b, k))[:, None]
-                for col in range(0, m, c):
-                    s = pc.u[e, orbit[:, None], col:col + c]
-                    s *= coef[:, part, :, None]
-                    yield pc.w[part, col:col + c], ys[part], s
-                    del s
+            ys, j = np.unique(y, return_inverse=True)
+            orbit, coef = np.zeros((d, len(ys)), np.intp), np.zeros((d, len(ys)))
+            orbit[x, j], coef[x, j] = pc.orbit, pc.coef
+            c = min(len(pc.w), max(1, ASSEMBLY_BAND // orbit.size))
+            for col in range(0, len(pc.w), c):
+                s = pc.u[orbit, col:col + c]
+                s *= coef[:, :, None]
+                yield pc.w[col:col + c], ys, s
+                del s
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, V) with eigenvalue j for column j of V, V formed whole:
@@ -266,13 +256,13 @@ class Spectrum:
         v = self._whole
         if v is not None:
             return self.w, v
-        n = len(self.w)
-        v, w = np.zeros((n, n), np.result_type(*(pc.u for pc in self.pieces))), []
-        for wg, rows, s in self._columns(np.arange(n)[None]):
-            cols = sum(map(len, w)) + np.arange(wg.size).reshape(wg.shape)
-            v[rows[:, :, None], cols[:, None]] = s[0]
-            w.append(wg.ravel())
-        return np.concatenate(w), v
+        n, (rows, values) = len(self.w), self.diagonal
+        v, col = np.zeros((n, n), np.result_type(float, *(pc.u for pc in self.pieces))), 0
+        for pc in self.pieces:
+            v[pc.rows[:, None], col + np.arange(len(pc.w))] = pc.u[pc.orbit] * pc.coef[:, None]
+            col += len(pc.w)
+        v[rows, col + np.arange(len(rows))] = 1
+        return np.concatenate([pc.w for pc in self.pieces] + [values]), v
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +329,7 @@ class Chain:
         its symmetry group (the flip, and the site reflection if the terms in
         R are mirror images; see `_sectors`), and each sub-block is gathered
         from the entries, solved and kept as a piece of its own before the
-        next is gathered.  The 1 x 1 blocks are one piece, with no solve.
+        next is gathered.  The 1 x 1 blocks are the diagonal, with no solve.
         Only a matrix that is one block with no symmetry is formed whole,
         for one `np.linalg.eigh`.
         """
@@ -357,28 +347,22 @@ class Chain:
                        if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)
             if reverse is None and len(blocks[0][0]) == n and not blocks[0][1]:
                 w, v = np.linalg.eigh(h.dense())
-                return Spectrum(w, (Piece(w[None], v[None], np.arange(n)[None, None],
-                                          np.ones((1, 1, n))),))
-            solved, singles = [], []
+                r = np.arange(n)
+                return Spectrum(w, (Piece(w, v, r, r, np.ones(n)),), (r[:0], w[:0]))
+            r = np.array([c[0] for c, _, _ in blocks if len(c) == 1], np.intp)
+            diagonal = r, _mates(h, r * (n + 1)).real  # the diagonal entries, ascending keys
+            solved = []
             for c, flip, paired in blocks:  # each sub-block gathered, solved and dropped
                 if len(c) == 1:
-                    singles.append(c)
                     continue
-                found = []
-                for rows, chi, size in _sectors(c, n, flip, reverse):
-                    w, u = np.linalg.eigh(_gather(h, rows, chi, size))
-                    coef = chi[:, None] * np.sqrt(1 / size)
-                    found.append(Piece(w[None], u[None], rows[:, None], coef[:, None]))
+                found = [_piece(*np.linalg.eigh(_gather(h, rows, chi, size)), rows, chi, size)
+                         for rows, chi, size in _sectors(c, n, flip, reverse)]
                 solved += found
                 if paired:  # the image sector: the same (w, u) at the rows N-1-rows
-                    solved += [pc._replace(rows=n - 1 - pc.rows) for pc in found]
-            if singles:
-                r = np.concatenate(singles)
-                w = _mates(h, r * (n + 1)).real  # the diagonal entries, ascending keys
-                solved.append(Piece(w[:, None], np.ones((len(r), 1, 1), h.values.dtype),
-                                    r[None, :, None], np.ones((1, len(r), 1))))
-            w = np.sort(np.concatenate([pc.w.ravel() for pc in solved]), kind="stable")
-            return Spectrum(w, tuple(solved))
+                    solved += [pc._replace(rows=n - 1 - pc.rows[::-1], orbit=pc.orbit[::-1],
+                                           coef=pc.coef[::-1]) for pc in found]
+            w = np.sort(np.concatenate([pc.w for pc in solved] + [diagonal[1]]), kind="stable")
+            return Spectrum(w, tuple(solved), diagonal)
 
         return self.cached(("eigh", region), build)
 
@@ -423,7 +407,8 @@ def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
     a d_X x (d_rest N) matrix, rho_X = S S^dag: the sum over the column groups
     of `Spectrum._columns` of their Grams over (the rest rows each group's
     piece reaches x its columns), with no N^3 product, no partial trace and
-    no array of N rows for a split V.
+    no array of N rows for a split V, and then the diagonal's p, summed by
+    the X digits of their rows.
     """
     x = _region(x)
     if not x or not set(x) <= set(g.region):
@@ -436,10 +421,15 @@ def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
     grid = np.arange(d ** n).reshape((d,) * n).transpose(legs).reshape(d ** len(x), -1)
     rho_x = None
     for w, _, s in g.spectrum._columns(grid):  # V's rows as (X digits, rest)
-        s *= np.sqrt(g.p(w))[:, None]
+        s *= np.sqrt(g.p(w))
         s = s.reshape(len(s), -1)
         rho_x = s @ s.conj().T if rho_x is None else rho_x + s @ s.conj().T
         del s
+    rows, values = g.spectrum.diagonal
+    if len(rows):  # each unit vector's p, on the diagonal at its row's X digits
+        at = np.argsort(grid, axis=None)[rows] // grid.shape[1]
+        p = np.diag(np.bincount(at, g.p(values), len(grid)))
+        rho_x = p if rho_x is None else rho_x + p
     return _state(x, rho_x, d)
 
 

@@ -305,30 +305,37 @@ def test_each_sub_block_is_a_piece_of_its_own(case, monkeypatch):
     """Every stored u is one solved matrix, a sub-block of the block's
     symmetry group (of side at most a quarter of the space plus half its
     palindromes for the qubit chains), never a block's u filled from its
-    sub-blocks: the u of side > 1, a sector pair's counted once, are the
-    eigh outputs.  And no group of columns that `_columns` yields is wider
-    than its piece, or holds more than ASSEMBLY_BAND numbers."""
+    sub-blocks: the u, a sector pair's counted once, are the eigh outputs,
+    each on the ascending rows it touches.  The 1 x 1 blocks are the
+    diagonal, with no solve, so a diagonal H has no pieces.  And no group of
+    columns that `_columns` yields is wider than its piece, or holds more
+    than ASSEMBLY_BAND numbers."""
     model, region = PIECE_CASES[case]
     ia = _spin_one(5, model) if case.startswith("spin-one") else builtin_models(*model)
     region = tuple(ia.sites) if region is None else region
     inputs = record_eigh(monkeypatch)
     spectrum, n = Chain(ia).spectrum(region), len(region)
-    solved = {}
+    solved, rows = {}, [spectrum.diagonal[0]]
     for pc in spectrum.pieces:
-        k, m = pc.w.shape
-        assert pc.u.shape == (k, m, m)
-        if m > 1:
-            assert k == 1
-            assert ia.local_dim == 3 or m <= 2 ** (n - 2) + 2 ** ((n + 1) // 2 - 1)
-            solved[id(pc.u)] = pc.u.shape[1:]
-    assert sorted(solved.values()) == sorted(shape for shape, _, _ in inputs if shape[0] > 1)
+        (m,) = pc.w.shape
+        assert pc.u.shape == (m, m)
+        assert ia.local_dim == 3 or m <= 2 ** (n - 2) + 2 ** ((n + 1) // 2 - 1)
+        assert np.all(np.diff(pc.rows) > 0) and pc.orbit.max() < m
+        assert pc.orbit.shape == pc.coef.shape == pc.rows.shape
+        solved[id(pc.u)] = pc.u.shape
+        rows.append(pc.rows)
+    assert sorted(solved.values()) == sorted(shape for shape, _, _ in inputs)
+    # every row of H is reached, by the diagonal or by a piece
+    assert np.array_equal(np.unique(np.concatenate(rows)), np.arange(len(spectrum.w)))
+    if case.startswith("classical_ising"):
+        assert spectrum.pieces == () and len(spectrum.diagonal[0]) == len(spectrum.w)
     groups = spectrum._columns(np.arange(len(spectrum.w))[None])
     for pc in spectrum.pieces:
         left = pc.w.size
         while left:
             w, rows, s = next(groups)
-            assert np.shares_memory(w, pc.w) and s.shape[1:] == (*rows.shape, w.shape[1])
-            assert len(s) == 1 and w.size <= left and s.size <= ASSEMBLY_BAND
+            assert np.shares_memory(w, pc.w) and s.shape == (1, len(rows), len(w))
+            assert w.size <= left and s.size <= ASSEMBLY_BAND
             left -= w.size
     assert next(groups, None) is None
 
@@ -550,7 +557,7 @@ ORACLE_MODELS = dict(SYMMETRIC_MODELS, **{
     "random": ("random", {"sites": 6, "range": 2, "strength": 2.0, "seed": 5}),
 })
 # with column groups of at most 64 numbers, every piece kind (whole, sector, mirror
-# sub-block, 1 x 1 stack) is read in several groups, which the 8-site models never are
+# sub-block) is read in several groups, which the 8-site models never are
 SMALL_GROUPS = "-small-groups"
 
 
@@ -577,10 +584,10 @@ def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
     spectrum = chain.spectrum(everything)
     assert all(pc.u.shape[-1] < 2**n for pc in spectrum.pieces) == (model != "random")
     groups = spectrum._columns(np.arange(2**n).reshape(4, -1))
-    # a group holds at most ASSEMBLY_BAND numbers, or one column of one matrix
-    assert all(s.size <= gibbs_module.ASSEMBLY_BAND or s.shape[1] * s.shape[3] == 1
+    # a group, (layers, rows, columns), holds at most ASSEMBLY_BAND numbers, or one column
+    assert all(s.ndim == 3 and (s.size <= gibbs_module.ASSEMBLY_BAND or s.shape[2] == 1)
                for _, _, s in groups)
-    if gibbs_module.ASSEMBLY_BAND == 64:
+    if gibbs_module.ASSEMBLY_BAND == 64 and spectrum.pieces:
         assert len(list(spectrum._columns(np.arange(2**n)[None]))) > len(spectrum.pieces)
     w, v = dense(everything)
     p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
@@ -752,10 +759,10 @@ def test_gibbs_marginal_peak_memory():
       of test_block_spectrum_peak_memory, so its bounds too.  Column groups of
       n x 528 doubles, each sub-block's rows scattered into all n rows, peaked
       at 0.91 n^2 (0.52 n^2 traced).
-    - classical_ising with a field, 12 sites (n = 4096, one stack of 1 x 1
-      blocks, a column one row each): 3.6 MB RSS and 4.2 MB traced, the
-      spectrum's; bounds 8 and 5 MB.  Groups of n/2 columns of n rows
-      peaked at 65 MB.
+    - classical_ising with a field, 12 sites (n = 4096, all of it the
+      spectrum's diagonal, added to rho_AC by one bincount): 3.6 MB RSS and
+      4.2 MB traced, the spectrum's; bounds 8 and 5 MB.  Groups of n/2
+      columns of n rows peaked at 65 MB.
     - xxz jz = 0.5, 13 sites (n = 8192, S_z sectors, each on its own rows):
       54 MB RSS and 27 MB traced, the spectrum's; bounds 64 and 32 MB, each
       the reading plus about a fifth.  Sectors scattered into all n rows
