@@ -200,7 +200,8 @@ class MarginalFloorReport:
     """||rho_B^{-1}|| = `inv_norm` against g^4 e^{2rJ + (2J + log d)|B|}, g from the
     two expansionals at s = -1/2 of its derivation.  Holds the Chain, which does
     not keep it (no cycle); g, `bound` and `ok` wait for a read.  `ok` fails if
-    min eig(rho_B) <= 0, else compares logs, measuring g only if g = 1 does not decide."""
+    min eig(rho_B) <= 0, else compares logs, measuring g only if g = 1 does not
+    decide; g reads V of ABC, solved again after a streamed read (no corpus case)."""
 
     inv_norm: float
     chain: Chain = field(repr=False)
@@ -271,6 +272,7 @@ def check_lemmas(
     with rho_A as the state; and the marginal floor of rho_B.
     """
     chain = Chain.of(system)
+    chain.marginals(regions.all_sites, (regions.ac, regions.a, regions.b))  # one read of ABC
     pr = check_partition_ratios(chain, regions.a, regions.b)
     fe = factorization_error(chain, regions)
     mi = mutual_information(chain, regions)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,6 +185,24 @@ def _piece(w: np.ndarray, u: np.ndarray, rows: np.ndarray, chi: np.ndarray, size
     return Piece(w, u, at, a, chi[g] * np.sqrt(1 / size[a]))
 
 
+def _columns(pc: Piece, at: np.ndarray):
+    """The piece's columns with V's row at[x, y] read as row y of layer x:
+    (w, ys, S) for each group of c of its columns, w (c,), ys the y its rows
+    reach, ascending, and S[x, t] the columns' row at[x, ys[t]], of at most
+    ASSEMBLY_BAND numbers or one column, let go of before the next."""
+    (d, side), to = at.shape, np.argsort(at, axis=None)  # V's row R is at.flat[to[R]]
+    x, y = np.divmod(to[pc.rows], side)
+    ys, j = np.unique(y, return_inverse=True)
+    orbit, coef = np.zeros((d, len(ys)), np.intp), np.zeros((d, len(ys)))
+    orbit[x, j], coef[x, j] = pc.orbit, pc.coef
+    c = min(len(pc.w), max(1, ASSEMBLY_BAND // orbit.size))
+    for col in range(0, len(pc.w), c):
+        s = pc.u[orbit, col:col + c]
+        s *= coef[:, :, None]
+        yield pc.w[col:col + c], ys, s
+        del s
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """H = V diag(w) V^dag, held as the solved pieces of V and never as V.
@@ -215,40 +233,23 @@ class Spectrum:
         n = len(self.w)
         out = np.zeros((n, n), np.result_type(f(self.w[:1]), *(pc.u for pc in self.pieces)))
         for pc in self.pieces:
-            orbit, coef = pc.orbit, pc.coef
-            if 2 * len(pc.rows) > n:  # padded to all rows, so that it is added in place
+            prod = (pc.u * f(pc.w)) @ pc.u.conj().T  # lets the last piece's prod go first
+            if 2 * len(pc.rows) > n:  # padded to all rows, lifted into out a band at a time
                 orbit, coef = np.zeros(n, np.intp), np.zeros(n)
                 orbit[pc.rows], coef[pc.rows] = pc.orbit, pc.coef
-            prod = (pc.u * f(pc.w)) @ pc.u.conj().T  # lets the last piece's prod go first
-            prod = prod.take(orbit, 0).take(orbit, 1)
-            prod *= coef[:, None]
-            prod *= coef
-            if len(orbit) == n:
-                out += prod
-            else:
-                out[pc.rows[:, None], pc.rows] += prod
+                for lo in range(0, n, step := max(1, ASSEMBLY_BAND // n)):
+                    band = prod.take(orbit[lo:lo + step], 0).take(orbit, 1)
+                    band *= coef[lo:lo + step, None]
+                    band *= coef
+                    out[lo:lo + step] += band
+                continue
+            prod = prod.take(pc.orbit, 0).take(pc.orbit, 1)
+            prod *= pc.coef[:, None]
+            prod *= pc.coef
+            out[pc.rows[:, None], pc.rows] += prod
         rows, values = self.diagonal
         out[rows, rows] += f(values)
         return out
-
-    def _columns(self, at: np.ndarray):
-        """Each piece's columns with V's row at[x, y] read as row y of layer
-        x: (w, ys, S) for each group of c of its columns, w (c,), ys the y its
-        rows reach, ascending, and S[x, t] the columns' row at[x, ys[t]], of
-        at most ASSEMBLY_BAND numbers or one column, let go of before the
-        next."""
-        (d, side), to = at.shape, np.argsort(at, axis=None)  # V's row R is at.flat[to[R]]
-        for pc in self.pieces:
-            x, y = np.divmod(to[pc.rows], side)
-            ys, j = np.unique(y, return_inverse=True)
-            orbit, coef = np.zeros((d, len(ys)), np.intp), np.zeros((d, len(ys)))
-            orbit[x, j], coef[x, j] = pc.orbit, pc.coef
-            c = min(len(pc.w), max(1, ASSEMBLY_BAND // orbit.size))
-            for col in range(0, len(pc.w), c):
-                s = pc.u[orbit, col:col + c]
-                s *= coef[:, :, None]
-                yield pc.w[col:col + c], ys, s
-                del s
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, V) with eigenvalue j for column j of V, V formed whole:
@@ -265,6 +266,54 @@ class Spectrum:
         return np.concatenate([pc.w for pc in self.pieces] + [values]), v
 
 
+def _subregion(x: Sequence[int], region: tuple[int, ...]) -> tuple[int, ...]:
+    if not (x := _region(x)) or not set(x) <= set(region):
+        raise GeometryError(f"{x} is not a nonempty subregion of {region}")
+    return x
+
+
+def _accumulate(parts: Iterable, region: tuple[int, ...], xs: list, d: int) -> tuple:
+    """(every eigenvalue, ascending, and rho_X for each proper subregion X in
+    `xs`) of the Gibbs state on `region`, from `Chain._solve`'s parts, each
+    read once.  With S = V diag(sqrt p), rows ordered (X legs, rest of R),
+    rho_X = S S^dag: the diagonal's p summed by their X digits, then the Gram
+    of each column group of `_columns`.  The sums are normalized by the least
+    eigenvalue m and z = sum e^{m - w} of the parts read so far, and scaled by
+    e^{m' - m} z / z' <= 1 when a part changes them, as in a log-sum-exp."""
+    n = len(region)
+    index, grids = np.arange(d ** n).reshape((d,) * n), []
+    for x in xs:  # V's rows as (X digits, rest)
+        legs = sorted(range(n), key=lambda i: region[i] not in x)  # X's legs first
+        grids.append(index.transpose(legs).reshape(d ** len(x), -1))
+    rhos, ws, m, z = [None] * len(xs), [], np.inf, 0.0
+
+    def count(w):  # m and z with w counted in, the earlier sums scaled to them
+        nonlocal m, z
+        low = min(m, w.min())
+        grown = np.exp(low - w).sum() + z * np.exp(low - m)  # exactly the first sum at z = 0
+        for rho in filter(lambda rho: rho is not None, rhos):
+            rho *= np.exp(low - m) * z / grown
+        m, z = low, grown
+
+    rows, values = next(parts := iter(parts))
+    if len(rows):  # each unit vector's p, on the diagonal at its row's X digits
+        count(values)
+        for i, grid in enumerate(grids):
+            at = np.argsort(grid, axis=None)[rows] // grid.shape[1]
+            rhos[i] = np.diag(np.bincount(at, np.exp(m - values) / z, len(grid)))
+    for pc in parts:
+        ws.append(pc.w)
+        count(pc.w)
+        for i, grid in enumerate(grids):
+            for w, _, s in _columns(pc, grid):
+                s *= np.sqrt(np.exp(m - w) / z)
+                s = s.reshape(len(s), -1)
+                rhos[i] = s @ s.conj().T if rhos[i] is None else rhos[i] + s @ s.conj().T
+                del s
+        del pc
+    return np.sort(np.concatenate([*ws, values]), kind="stable"), rhos
+
+
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
     """The thermal state exp(-H_R)/Z on a region, held as the spectrum of H_R.
@@ -272,7 +321,8 @@ class GibbsEnsemble:
     rho = V diag(p) V^dag, with the Chain's own Spectrum of H_R (not the
     Chain, so a state in the Chain's memo makes no cycle) and
     p = e^{-(w - w_min)} / sum e^{-(w - w_min)}, which cannot overflow.  `rho`
-    is formed on first read; `marginal` of a proper subregion never forms it.
+    is formed on first read; `marginal` of a proper subregion never forms it,
+    and `Chain.marginal` reads the same bits with no Spectrum held.
     """
 
     region: tuple[int, ...]
@@ -295,14 +345,14 @@ class GibbsEnsemble:
 class Chain:
     """Spectral context of one interaction under one dense-size budget.
 
-    Each region Hamiltonian is assembled, checked for Hermiticity and
-    diagonalized at most once, and only its spectrum is kept; it alone turns
-    that into e^{tH_R} for any t, Gibbs states, marginals and log Z.
-    Everything computed is kept until the context is dropped, so a
-    context should live for one unit of work.  Every public function that
-    takes an Interaction also takes a Chain; given an Interaction, it builds
-    a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is the only place a
-    budget is set.
+    Each region Hamiltonian is assembled, checked for Hermiticity and solved
+    by `_solve`, never kept.  A read of V (e^{tH_R}, a Gibbs state, the
+    interface norms) holds the Spectrum; a read of marginals streams its
+    pieces (see `marginals`).  Everything computed is kept until the context
+    is dropped, so a context should live for one unit of work.  Every public
+    function that takes an Interaction also takes a Chain; given an
+    Interaction, it builds a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is
+    the only place a budget is set.
     """
 
     def __init__(self, ia: Interaction, budget: int = DEFAULT_BUDGET):
@@ -321,48 +371,46 @@ class Chain:
             self._memo[key] = build()
         return self._memo[key]
 
-    def spectrum(self, region: Sequence[int]) -> Spectrum:
-        """The Spectrum of H_R; H_R itself is not kept.
-
-        H_R is assembled as its entries and solved by the blocks its exact
-        structure gives (see `_pieces`).  Each block of side > 1 is split by
-        its symmetry group (the flip, and the site reflection if the terms in
-        R are mirror images; see `_sectors`), and each sub-block is gathered
-        from the entries, solved and kept as a piece of its own before the
-        next is gathered.  The 1 x 1 blocks are the diagonal, with no solve.
-        Only a matrix that is one block with no symmetry is formed whole,
-        for one `np.linalg.eigh`.
+    def _solve(self, region: tuple[int, ...]) -> Iterator:
+        """The solved parts of H_R, each solved when the one before it is drawn:
+        the 1 x 1 blocks of its exact structure (see `_pieces`) as a diagonal
+        (rows, values), then each block's sub-blocks under its symmetry group
+        (see `_sectors`), gathered from H_R's entries and solved as Pieces, in
+        a paired block each followed by its image, the same (w, u) at the rows
+        N-1-rows.  Only a matrix with no structure is formed whole, for one eigh.
         """
+        n = self.ia.local_dim ** len(region)
+        if n > self.budget:
+            raise BudgetError(n, self.budget)
+        h = hamiltonian_entries(self.ia, region)
+        if not _is_hermitian(h):
+            raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
+        blocks = _pieces(h)
+        reverse = (np.arange(n).reshape((self.ia.local_dim,) * len(region)).T.ravel()
+                   if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)
+        if reverse is None and len(blocks[0][0]) == n and not blocks[0][1]:
+            (w, v), r = np.linalg.eigh(h.dense()), np.arange(n)
+            yield from ((r[:0], w[:0]), Piece(w, v, r, r, np.ones(n)))
+            return
+        r = np.array([c[0] for c, _, _ in blocks if len(c) == 1], np.intp)
+        yield r, _mates(h, r * (n + 1)).real  # the diagonal entries, ascending keys
+        for c, flip, paired in (b for b in blocks if len(b[0]) > 1):
+            for rows, chi, size in _sectors(c, n, flip, reverse):
+                pc = _piece(*np.linalg.eigh(_gather(h, rows, chi, size)), rows, chi, size)
+                yield pc
+                if paired:
+                    yield pc._replace(rows=n - 1 - pc.rows[::-1], orbit=pc.orbit[::-1],
+                                      coef=pc.coef[::-1])
+                del pc  # let go of before the next solve
+
+    def spectrum(self, region: Sequence[int]) -> Spectrum:
+        """The Spectrum of H_R: every part that `_solve` yields, held."""
         region = _region(region)
 
         def build():
-            n = self.ia.local_dim ** len(region)
-            if n > self.budget:
-                raise BudgetError(n, self.budget)
-            h = hamiltonian_entries(self.ia, region)
-            if not _is_hermitian(h):
-                raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
-            blocks = _pieces(h)
-            reverse = (np.arange(n).reshape((self.ia.local_dim,) * len(region)).T.ravel()
-                       if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)
-            if reverse is None and len(blocks[0][0]) == n and not blocks[0][1]:
-                w, v = np.linalg.eigh(h.dense())
-                r = np.arange(n)
-                return Spectrum(w, (Piece(w, v, r, r, np.ones(n)),), (r[:0], w[:0]))
-            r = np.array([c[0] for c, _, _ in blocks if len(c) == 1], np.intp)
-            diagonal = r, _mates(h, r * (n + 1)).real  # the diagonal entries, ascending keys
-            solved = []
-            for c, flip, paired in blocks:  # each sub-block gathered, solved and dropped
-                if len(c) == 1:
-                    continue
-                found = [_piece(*np.linalg.eigh(_gather(h, rows, chi, size)), rows, chi, size)
-                         for rows, chi, size in _sectors(c, n, flip, reverse)]
-                solved += found
-                if paired:  # the image sector: the same (w, u) at the rows N-1-rows
-                    solved += [pc._replace(rows=n - 1 - pc.rows[::-1], orbit=pc.orbit[::-1],
-                                           coef=pc.coef[::-1]) for pc in found]
-            w = np.sort(np.concatenate([pc.w for pc in solved] + [diagonal[1]]), kind="stable")
-            return Spectrum(w, tuple(solved), diagonal)
+            diagonal, *pieces = self._solve(region)
+            w, _ = _accumulate([diagonal, *pieces], region, [], self.ia.local_dim)
+            return Spectrum(w, tuple(pieces), diagonal)
 
         return self.cached(("eigh", region), build)
 
@@ -381,8 +429,10 @@ class Chain:
         return LocalOperator(_region(region), m, self.ia.local_dim)
 
     def log_partition_function(self, region: Sequence[int]) -> float:
-        """log Tr e^{-H_R} = -w_min + log sum e^{-(w - w_min)}, finite at any coupling."""
-        w = self.spectrum(region).w
+        """log Tr e^{-H_R} = -w_min + log sum e^{-(w - w_min)}, finite at any coupling,
+        from the eigenvalues of a streamed read, or else from the Spectrum."""
+        key = ("w", _region(region))
+        w = self._memo[key] if key in self._memo else self.spectrum(region).w
         return float(-w[0] + np.log(_boltzmann(w).sum()))
 
     def gibbs(self, region: Sequence[int]) -> GibbsEnsemble:
@@ -390,10 +440,26 @@ class Chain:
         return self.cached(("gibbs", region),
                            lambda: GibbsEnsemble(region, self.spectrum(region), self.ia.local_dim))
 
+    def marginals(self, region: Sequence[int], xs: Sequence[Sequence[int]]) -> list[LocalOperator]:
+        """rho_X of the Gibbs state on `region` for each X in `xs`, each formed once
+        per Chain: from the held Spectrum, or else all new X in one read of
+        `_solve`'s pieces, each added to every rho_X and let go before the next
+        solve; only the rho_X and the eigenvalues are kept.  `_accumulate` sums
+        both to the same bits.  X == region (the state) and a later V solve anew."""
+        region, d = _region(region), self.ia.local_dim
+        xs = [_subregion(x, region) for x in xs]
+        new = [x for x in dict.fromkeys(xs)
+               if x != region and ("marginal", region, x) not in self._memo]
+        if new and ("eigh", region) not in self._memo:
+            self._memo[("w", region)], rhos = _accumulate(self._solve(region), region, new, d)
+            for x, rho in zip(new, rhos):
+                self._memo[("marginal", region, x)] = _state(x, rho, d)
+        return [self.cached(("marginal", region, x), lambda: marginal(self.gibbs(region), x))
+                for x in xs]
+
     def marginal(self, region: Sequence[int], x: Sequence[int]) -> LocalOperator:
-        """rho_X of the Gibbs state on `region`, formed once per Chain."""
-        region, x = _region(region), _region(x)
-        return self.cached(("marginal", region, x), lambda: marginal(self.gibbs(region), x))
+        """rho_X of the Gibbs state on `region`, formed once per Chain (see `marginals`)."""
+        return self.marginals(region, [x])[0]
 
 
 def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
@@ -401,36 +467,14 @@ def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
 
 
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
-    """rho_X = tr_{R\\X} rho, straight from the spectrum for a proper subregion.
-
-    With S = V diag(sqrt p), its rows ordered (X legs, rest of R) and read as
-    a d_X x (d_rest N) matrix, rho_X = S S^dag: the sum over the column groups
-    of `Spectrum._columns` of their Grams over (the rest rows each group's
-    piece reaches x its columns), with no N^3 product, no partial trace and
-    no array of N rows for a split V, and then the diagonal's p, summed by
-    the X digits of their rows.
-    """
-    x = _region(x)
-    if not x or not set(x) <= set(g.region):
-        raise GeometryError(f"{x} is not a nonempty subregion of {g.region}")
+    """rho_X = tr_{R\\X} rho, read from g's held Spectrum by `_accumulate`, so
+    the same bits as `Chain.marginal`'s streamed read; for X = R, the state."""
+    x = _subregion(x, g.region)
     if x == g.region:
         return g.rho
-    d, n = g.local_dim, len(g.region)
-    legs = [g.region.index(s) for s in x]
-    legs += [i for i in range(n) if i not in legs]
-    grid = np.arange(d ** n).reshape((d,) * n).transpose(legs).reshape(d ** len(x), -1)
-    rho_x = None
-    for w, _, s in g.spectrum._columns(grid):  # V's rows as (X digits, rest)
-        s *= np.sqrt(g.p(w))
-        s = s.reshape(len(s), -1)
-        rho_x = s @ s.conj().T if rho_x is None else rho_x + s @ s.conj().T
-        del s
-    rows, values = g.spectrum.diagonal
-    if len(rows):  # each unit vector's p, on the diagonal at its row's X digits
-        at = np.argsort(grid, axis=None)[rows] // grid.shape[1]
-        p = np.diag(np.bincount(at, g.p(values), len(grid)))
-        rho_x = p if rho_x is None else rho_x + p
-    return _state(x, rho_x, d)
+    sp = g.spectrum
+    _, (rho_x,) = _accumulate([sp.diagonal, *sp.pieces], g.region, [x], g.local_dim)
+    return _state(x, rho_x, g.local_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -184,12 +184,13 @@ def _closed_form(chain: Chain, regions: RegionsABC, k: int) -> tuple[float, Loca
             return 1.0, identity(sum(regions.clip(1), ()), chain.ia.local_dim)
         a_k, c_k = regions.clip(k)
         hood = k_neighborhood(regions, k)
+        rho = chain.marginal(hood, a_k + c_k)  # first, so that log Z reads its eigenvalues
         # Z_{N_k} / Z_B from log Z, so that neither Z may overflow
         log_z = chain.log_partition_function
         ratio = math.exp(log_z(hood) - log_z(regions.b))
         # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
         sandwich = kron(chain.exp(a_k, TELESCOPE_S), chain.exp(c_k, TELESCOPE_S))
-        return ratio, sandwich @ chain.marginal(hood, a_k + c_k) @ sandwich
+        return ratio, sandwich @ rho @ sandwich
 
     return chain.cached(("closed form", regions, k), build)
 

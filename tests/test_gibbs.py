@@ -42,7 +42,8 @@ from chainsep import (
     partial_trace,
 )
 from chainsep.expansionals import _uniform
-from chainsep.gibbs import DEFAULT_BUDGET, _components, _crossing_norm
+from chainsep.gibbs import (DEFAULT_BUDGET, GibbsEnsemble, Piece, Spectrum, _columns,
+                            _components, _crossing_norm)
 from chainsep.model import ASSEMBLY_BAND, PAULI_X, PAULI_Z, Entries, hamiltonian_entries
 
 from helpers import (
@@ -329,7 +330,8 @@ def test_each_sub_block_is_a_piece_of_its_own(case, monkeypatch):
     assert np.array_equal(np.unique(np.concatenate(rows)), np.arange(len(spectrum.w)))
     if case.startswith("classical_ising"):
         assert spectrum.pieces == () and len(spectrum.diagonal[0]) == len(spectrum.w)
-    groups = spectrum._columns(np.arange(len(spectrum.w))[None])
+    at = np.arange(len(spectrum.w))[None]
+    groups = (group for pc in spectrum.pieces for group in _columns(pc, at))
     for pc in spectrum.pieces:
         left = pc.w.size
         while left:
@@ -583,12 +585,14 @@ def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
     chain = Chain(ia)
     spectrum = chain.spectrum(everything)
     assert all(pc.u.shape[-1] < 2**n for pc in spectrum.pieces) == (model != "random")
-    groups = spectrum._columns(np.arange(2**n).reshape(4, -1))
+    at = np.arange(2**n).reshape(4, -1)
+    groups = (group for pc in spectrum.pieces for group in _columns(pc, at))
     # a group, (layers, rows, columns), holds at most ASSEMBLY_BAND numbers, or one column
     assert all(s.ndim == 3 and (s.size <= gibbs_module.ASSEMBLY_BAND or s.shape[2] == 1)
                for _, _, s in groups)
     if gibbs_module.ASSEMBLY_BAND == 64 and spectrum.pieces:
-        assert len(list(spectrum._columns(np.arange(2**n)[None]))) > len(spectrum.pieces)
+        at = np.arange(2**n)[None]
+        assert sum(1 for pc in spectrum.pieces for _ in _columns(pc, at)) > len(spectrum.pieces)
     w, v = dense(everything)
     p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
     rho = (v * p) @ v.conj().T
@@ -674,6 +678,56 @@ def test_every_reader_of_a_random_model_is_the_full_solve_bit_for_bit(params):
         assert matrix_digest(np.asarray(got)) == matrix_digest(np.asarray(want)), i
 
 
+STREAMED_MODELS = {
+    "tfi": ("tfi", {"sites": 8}),
+    "tfi-offgrid": ("tfi", {"sites": 9, "coupling": 0.679, "field": 1.14}),
+    "xxz": ("xxz", {"sites": 8, "jz": 0.5}),
+    "classical_ising": ("classical_ising", {"sites": 8, "field": 0.5}),
+    "random": ("random", RANDOM_MODELS[0]),
+    "random-d3": ("random", RANDOM_MODELS[1]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(STREAMED_MODELS))
+def test_streamed_marginals_are_the_held_ones_bit_for_bit(model):
+    """A Chain that holds no Spectrum streams the pieces through the one sum
+    that also reads a held Spectrum, so rho_X and log Z are the same bits on
+    either path, whichever X are read together."""
+    ia = builtin_models(*STREAMED_MODELS[model])
+    n = len(ia.sites)
+    everything = tuple(range(n))
+    xs = [(0, n - 1), (0,), (1, 2), (0, 2, 3)]
+    held = Chain(ia)
+    g = held.gibbs(everything)
+    streamed = Chain(ia).marginals(everything, xs)
+    assert [matrix_digest(rho.matrix) for rho in streamed] == \
+        [matrix_digest(marginal(g, x).matrix) for x in xs]
+    one = Chain(ia)
+    alone = one.marginal(everything, xs[2])
+    assert matrix_digest(alone.matrix) == matrix_digest(streamed[2].matrix)
+    assert one.log_partition_function(everything) == held.log_partition_function(everything)
+
+
+def test_a_streamed_read_holds_no_spectrum(monkeypatch):
+    """After a read of marginals, the Chain's memo holds the marginals and
+    the eigenvalues, and no Piece, Spectrum or Gibbs state of the region;
+    log Z then solves nothing, and a read of V solves the region again."""
+    ia = builtin_models("xxz", {"sites": 8, "jz": 0.5})
+    regions = RegionsABC.from_sizes(1, 6, 1)
+    chain = Chain(ia)
+    chain.marginals(regions.all_sites, (regions.ac, regions.a, regions.b))
+    kept = list(chain._memo.values())
+    assert not [v for v in kept if isinstance(v, (Piece, Spectrum, GibbsEnsemble))]
+    assert not [v for v in kept if isinstance(v, tuple) and any(isinstance(p, Piece) for p in v)]
+    inputs = record_eigh(monkeypatch)
+    log_z = chain.log_partition_function(regions.all_sites)
+    chain.marginal(regions.all_sites, regions.ac)
+    assert inputs == []
+    assert log_z == Chain(ia).log_partition_function(regions.all_sites)
+    chain.exp(regions.all_sites, 0.5)
+    assert inputs
+
+
 PEAK = """
 import json, sys, tracemalloc
 from chainsep import Chain, RegionsABC, builtin_models, gibbs, marginal
@@ -681,18 +735,24 @@ from chainsep import Chain, RegionsABC, builtin_models, gibbs, marginal
 def peak():  # VmHWM, in KiB: the peak RSS of this process since its exec
     return next(int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmHWM"))
 
-ia = builtin_models(*json.loads(sys.argv[3]))
+what, ia = sys.argv[1], builtin_models(*json.loads(sys.argv[3]))
 n = len(ia.sites)
+chain = Chain(ia, 2**n)
+regions = RegionsABC.from_sizes(1, n - 2, 1)
+if what == "form":  # solved before the peak is read, so that only form's arrays count
+    chain.spectrum(range(n))
 before = peak()
 if sys.argv[2] == "traced":
     tracemalloc.start()
-chain = Chain(ia, 2**n)
-if sys.argv[1] == "spectrum":
+held = []
+if what == "spectrum":
     held = [pc.u.nbytes for pc in chain.spectrum(range(n)).pieces]
-else:
-    regions = RegionsABC.from_sizes(1, n - 2, 1)
+elif what == "marginal":
     marginal(gibbs(chain, regions.all_sites), regions.ac)
-    held = []
+elif what == "streamed":
+    chain.marginal(regions.all_sites, regions.ac)
+else:
+    chain.exp(range(n), 0.5)
 grown = tracemalloc.get_traced_memory()[1] if sys.argv[2] == "traced" else (peak() - before) * 1024
 print(grown, *held)
 """
@@ -700,10 +760,12 @@ print(grown, *held)
 
 def _peak_growth(what, traced=False, model=("tfi", {"sites": 11})):
     """(peak growth in bytes, bytes of eigenvectors held by each piece) of a
-    fresh process that reads the spectrum of `model`'s whole chain or, for
-    "marginal", rho_AC on 1|n-2|1: the growth of its peak RSS or, if
-    `traced`, the tracemalloc peak of the arrays it allocates, which no
-    allocator's heap layout moves.  (ru_maxrss of a child starts at the RSS
+    fresh process that reads the spectrum of `model`'s whole chain; for
+    "marginal", rho_AC on 1|n-2|1 from the held Spectrum of `gibbs`; for
+    "streamed", the same rho_AC from `Chain.marginal`, which holds none; or
+    for "form", e^{H/2} over the whole chain after its spectrum: the growth
+    of its peak RSS or, if `traced`, the tracemalloc peak of the arrays it
+    allocates, which no allocator's heap layout moves.  (ru_maxrss of a child starts at the RSS
     of the process that forked it, so a large test process would hide the
     growth; VmHWM starts afresh.)"""
     env = dict(os.environ)
@@ -776,6 +838,41 @@ def test_gibbs_marginal_peak_memory():
         assert grown <= rss_bound, (model, grown / MB)
         traced, _ = _peak_growth("marginal", traced=True, model=model)
         assert traced <= traced_bound, (model, traced / MB)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_streamed_marginal_peak_memory():
+    """`Chain.marginal` holds no Spectrum: it solves each piece, adds it to
+    rho_AC on 1|n-2|1 and lets it go before the next solve, so its peak is
+    one solve, not the stored pieces.
+    - tfi, 1|9|1 (n = 2048): 0.51 n^2 RSS and 0.15 n^2 traced, against
+      0.67 n^2 and 0.33 n^2 for the same read from a held Spectrum (above);
+      bounds 0.6 and 0.25 n^2.
+    - xxz jz = 0.5, 13 sites (n = 8192): 35 MB RSS and 13 MB traced, the
+      solve of the half-filling sectors' second sub-block (side 848) next to
+      H's entries, against 53 and 27 MB held; bounds 45 and 17 MB, each the
+      reading plus about a fifth.  With a paired sector's images read after
+      both of its own sub-blocks, the first was held through the second's
+      solve: 18.3 MB traced."""
+    grown, _ = _peak_growth("streamed")
+    assert grown <= 0.6 * N2_DOUBLES, grown / N2_DOUBLES
+    traced, _ = _peak_growth("streamed", traced=True)
+    assert traced <= 0.25 * N2_DOUBLES, traced / N2_DOUBLES
+    model = ("xxz", {"sites": 13, "jz": 0.5})
+    grown, _ = _peak_growth("streamed", model=model)
+    assert grown <= 45 * MB, grown / MB
+    traced, _ = _peak_growth("streamed", traced=True, model=model)
+    assert traced <= 17 * MB, traced / MB
+
+
+def test_form_peak_memory():
+    """`Spectrum.form` over all 11 sites of tfi (n = 2048, four pieces of
+    side about n/4, each on all n rows) lifts each piece's product into the
+    n x n output a band of at most ASSEMBLY_BAND numbers at a time: 1.19 n^2
+    traced, the output and the last product; bound 1.4 n^2.  Taking each
+    lifted product whole peaked at 2.2 n^2."""
+    traced, _ = _peak_growth("form", traced=True)
+    assert traced <= 1.4 * N2_DOUBLES, traced / N2_DOUBLES
 
 
 def _crossing_norm_oracle(ia, a, b):

@@ -296,17 +296,17 @@ def test_certify_where_z_overflows():
 
 
 def test_each_marginal_is_formed_once_per_chain(monkeypatch):
-    """A Chain forms each reduced state once, whoever asks for it."""
-    form = importlib.import_module("chainsep.gibbs").marginal
+    """A Chain forms each reduced state once, whoever asks for it: every
+    marginal, held or streamed, is summed by `_accumulate`."""
+    gibbs_module = importlib.import_module("chainsep.gibbs")
+    form = gibbs_module._accumulate
     seen = []
 
-    def recording(g, x):
-        seen.append((g.region, tuple(x)))
-        return form(g, x)
+    def recording(parts, region, xs, d):
+        seen.extend((region, tuple(x)) for x in xs)
+        return form(parts, region, xs, d)
 
-    for name in ("gibbs", "expansionals", "separability", "cli"):
-        monkeypatch.setattr(importlib.import_module(f"chainsep.{name}"), "marginal",
-                            recording, raising=False)
+    monkeypatch.setattr(gibbs_module, "_accumulate", recording)
     # on tfi 1|6|1 the neighbourhood at k0 = 1 is the whole chain
     certify_marginal(builtin_models("tfi", {"sites": 8}), RegionsABC.from_sizes(1, 6, 1))
     assert seen == [(tuple(range(8)), (0, 7))]
@@ -323,39 +323,44 @@ def test_each_marginal_is_formed_once_per_chain(monkeypatch):
 
 def test_certify_solves_only_the_regions_its_verdict_reads(monkeypatch):
     """At 1|6|1, k0 = 1 leaves no tails: the core and the telescope need the
-    spectra of A, C, B and the whole chain, and no interface operator."""
+    spectra of A, C, B and the whole chain, and no interface operator; each
+    is solved once (`Chain._solve`, which every spectrum and streamed read
+    draws from)."""
     solved = []
-    spectrum = Chain.spectrum
+    solve = Chain._solve
 
     def recording(self, region):
         solved.append(_region(region))
-        return spectrum(self, region)
+        return solve(self, region)
 
-    monkeypatch.setattr(Chain, "spectrum", recording)
+    monkeypatch.setattr(Chain, "_solve", recording)
     regions = RegionsABC.from_sizes(1, 6, 1)
     rep = certify_marginal(builtin_models("tfi", {"sites": 8}), regions)
     assert rep.verdict == VERDICT_SEPARABLE and rep.attempted_k0 == (1,)
     assert set(solved) == {regions.a, regions.c, regions.b, regions.all_sites}
+    assert len(solved) == len(set(solved))
 
 
 def test_lemma_suite_solves_only_the_regions_its_verdicts_read(monkeypatch):
     """The partition-function chains read A, B and AB, the marginals ABC; the
     marginal floor is decided at g = 1, so no interface operator is built and
-    C, which only an interface operator reads, is never solved."""
+    C, which only an interface operator reads, is never solved.  Each region
+    is solved once (`Chain._solve`): the three marginals of ABC in one read."""
     solved = []
-    spectrum = Chain.spectrum
+    solve = Chain._solve
 
     def recording(self, region):
         solved.append(_region(region))
-        return spectrum(self, region)
+        return solve(self, region)
 
-    monkeypatch.setattr(Chain, "spectrum", recording)
+    monkeypatch.setattr(Chain, "_solve", recording)
     ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 2.0, "seed": 3})
     chain = Chain(ia)
     regions = RegionsABC.from_sizes(2, 3, 2)
     x = LocalOperator(regions.ac, random_hermitian(np.random.default_rng(3), 16))
     assert check_lemmas(chain, regions, x).marginal_floor
     assert set(solved) == {regions.all_sites, regions.a + regions.b, regions.a, regions.b}
+    assert len(solved) == len(set(solved))
     assert regions.c not in solved
     assert not [k for k in chain._memo if k[0] == "expansional"]
 
@@ -364,13 +369,13 @@ def test_certify_forms_no_interface_operator(monkeypatch):
     """The tails come from closed forms: certify builds no interface operator
     and solves no a_k + B region, which only an interface operator reads."""
     solved = []
-    spectrum = Chain.spectrum
+    solve = Chain._solve
 
     def recording(self, region):
         solved.append(_region(region))
-        return spectrum(self, region)
+        return solve(self, region)
 
-    monkeypatch.setattr(Chain, "spectrum", recording)
+    monkeypatch.setattr(Chain, "_solve", recording)
     ia = builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1})
     chain = Chain(ia)
     regions = RegionsABC.from_sizes(2, 3, 2)
