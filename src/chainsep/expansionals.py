@@ -2,11 +2,11 @@
 
 For adjacent intervals X, Y and |s| <= 1 the interface operator is
 E(s) = exp(-s H_{XY}) exp(s(H_X + H_Y)); its norm stays bounded uniformly
-in the interval sizes.  This module computes ||E|| and ||E^{-1}|| from the
-Chain's spectra without forming E, an empirical uniform-norm constant over
-them (the truncations it reads are `RegionsABC.clip`'s) and the proof's
-factorial bounds built on it, the partial-trace contraction check, and the
-per-instance lemma suite.
+in the interval sizes.  This module computes ||E|| and ||E^{-1}|| from E
+formed from the Chain's exponentials for that read only, an empirical
+uniform-norm constant over them (the truncations it reads are
+`RegionsABC.clip`'s) and the proof's factorial bounds built on it, the
+partial-trace contraction check, and the per-instance lemma suite.
 """
 from __future__ import annotations
 
@@ -32,38 +32,38 @@ from .model import Interaction, RegionsABC
 class ExpansionalReport:
     """E(s) held as `spectra`, the Chain's Spectrum of H_XY, H_X and H_Y (not
     the Chain, so there is no cycle).  ||E|| and ||E^{-1}|| are computed on
-    first read; E itself is never formed."""
+    first read, from E formed for that read only."""
 
     s: complex
     spectra: tuple = field(repr=False)
 
     @cached_property
     def _norms(self) -> tuple[float, float]:
-        """(||E||, ||E^{-1}||) from the spectra, with no SVD and E never formed.
+        """(||E||, ||E^{-1}||) from the Gram of E formed, with no SVD.
 
-        For H_XY = V diag(w) V^dag and H_X + H_Y = W diag(w_0) W^dag,
-        W = V_X (x) V_Y, A = diag(e^{-sw}) V^dag W diag(e^{s w_0}) has the
-        singular values of E at any complex s, so one eigvalsh of A A^dag gives
-        ||E|| = sqrt(lambda_max) and ||E^{-1}|| = 1/sqrt(lambda_min).
-        lambda_min is off by about eps n lambda_max, so if lambda_min <= 0 or
-        eps n lambda_max / lambda_min > 1e-10, ||E^{-1}|| = sqrt(lambda_max(B B^dag))
-        instead, for E^{-1} in the same bases, B = diag(e^{-s w_0}) W^dag V diag(e^{sw}).
-        The one place a dense V is formed, for this read only.
+        F(t) = (e^{tH_X} (x) e^{tH_Y}) e^{-tH_XY} is E^dag at t = conj(s) and
+        E^{-1} at t = -s.  Each exponential is formed from its Spectrum, and
+        the kron factor is applied by reshape, n^2 (d_X + d_Y) work.  One
+        eigvalsh of F F^dag at t = conj(s) gives ||E|| = sqrt(lambda_max) and
+        ||E^{-1}|| = 1/sqrt(lambda_min).  lambda_min is off by about
+        eps n lambda_max, so if lambda_min <= 0 or eps n lambda_max / lambda_min
+        > 1e-10, ||E^{-1}|| = sqrt(lambda_max) of the Gram at t = -s instead.
         """
-        s = self.s
-        (w, v), (wx, vx), (wy, vy) = (sp.dense() for sp in self.spectra)
-        u = v.conj().T @ np.kron(vx, vy)
-        del v, vx, vy
+        xy, x, y = self.spectra
 
-        def gram_eigvals(left, m, right):  # of G G^dag, G = diag(left) m diag(right)
-            g = left[:, None] * m * right
-            return np.linalg.eigvalsh(g @ g.conj().T)
-        lam = gram_eigvals(np.exp(-s * w), u, np.kron(np.exp(s * wx), np.exp(s * wy)))
-        if np.finfo(float).eps * len(w) * lam[-1] <= 1e-10 * lam[0]:
+        def gram_eigvals(t):  # of F(t) F(t)^dag
+            f = xy.form(lambda w: np.exp(-t * w))
+            n, d_x = len(f), len(x.w)
+            f = x.form(lambda w: np.exp(t * w)) @ f.reshape(d_x, -1)
+            f = (y.form(lambda w: np.exp(t * w)) @ f.reshape(d_x, -1, n)).reshape(n, n)
+            gram = f @ f.conj().T
+            del f  # let go of before the eigvalsh
+            return np.linalg.eigvalsh(gram)
+        lam = gram_eigvals(np.conj(self.s))
+        if np.finfo(float).eps * len(lam) * lam[-1] <= 1e-10 * lam[0]:
             norm_e_inv = 1.0 / math.sqrt(lam[0])
         else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
-            b_inv = np.kron(np.exp(-s * wx), np.exp(-s * wy))
-            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, np.exp(s * w))[-1])
+            norm_e_inv = math.sqrt(gram_eigvals(-self.s)[-1])
         return math.sqrt(lam[-1]), norm_e_inv
 
     norm_e = property(lambda self: self._norms[0])
@@ -201,7 +201,8 @@ class MarginalFloorReport:
     two expansionals at s = -1/2 of its derivation.  Holds the Chain, which does
     not keep it (no cycle); g, `bound` and `ok` wait for a read.  `ok` fails if
     min eig(rho_B) <= 0, else compares logs, measuring g only if g = 1 does not
-    decide; g reads V of ABC, solved again after a streamed read (no corpus case)."""
+    decide; g reads V of ABC, AB, A and B, each solved again after a streamed
+    read (no corpus case)."""
 
     inv_norm: float
     chain: Chain = field(repr=False)

@@ -211,26 +211,21 @@ class Spectrum:
     structure is one piece whose u is np.linalg.eigh's own V, read in place;
     any other is one piece per sub-block, and its 1 x 1 blocks are
     `diagonal`: (rows, values), the eigenvector of each value the unit
-    vector at its row.
+    vector at its row.  Only `form` and `_columns` read the pieces, and no
+    code forms V.
     """
 
     w: np.ndarray
     pieces: tuple[Piece, ...]
     diagonal: tuple[np.ndarray, np.ndarray]
 
-    @property
-    def _whole(self) -> np.ndarray | None:
-        """V itself, if one piece is all of it."""
-        n = len(self.w)
-        return self.pieces[0].u if [pc.u.shape for pc in self.pieces] == [(n, n)] else None
-
     def form(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """V diag(f(w)) V^dag for an elementwise f: each solved matrix's own
         product u f(w) u^dag, added on the rows it touches."""
-        v = self._whole
-        if v is not None:
-            return (v * f(self.w)) @ v.conj().T
         n = len(self.w)
+        if [pc.u.shape for pc in self.pieces] == [(n, n)]:  # one piece is all of V
+            v = self.pieces[0].u
+            return (v * f(self.w)) @ v.conj().T
         out = np.zeros((n, n), np.result_type(f(self.w[:1]), *(pc.u for pc in self.pieces)))
         for pc in self.pieces:
             prod = (pc.u * f(pc.w)) @ pc.u.conj().T  # lets the last piece's prod go first
@@ -250,20 +245,6 @@ class Spectrum:
         rows, values = self.diagonal
         out[rows, rows] += f(values)
         return out
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, V) with eigenvalue j for column j of V, V formed whole:
-        the stored eigh output for one piece, a new array otherwise."""
-        v = self._whole
-        if v is not None:
-            return self.w, v
-        n, (rows, values) = len(self.w), self.diagonal
-        v, col = np.zeros((n, n), np.result_type(float, *(pc.u for pc in self.pieces))), 0
-        for pc in self.pieces:
-            v[pc.rows[:, None], col + np.arange(len(pc.w))] = pc.u[pc.orbit] * pc.coef[:, None]
-            col += len(pc.w)
-        v[rows, col + np.arange(len(rows))] = 1
-        return np.concatenate([pc.w for pc in self.pieces] + [values]), v
 
 
 def _subregion(x: Sequence[int], region: tuple[int, ...]) -> tuple[int, ...]:
@@ -347,8 +328,8 @@ class Chain:
 
     Each region Hamiltonian is assembled, checked for Hermiticity and solved
     by `_solve`, never kept.  A read of V (e^{tH_R}, a Gibbs state, the
-    interface norms) holds the Spectrum; a read of marginals streams its
-    pieces (see `marginals`).  Everything computed is kept until the context
+    interface norms) holds the Spectrum; a read of marginals or of log Z
+    streams its pieces (see `marginals`).  Everything computed is kept until the context
     is dropped, so a context should live for one unit of work.  Every public
     function that takes an Interaction also takes a Chain; given an
     Interaction, it builds a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is
@@ -430,9 +411,15 @@ class Chain:
 
     def log_partition_function(self, region: Sequence[int]) -> float:
         """log Tr e^{-H_R} = -w_min + log sum e^{-(w - w_min)}, finite at any coupling,
-        from the eigenvalues of a streamed read, or else from the Spectrum."""
-        key = ("w", _region(region))
-        w = self._memo[key] if key in self._memo else self.spectrum(region).w
+        from the recorded eigenvalues, else a held Spectrum's, else a streamed
+        read of the eigenvalues only, which holds no piece and records them.
+        V of such a region is solved again only if a later read needs it:
+        `MarginalFloorReport.g_emp`, on AB, A and B, which no corpus instance
+        reaches."""
+        region = _region(region)
+        held = self._memo.get(("eigh", region))
+        w = self.cached(("w", region), lambda: held.w if held is not None else _accumulate(
+            self._solve(region), region, [], self.ia.local_dim)[0])
         return float(-w[0] + np.log(_boltzmann(w).sum()))
 
     def gibbs(self, region: Sequence[int]) -> GibbsEnsemble:

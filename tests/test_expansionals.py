@@ -261,6 +261,7 @@ FAMILIES = [
     ("classical_ising", {"field": 0.5}),
     ("zero", {}),
     ("random", {"range": 2, "strength": 1.5, "seed": 4}),
+    ("random", {"range": 1, "strength": 2.0, "seed": 5, "local_dim": 3}),
 ]
 
 
@@ -330,7 +331,7 @@ def test_certify_and_lemmas_call_no_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("s", [0.5, 0.5j, 0.3 + 0.4j])
-def test_norm_only_pairs_never_form_e(s):
+def test_a_report_keeps_only_its_spectra_and_norms(s):
     chain = Chain(builtin_models("random", {"sites": 8, "range": 2, "seed": 5}))
     regions = RegionsABC.from_sizes(2, 4, 2)
     covering_bound(chain, regions, [1, 2, 3], s)

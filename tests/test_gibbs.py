@@ -208,15 +208,15 @@ ROUNDED_MIRROR = {"tfi-offgrid", "tfi-offgrid-9", "xxz-field"}
 
 def _check_spectrum(h, spectrum):
     """The ascending eigenvalues against a fresh eigvalsh of h, and the pieces,
-    formed into one (w, V), as a decomposition of h."""
+    formed into V diag(w) V^dag and V V^dag, against h and 1."""
     w = spectrum.w
     scale = max(1.0, float(np.abs(w).max()))
     assert np.all(np.diff(w) >= 0)
     assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
-    w_cols, v = spectrum.dense()
-    assert np.array_equal(np.sort(w_cols, kind="stable"), w)
-    assert np.linalg.norm(h @ v - v * w_cols) <= 1e-12 * scale
-    assert np.linalg.norm(v.conj().T @ v - np.eye(len(w))) <= 1e-12
+    parts = [pc.w for pc in spectrum.pieces] + [spectrum.diagonal[1]]
+    assert np.array_equal(np.sort(np.concatenate(parts), kind="stable"), w)
+    assert np.linalg.norm(spectrum.form(lambda w: w) - h) <= 1e-12 * scale
+    assert np.linalg.norm(spectrum.form(np.ones_like) - np.eye(len(w))) <= 1e-12
 
 
 def _reflected(h, local_dim, sites):
@@ -240,7 +240,7 @@ def test_block_spectrum_matches_the_full_solve(model, monkeypatch):
     # its 2^ceil(n/2) palindromes
     bound = 2 ** (n - 2) + 2 ** ((n + 1) // 2 - 1)
     assert all(len(shape) == 2 and shape[0] <= bound for shape, _, _ in inputs)
-    assert spectrum.dense()[1].dtype == h.dtype
+    assert spectrum.form(lambda w: w).dtype == h.dtype
     _check_spectrum(h, spectrum)
 
 
@@ -286,7 +286,7 @@ def test_mirror_split_of_a_three_level_chain(dense, monkeypatch):
     inputs = record_eigh(monkeypatch)
     spectrum = Chain(ia).spectrum(range(5))
     _check_spectrum(h, spectrum)
-    assert spectrum.dense()[1].dtype == h.dtype
+    assert spectrum.form(lambda w: w).dtype == h.dtype
     shapes = [shape for shape, _, _ in inputs]
     if dense:
         assert sorted(shapes) == [(108, 108), (135, 135)]
@@ -424,8 +424,9 @@ def test_block_spectrum_solves_only_the_blocks(monkeypatch):
     inputs = record_eigh(monkeypatch)
     for params in ({"sites": 10}, {"sites": 10, "field": 0.5}):
         ia = builtin_models("classical_ising", params)
-        v = Chain(ia).spectrum(range(10)).dense()[1]
-        assert np.array_equal(np.abs(v), np.abs(v) > 0)  # a permutation
+        spectrum = Chain(ia).spectrum(range(10))
+        rows, _ = spectrum.diagonal
+        assert spectrum.pieces == () and np.array_equal(rows, np.arange(2**10))
     assert inputs == []  # a diagonal H has only 1 x 1 blocks
     Chain(builtin_models("tfi", {"sites": 10})).spectrum(range(10))
     # one component, whose group {1, F, R, FR} splits it into four
@@ -500,7 +501,7 @@ def test_block_spectrum_folds_a_complex_matrix(monkeypatch):
     inputs = record_eigh(monkeypatch)
     spectrum = Chain(_unmirrored(5)).spectrum(range(5))
     assert [shape for shape, _, _ in inputs] == [(16, 16), (16, 16)]
-    assert spectrum.dense()[1].dtype == complex
+    assert spectrum.form(lambda w: w).dtype == complex
     _check_spectrum(h, spectrum)
 
 
@@ -629,13 +630,11 @@ def test_block_spectrum_leaves_random_models_on_the_full_solve(params):
     ia = builtin_models("random", params)
     n = len(ia.sites)
     spectrum = Chain(ia).spectrum(range(n))
-    w, v = spectrum.dense()
     w_ref, v_ref = np.linalg.eigh(hamiltonian(ia, range(n)).matrix)
-    assert matrix_digest(w) == matrix_digest(w_ref)
-    assert matrix_digest(v) == matrix_digest(v_ref)
-    # one piece, read in place: the eigh output itself, with no copy
+    # one piece, np.linalg.eigh's own (w, V)
     (piece,) = spectrum.pieces
-    assert w is spectrum.w and np.shares_memory(v, piece.u)
+    for got, want in ((spectrum.w, w_ref), (piece.w, w_ref), (piece.u, v_ref)):
+        assert matrix_digest(got) == matrix_digest(want)
 
 
 @pytest.mark.parametrize("params", RANDOM_MODELS)
@@ -660,18 +659,19 @@ def test_every_reader_of_a_random_model_is_the_full_solve_bit_for_bit(params):
         pairs.append((chain.exp(everything, t).matrix, (v * np.exp(t * w)) @ v.conj().T))
     pairs.append((chain.log_partition_function(everything), float(-w[0] + np.log(f.sum()))))
     (wx, vx), (wy, vy) = (np.linalg.eigh(hamiltonian(ia, r).matrix) for r in (x, y))
-    u = v.conj().T @ np.kron(vx, vy)
 
-    def gram_eigvals(left, m, right):
-        g = left[:, None] * m * right
-        return np.linalg.eigvalsh(g @ g.conj().T)
+    def gram_eigvals(t):  # of F F^dag, F = (e^{tH_X} (x) e^{tH_Y}) e^{-tH_XY}
+        f = (v * np.exp(-t * w)) @ v.conj().T
+        f = ((vx * np.exp(t * wx)) @ vx.conj().T) @ f.reshape(len(wx), -1)
+        f = ((vy * np.exp(t * wy)) @ vy.conj().T) @ f.reshape(len(wx), -1, len(w))
+        f = f.reshape(len(w), len(w))
+        return np.linalg.eigvalsh(f @ f.conj().T)
     for s in (0.5, 0.3 + 0.4j):
-        lam = gram_eigvals(np.exp(-s * w), u, np.kron(np.exp(s * wx), np.exp(s * wy)))
+        lam = gram_eigvals(np.conj(s))
         if np.finfo(float).eps * len(w) * lam[-1] <= 1e-10 * lam[0]:
             norm_e_inv = 1.0 / math.sqrt(lam[0])
         else:
-            b_inv = np.kron(np.exp(-s * wx), np.exp(-s * wy))
-            norm_e_inv = math.sqrt(gram_eigvals(b_inv, u.conj().T, np.exp(s * w))[-1])
+            norm_e_inv = math.sqrt(gram_eigvals(-s)[-1])
         rep = expansional(chain, x, y, s)
         pairs += [(rep.norm_e, math.sqrt(lam[-1])), (rep.norm_e_inv, norm_e_inv)]
     for i, (got, want) in enumerate(pairs):
@@ -708,6 +708,15 @@ def test_streamed_marginals_are_the_held_ones_bit_for_bit(model):
     assert one.log_partition_function(everything) == held.log_partition_function(everything)
 
 
+def _held_spectra(chain):
+    """The regions whose Spectrum the Chain's memo holds, after checking that it
+    holds no Piece or Gibbs state outside one."""
+    kept = list(chain._memo.values())
+    assert not [v for v in kept if isinstance(v, (Piece, GibbsEnsemble))]
+    assert not [v for v in kept if isinstance(v, tuple) and any(isinstance(p, Piece) for p in v)]
+    return {key[1] for key, v in chain._memo.items() if isinstance(v, Spectrum)}
+
+
 def test_a_streamed_read_holds_no_spectrum(monkeypatch):
     """After a read of marginals, the Chain's memo holds the marginals and
     the eigenvalues, and no Piece, Spectrum or Gibbs state of the region;
@@ -716,9 +725,7 @@ def test_a_streamed_read_holds_no_spectrum(monkeypatch):
     regions = RegionsABC.from_sizes(1, 6, 1)
     chain = Chain(ia)
     chain.marginals(regions.all_sites, (regions.ac, regions.a, regions.b))
-    kept = list(chain._memo.values())
-    assert not [v for v in kept if isinstance(v, (Piece, Spectrum, GibbsEnsemble))]
-    assert not [v for v in kept if isinstance(v, tuple) and any(isinstance(p, Piece) for p in v)]
+    assert _held_spectra(chain) == set()
     inputs = record_eigh(monkeypatch)
     log_z = chain.log_partition_function(regions.all_sites)
     chain.marginal(regions.all_sites, regions.ac)
@@ -726,6 +733,32 @@ def test_a_streamed_read_holds_no_spectrum(monkeypatch):
     assert log_z == Chain(ia).log_partition_function(regions.all_sites)
     chain.exp(regions.all_sites, 0.5)
     assert inputs
+
+
+def test_log_z_is_a_streamed_read(monkeypatch):
+    """log Z of a region that holds no Spectrum comes from a streamed read of
+    its eigenvalues, which it records: the same bits as a held Spectrum's."""
+    ia = builtin_models("xxz", {"sites": 8, "jz": 0.5})
+    a, b = (0, 1, 2), (3, 4, 5, 6)
+    chain, held = Chain(ia), Chain(ia)
+    report = check_partition_ratios(chain, a, b)
+    assert _held_spectra(chain) == set()
+    for r in (a, b, a + b):
+        held.spectrum(r)
+    assert report == check_partition_ratios(held, a, b)
+    inputs = record_eigh(monkeypatch)
+    for r in (a, b, a + b):
+        assert chain.log_partition_function(r) == held.log_partition_function(r)
+    assert inputs == []
+
+
+def test_certify_holds_only_the_spectra_of_the_clipped_sides():
+    """certify_marginal streams every marginal and log Z it reads; only a_k and
+    c_k, whose e^{H/2} `Chain.exp` forms, hold a Spectrum."""
+    regions = RegionsABC.from_sizes(1, 6, 1)
+    chain = Chain(builtin_models("tfi", {"sites": 8}))
+    assert certify_marginal(chain, regions).attempted_k0
+    assert _held_spectra(chain) == {(0,), (7,)}
 
 
 PEAK = """
