@@ -206,10 +206,15 @@ def validate_config(cfg: dict) -> None:
             for p in sz
         ):
             raise ConfigError("'size_grid' must be a nonempty list of [n_x, n_y], sizes >= 1")
-        for nx, ny in sz:
-            # a pair that fits nowhere in the chain would be skipped, silently
-            if ia and nx + ny > len(ia.sites):
-                raise ConfigError(f"size_grid pair [{nx}, {ny}] exceeds {len(ia.sites)} sites")
+        if ia:
+            _check_size_grid(sz, len(ia.sites))
+
+
+def _check_size_grid(size_grid, sites: int) -> None:
+    for nx, ny in size_grid:
+        # a pair that fits nowhere in the chain would be skipped, silently
+        if nx + ny > sites:
+            raise ConfigError(f"size_grid pair [{nx}, {ny}] exceeds {sites} sites")
 
 
 def _model_spec(cfg: dict) -> ModelSpec:
@@ -472,6 +477,7 @@ def cmd_estimate_g(cfg: dict, out: Path) -> int:
     spec = _model_spec(cfg)
     ia = spec.build()
     size_grid = [tuple(p) for p in cfg.get("size_grid", [[2, 2], [2, 3], [3, 3]])]
+    _check_size_grid(size_grid, len(ia.sites))  # check-config sees only a given grid
     s_grid = cfg.get("s_grid", [0.25, 0.5, 1.0])
     est = estimate_uniform_bound(Chain(ia, cfg["budget"]), size_grid, s_grid)
     _write_csv(

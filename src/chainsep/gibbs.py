@@ -1,8 +1,7 @@
 """Gibbs states, partition functions, marginals and information measures."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -211,8 +210,9 @@ class Spectrum:
     structure is one piece whose u is np.linalg.eigh's own V, read in place;
     any other is one piece per sub-block, and its 1 x 1 blocks are
     `diagonal`: (rows, values), the eigenvector of each value the unit
-    vector at its row.  Only `form` and `_columns` read the pieces, and no
-    code forms V.
+    vector at its row.  Only `form` and `_columns` read the pieces, which
+    `Chain._parts` hands to the marginals and log Z in `_solve`'s order, and
+    no code forms V.
     """
 
     w: np.ndarray
@@ -255,8 +255,8 @@ def _subregion(x: Sequence[int], region: tuple[int, ...]) -> tuple[int, ...]:
 
 def _accumulate(parts: Iterable, region: tuple[int, ...], xs: list, d: int) -> tuple:
     """(every eigenvalue, ascending, and rho_X for each proper subregion X in
-    `xs`) of the Gibbs state on `region`, from `Chain._solve`'s parts, each
-    read once.  With S = V diag(sqrt p), rows ordered (X legs, rest of R),
+    `xs`) of the Gibbs state on `region`, from `Chain._parts`, each read
+    once.  With S = V diag(sqrt p), rows ordered (X legs, rest of R),
     rho_X = S S^dag: the diagonal's p summed by their X digits, then the Gram
     of each column group of `_columns`.  The sums are normalized by the least
     eigenvalue m and z = sum e^{m - w} of the parts read so far, and scaled by
@@ -295,45 +295,19 @@ def _accumulate(parts: Iterable, region: tuple[int, ...], xs: list, d: int) -> t
     return np.sort(np.concatenate([*ws, values]), kind="stable"), rhos
 
 
-@dataclass(frozen=True, eq=False)
-class GibbsEnsemble:
-    """The thermal state exp(-H_R)/Z on a region, held as the spectrum of H_R.
-
-    rho = V diag(p) V^dag, with the Chain's own Spectrum of H_R (not the
-    Chain, so a state in the Chain's memo makes no cycle) and
-    p = e^{-(w - w_min)} / sum e^{-(w - w_min)}, which cannot overflow.  `rho`
-    is formed on first read; `marginal` of a proper subregion never forms it,
-    and `Chain.marginal` reads the same bits with no Spectrum held.
-    """
-
-    region: tuple[int, ...]
-    spectrum: Spectrum = field(repr=False)
-    local_dim: int
-
-    @cached_property
-    def _z(self) -> float:
-        return _boltzmann(self.spectrum.w).sum()
-
-    def p(self, w: np.ndarray) -> np.ndarray:
-        """The state's eigenvalue at each eigenvalue w of H_R."""
-        return np.exp(self.spectrum.w[0] - w) / self._z
-
-    @cached_property
-    def rho(self) -> LocalOperator:
-        return _state(self.region, self.spectrum.form(self.p), self.local_dim)
-
-
 class Chain:
     """Spectral context of one interaction under one dense-size budget.
 
     Each region Hamiltonian is assembled, checked for Hermiticity and solved
     by `_solve`, never kept.  A read of V (e^{tH_R}, a Gibbs state, the
     interface norms) holds the Spectrum; a read of marginals or of log Z
-    streams its pieces (see `marginals`).  Everything computed is kept until the context
-    is dropped, so a context should live for one unit of work.  Every public
-    function that takes an Interaction also takes a Chain; given an
-    Interaction, it builds a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is
-    the only place a budget is set.
+    reads the held pieces, or else streams them, from one source (`_parts`).
+    A Chain is the only reader of a Gibbs state: `gibbs()` returns a view of
+    one.  Everything computed is kept until the context is dropped, so a
+    context should live for one unit of work.  Every public function that
+    takes an Interaction also takes a Chain; given an Interaction, it builds
+    a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is the only place a
+    budget is set.
     """
 
     def __init__(self, ia: Interaction, budget: int = DEFAULT_BUDGET):
@@ -409,59 +383,76 @@ class Chain:
         m = self.exp_spectrum(region, t).form(lambda w: np.exp(t * w))
         return LocalOperator(_region(region), m, self.ia.local_dim)
 
+    def _parts(self, region: tuple[int, ...]) -> Iterable:
+        """The parts of H_R as `_solve` yields them: the held Spectrum's, or
+        else `_solve`'s own, each solved when the one before it is drawn."""
+        held = self._memo.get(("eigh", region))
+        return self._solve(region) if held is None else [held.diagonal, *held.pieces]
+
     def log_partition_function(self, region: Sequence[int]) -> float:
         """log Tr e^{-H_R} = -w_min + log sum e^{-(w - w_min)}, finite at any coupling,
-        from the recorded eigenvalues, else a held Spectrum's, else a streamed
-        read of the eigenvalues only, which holds no piece and records them.
-        V of such a region is solved again only if a later read needs it:
+        from the recorded eigenvalues, else a read of `_parts` for the
+        eigenvalues only, which records them.  A streamed read holds no piece:
+        V of such a region is solved again only if a later read needs it,
         `MarginalFloorReport.g_emp`, on AB, A and B, which no corpus instance
         reaches."""
         region = _region(region)
-        held = self._memo.get(("eigh", region))
-        w = self.cached(("w", region), lambda: held.w if held is not None else _accumulate(
-            self._solve(region), region, [], self.ia.local_dim)[0])
+        w = self.cached(("w", region),
+                        lambda: _accumulate(self._parts(region), region, [], self.ia.local_dim)[0])
         return float(-w[0] + np.log(_boltzmann(w).sum()))
-
-    def gibbs(self, region: Sequence[int]) -> GibbsEnsemble:
-        region = _region(region)
-        return self.cached(("gibbs", region),
-                           lambda: GibbsEnsemble(region, self.spectrum(region), self.ia.local_dim))
 
     def marginals(self, region: Sequence[int], xs: Sequence[Sequence[int]]) -> list[LocalOperator]:
         """rho_X of the Gibbs state on `region` for each X in `xs`, each formed once
-        per Chain: from the held Spectrum, or else all new X in one read of
-        `_solve`'s pieces, each added to every rho_X and let go before the next
-        solve; only the rho_X and the eigenvalues are kept.  `_accumulate` sums
-        both to the same bits.  X == region (the state) and a later V solve anew."""
+        per Chain: all new proper X in one read of `_parts`, held or streamed, each
+        part added to every rho_X (and, streamed, let go before the next solve);
+        only the rho_X and the eigenvalues are kept, so either way gives the same
+        bits.  X == region, the state, is V diag(p) V^dag, formed by the held
+        Spectrum with p = e^{-(w - w_min)} / sum e^{-(w - w_min)}, which cannot
+        overflow."""
         region, d = _region(region), self.ia.local_dim
         xs = [_subregion(x, region) for x in xs]
         new = [x for x in dict.fromkeys(xs)
                if x != region and ("marginal", region, x) not in self._memo]
-        if new and ("eigh", region) not in self._memo:
-            self._memo[("w", region)], rhos = _accumulate(self._solve(region), region, new, d)
+        if new:
+            self._memo[("w", region)], rhos = _accumulate(self._parts(region), region, new, d)
             for x, rho in zip(new, rhos):
                 self._memo[("marginal", region, x)] = _state(x, rho, d)
-        return [self.cached(("marginal", region, x), lambda: marginal(self.gibbs(region), x))
-                for x in xs]
+
+        def state():
+            sp = self.spectrum(region)
+            z = _boltzmann(sp.w).sum()
+            return _state(region, sp.form(lambda w: np.exp(sp.w[0] - w) / z), d)
+
+        return [self.cached(("marginal", region, x), state) for x in xs]
 
     def marginal(self, region: Sequence[int], x: Sequence[int]) -> LocalOperator:
         """rho_X of the Gibbs state on `region`, formed once per Chain (see `marginals`)."""
         return self.marginals(region, [x])[0]
 
 
+class GibbsEnsemble(NamedTuple):
+    """The thermal state exp(-H_R)/Z on a region, read from its Chain.  A view
+    that the Chain does not store, so it makes no cycle: `rho` and every
+    marginal are the Chain's own (see `Chain.marginals`)."""
+
+    chain: Chain
+    region: tuple[int, ...]
+
+    @property
+    def rho(self) -> LocalOperator:
+        return self.chain.marginal(self.region, self.region)
+
+
 def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
-    return Chain.of(system).gibbs(region)
+    """The Gibbs state on `region`, with the Spectrum of H_R solved and held."""
+    chain, region = Chain.of(system), _region(region)
+    chain.spectrum(region)
+    return GibbsEnsemble(chain, region)
 
 
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
-    """rho_X = tr_{R\\X} rho, read from g's held Spectrum by `_accumulate`, so
-    the same bits as `Chain.marginal`'s streamed read; for X = R, the state."""
-    x = _subregion(x, g.region)
-    if x == g.region:
-        return g.rho
-    sp = g.spectrum
-    _, (rho_x,) = _accumulate([sp.diagonal, *sp.pieces], g.region, [x], g.local_dim)
-    return _state(x, rho_x, g.local_dim)
+    """rho_X = tr_{R\\X} rho of g's Chain; for X = R, the state itself."""
+    return g.chain.marginal(g.region, x)
 
 
 # ---------------------------------------------------------------------------

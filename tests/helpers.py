@@ -9,7 +9,8 @@ the one oracle for the interface operator E (and, as E(-conj s)^dag, for
 E^{-1}): freshly assembled Hamiltonians exponentiated whole, where the library
 only reads ||E|| and ||E^{-1}|| from its cached spectra.
 `traced_interface_product` and `telescope_verify` form the traced products of
-the telescope from it, to check the closed forms the library reads instead.
+the telescope from it, with (rho^B)^{1/2} from a dense eigh of H_B, to check
+the closed forms the library reads instead.
 `relative_entropy` forms both matrix logarithms whole, to check the library's
 I(A:C), a sum of entropies, against D(rho_AC || rho_A x rho_C).
 `record_solver` and `record_eigh` count the library's dense eigensolves, and
@@ -142,7 +143,7 @@ def traced_interface_product(chain, regions, kk):
     is the Gram tr_B[N^dag N] of N = M (1 (x) (rho^B)^{1/2} (x) 1): Hermitian
     PSD by construction, from one matmul of neighbourhood size.
     """
-    from chainsep import LocalOperator, embed, identity
+    from chainsep import LocalOperator, embed, hamiltonian, identity
     from chainsep.separability import TELESCOPE_S
 
     def build():
@@ -156,8 +157,9 @@ def traced_interface_product(chain, regions, kk):
             ea = ec = identity(b, d)
         ea = embed(ea, left + b).matrix
         ec = embed(ec, left + b + right).matrix
-        g_b = chain.gibbs(b)
-        root_b = g_b.spectrum.form(lambda w: np.sqrt(g_b.p(w)))
+        # (rho^B)^{1/2} from a dense eigh of the freshly assembled H_B
+        w, v = np.linalg.eigh(hamiltonian(chain.ia, b).matrix)
+        root_b = (v * np.sqrt(np.exp(w[0] - w) / np.exp(w[0] - w).sum())) @ v.conj().T
         # E_A (1 (x) (rho^B)^{1/2}); the B legs are the last of E_A's columns
         ea_root = (ea.reshape(-1, d_b) @ root_b).reshape(ea.shape)
         # N = E_C (ea_root (x) 1), computed with rows (row of E_C, right leg)

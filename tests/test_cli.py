@@ -106,6 +106,19 @@ def test_check_config_rejects_bad_estimate_g_grids(tmp_path, grids):
     assert not (tmp_path / "estimate_g.csv").exists()
 
 
+def test_estimate_g_rejects_a_default_grid_that_does_not_fit(tmp_path, capsys):
+    """The default size_grid, [[2, 2], [2, 3], [3, 3]], is not a config key, so
+    check-config passes it; estimate-g checks its pairs as it would a given grid."""
+    model = dict(TFI_MODEL, sites=5)
+    path = _write(tmp_path, "c.json", {"model": model})
+    assert main(["check-config", "--config", path]) == 0
+    assert main(["estimate-g", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "size_grid pair [3, 3] exceeds 5 sites" in capsys.readouterr().err
+    assert not (tmp_path / "estimate_g.csv").exists()
+    given = _write(tmp_path, "given.json", {"model": model, "size_grid": [[3, 3]]})
+    assert main(["estimate-g", "--config", given, "--out", str(tmp_path)]) == 2
+
+
 def test_check_config_accepts_edge_estimate_g_grids(tmp_path):
     # |s| = 1 and n_x + n_y = sites are allowed
     payload = {"model": TFI_MODEL, "size_grid": [[3, 3], [1, 1]], "s_grid": [-1, 1.0, 0]}

@@ -80,7 +80,10 @@ def test_gibbs_state_is_normalized_and_psd():
     g = gibbs(ia, range(6))
     assert g.rho.trace().real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(g.rho.matrix).min() > 0
-    assert g.p(g.spectrum.w).sum() == pytest.approx(1.0)
+    w = g.chain.spectrum(range(6)).w
+    p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
+    assert p.sum() == pytest.approx(1.0)
+    assert np.abs(np.linalg.eigvalsh(g.rho.matrix)[::-1] - p).max() <= 1e-14
     z = np.exp(-np.linalg.eigvalsh(hamiltonian(ia, range(6)).matrix)).sum()
     assert np.exp(Chain(ia).log_partition_function(range(6))) == pytest.approx(z)
 
@@ -171,18 +174,45 @@ def test_marginals_never_form_the_state():
     chain = Chain(ia)
     factorization_error(chain, regions)
     mutual_information(chain, regions)
-    assert "rho" not in vars(chain.gibbs(regions.all_sites))
+    assert ("marginal", regions.all_sites, regions.all_sites) not in chain._memo
 
 
 def test_marginal_checks_the_normalization():
-    g = gibbs(_rand_ia(2), range(6))
-    (piece,) = g.spectrum.pieces
-    scaled = dataclasses.replace(g.spectrum, pieces=(piece._replace(u=piece.u * 1.001),))
-    bad = dataclasses.replace(g, spectrum=scaled)
+    everything = tuple(range(6))
+    chain = Chain(_rand_ia(2))
+    spectrum = chain.spectrum(everything)
+    (piece,) = spectrum.pieces
+    scaled = dataclasses.replace(spectrum, pieces=(piece._replace(u=piece.u * 1.001),))
+    chain._memo[("eigh", everything)] = scaled
     with pytest.raises(RuntimeError):
-        marginal(bad, (0, 5))
+        chain.marginal(everything, (0, 5))
     with pytest.raises(RuntimeError):
-        bad.rho
+        chain.marginal(everything, everything)
+
+
+def test_a_held_spectrum_is_read_once_for_every_marginal(monkeypatch):
+    """With the Spectrum held, all new proper X are summed in one read of its
+    parts, and the view that `gibbs` returns reads the Chain's own marginals
+    and state."""
+    gibbs_module = importlib.import_module("chainsep.gibbs")
+    form, seen = gibbs_module._accumulate, []
+
+    def recording(parts, region, xs, d):
+        seen.append(list(xs))
+        return form(parts, region, xs, d)
+
+    regions = RegionsABC.from_sizes(1, 6, 1)
+    xs = [regions.ac, regions.a, regions.b]
+    chain = Chain(builtin_models("tfi", {"sites": 8}))
+    g = gibbs(chain, regions.all_sites)
+    monkeypatch.setattr(gibbs_module, "_accumulate", recording)
+    rhos = chain.marginals(regions.all_sites, xs)
+    assert seen == [xs]
+    for x, rho in zip(xs, rhos):
+        assert marginal(g, x) is rho
+        assert marginal(g, x) is chain.marginal(regions.all_sites, x)
+    assert marginal(g, regions.all_sites) is g.rho
+    assert seen == [xs]
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +627,7 @@ def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
     w, v = dense(everything)
     p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
     rho = (v * p) @ v.conj().T
-    g = chain.gibbs(everything)
+    g = gibbs(chain, everything)
     assert np.abs(g.rho.matrix - rho).max() <= 1e-12
     for x in ((1, 2), (0, n - 1), (0, 2, 3)):
         want = partial_trace(LocalOperator(everything, rho), tuple(set(everything) - set(x)))
@@ -648,7 +678,7 @@ def test_every_reader_of_a_random_model_is_the_full_solve_bit_for_bit(params):
     f = np.exp(w[0] - w)
     p = f / f.sum()
     chain = Chain(ia)
-    g = chain.gibbs(everything)
+    g = gibbs(chain, everything)
     pairs = [(g.rho.matrix, (v * p) @ v.conj().T)]
     for sub in ((1, 2), (0, n - 1), (0, 2, 3)):
         legs = list(sub) + [i for i in range(n + 1) if i not in sub]
@@ -698,7 +728,7 @@ def test_streamed_marginals_are_the_held_ones_bit_for_bit(model):
     everything = tuple(range(n))
     xs = [(0, n - 1), (0,), (1, 2), (0, 2, 3)]
     held = Chain(ia)
-    g = held.gibbs(everything)
+    g = gibbs(held, everything)
     streamed = Chain(ia).marginals(everything, xs)
     assert [matrix_digest(rho.matrix) for rho in streamed] == \
         [matrix_digest(marginal(g, x).matrix) for x in xs]
