@@ -5,6 +5,7 @@ from .errors import (
     ChainsepError,
     ConfigError,
     EmptyIntersectionError,
+    FloatRangeError,
     GeometryError,
 )
 from .linalg import (

@@ -9,6 +9,10 @@ class GeometryError(ChainsepError, ValueError):
     """Supports, regions, or cuts that violate a precondition."""
 
 
+class FloatRangeError(ChainsepError, ValueError):
+    """A quantity that a verdict or report needs lies beyond the float range."""
+
+
 class EmptyIntersectionError(ChainsepError):
     """A truncated region came out empty; callers decide how to proceed."""
 

@@ -2,9 +2,9 @@
 
 For adjacent intervals X, Y and |s| <= 1 the interface operator is
 E(s) = exp(-s H_{XY}) exp(s(H_X + H_Y)); its norm stays bounded uniformly
-in the interval sizes.  This module computes ||E|| and ||E^{-1}|| from E
-formed from the Chain's exponentials for that read only, an empirical
-uniform-norm constant over them (the truncations it reads are
+in the interval sizes.  This module computes ||E|| and ||E^{-1}|| when an
+expansional is built, from E formed of `Chain.exp`'s factors and not kept,
+an empirical uniform-norm constant over them (the truncations it reads are
 `RegionsABC.clip`'s) and the proof's factorial bounds built on it, the
 partial-trace contraction check, and the per-instance lemma suite.
 """
@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import FloatRangeError, GeometryError
 from .gibbs import (
     Chain,
     check_partition_ratios,
@@ -28,46 +28,42 @@ from .linalg import LocalOperator, embed, min_eig, op_norm, partial_trace
 from .model import Interaction, RegionsABC
 
 
-@dataclass(frozen=True, eq=False)
-class ExpansionalReport:
-    """E(s) held as `spectra`, the Chain's Spectrum of H_XY, H_X and H_Y (not
-    the Chain, so there is no cycle).  ||E|| and ||E^{-1}|| are computed on
-    first read, from E formed for that read only."""
+class ExpansionalReport(NamedTuple):
+    """||E(s)|| and ||E(s)^{-1}||, computed when the report is built."""
 
-    s: complex
-    spectra: tuple = field(repr=False)
+    norm_e: float
+    norm_e_inv: float
 
-    @cached_property
-    def _norms(self) -> tuple[float, float]:
-        """(||E||, ||E^{-1}||) from the Gram of E formed, with no SVD.
 
-        F(t) = (e^{tH_X} (x) e^{tH_Y}) e^{-tH_XY} is E^dag at t = conj(s) and
-        E^{-1} at t = -s.  Each exponential is formed from its Spectrum, and
-        the kron factor is applied by reshape, n^2 (d_X + d_Y) work.  One
-        eigvalsh of F F^dag at t = conj(s) gives ||E|| = sqrt(lambda_max) and
-        ||E^{-1}|| = 1/sqrt(lambda_min).  lambda_min is off by about
-        eps n lambda_max, so if lambda_min <= 0 or eps n lambda_max / lambda_min
-        > 1e-10, ||E^{-1}|| = sqrt(lambda_max) of the Gram at t = -s instead.
-        """
-        xy, x, y = self.spectra
+def _norms(chain: Chain, x: tuple[int, ...], y: tuple[int, ...], s: complex) -> ExpansionalReport:
+    """(||E||, ||E^{-1}||) from the Gram of E formed, with no SVD.
 
-        def gram_eigvals(t):  # of F(t) F(t)^dag
-            f = xy.form(lambda w: np.exp(-t * w))
-            n, d_x = len(f), len(x.w)
-            f = x.form(lambda w: np.exp(t * w)) @ f.reshape(d_x, -1)
-            f = (y.form(lambda w: np.exp(t * w)) @ f.reshape(d_x, -1, n)).reshape(n, n)
+    F(t) = (e^{tH_X} (x) e^{tH_Y}) e^{-tH_XY} is E^dag at t = conj(s) and
+    E^{-1} at t = -s.  Each exponential is formed by `Chain.exp`, and the
+    kron factor is applied by reshape, n^2 (d_X + d_Y) work.  One eigvalsh
+    of F F^dag at t = conj(s) gives ||E|| = sqrt(lambda_max) and ||E^{-1}||
+    = 1/sqrt(lambda_min).  lambda_min is off by about eps n lambda_max, so if
+    lambda_min <= 0 or eps n lambda_max / lambda_min > 1e-10, ||E^{-1}|| =
+    sqrt(lambda_max) of the Gram at t = -s instead.  A factor, F or its Gram
+    beyond the float range raises FloatRangeError.
+    """
+    def gram_eigvals(t):  # of F(t) F(t)^dag
+        f = chain.exp(x + y, -t).matrix
+        n, d_x = len(f), chain.ia.local_dim ** len(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            f = chain.exp(x, t).matrix @ f.reshape(d_x, -1)
+            f = (chain.exp(y, t).matrix @ f.reshape(d_x, -1, n)).reshape(n, n)
             gram = f @ f.conj().T
-            del f  # let go of before the eigvalsh
-            return np.linalg.eigvalsh(gram)
-        lam = gram_eigvals(np.conj(self.s))
-        if np.finfo(float).eps * len(lam) * lam[-1] <= 1e-10 * lam[0]:
-            norm_e_inv = 1.0 / math.sqrt(lam[0])
-        else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
-            norm_e_inv = math.sqrt(gram_eigvals(-self.s)[-1])
-        return math.sqrt(lam[-1]), norm_e_inv
-
-    norm_e = property(lambda self: self._norms[0])
-    norm_e_inv = property(lambda self: self._norms[1])
+        del f  # let go of before the eigvalsh
+        if not np.isfinite(gram).all():
+            raise FloatRangeError(f"the interface operator of X {x}, Y {y} overflows at t={t}")
+        return np.linalg.eigvalsh(gram)
+    lam = gram_eigvals(np.conj(s))
+    if np.finfo(float).eps * len(lam) * lam[-1] <= 1e-10 * lam[0]:
+        norm_e_inv = 1.0 / math.sqrt(lam[0])
+    else:  # lambda_min is too inaccurate: the same eigvalsh on E^{-1}
+        norm_e_inv = math.sqrt(gram_eigvals(-s)[-1])
+    return ExpansionalReport(math.sqrt(lam[-1]), norm_e_inv)
 
 
 def _as_interval(part: Sequence[int], name: str) -> tuple[int, ...]:
@@ -85,8 +81,8 @@ def expansional(
     y: Sequence[int],
     s: complex,
 ) -> ExpansionalReport:
-    """E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals X, Y, built
-    once per Chain from its three spectra; its norms wait for a read."""
+    """The norms of E(s) = e^{-s H_XY} e^{s(H_X + H_Y)} for adjacent intervals
+    X, Y, computed once per Chain (see `_norms`)."""
     chain = Chain.of(system)
     x = _as_interval(x, "X")
     y = _as_interval(y, "Y")
@@ -95,13 +91,7 @@ def expansional(
     if abs(s) > 1 + 1e-12:
         raise GeometryError(f"|s| must be <= 1, got {abs(s)}")
 
-    def build():
-        for r in (x + y, x, y):  # e^{-sH_R} must not overflow, nor e^{sH_R} below
-            chain.exp_spectrum(r, -s)
-        spectra = tuple(chain.exp_spectrum(r, s) for r in (x + y, x, y))
-        return ExpansionalReport(s, spectra)
-
-    return chain.cached(("expansional", x, y, s), build)
+    return chain.cached(("expansional", x, y, s), lambda: _norms(chain, x, y, s))
 
 
 def _uniform(reps) -> float:
@@ -201,8 +191,9 @@ class MarginalFloorReport:
     two expansionals at s = -1/2 of its derivation.  Holds the Chain, which does
     not keep it (no cycle); g, `bound` and `ok` wait for a read.  `ok` fails if
     min eig(rho_B) <= 0, else compares logs, measuring g only if g = 1 does not
-    decide; g reads V of ABC, AB, A and B, each solved again after a streamed
-    read (no corpus case)."""
+    decide; g forms e^{tH} of ABC, AB, A and B by `Chain.exp`, each solved again
+    after a streamed read (no corpus case), and raises FloatRangeError where an
+    interface operator overflows."""
 
     inv_norm: float
     chain: Chain = field(repr=False)

@@ -6,7 +6,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, GeometryError
+from .errors import BudgetError, FloatRangeError, GeometryError
 from .linalg import (
     HERMITICITY_RTOL,
     LocalOperator,
@@ -299,8 +299,8 @@ class Chain:
     """Spectral context of one interaction under one dense-size budget.
 
     Each region Hamiltonian is assembled, checked for Hermiticity and solved
-    by `_solve`, never kept.  A read of V (e^{tH_R}, a Gibbs state, the
-    interface norms) holds the Spectrum; a read of marginals or of log Z
+    by `_solve`, never kept.  A read of V (e^{tH_R} by `exp`, the one former
+    of it, or a Gibbs state) holds the Spectrum; a read of marginals or of log Z
     reads the held pieces, or else streams them, from one source (`_parts`).
     A Chain is the only reader of a Gibbs state: `gibbs()` returns a view of
     one.  Everything computed is kept until the context is dropped, so a
@@ -369,19 +369,15 @@ class Chain:
 
         return self.cached(("eigh", region), build)
 
-    def exp_spectrum(self, region: Sequence[int], t: complex) -> Spectrum:
-        """The Spectrum of H_R, checked that e^{tw} does not overflow on it."""
+    def exp(self, region: Sequence[int], t: complex) -> LocalOperator:
+        """e^{t H_R}, complex t too; FloatRangeError if e^{tw} overflows on H_R's spectrum."""
+        region = _region(region)
         spectrum = self.spectrum(region)
         with np.errstate(over="ignore"):
             finite = np.all(np.isfinite(np.exp(t * spectrum.w)))
         if not finite:
-            raise ValueError(f"e^(tH) overflows on the spectrum of {_region(region)} at t={t}")
-        return spectrum
-
-    def exp(self, region: Sequence[int], t: complex) -> LocalOperator:
-        """e^{t H_R}; complex t is fine."""
-        m = self.exp_spectrum(region, t).form(lambda w: np.exp(t * w))
-        return LocalOperator(_region(region), m, self.ia.local_dim)
+            raise FloatRangeError(f"e^(tH) overflows on the spectrum of {region} at t={t}")
+        return LocalOperator(region, spectrum.form(lambda w: np.exp(t * w)), self.ia.local_dim)
 
     def _parts(self, region: tuple[int, ...]) -> Iterable:
         """The parts of H_R as `_solve` yields them: the held Spectrum's, or
@@ -394,8 +390,8 @@ class Chain:
         from the recorded eigenvalues, else a read of `_parts` for the
         eigenvalues only, which records them.  A streamed read holds no piece:
         V of such a region is solved again only if a later read needs it,
-        `MarginalFloorReport.g_emp`, on AB, A and B, which no corpus instance
-        reaches."""
+        `MarginalFloorReport.g_emp`'s `exp` of AB, A and B, which no corpus
+        instance reaches."""
         region = _region(region)
         w = self.cached(("w", region),
                         lambda: _accumulate(self._parts(region), region, [], self.ia.local_dim)[0])

@@ -254,7 +254,7 @@ def _random(sites, range_=2, strength=2.0, seed=0, local_dim=2):
             scale, u = max(nrm, 1e-12), rng.uniform(0.2, 1.0)
             terms[supp], norms[supp] = h / scale * u, nrm / scale * u  # a term, its norm
     j = max((sum(v for supp, v in norms.items() if s in supp) for s in sites), default=0.0)
-    if j > 0 and strength > 0:
+    if j > 0:
         terms = {k: v * (strength / j) for k, v in terms.items()}
     return Interaction(d, sites, terms, range_)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyIntersectionError, GeometryError
+from .errors import EmptyIntersectionError, FloatRangeError, GeometryError
 from .gibbs import Chain
 from .linalg import (
     LocalOperator,
@@ -131,39 +131,36 @@ def decompose_truncated_marginal(
             f"k={k} clips A or C to nothing inside the neighbourhood"
         )
 
-    def build():
-        d = chain.ia.local_dim
-        rho_ac = chain.marginal(k_neighborhood(regions, k), a_clip + c_clip)
-        exp_a = chain.exp(a_clip, TELESCOPE_S)
-        exp_c = chain.exp(c_clip, TELESCOPE_S)
-        tilde_a = exp_a @ partial_trace(rho_ac, c_clip) @ exp_a
-        tilde_c = exp_c @ partial_trace(rho_ac, a_clip) @ exp_c
-        tilde_ac = _closed_form(chain, regions, k)[1]
-        delta = tilde_ac - kron(tilde_a, tilde_c)
+    d = chain.ia.local_dim
+    rho_ac = chain.marginal(k_neighborhood(regions, k), a_clip + c_clip)
+    exp_a = chain.exp(a_clip, TELESCOPE_S)
+    exp_c = chain.exp(c_clip, TELESCOPE_S)
+    tilde_a = exp_a @ partial_trace(rho_ac, c_clip) @ exp_a
+    tilde_c = exp_c @ partial_trace(rho_ac, a_clip) @ exp_c
+    tilde_ac = _closed_form(chain, regions, k)[1]
+    delta = tilde_ac - kron(tilde_a, tilde_c)
 
-        a_min = min_eig(tilde_a)
-        c_min = min_eig(tilde_c)
-        if a_min <= 0 or c_min <= 0:
-            raise RuntimeError(
-                "conjugated marginals should be positive definite; got "
-                f"min eigs {a_min}, {c_min}"
-            )
-        gamma = a_min * c_min / 2.0
-        fa = tilde_a - a_min * identity(a_clip, d)
-        fc = tilde_c - c_min * identity(c_clip, d)
-        if not (is_psd(fa) and is_psd(fc)):
-            raise RuntimeError(
-                "shifted factors are not PSD although the shifts equal the "
-                "measured minimal eigenvalues; this indicates a bug"
-            )
-        delta_norm = op_norm(delta)
-        radius = ball_radius(d ** len(a_clip), d ** len(c_clip))
-        return CoreDecomposition(
-            k, (a_clip, c_clip), gamma, a_min, c_min, tilde_ac, delta, delta_norm,
-            ball_ok=delta_norm / gamma <= radius * (1 + 1e-12),
+    a_min = min_eig(tilde_a)
+    c_min = min_eig(tilde_c)
+    if a_min <= 0 or c_min <= 0:
+        raise RuntimeError(
+            "conjugated marginals should be positive definite; got "
+            f"min eigs {a_min}, {c_min}"
         )
-
-    return chain.cached(("core", regions, k), build)
+    gamma = a_min * c_min / 2.0
+    fa = tilde_a - a_min * identity(a_clip, d)
+    fc = tilde_c - c_min * identity(c_clip, d)
+    if not (is_psd(fa) and is_psd(fc)):
+        raise RuntimeError(
+            "shifted factors are not PSD although the shifts equal the "
+            "measured minimal eigenvalues; this indicates a bug"
+        )
+    delta_norm = op_norm(delta)
+    radius = ball_radius(d ** len(a_clip), d ** len(c_clip))
+    return CoreDecomposition(
+        k, (a_clip, c_clip), gamma, a_min, c_min, tilde_ac, delta, delta_norm,
+        ball_ok=delta_norm / gamma <= radius * (1 + 1e-12),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +184,12 @@ def _closed_form(chain: Chain, regions: RegionsABC, k: int) -> tuple[float, Loca
         rho = chain.marginal(hood, a_k + c_k)  # first, so that log Z reads its eigenvalues
         # Z_{N_k} / Z_B from log Z, so that neither Z may overflow
         log_z = chain.log_partition_function
-        ratio = math.exp(log_z(hood) - log_z(regions.b))
+        log_ratio = log_z(hood) - log_z(regions.b)
+        try:
+            ratio = math.exp(log_ratio)
+        except OverflowError:
+            raise FloatRangeError(f"Z_N / Z_B = e^{log_ratio:.6g} at k={k} is beyond the "
+                                  "float range") from None
         # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
         sandwich = kron(chain.exp(a_k, TELESCOPE_S), chain.exp(c_k, TELESCOPE_S))
         return ratio, sandwich @ rho @ sandwich

@@ -7,7 +7,7 @@ Hamiltonian assembly and a whole-matrix exponential from the library, to
 check the spectral route of the certificate's core.  `interface_operator` is
 the one oracle for the interface operator E (and, as E(-conj s)^dag, for
 E^{-1}): freshly assembled Hamiltonians exponentiated whole, where the library
-only reads ||E|| and ||E^{-1}|| from its cached spectra.
+reads ||E|| and ||E^{-1}|| from E formed of `Chain.exp`'s factors.
 `traced_interface_product` and `telescope_verify` form the traced products of
 the telescope from it, with (rho^B)^{1/2} from a dense eigh of H_B, to check
 the closed forms the library reads instead.

@@ -119,6 +119,31 @@ def test_estimate_g_rejects_a_default_grid_that_does_not_fit(tmp_path, capsys):
     assert main(["estimate-g", "--config", given, "--out", str(tmp_path)]) == 2
 
 
+def _tfi_at(coupling, sites):
+    return dict(TFI_MODEL, params={"coupling": coupling}, sites=sites)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        # Z_N / Z_B = e^800 at k = 2
+        ("certify", {"model": _tfi_at(200.0, 7), "geometry": {"a": [2], "b": [3], "c": [2]}}),
+        # finite factors, but F(t) of the interface norms overflows when formed
+        ("estimate-g", {"model": _tfi_at(200.0, 6), "size_grid": [[2, 2]], "s_grid": [1.0]}),
+        # e^{-H} of the four sites XY overflows
+        ("estimate-g", {"model": _tfi_at(800.0, 6), "size_grid": [[2, 2]], "s_grid": [1.0]}),
+    ],
+)
+def test_a_number_beyond_the_float_range_is_an_error(tmp_path, capsys, command, config):
+    path = _write(tmp_path, "c.json", config)
+    assert main(["check-config", "--config", path]) == 0
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_check_config_accepts_edge_estimate_g_grids(tmp_path):
     # |s| = 1 and n_x + n_y = sites are allowed
     payload = {"model": TFI_MODEL, "size_grid": [[3, 3], [1, 1]], "s_grid": [-1, 1.0, 0]}

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from chainsep import (
     Chain,
+    ExpansionalReport,
+    FloatRangeError,
     GeometryError,
     LemmaReport,
     LocalOperator,
@@ -295,10 +297,9 @@ def test_ill_conditioned_inverse_norm_takes_the_inverse_gram(monkeypatch):
     chain = Chain(ia)
     calls = record_solver(monkeypatch, "eigvalsh")
     rep = expansional(chain, x, y, 1.0)
-    assert calls == []  # the norms are computed at their first read
+    assert len(calls) == 2  # both Grams, when the report is built
     want = np.linalg.svd(e_inv, compute_uv=False)[0]
     assert abs(rep.norm_e_inv - want) <= 1e-10 * want
-    assert len(calls) == 2
     assert abs(rep.norm_e - sv[0]) <= 1e-10 * sv[0]
     assert len(calls) == 2
     # well conditioned: the one eigvalsh of A A^dag gives both norms
@@ -315,9 +316,9 @@ def test_building_an_expansional_solves_nothing(monkeypatch, s):
         chain.spectrum(region)
     calls = [record_solver(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
     rep = expansional(chain, (0, 1, 2), (3, 4, 5), s)
-    assert calls == [[], [], []]
+    # the held spectra are read, and the one Gram is solved when the report is built
     assert rep.norm_e > 0 and rep.norm_e_inv > 0
-    assert calls[1] and calls[0] == calls[2] == []
+    assert len(calls[1]) == 1 and calls[0] == calls[2] == []
 
 
 def test_certify_and_lemmas_call_no_svd(monkeypatch):
@@ -331,7 +332,7 @@ def test_certify_and_lemmas_call_no_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("s", [0.5, 0.5j, 0.3 + 0.4j])
-def test_a_report_keeps_only_its_spectra_and_norms(s):
+def test_a_report_keeps_only_its_norms(s):
     chain = Chain(builtin_models("random", {"sites": 8, "range": 2, "seed": 5}))
     regions = RegionsABC.from_sizes(2, 4, 2)
     covering_bound(chain, regions, [1, 2, 3], s)
@@ -339,9 +340,33 @@ def test_a_report_keeps_only_its_spectra_and_norms(s):
     reps = [expansional(chain, a, b, s), expansional(chain, a + b, c, s)]
     for a_k, c_k in map(regions.clip, (1, 2, 3)):
         reps += [expansional(chain, a_k, b, s), expansional(chain, a_k + b, c_k, s)]
-    # the norms were read, and a report holds its spectra and norms only
+    # a report is its two norms, and holds no spectrum
+    assert ExpansionalReport._fields == ("norm_e", "norm_e_inv")
     for rep in reps:
-        assert set(rep.__dict__) == {"s", "spectra", "_norms"}
+        assert type(rep) is ExpansionalReport
+        assert all(isinstance(n, float) for n in rep)
+
+
+def test_exp_raises_where_a_factor_overflows():
+    """At tfi coupling 800, e^{-H} of four sites is beyond the float range:
+    `Chain.exp` raises, and an expansional that needs it caches nothing."""
+    chain = Chain(builtin_models("tfi", {"sites": 6, "coupling": 800.0}))
+    with pytest.raises(FloatRangeError) as err:
+        chain.exp((0, 1, 2, 3), -1.0)
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(FloatRangeError):
+        expansional(chain, (0, 1), (2, 3), 1.0)
+    assert not [key for key in chain._memo if key[0] == "expansional"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_interface_gram_beyond_the_float_range_raises():
+    """At tfi coupling 200 every factor is finite but F(t) overflows when
+    formed; its Gram is checked before the eigvalsh, with no warning."""
+    chain = Chain(builtin_models("tfi", {"sites": 6, "coupling": 200.0}))
+    assert np.isfinite(chain.exp((0, 1, 2, 3), -1.0).matrix).all()
+    with pytest.raises(FloatRangeError):
+        expansional(chain, (0, 1), (2, 3), 1.0)
 
 
 def test_expansional_leaves_no_reference_cycle():

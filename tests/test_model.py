@@ -230,6 +230,12 @@ def test_random_model_strength_is_normalized():
     assert ia.strength == pytest.approx(2.5, rel=1e-12)
 
 
+def test_random_model_at_strength_zero_is_the_zero_model():
+    ia = builtin_models("random", {"sites": 5, "range": 2, "strength": 0.0, "seed": 1})
+    assert ia.strength == 0.0
+    assert ia.terms and all(not np.any(term) for term in ia.terms.values())
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ConfigError):
         builtin_models("does-not-exist", {"sites": 3})

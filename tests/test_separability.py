@@ -389,6 +389,25 @@ def test_certify_forms_no_interface_operator(monkeypatch):
         assert a_k + regions.b not in solved
 
 
+def test_certify_keeps_no_core_decomposition(monkeypatch):
+    """Each k0 is attempted once, so the Chain keeps no core: the failed
+    k0 = 1 attempt's is freed, and only the report holds the last."""
+    separability = importlib.import_module("chainsep.separability")
+    cores = []
+
+    def recording(*args):
+        core = decompose_truncated_marginal(*args)
+        cores.append(weakref.ref(core))
+        return core
+
+    monkeypatch.setattr(separability, "decompose_truncated_marginal", recording)
+    chain = Chain(builtin_models("random", {"sites": 7, "range": 2, "strength": 1.5, "seed": 1}))
+    rep = certify_marginal(chain, RegionsABC.from_sizes(2, 3, 2))
+    assert rep.attempted_k0 == (1, 2)
+    assert not [key for key in chain._memo if key[0] == "core"]
+    assert cores[0]() is None and cores[1]() is rep.core
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_certify_where_the_interface_gram_overflows():
     """tfi at coupling 80 on 1|8|1: the Gram behind ||E|| overflows there,
