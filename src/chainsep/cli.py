@@ -300,57 +300,6 @@ def _geometry_grid(cfg: dict, spec: ModelSpec):
     return grid, spec.params.get("local_dim", 2) ** max(map(sum, grid))
 
 
-def cmd_scan_negativity(cfg: dict, out: Path) -> int:
-    spec = _model_spec(cfg)
-    budget = cfg["budget"]
-    model_id = hashlib.sha256(spec.canonical_json().encode()).hexdigest()[:12]
-
-    def run_point(point):
-        na, nb, nc = point
-        ia = replace(spec, sites=na + nb + nc).build()
-        chain = Chain(ia, budget)
-        regions = RegionsABC.from_sizes(na, nb, nc)
-        rho_ac = chain.marginal(regions.all_sites, regions.ac)
-        neg = negativity(rho_ac, (regions.a, regions.c))
-        mi = mutual_information(chain, regions)
-        fe = factorization_error(chain, regions)
-        if nb >= ia.interaction_range:
-            verdict = certify_marginal(chain, regions).verdict
-        else:
-            verdict = "SkippedSmallB"
-        ppt_exact = ppt_is_exact(ia.local_dim, na + nc)
-        return (
-            model_id,
-            na,
-            nb,
-            nc,
-            neg.negativity,
-            neg.min_pt_eig,
-            mi,
-            fe.op_norm_err,
-            verdict,
-            ppt_exact,
-        )
-
-    grid, dim = _geometry_grid(cfg, spec)
-    rows = _run_items(run_point, grid, cfg["jobs"], dim)
-    columns = [
-        "model_id",
-        "n_a",
-        "n_b",
-        "n_c",
-        "negativity",
-        "min_pt_eig",
-        "mutual_information",
-        "factorization_op_norm",
-        "certificate_verdict",
-        "ppt_exact",
-    ]
-    _write_csv(out / "scan_negativity.csv", _meta(cfg), columns, rows)
-    print(f"scan-negativity: wrote {len(rows)} rows")
-    return 0
-
-
 def cmd_scan_decay(cfg: dict, out: Path) -> int:
     spec = _model_spec(cfg)
     budget = cfg["budget"]
@@ -408,35 +357,34 @@ def cmd_scan_decay(cfg: dict, out: Path) -> int:
 def cmd_certify(cfg: dict, out: Path) -> int:
     spec = _model_spec(cfg)
     budget = cfg["budget"]
+    model_id = hashlib.sha256(spec.canonical_json().encode()).hexdigest()[:12]
 
     def run_point(point):
+        # one Chain, so every test below reads the one rho_AC it holds
         na, nb, nc = point
         ia = replace(spec, sites=na + nb + nc).build()
+        chain = Chain(ia, budget)
         regions = RegionsABC.from_sizes(na, nb, nc)
-        if nb < ia.interaction_range:
-            return point, None
-        rep = certify_marginal(Chain(ia, budget), regions)
-        return point, rep
+        neg = negativity(chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
+        rho_cols = (
+            neg.negativity,
+            neg.min_pt_eig,
+            mutual_information(chain, regions),
+            factorization_error(chain, regions).op_norm_err,
+            ppt_is_exact(ia.local_dim, na + nc),
+        )
+        rep = certify_marginal(chain, regions) if nb >= ia.interaction_range else None
+        return point, rho_cols, rep
 
     grid, dim = _geometry_grid(cfg, spec)
     results = _run_items(run_point, grid, cfg["jobs"], dim)
     rows = []
     margins_rows = []
-    for (na, nb, nc), rep in results:
+    for (na, nb, nc), rho_cols, rep in results:
         if rep is None:
-            rows.append((na, nb, nc, -1, "SkippedSmallB", float("nan"), float("nan")))
+            rows.append((na, nb, nc, -1, "SkippedSmallB", float("nan"), *rho_cols))
             continue
-        rows.append(
-            (
-                na,
-                nb,
-                nc,
-                rep.k0,
-                rep.verdict,
-                rep.reconstruction_rel_err,
-                rep.negativity_cross_check,
-            )
-        )
+        rows.append((na, nb, nc, rep.k0, rep.verdict, rep.reconstruction_rel_err, *rho_cols))
         margins_rows += [(na, nb, nc, rep.k0, *astuple(c)) for c in rep.per_k]
         # the report's own fields; `core` holds region-sized matrices, so it
         # stays out (and `asdict(rep)` would deep-copy it)
@@ -445,8 +393,9 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         (out / f"certify_a{na}_b{nb}_c{nc}.json").write_text(json.dumps(payload, indent=2))
     _write_csv(
         out / "certify_summary.csv",
-        _meta(cfg),
-        ["n_a", "n_b", "n_c", "k0", "verdict", "reconstruction_rel_err", "negativity"],
+        _meta(cfg, model_id=model_id),
+        ["n_a", "n_b", "n_c", "k0", "verdict", "reconstruction_rel_err", "negativity",
+         "min_pt_eig", "mutual_information", "factorization_op_norm", "ppt_exact"],
         rows,
     )
     if margins_rows:
@@ -460,7 +409,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
     # exit 0 iff, per (|A|,|C|) group, the certified points form a nonempty
     # suffix of the |B| scan
     groups: dict[tuple[int, int], list[tuple[int, str]]] = {}
-    for na, nb, nc, _, verdict, _, _ in rows:
+    for na, nb, nc, _, verdict, *_ in rows:
         groups.setdefault((na, nc), []).append((nb, verdict))
     all_ok = True
     for key, entries in groups.items():
@@ -492,7 +441,6 @@ def cmd_estimate_g(cfg: dict, out: Path) -> int:
 
 _COMMANDS = {
     "verify-lemmas": cmd_verify_lemmas,
-    "scan-negativity": cmd_scan_negativity,
     "scan-decay": cmd_scan_decay,
     "certify": cmd_certify,
     "estimate-g": cmd_estimate_g,

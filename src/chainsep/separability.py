@@ -133,11 +133,9 @@ def decompose_truncated_marginal(
 
     d = chain.ia.local_dim
     rho_ac = chain.marginal(k_neighborhood(regions, k), a_clip + c_clip)
-    exp_a = chain.exp(a_clip, TELESCOPE_S)
-    exp_c = chain.exp(c_clip, TELESCOPE_S)
+    _, tilde_ac, (exp_a, exp_c) = _closed_form(chain, regions, k)
     tilde_a = exp_a @ partial_trace(rho_ac, c_clip) @ exp_a
     tilde_c = exp_c @ partial_trace(rho_ac, a_clip) @ exp_c
-    tilde_ac = _closed_form(chain, regions, k)[1]
     delta = tilde_ac - kron(tilde_a, tilde_c)
 
     a_min = min_eig(tilde_a)
@@ -167,18 +165,21 @@ def decompose_truncated_marginal(
 # Tail terms and the telescoping identity
 # ---------------------------------------------------------------------------
 
-def _closed_form(chain: Chain, regions: RegionsABC, k: int) -> tuple[float, LocalOperator]:
-    """(Z_{N_k} / Z_B, S_k rho_{a_k c_k} S_k), whose product F_k is the traced
-    interface product at radius k at s = 1/2.
+def _closed_form(
+    chain: Chain, regions: RegionsABC, k: int
+) -> tuple[float, LocalOperator, tuple[LocalOperator, ...]]:
+    """(Z_{N_k} / Z_B, S_k rho_{a_k c_k} S_k, (e^{H_{a_k}/2}, e^{H_{c_k}/2})):
+    the product of the first two, F_k, is the traced interface product at
+    radius k at s = 1/2, and the core reads the two factors of S_k here.
 
     N_k = a_k + B + c_k is the k-neighbourhood of B, rho_{a_k c_k} the marginal
     of its Gibbs state and S_k = e^{H_{a_k}/2} (x) e^{H_{c_k}/2}.  At k = 0, A
-    and C clip to nothing and F_0 = 1, given on a_1 + c_1.
+    and C clip to nothing, F_0 = 1, given on a_1 + c_1, and there are no factors.
     """
 
     def build():
         if not k:
-            return 1.0, identity(sum(regions.clip(1), ()), chain.ia.local_dim)
+            return 1.0, identity(sum(regions.clip(1), ()), chain.ia.local_dim), ()
         a_k, c_k = regions.clip(k)
         hood = k_neighborhood(regions, k)
         rho = chain.marginal(hood, a_k + c_k)  # first, so that log Z reads its eigenvalues
@@ -191,8 +192,9 @@ def _closed_form(chain: Chain, regions: RegionsABC, k: int) -> tuple[float, Loca
             raise FloatRangeError(f"Z_N / Z_B = e^{log_ratio:.6g} at k={k} is beyond the "
                                   "float range") from None
         # |B| >= range, so no term couples A and C: H_AC = H_A + H_C
-        sandwich = kron(chain.exp(a_k, TELESCOPE_S), chain.exp(c_k, TELESCOPE_S))
-        return ratio, sandwich @ rho @ sandwich
+        sides = chain.exp(a_k, TELESCOPE_S), chain.exp(c_k, TELESCOPE_S)
+        sandwich = kron(*sides)
+        return ratio, sandwich @ rho @ sandwich, sides
 
     return chain.cached(("closed form", regions, k), build)
 
@@ -220,7 +222,7 @@ def tail_term(
         out_support = a_next + c_next
         if k >= max(len(regions.a), len(regions.c)):
             return TailTerm(k, zero(out_support, chain.ia.local_dim), 0.0)
-        upper, lower = (ratio * op for ratio, op in
+        upper, lower = (ratio * op for ratio, op, _ in
                         (_closed_form(chain, regions, kk) for kk in (k + 1, k)))
         op = upper - embed(lower, out_support)
         return TailTerm(k, op, op_norm(op))
@@ -264,7 +266,7 @@ def _attempt_certificate(
     kmax = max(len(regions.a), len(regions.c))
     tails = [tail_term(chain, regions, k) for k in range(k0, kmax)]
     ratio = _closed_form(chain, regions, k0)[0]
-    scale, top = _closed_form(chain, regions, kmax)
+    scale, top, _ = _closed_form(chain, regions, kmax)
     identity_mass = ratio * core.gamma
 
     per_k = []

@@ -199,7 +199,7 @@ def telescope_verify(system, regions, k0):
     if k0 < 1:
         raise GeometryError("k0 must be >= 1")
     kmax = max(len(regions.a), len(regions.c))
-    (ratio, f_k0), (scale, top) = (_closed_form(chain, regions, k) for k in (k0, kmax))
+    (ratio, f_k0, _), (scale, top, _) = (_closed_form(chain, regions, k) for k in (k0, kmax))
     products = [embed(traced_interface_product(chain, regions, kk), regions.ac)
                 for kk in range(k0, max(kmax, k0) + 1)]
     tails = [upper - lower for lower, upper in zip(products, products[1:])]

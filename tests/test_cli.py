@@ -1,10 +1,14 @@
+import hashlib
 import importlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from chainsep import ModelSpec, cli, hamiltonian
+from chainsep import (Chain, ModelSpec, RegionsABC, cli, factorization_error, hamiltonian,
+                      mutual_information, negativity)
 from chainsep.cli import load_config, main, validate_config
 from chainsep.errors import ConfigError
 from helpers import matrix_digest, record_eigh
@@ -307,7 +311,7 @@ def test_verify_lemmas_small_corpus(tmp_path):
     assert len(body) == 5
 
 
-def test_scan_negativity_outputs(tmp_path):
+def test_certify_summary_outputs(tmp_path):
     path = _write(
         tmp_path,
         "c.json",
@@ -316,14 +320,14 @@ def test_scan_negativity_outputs(tmp_path):
             "geometry": {"a": [1], "b": [2, 3], "c": [1]},
         },
     )
-    assert main(["scan-negativity", "--config", path, "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "scan_negativity.csv").read_text()
+    # neither gap certifies, so the suffix gate fails
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 1
+    text = (tmp_path / "certify_summary.csv").read_text()
     body = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(body) == 3
     # TFI thermal marginals across a gap >= 2 carry no negativity
-    for line in body[1:]:
-        fields = line.split(",")
-        assert float(fields[4]) <= 1e-12
+    for row in _csv_records(tmp_path / "certify_summary.csv"):
+        assert float(row["negativity"]) <= 1e-12
 
 
 def test_scan_decay_outputs(tmp_path):
@@ -434,18 +438,14 @@ def test_byte_determinism_across_jobs(tmp_path):
     path = _write(tmp_path, "c.json", payload)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert main(["scan-negativity", "--config", path, "--out", str(out_a)]) == 0
-    assert (
-        main(
-            ["scan-negativity", "--config", path, "--out", str(out_b), "--jobs", "2"]
-        )
-        == 0
-    )
-    # the worker count is left out of the config hash, so the whole file,
+    assert main(["certify", "--config", path, "--out", str(out_a)]) == 1
+    assert main(["certify", "--config", path, "--out", str(out_b), "--jobs", "2"]) == 1
+    # the worker count is left out of the config hash, so every file, its
     # header included, is the same
-    assert (out_a / "scan_negativity.csv").read_bytes() == (
-        out_b / "scan_negativity.csv"
-    ).read_bytes()
+    names = sorted(p.name for p in out_a.iterdir())
+    assert "certify_summary.csv" in names and names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -519,7 +519,7 @@ def test_run_items_restores_blas_threads_when_an_item_raises(blas_threads, jobs)
         ("certify", TFI_MODEL, {"a": [1], "b": [2, 3], "c": [1, 2]}, 2**6),
         ("scan-decay", TFI_MODEL, {"a": [1], "b": [3, 2], "c": [1]}, 2**5),
         (
-            "scan-negativity",
+            "certify",
             {"family": "random", "params": {"local_dim": 3}, "sites": 3, "seed": 0},
             {"a": [1], "b": [1], "c": [1]},
             3**3,
@@ -560,26 +560,85 @@ def _csv_records(path):
     return [dict(zip(header, l.split(","))) for l in lines[1:]]
 
 
-def test_scan_negativity_ppt_exact_uses_local_dim(tmp_path):
+def test_certify_ppt_exact_uses_local_dim(tmp_path):
     # qutrits on 1|2|1 give a 3 x 3 edge cut, beyond where PPT is exact
     model = {"family": "random", "params": {"local_dim": 3}, "sites": 4, "seed": 0}
     path = _write(
         tmp_path, "c.json", {"model": model, "geometry": {"a": [1], "b": [2], "c": [1]}}
     )
-    assert main(["scan-negativity", "--config", path, "--out", str(tmp_path)]) == 0
-    (row,) = _csv_records(tmp_path / "scan_negativity.csv")
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 0
+    (row,) = _csv_records(tmp_path / "certify_summary.csv")
     assert row["ppt_exact"] == "0"
 
 
-def test_scan_negativity_point_diagonalizes_each_matrix_once(tmp_path, monkeypatch):
+def test_certify_point_diagonalizes_each_matrix_once(tmp_path, monkeypatch):
     model = {"family": "random", "params": {"range": 2, "strength": 1.5}, "sites": 6, "seed": 1}
     path = _write(
         tmp_path, "c.json", {"model": model, "geometry": {"a": [1], "b": [4], "c": [1]}}
     )
     inputs = record_eigh(monkeypatch)
-    assert main(["scan-negativity", "--config", path, "--out", str(tmp_path)]) == 0
-    (row,) = _csv_records(tmp_path / "scan_negativity.csv")
-    assert row["certificate_verdict"] != "SkippedSmallB"  # certify ran on this point
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 0
+    (row,) = _csv_records(tmp_path / "certify_summary.csv")
+    assert row["verdict"] != "SkippedSmallB"  # certify ran on this point
+    # the point's mutual information and factorization norm were read too
+    assert all(math.isfinite(float(row[k])) for k in ("mutual_information", "factorization_op_norm"))
     h_abc = hamiltonian(ModelSpec.from_dict(model).build(), range(6)).matrix
     assert len(inputs) == len(set(inputs))
     assert inputs.count(matrix_digest(h_abc)) == 1
+
+
+def test_certify_scan_columns_are_the_librarys_numbers(tmp_path):
+    """Each scan column of certify_summary.csv is the library's number on a
+    fresh Chain of the point, to the last bit, and the negativity is the
+    JSON's cross-check."""
+    config = CONFIGS / "tfi_certify.json"
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path)]) == 0
+    cfg = load_config(str(config))
+    spec = ModelSpec.from_dict(cfg["model"])
+    header = (tmp_path / "certify_summary.csv").read_text().splitlines()
+    model_id = hashlib.sha256(spec.canonical_json().encode()).hexdigest()[:12]
+    assert f"# model_id={model_id}" in header
+    rows = _csv_records(tmp_path / "certify_summary.csv")
+    assert len(rows) == 4
+
+    def library(row):
+        na, nb, nc = (int(row[k]) for k in ("n_a", "n_b", "n_c"))
+        ia = replace(spec, sites=na + nb + nc).build()
+        regions = RegionsABC.from_sizes(na, nb, nc)
+
+        def fresh():
+            return Chain(ia, cfg["budget"])
+
+        neg = negativity(fresh().marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
+        return {
+            "negativity": neg.negativity,
+            "min_pt_eig": neg.min_pt_eig,
+            "mutual_information": mutual_information(fresh(), regions),
+            "factorization_op_norm": factorization_error(fresh(), regions).op_norm_err,
+        }
+
+    # on the BLAS threads the command gives its points, which move the last bits
+    dim = 2 ** max(int(r["n_a"]) + int(r["n_b"]) + int(r["n_c"]) for r in rows)
+    for row, want in zip(rows, cli._run_items(library, rows, 1, dim)):
+        assert {k: row[k] for k in want} == {k: "%.17g" % v for k, v in want.items()}
+        point = "certify_a{n_a}_b{n_b}_c{n_c}.json".format(**row)
+        report = json.loads((tmp_path / point).read_text())
+        assert row["negativity"] == "%.17g" % report["negativity_cross_check"]
+
+
+def test_a_skipped_point_carries_the_scan_columns(tmp_path):
+    """A gap below the interaction range gets no certificate, but its row
+    carries the point's negativity and mutual information."""
+    model = {"family": "random", "params": {"range": 2}, "sites": 5, "seed": 0}
+    path = _write(
+        tmp_path, "c.json", {"model": model, "geometry": {"a": [1], "b": [1, 3], "c": [1]}}
+    )
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 0
+    skipped, certified = _csv_records(tmp_path / "certify_summary.csv")
+    assert (skipped["n_b"], skipped["verdict"], skipped["k0"]) == ("1", "SkippedSmallB", "-1")
+    assert skipped["reconstruction_rel_err"] == "nan"
+    for key in ("negativity", "min_pt_eig", "mutual_information", "factorization_op_norm"):
+        assert math.isfinite(float(skipped[key])), key
+    assert certified["verdict"] != "SkippedSmallB"
+    assert not (tmp_path / "certify_a1_b1_c1.json").exists()
+    assert (tmp_path / "certify_a1_b3_c1.json").exists()

@@ -214,7 +214,7 @@ def test_closed_forms_match_interface_products_at_every_radius(family, params, s
     chain = Chain(ia)
     kmax = max(sizes[0], sizes[2])
     for kk in range(kmax + 2):
-        ratio, sandwich = _closed_form(chain, regions, kk)
+        ratio, sandwich, _ = _closed_form(chain, regions, kk)
         got, want = ratio * sandwich, traced_interface_product(chain, regions, kk)
         assert got.support == want.support
         err = np.linalg.norm(got.matrix - want.matrix) / np.linalg.norm(want.matrix)
@@ -387,6 +387,23 @@ def test_certify_forms_no_interface_operator(monkeypatch):
     for k in (1, 2):
         a_k = regions.clip(k)[0]
         assert a_k + regions.b not in solved
+
+
+def test_certify_forms_each_side_exponential_once(monkeypatch):
+    """The core reads the closed form's factors e^{H_{a_k}/2} and
+    e^{H_{c_k}/2}, so certify forms each clipped side's once."""
+    formed = []
+    exp = Chain.exp
+
+    def recording(self, region, t):
+        formed.append((_region(region), t))
+        return exp(self, region, t)
+
+    monkeypatch.setattr(Chain, "exp", recording)
+    ia = builtin_models("random", {"sites": 9, "range": 2, "strength": 1.5, "seed": 1})
+    rep = certify_marginal(ia, RegionsABC.from_sizes(2, 5, 2))
+    assert rep.attempted_k0 == (1, 2)
+    assert sorted(formed) == [((0, 1), 0.5), ((1,), 0.5), ((7,), 0.5), ((7, 8), 0.5)]
 
 
 def test_certify_keeps_no_core_decomposition(monkeypatch):
