@@ -43,7 +43,6 @@ from .gibbs import (
     mutual_information_of,
 )
 from .expansionals import (
-    ContractionReport,
     ExpansionalReport,
     LemmaReport,
     check_lemmas,
@@ -52,7 +51,7 @@ from .expansionals import (
     estimate_uniform_bound,
     expansional,
     factorial_decay_bound,
-    marginal_inverse_norm,
+    marginal_floor_ok,
     tail_norm_bound,
 )
 from .separability import (

@@ -33,8 +33,8 @@ from .separability import (
     TELESCOPE_S,
     VERDICT_SEPARABLE,
     TailCheck,
+    _ac_negativity,
     certify_marginal,
-    negativity,
     ppt_is_exact,
     tail_term,
 )
@@ -365,7 +365,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         ia = replace(spec, sites=na + nb + nc).build()
         chain = Chain(ia, budget)
         regions = RegionsABC.from_sizes(na, nb, nc)
-        neg = negativity(chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
+        neg = _ac_negativity(chain, regions)  # held by the Chain for certify_marginal
         rho_cols = (
             neg.negativity,
             neg.min_pt_eig,

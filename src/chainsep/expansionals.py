@@ -6,13 +6,13 @@ in the interval sizes.  This module computes ||E|| and ||E^{-1}|| when an
 expansional is built, from E formed of `Chain.exp`'s factors and not kept,
 an empirical uniform-norm constant over them (the truncations it reads are
 `RegionsABC.clip`'s) and the proof's factorial bounds built on it, the
-partial-trace contraction check, and the per-instance lemma suite.
+partial-trace contraction check, the marginal floor of rho_B, and the
+per-instance lemma suite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -167,74 +167,39 @@ def tail_norm_bound(g_emp: float, k: int, r: int) -> float:
     return 4.0 * g_emp**3 * factorial_decay_bound(g_emp, k, r)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    input_norm: float
-    output_norm: float
-    ok: bool
-
-
-def contraction_check(rho_b: LocalOperator, x: LocalOperator) -> ContractionReport:
-    """Verify that X -> tr_B[(1_A x rho_B) X] contracts the operator norm."""
+def contraction_check(rho_b: LocalOperator, x: LocalOperator) -> bool:
+    """Whether X -> tr_B[(1_A x rho_B) X] contracts the operator norm."""
     if not set(rho_b.support) <= set(x.support):
         raise GeometryError("rho_B must act on a subset of X's support")
-    weighted = embed(rho_b, x.support) @ x
-    out = partial_trace(weighted, rho_b.support)
-    in_norm = op_norm(x)
-    out_norm = op_norm(out)
-    return ContractionReport(in_norm, out_norm, out_norm <= in_norm * (1 + 1e-10) + 1e-12)
+    out = partial_trace(embed(rho_b, x.support) @ x, rho_b.support)
+    return op_norm(out) <= op_norm(x) * (1 + 1e-10) + 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalFloorReport:
-    """||rho_B^{-1}|| = `inv_norm` against g^4 e^{2rJ + (2J + log d)|B|}, g from the
-    two expansionals at s = -1/2 of its derivation.  Holds the Chain, which does
-    not keep it (no cycle); g, `bound` and `ok` wait for a read.  `ok` fails if
-    min eig(rho_B) <= 0, else compares logs, measuring g only if g = 1 does not
-    decide; g forms e^{tH} of ABC, AB, A and B by `Chain.exp`, each solved again
-    after a streamed read (no corpus case), and raises FloatRangeError where an
+def marginal_floor_ok(system: Interaction | Chain, regions: RegionsABC) -> bool:
+    """Whether ||rho_B^{-1}|| <= g^4 e^{2rJ + (2J + log d)|B|}, g from the two
+    expansionals at s = -1/2 of its derivation.  False if min eig(rho_B) <= 0,
+    else decided in logs, g measured only if g = 1 does not decide.  g forms
+    e^{tH} of ABC, AB, A and B by `Chain.exp`, each solved again after a
+    streamed read (no corpus case), and raises FloatRangeError where an
     interface operator overflows."""
+    chain = Chain.of(system)
+    a, b, c = regions.a, regions.b, regions.c
+    m = min_eig(chain.marginal(regions.all_sites, b))
+    if not m > 0:
+        return False
+    d, j, r = chain.ia.local_dim, chain.ia.strength, chain.ia.interaction_range
 
-    inv_norm: float
-    chain: Chain = field(repr=False)
-    regions: RegionsABC
-
-    def _log_bound(self, log_g: float) -> float:
+    def log_bound(log_g):
         # g = 1 is log_g = 0.0 in the one expression, summed left to right:
         # g >= 1 makes 4 log g >= 0 and rounded addition is monotone, so a pass
         # at g = 1 is a pass at the measured g
-        ia = self.chain.ia
-        d, j, r = ia.local_dim, ia.strength, ia.interaction_range
-        return 4 * log_g + 2 * r * j + (2 * j + math.log(d)) * len(self.regions.b)
+        return 4 * log_g + 2 * r * j + (2 * j + math.log(d)) * len(b)
 
-    @cached_property
-    def g_emp(self) -> float:
-        a, b, c = self.regions.a, self.regions.b, self.regions.c
-        return _uniform((expansional(self.chain, a, b, -0.5),
-                         expansional(self.chain, a + b, c, -0.5)))
-
-    @cached_property
-    def bound(self) -> float:
-        with np.errstate(over="ignore"):  # a bound beyond the float range is reported as inf
-            return float(np.exp(self._log_bound(math.log(self.g_emp))))
-
-    @cached_property
-    def ok(self) -> bool:
-        m = min_eig(self.chain.marginal(self.regions.all_sites, self.regions.b))
-        if not m > 0:
-            return False
-        lhs, slack = -math.log(m), math.log1p(1e-9)
-        return (lhs <= self._log_bound(0.0) + slack
-                or lhs <= self._log_bound(math.log(self.g_emp)) + slack)
-
-
-def marginal_inverse_norm(
-    system: Interaction | Chain, regions: RegionsABC
-) -> MarginalFloorReport:
-    """||rho_B^{-1}|| against its bound: reads min eig(rho_B) now, the rest on demand."""
-    chain = Chain.of(system)
-    m = min_eig(chain.marginal(regions.all_sites, regions.b))
-    return MarginalFloorReport(1.0 / m if m > 0 else math.inf, chain, regions)
+    lhs, slack = -math.log(m), math.log1p(1e-9)
+    if lhs <= log_bound(0.0) + slack:
+        return True
+    g = _uniform((expansional(chain, a, b, -0.5), expansional(chain, a + b, c, -0.5)))
+    return lhs <= log_bound(math.log(g)) + slack
 
 
 @dataclass(frozen=True)
@@ -273,7 +238,7 @@ def check_lemmas(
         z_size_bounds=pr.size_bounds_ok,
         z_split_bounds=pr.split_bounds_ok,
         pinsker=fe.trace_norm_err**2 <= 2 * mi + 1e-9,
-        contraction=contraction_check(chain.marginal(regions.all_sites, regions.a), x).ok,
-        marginal_floor=marginal_inverse_norm(chain, regions).ok,
+        contraction=contraction_check(chain.marginal(regions.all_sites, regions.a), x),
+        marginal_floor=marginal_floor_ok(chain, regions),
         norm_ordering=fe.op_norm_err <= fe.trace_norm_err + 1e-12,
     )

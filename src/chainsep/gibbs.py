@@ -22,24 +22,12 @@ DEFAULT_BUDGET = 4096
 LOG_FLOOR = 1e-300
 # relative slack of the partition-function inequality chains, in the log domain
 PARTITION_RATIO_SLACK = 1e-9
-# how far from 1 the trace of a Gibbs state or of a marginal may be
+# how far from 1 the trace of a marginal of a Gibbs state may be
 NORMALIZATION_TOL = 1e-12
 
 
 def _region(region: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(set(int(s) for s in region)))
-
-
-def _boltzmann(w: np.ndarray) -> np.ndarray:
-    """e^{-(w - w_min)} for an ascending spectrum: in (0, 1], so it cannot overflow."""
-    return np.exp(w[0] - w)
-
-
-def _state(support: tuple[int, ...], m: np.ndarray, local_dim: int) -> LocalOperator:
-    """`m` as a state on `support`, after checking that its trace is 1."""
-    if abs(np.trace(m).real - 1.0) > NORMALIZATION_TOL:
-        raise RuntimeError("Gibbs state failed its normalization check")
-    return LocalOperator(support, m, local_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +198,9 @@ class Spectrum:
     structure is one piece whose u is np.linalg.eigh's own V, read in place;
     any other is one piece per sub-block, and its 1 x 1 blocks are
     `diagonal`: (rows, values), the eigenvector of each value the unit
-    vector at its row.  Only `form` and `_columns` read the pieces, which
-    `Chain._parts` hands to the marginals and log Z in `_solve`'s order, and
-    no code forms V.
+    vector at its row.  Only `form`, which `Chain.exp` calls, and `_columns`
+    read the pieces, which `Chain._parts` hands to the marginals and log Z in
+    `_solve`'s order, and no code forms V.
     """
 
     w: np.ndarray
@@ -248,8 +236,8 @@ class Spectrum:
 
 
 def _subregion(x: Sequence[int], region: tuple[int, ...]) -> tuple[int, ...]:
-    if not (x := _region(x)) or not set(x) <= set(region):
-        raise GeometryError(f"{x} is not a nonempty subregion of {region}")
+    if not (x := _region(x)) or not set(x) < set(region):
+        raise GeometryError(f"{x} is not a nonempty proper subregion of {region}")
     return x
 
 
@@ -300,14 +288,14 @@ class Chain:
 
     Each region Hamiltonian is assembled, checked for Hermiticity and solved
     by `_solve`, never kept.  A read of V (e^{tH_R} by `exp`, the one former
-    of it, or a Gibbs state) holds the Spectrum; a read of marginals or of log Z
-    reads the held pieces, or else streams them, from one source (`_parts`).
-    A Chain is the only reader of a Gibbs state: `gibbs()` returns a view of
-    one.  Everything computed is kept until the context is dropped, so a
-    context should live for one unit of work.  Every public function that
-    takes an Interaction also takes a Chain; given an Interaction, it builds
-    a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is the only place a
-    budget is set.
+    of it) holds the Spectrum; a read of marginals or of log Z reads the held
+    pieces, or else streams them, from one source (`_parts`).  No code forms a
+    whole Gibbs state: a Chain reads its proper marginals only, and `gibbs()`
+    returns a view of them.  Everything computed is kept until the context is
+    dropped, so a context should live for one unit of work.  Every public
+    function that takes an Interaction also takes a Chain; given an
+    Interaction, it builds a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is
+    the only place a budget is set.
     """
 
     def __init__(self, ia: Interaction, budget: int = DEFAULT_BUDGET):
@@ -390,36 +378,29 @@ class Chain:
         from the recorded eigenvalues, else a read of `_parts` for the
         eigenvalues only, which records them.  A streamed read holds no piece:
         V of such a region is solved again only if a later read needs it,
-        `MarginalFloorReport.g_emp`'s `exp` of AB, A and B, which no corpus
-        instance reaches."""
+        `marginal_floor_ok`'s `exp` of AB, A and B, which no corpus instance
+        reaches."""
         region = _region(region)
         w = self.cached(("w", region),
                         lambda: _accumulate(self._parts(region), region, [], self.ia.local_dim)[0])
-        return float(-w[0] + np.log(_boltzmann(w).sum()))
+        return float(-w[0] + np.log(np.exp(w[0] - w).sum()))  # each term in (0, 1]
 
     def marginals(self, region: Sequence[int], xs: Sequence[Sequence[int]]) -> list[LocalOperator]:
-        """rho_X of the Gibbs state on `region` for each X in `xs`, each formed once
-        per Chain: all new proper X in one read of `_parts`, held or streamed, each
-        part added to every rho_X (and, streamed, let go before the next solve);
-        only the rho_X and the eigenvalues are kept, so either way gives the same
-        bits.  X == region, the state, is V diag(p) V^dag, formed by the held
-        Spectrum with p = e^{-(w - w_min)} / sum e^{-(w - w_min)}, which cannot
-        overflow."""
+        """rho_X of the Gibbs state on `region` for each nonempty proper subregion
+        X in `xs`, each formed once per Chain: all new X in one read of `_parts`,
+        held or streamed, each part added to every rho_X (and, streamed, let go
+        before the next solve); only the rho_X and the eigenvalues are kept, so
+        either way gives the same bits."""
         region, d = _region(region), self.ia.local_dim
         xs = [_subregion(x, region) for x in xs]
-        new = [x for x in dict.fromkeys(xs)
-               if x != region and ("marginal", region, x) not in self._memo]
+        new = [x for x in dict.fromkeys(xs) if ("marginal", region, x) not in self._memo]
         if new:
             self._memo[("w", region)], rhos = _accumulate(self._parts(region), region, new, d)
             for x, rho in zip(new, rhos):
-                self._memo[("marginal", region, x)] = _state(x, rho, d)
-
-        def state():
-            sp = self.spectrum(region)
-            z = _boltzmann(sp.w).sum()
-            return _state(region, sp.form(lambda w: np.exp(sp.w[0] - w) / z), d)
-
-        return [self.cached(("marginal", region, x), state) for x in xs]
+                if abs(np.trace(rho).real - 1.0) > NORMALIZATION_TOL:
+                    raise RuntimeError("a Gibbs marginal failed its normalization check")
+                self._memo[("marginal", region, x)] = LocalOperator(x, rho, d)
+        return [self._memo[("marginal", region, x)] for x in xs]
 
     def marginal(self, region: Sequence[int], x: Sequence[int]) -> LocalOperator:
         """rho_X of the Gibbs state on `region`, formed once per Chain (see `marginals`)."""
@@ -427,16 +408,12 @@ class Chain:
 
 
 class GibbsEnsemble(NamedTuple):
-    """The thermal state exp(-H_R)/Z on a region, read from its Chain.  A view
-    that the Chain does not store, so it makes no cycle: `rho` and every
-    marginal are the Chain's own (see `Chain.marginals`)."""
+    """The thermal state exp(-H_R)/Z on a region, read through its proper
+    marginals, which are the Chain's own (see `Chain.marginals`).  A view that
+    the Chain does not store, so it makes no cycle."""
 
     chain: Chain
     region: tuple[int, ...]
-
-    @property
-    def rho(self) -> LocalOperator:
-        return self.chain.marginal(self.region, self.region)
 
 
 def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
@@ -447,7 +424,7 @@ def gibbs(system: Interaction | Chain, region: Sequence[int]) -> GibbsEnsemble:
 
 
 def marginal(g: GibbsEnsemble, x: Sequence[int]) -> LocalOperator:
-    """rho_X = tr_{R\\X} rho of g's Chain; for X = R, the state itself."""
+    """rho_X = tr_{R\\X} rho of g's Chain, for a nonempty proper subregion X."""
     return g.chain.marginal(g.region, x)
 
 
@@ -484,9 +461,6 @@ def mutual_information(system: Interaction | Chain, regions: RegionsABC) -> floa
 
 @dataclass(frozen=True)
 class PartitionRatioReport:
-    z_a: float
-    z_b: float
-    z_ab: float
     ratio_bound_ok: bool          # Tr e^{-H'} / Tr e^{-H} <= e^{||H-H'||}
     size_bounds_ok: bool          # e^{(log d - J)|A|} <= Z_A <= e^{(log d + J)|A|}
     split_bounds_ok: bool         # e^{-rJ} <= Z_A Z_B / Z_AB <= e^{rJ}
@@ -541,9 +515,7 @@ def check_partition_ratios(
 
     rj = ia.interaction_range * j
     split_ok = -rj + lo <= -log_ratio <= rj + hi
-    with np.errstate(over="ignore"):  # a Z beyond the float range is reported as inf
-        z_a, z_b, z_ab = (float(np.exp(log_z[r])) for r in (a, b, ab))
-    return PartitionRatioReport(z_a, z_b, z_ab, bool(ratio_ok), bool(size_ok), bool(split_ok))
+    return PartitionRatioReport(bool(ratio_ok), bool(size_ok), bool(split_ok))
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ def negativity(rho: LocalOperator, cut) -> NegativityResult:
     return NegativityResult(float(np.abs(w[w < 0]).sum()), float(w[0]))
 
 
+def _ac_negativity(chain: Chain, regions: RegionsABC) -> NegativityResult:
+    """The negativity of the Chain's rho_AC across A:C, solved once per Chain."""
+    return chain.cached(("negativity", regions), lambda: negativity(
+        chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c)))
+
+
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
@@ -314,7 +320,7 @@ def certify_marginal(
         raise GeometryError("|B| must be at least the interaction range")
     kmax = max(len(regions.a), len(regions.c))
     candidates = [k0] if k0 is not None else list(range(1, kmax + 1))
-    neg = negativity(chain.marginal(regions.all_sites, regions.ac), (regions.a, regions.c))
+    neg = _ac_negativity(chain, regions)
     attempted = []
     report = None
     for cand in candidates:

@@ -2,7 +2,9 @@
 
 Everything here works at the level of explicit index loops or series
 expansions, on purpose: these implementations share no code path with the
-library routines they check.  `conjugated_marginals_oracle` takes only the
+library routines they check.  `gibbs_state_oracle` is the one whole Gibbs
+state, which the library never forms: a dense eigh of the freshly assembled
+Hamiltonian.  `conjugated_marginals_oracle` takes only the
 Hamiltonian assembly and a whole-matrix exponential from the library, to
 check the spectral route of the certificate's core.  `interface_operator` is
 the one oracle for the interface operator E (and, as E(-conj s)^dag, for
@@ -74,6 +76,16 @@ def partial_trace_oracle(matrix, support, drop, d=2):
             for b in itertools.product(range(d), repeat=n - k):
                 out[r_out, c_out] += matrix[flat(r_kept, b), flat(c_kept, b)]
     return out
+
+
+def gibbs_state_oracle(ia, region):
+    """e^{-(H_R - w_min)} / sum e^{-(w - w_min)} on `region`, from the assembled
+    H_R and np.linalg.eigh: each weight is in (0, 1], so it cannot overflow."""
+    from chainsep import LocalOperator, hamiltonian
+
+    w, v = np.linalg.eigh(hamiltonian(ia, region).matrix)
+    p = np.exp(w[0] - w)
+    return LocalOperator(region, (v * (p / p.sum())) @ v.conj().T, ia.local_dim)
 
 
 def conjugated_marginals_oracle(ia, regions, k):

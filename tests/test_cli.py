@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from chainsep import (Chain, ModelSpec, RegionsABC, cli, factorization_error, hamiltonian,
-                      mutual_information, negativity)
+                      mutual_information, negativity, partial_transpose)
 from chainsep.cli import load_config, main, validate_config
 from chainsep.errors import ConfigError
-from helpers import matrix_digest, record_eigh
+from helpers import matrix_digest, record_eigh, record_solver
 
 
 def _write(tmp_path, name, payload):
@@ -585,6 +585,27 @@ def test_certify_point_diagonalizes_each_matrix_once(tmp_path, monkeypatch):
     h_abc = hamiltonian(ModelSpec.from_dict(model).build(), range(6)).matrix
     assert len(inputs) == len(set(inputs))
     assert inputs.count(matrix_digest(h_abc)) == 1
+
+
+def test_certify_point_solves_the_partial_transpose_once(tmp_path, monkeypatch):
+    """The point's negativity column and certify_marginal's cross-check share
+    one solve of rho_AC's partial transpose."""
+    model = {"family": "random", "params": {"range": 2}, "sites": 6, "seed": 0}
+    path = _write(
+        tmp_path, "c.json", {"model": model, "geometry": {"a": [1], "b": [4], "c": [1]}}
+    )
+    regions = RegionsABC.from_sizes(1, 4, 1)
+
+    def partial_transpose_digest(_):  # on the BLAS threads the command gives its point
+        rho_ac = Chain(ModelSpec.from_dict(model).build()).marginal(regions.all_sites, regions.ac)
+        return matrix_digest(partial_transpose(rho_ac, regions.c).matrix)
+
+    (digest,) = cli._run_items(partial_transpose_digest, [None], 1, 2**6)
+    inputs = record_solver(monkeypatch, "eigvalsh")
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 0
+    (row,) = _csv_records(tmp_path / "certify_summary.csv")
+    assert row["verdict"] != "SkippedSmallB"  # certify ran on this point
+    assert inputs.count(digest) == 1
 
 
 def test_certify_scan_columns_are_the_librarys_numbers(tmp_path):

@@ -31,10 +31,8 @@ from chainsep import (
     factorization_error,
     gibbs,
     hamiltonian,
-    herm_exp,
-    identity,
     marginal,
-    marginal_inverse_norm,
+    marginal_floor_ok,
     min_eig,
     mutual_information,
     mutual_information_of,
@@ -49,6 +47,7 @@ from chainsep.model import ASSEMBLY_BAND, PAULI_X, PAULI_Z, Entries, hamiltonian
 from helpers import (
     entries_of,
     feed_hamiltonian,
+    gibbs_state_oracle,
     matrix_digest,
     partial_trace_oracle,
     random_hermitian,
@@ -78,12 +77,16 @@ def test_partition_function_single_field():
 def test_gibbs_state_is_normalized_and_psd():
     ia = _rand_ia(3)
     g = gibbs(ia, range(6))
-    assert g.rho.trace().real == pytest.approx(1.0)
-    assert np.linalg.eigvalsh(g.rho.matrix).min() > 0
+    rho = gibbs_state_oracle(ia, range(6))
+    assert rho.trace().real == pytest.approx(1.0)
+    assert np.linalg.eigvalsh(rho.matrix).min() > 0
     w = g.chain.spectrum(range(6)).w
     p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
     assert p.sum() == pytest.approx(1.0)
-    assert np.abs(np.linalg.eigvalsh(g.rho.matrix)[::-1] - p).max() <= 1e-14
+    assert np.abs(np.linalg.eigvalsh(rho.matrix)[::-1] - p).max() <= 1e-14
+    rho_x = marginal(g, range(5))
+    assert rho_x.trace().real == pytest.approx(1.0)
+    assert np.linalg.eigvalsh(rho_x.matrix).min() > 0
     z = np.exp(-np.linalg.eigvalsh(hamiltonian(ia, range(6)).matrix)).sum()
     assert np.exp(Chain(ia).log_partition_function(range(6))) == pytest.approx(z)
 
@@ -154,17 +157,34 @@ def test_marginal_consistency(model):
     ia = builtin_models(*MARGINAL_MODELS[model])
     n = len(ia.sites)
     g = gibbs(ia, range(n))
+    rho = gibbs_state_oracle(ia, range(n))
     # contiguous, A u C, a single site, all sites but one
     for x in ((1, 2), (0, n - 1), (2,), tuple(range(1, n))):
         m = marginal(g, x)
-        again = partial_trace(g.rho, tuple(s for s in range(n) if s not in x))
+        again = partial_trace(rho, tuple(s for s in range(n) if s not in x))
         assert m.support == again.support
-        assert m.matrix.dtype == g.rho.matrix.dtype
+        assert m.matrix.dtype == rho.matrix.dtype
         assert np.abs(m.matrix - again.matrix).max() < 1e-13, x
         assert m.trace().real == pytest.approx(1.0)
-    assert marginal(g, range(n)) is g.rho
     with pytest.raises(GeometryError):
         marginal(g, (7,))
+
+
+def test_a_marginal_is_of_a_nonempty_proper_subregion():
+    """No code forms a whole Gibbs state: X = R is a geometry error, on the
+    Chain and on the view, as an empty X or one reaching outside R is."""
+    chain = Chain(builtin_models("tfi", {"sites": 4}))
+    g = gibbs(chain, range(4))
+    for x in (range(4), (0, 1, 2, 3), (), (0, 4)):
+        with pytest.raises(GeometryError):
+            chain.marginal(range(4), x)
+        with pytest.raises(GeometryError):
+            marginal(g, x)
+    with pytest.raises(GeometryError):
+        marginal(g, g.region)
+    with pytest.raises(GeometryError):
+        chain.marginals(range(4), [(0,), range(4)])
+    assert not [key for key in chain._memo if key[0] == "marginal"]
 
 
 def test_marginals_never_form_the_state():
@@ -187,13 +207,12 @@ def test_marginal_checks_the_normalization():
     with pytest.raises(RuntimeError):
         chain.marginal(everything, (0, 5))
     with pytest.raises(RuntimeError):
-        chain.marginal(everything, everything)
+        chain.marginal(everything, everything[1:])
 
 
 def test_a_held_spectrum_is_read_once_for_every_marginal(monkeypatch):
     """With the Spectrum held, all new proper X are summed in one read of its
-    parts, and the view that `gibbs` returns reads the Chain's own marginals
-    and state."""
+    parts, and the view that `gibbs` returns reads the Chain's own marginals."""
     gibbs_module = importlib.import_module("chainsep.gibbs")
     form, seen = gibbs_module._accumulate, []
 
@@ -211,7 +230,6 @@ def test_a_held_spectrum_is_read_once_for_every_marginal(monkeypatch):
     for x, rho in zip(xs, rhos):
         assert marginal(g, x) is rho
         assert marginal(g, x) is chain.marginal(regions.all_sites, x)
-    assert marginal(g, regions.all_sites) is g.rho
     assert seen == [xs]
 
 
@@ -628,8 +646,7 @@ def test_every_reader_matches_the_dense_oracle(model, monkeypatch):
     p = np.exp(w[0] - w) / np.exp(w[0] - w).sum()
     rho = (v * p) @ v.conj().T
     g = gibbs(chain, everything)
-    assert np.abs(g.rho.matrix - rho).max() <= 1e-12
-    for x in ((1, 2), (0, n - 1), (0, 2, 3)):
+    for x in ((1, 2), (0, n - 1), (0, 2, 3), everything[1:]):
         want = partial_trace(LocalOperator(everything, rho), tuple(set(everything) - set(x)))
         assert np.abs(marginal(g, x).matrix - want.matrix).max() <= 1e-12, x
     for t in (0.5, -1.0, 0.3 + 0.4j):
@@ -679,8 +696,8 @@ def test_every_reader_of_a_random_model_is_the_full_solve_bit_for_bit(params):
     p = f / f.sum()
     chain = Chain(ia)
     g = gibbs(chain, everything)
-    pairs = [(g.rho.matrix, (v * p) @ v.conj().T)]
-    for sub in ((1, 2), (0, n - 1), (0, 2, 3)):
+    pairs = []
+    for sub in ((1, 2), (0, n - 1), (0, 2, 3), everything[1:]):
         legs = list(sub) + [i for i in range(n + 1) if i not in sub]
         vt = v.reshape((d,) * n + (-1,)).transpose(legs)
         s = np.multiply(vt, np.sqrt(p), out=np.empty(vt.shape, vt.dtype)).reshape(d ** len(sub), -1)
@@ -1029,7 +1046,7 @@ def test_partition_ratios_hold_where_z_overflows():
     # inequality chains still hold and are checked in logs
     ia = _rand_ia(0, sites=8, strength=2000.0)
     rep = check_partition_ratios(ia, (0, 1, 2, 3), (4, 5, 6, 7))
-    assert rep.z_ab == np.inf
+    assert Chain(ia).log_partition_function(range(8)) > math.log(np.finfo(float).max)
     assert rep.all_ok, rep
 
 
@@ -1041,10 +1058,9 @@ def test_gibbs_quantities_at_a_coupling_where_z_overflows():
     chain = Chain(ia)
     regions = RegionsABC.from_sizes(2, 2, 2)
     g = gibbs(chain, range(6))
-    h = hamiltonian(ia, range(6))
-    lam = np.linalg.eigvalsh(h.matrix)
-    want = herm_exp(h - lam[0] * identity(range(6)), -1.0).matrix
-    assert np.abs(g.rho.matrix - want / np.trace(want).real).max() < 1e-12
+    lam = np.linalg.eigvalsh(hamiltonian(ia, range(6)).matrix)
+    want = partial_trace(gibbs_state_oracle(ia, range(6)), (5,)).matrix
+    assert np.abs(marginal(g, range(5)).matrix - want).max() < 1e-12
     assert marginal(g, (0, 5)).trace().real == pytest.approx(1.0)
     assert np.isfinite(mutual_information(chain, regions))
     err = factorization_error(chain, regions)
@@ -1121,12 +1137,27 @@ def test_pinsker_style_bound():
         assert 0.5 * err.trace_norm_err**2 <= mi + 1e-12, seed
 
 
+def _expansionals(chain):
+    return {k: v for k, v in chain._memo.items() if k[0] == "expansional"}
+
+
+def _floor_log_bounds(ia, regions):
+    """(log of the marginal floor's bound at the measured g, at g = 1, and
+    the two expansionals at s = -1/2 that g is measured from), on a fresh
+    Chain."""
+    a, b, c = regions.a, regions.b, regions.c
+    fresh = Chain(ia)
+    g = _uniform((expansional(fresh, a, b, -0.5), expansional(fresh, a + b, c, -0.5)))
+    assert math.isfinite(g) and g >= 1.0
+    d, j, r = ia.local_dim, ia.strength, ia.interaction_range
+    log_bound, log_bound_at_1 = (4 * log_g + 2 * r * j + (2 * j + math.log(d)) * len(b)
+                                 for log_g in (math.log(g), 0.0))
+    return log_bound, log_bound_at_1, _expansionals(fresh)
+
+
 def test_marginal_floor_bound():
     for seed in range(3):
-        ia = _rand_ia(seed, sites=6)
-        rep = marginal_inverse_norm(ia, RegionsABC.from_sizes(2, 2, 2))
-        assert rep.ok, (seed, rep)
-        assert rep.g_emp >= 1.0
+        assert marginal_floor_ok(_rand_ia(seed, sites=6), RegionsABC.from_sizes(2, 2, 2)), seed
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1135,8 +1166,8 @@ def test_marginal_floor_bound():
     [
         # min eig(rho_B) is rounding noise at these couplings (of order 1e-18
         # to 1e-22, of either sign, as the marginal's sums round), so the
-        # report is held to the m it read: no finite inverse norm and a failed
-        # check if m <= 0, else 1/m against the bound
+        # check is held to the m it read: failed if m <= 0, else -log m
+        # against the log of the bound
         ("tfi", {"coupling": 20.0}, (1, 4, 1), None),
         ("xxz", {"jz": 20.0}, (1, 4, 1), None),
         # the bound exceeds the float range; compared as logs, it still holds
@@ -1147,60 +1178,51 @@ def test_marginal_floor_is_decided_in_the_log_domain(family, params, geometry, o
     ia = builtin_models(family, {"sites": sum(geometry), **params})
     regions = RegionsABC.from_sizes(*geometry)
     chain = Chain(ia)
-    rep = marginal_inverse_norm(chain, regions)
+    got = marginal_floor_ok(chain, regions)
     m = min_eig(chain.marginal(regions.all_sites, regions.b))
-    assert math.isfinite(rep.g_emp)
+    log_bound, _, _ = _floor_log_bounds(ia, regions)
     if m <= 0:
-        assert ok is None and rep.ok is False and rep.inv_norm == math.inf
-        assert math.isfinite(rep.bound)
+        assert ok is None and got is False
     else:
-        assert rep.inv_norm == 1.0 / m
-        assert rep.ok is (-math.log(m) <= math.log(rep.bound) + math.log1p(1e-9))
-        assert ok in (None, rep.ok)
+        assert got is (-math.log(m) <= log_bound + math.log1p(1e-9))
+        assert ok in (None, got)
     if ok:
-        assert rep.bound == math.inf
+        assert log_bound > math.log(np.finfo(float).max)
 
 
 def test_marginal_floor_fails_on_a_marginal_that_is_not_positive():
-    """min eig(rho_B) <= 0 gives no finite inverse norm and fails the check,
-    however large the bound: rho_B is put in the Chain's memo beforehand, a
-    matrix of trace 1 with one eigenvalue -1e-12."""
+    """min eig(rho_B) <= 0 fails the check, however large the bound, and g is
+    not measured: rho_B is put in the Chain's memo beforehand, a matrix of
+    trace 1 with one eigenvalue -1e-12."""
     ia = builtin_models("tfi", {"sites": 5})
     regions = RegionsABC.from_sizes(1, 3, 1)
     chain = Chain(ia)
     rho_b = LocalOperator(regions.b, np.diag([-1e-12, *np.full(7, (1 + 1e-12) / 7)]))
     chain._memo[("marginal", regions.all_sites, regions.b)] = rho_b
     assert min_eig(chain.marginal(regions.all_sites, regions.b)) < 0
-    rep = marginal_inverse_norm(chain, regions)
-    assert rep.ok is False and rep.inv_norm == math.inf
-    assert math.isfinite(rep.bound) and rep.g_emp >= 1.0
+    assert marginal_floor_ok(chain, regions) is False
+    assert not _expansionals(chain)
 
 
 def test_marginal_floor_measures_g_only_when_g_one_does_not_decide():
-    """With min eig(rho_B) between the g = 1 bound and the measured one, the
-    measured g decides: ok, and just past the measured bound, not ok.  g and
-    the bound are the ones of the two expansionals at s = -1/2, bit for bit."""
+    """Where g = 1 decides, g is not measured.  With min eig(rho_B) between
+    the g = 1 bound and the measured one, the measured g decides: ok, and just
+    past the measured bound, not ok.  g is the one of the two expansionals at
+    s = -1/2, bit for bit."""
     ia = builtin_models("tfi", {"sites": 5})
     regions = RegionsABC.from_sizes(1, 3, 1)
-    a, b, c = regions.a, regions.b, regions.c
-    fresh = Chain(ia)
-    g = _uniform((expansional(fresh, a, b, -0.5), expansional(fresh, a + b, c, -0.5)))
-    d, j, r = ia.local_dim, ia.strength, ia.interaction_range
-    log_bound = 4 * math.log(g) + 2 * r * j + (2 * j + math.log(d)) * len(b)
-    log_bound_at_1 = 4 * 0.0 + 2 * r * j + (2 * j + math.log(d)) * len(b)
-    assert log_bound - log_bound_at_1 > 0.1
-    for m, ok in ((math.exp(-(log_bound + log_bound_at_1) / 2), True),
-                  (math.exp(-log_bound) * (1 - 1e-8), False)):
+    b = regions.b
+    log_bound, log_bound_at_1, measured = _floor_log_bounds(ia, regions)
+    assert log_bound - log_bound_at_1 > 0.1 and len(measured) == 2
+    for m, ok, read in ((math.exp(-log_bound_at_1) * (1 + 1e-8), True, {}),
+                        (math.exp(-(log_bound + log_bound_at_1) / 2), True, measured),
+                        (math.exp(-log_bound) * (1 - 1e-8), False, measured)):
         chain = Chain(ia)
         rho_b = LocalOperator(b, np.diag([m, *np.full(7, (1 - m) / 7)]))
         chain._memo[("marginal", regions.all_sites, b)] = rho_b
         assert min_eig(chain.marginal(regions.all_sites, b)) == m
-        rep = marginal_inverse_norm(chain, regions)
-        assert rep.inv_norm == 1.0 / m
-        assert not [k for k in chain._memo if k[0] == "expansional"]
-        assert rep.ok is ok
-        assert [k for k in chain._memo if k[0] == "expansional"]  # g was measured
-        assert rep.g_emp == g and rep.bound == float(np.exp(log_bound))
+        assert marginal_floor_ok(chain, regions) is ok
+        assert _expansionals(chain) == read, m
 
 
 @settings(max_examples=20, deadline=None)

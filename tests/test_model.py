@@ -121,8 +121,9 @@ def test_real_models_stay_real(name, params):
     want = np.complex128 if name == "random" else np.float64
     g = gibbs(ia, ia.sites)
     assert hamiltonian(ia, ia.sites).matrix.dtype == want
-    assert g.rho.matrix.dtype == want
-    assert marginal(g, (0, 4)).matrix.dtype == want
+    assert g.chain.exp(ia.sites, -1.0).matrix.dtype == want  # V diag(e^{-w}) V^dag
+    for x in ((0, 4), (1, 2, 3, 4)):
+        assert marginal(g, x).matrix.dtype == want
 
 
 def test_hamiltonian_empty_region_rejected():

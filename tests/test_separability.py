@@ -22,7 +22,6 @@ from chainsep import (
     decompose_truncated_marginal,
     embed,
     factorization_error,
-    gibbs,
     hamiltonian,
     identity,
     negativity,
@@ -44,6 +43,7 @@ from helpers import (
     NEGATIVITY_ZERO_TOL,
     conjugated_marginals_oracle,
     core_split_rel_err,
+    gibbs_state_oracle,
     interface_operator,
     partial_transpose_oracle,
     random_hermitian,
@@ -177,7 +177,7 @@ def _four_factor_traced_product(chain, regions, kk):
         ea = ec = identity(b)
     ea, ec = embed(ea, hood).matrix, embed(ec, hood).matrix
     f = LocalOperator(hood, ea.conj().T @ ec.conj().T @ ec @ ea)
-    return partial_trace(embed(gibbs(chain, regions.b).rho, hood) @ f, regions.b)
+    return partial_trace(embed(gibbs_state_oracle(chain.ia, regions.b), hood) @ f, regions.b)
 
 
 @pytest.mark.parametrize("sizes", [(2, 4, 2), (3, 3, 2)])
