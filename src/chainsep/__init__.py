@@ -28,7 +28,6 @@ from .model import (
     ModelSpec,
     RegionsABC,
     builtin_models,
-    hamiltonian,
     k_neighborhood,
 )
 from .gibbs import (

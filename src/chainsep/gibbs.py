@@ -15,8 +15,7 @@ from .linalg import (
     partial_trace,
     trace_norm,
 )
-from .model import (ASSEMBLY_BAND, Entries, Interaction, RegionsABC, hamiltonian,
-                    hamiltonian_entries)
+from .model import ASSEMBLY_BAND, Entries, Interaction, RegionsABC, hamiltonian_entries
 
 DEFAULT_BUDGET = 4096
 LOG_FLOOR = 1e-300
@@ -471,16 +470,18 @@ class PartitionRatioReport:
 
 
 def _crossing_norm(ia: Interaction, a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    """||H_AB - H_A - H_B|| for A left of B, on the window W of the 2r sites
-    around the cut: every term that crosses it lies in W, so the difference is
-    H_W - H_{W n A} - H_{W n B}, embedded, and embedding keeps the norm."""
+    """||H_AB - H_A - H_B|| for A left of B: the norm of the sum of the terms in
+    AB that cross the cut.  Each lies in the window W of the 2r sites around
+    the cut, so the sum is assembled on W alone; embedding keeps the norm."""
     r = ia.interaction_range
     if not r:
         return 0.0
     window = tuple(s for s in a + b if b[0] - r <= s < b[0] + r)
-    w_a = tuple(s for s in window if s < b[0])
-    w_b = tuple(s for s in window if s >= b[0])
-    return op_norm(hamiltonian(ia, window) - (hamiltonian(ia, w_a) + hamiltonian(ia, w_b)))
+    pos = {s: i for i, s in enumerate(window)}
+    crossing = [([pos[s] for s in t], m) for t, m in ia.terms.items()
+                if set(t) <= pos.keys() and t[0] < b[0] <= t[-1]]
+    h = Entries.summed(crossing, ia.local_dim, len(window))
+    return op_norm(LocalOperator(window, h.dense(), ia.local_dim))
 
 
 def check_partition_ratios(

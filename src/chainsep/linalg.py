@@ -30,17 +30,8 @@ class LocalOperator:
         support = tuple(int(s) for s in self.support)
         if any(b <= a for a, b in zip(support, support[1:])):
             raise GeometryError(f"support must be strictly increasing: {support}")
-        if self.local_dim < 2:
-            raise ValueError(f"local_dim must be >= 2, got {self.local_dim}")
-        m = np.asarray(self.matrix)
-        m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-        side = self.local_dim ** len(support)
-        if m.shape != (side, side):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match d^|support| = {side}"
-            )
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _as_matrix(self.matrix, len(support), self.local_dim))
 
     @property
     def n_sites(self) -> int:
@@ -51,10 +42,8 @@ class LocalOperator:
         return self.matrix.shape[0]
 
     def is_hermitian(self) -> bool:
-        """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F)."""
-        m = self.matrix
-        tol = HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m)))
-        return bool(np.abs(m - m.conj().T).max() <= tol)
+        """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F), by `are_hermitian`."""
+        return bool(are_hermitian(self.matrix))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -90,6 +79,25 @@ class LocalOperator:
 
     def __neg__(self) -> "LocalOperator":
         return self * (-1.0)
+
+
+def _as_matrix(matrix, n_sites: int, local_dim: int) -> np.ndarray:
+    """`matrix` as float64 if real, else complex128, checked to be d^n x d^n, d >= 2."""
+    if local_dim < 2:
+        raise ValueError(f"local_dim must be >= 2, got {local_dim}")
+    m = np.asarray(matrix)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    side = local_dim**n_sites
+    if m.shape != (side, side):
+        raise ValueError(f"matrix shape {m.shape} does not match d^|support| = {side}")
+    return m
+
+
+def are_hermitian(stack: np.ndarray) -> np.ndarray:
+    """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F), for one matrix M or
+    for each of a stack (..., side, side) at once."""
+    mismatch = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return mismatch <= HERMITICITY_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
 
 
 def identity(support: Sequence[int], local_dim: int = 2) -> LocalOperator:

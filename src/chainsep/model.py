@@ -9,7 +9,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .linalg import LocalOperator, op_norm
+from .linalg import LocalOperator, _as_matrix, are_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -38,28 +38,30 @@ class Interaction:
         object.__setattr__(self, "sites", sites)
         terms = {}
         site_set = set(sites)
-        for supp, mat in self.terms.items():
-            supp = tuple(int(s) for s in supp)
-            if any(b <= a for a, b in zip(supp, supp[1:])):
-                raise GeometryError(f"term support must be sorted: {supp}")
-            if not set(supp) <= site_set:
-                raise GeometryError(f"term support {supp} outside sites")
-            if supp and max(supp) - min(supp) > self.interaction_range:
-                raise GeometryError(
-                    f"term {supp} exceeds declared range {self.interaction_range}"
-                )
-            op = LocalOperator(supp, mat, self.local_dim)  # checks shape, sets dtype
-            if not op.is_hermitian():
-                raise ValueError(f"term {supp} is not Hermitian")
-            terms[supp] = op.matrix
+        try:
+            for supp, mat in self.terms.items():
+                supp = tuple(int(s) for s in supp)
+                if any(b <= a for a, b in zip(supp, supp[1:])):
+                    raise GeometryError(f"term support must be sorted: {supp}")
+                if not set(supp) <= site_set:
+                    raise GeometryError(f"term support {supp} outside sites")
+                if supp and max(supp) - min(supp) > self.interaction_range:
+                    raise GeometryError(
+                        f"term {supp} exceeds declared range {self.interaction_range}"
+                    )
+                terms[supp] = _as_matrix(mat, len(supp), self.local_dim)
+        finally:  # the terms before a malformed one are checked too: the first bad term is named
+            bad = {supp for supps, stack in _stacks(terms)
+                   for supp, ok in zip(supps, are_hermitian(stack)) if not ok}
+            if bad:
+                raise ValueError(f"term {next(s for s in terms if s in bad)} is not Hermitian")
         object.__setattr__(self, "terms", terms)
 
     @cached_property
     def strength(self) -> float:
         """Per-site sup of summed operator norms of the terms touching it."""
         per_site = {s: 0.0 for s in self.sites}
-        for supp, mat in self.terms.items():
-            nrm = op_norm(LocalOperator(supp, mat, self.local_dim))
+        for supp, nrm in _term_norms(self.terms).items():
             for s in supp:
                 per_site[s] += nrm
         return max(per_site.values(), default=0.0)
@@ -79,6 +81,24 @@ class Interaction:
                 if not np.array_equal(self.terms.get(image), reflected):
                     return False
         return True
+
+
+def _stacks(terms: Mapping[tuple[int, ...], np.ndarray]) -> list[tuple[list, np.ndarray]]:
+    """The terms in stacks of one shape and dtype, each with its supports in term order."""
+    groups: dict = {}
+    for supp, mat in terms.items():
+        groups.setdefault((mat.shape, mat.dtype), []).append(supp)
+    return [(supps, np.stack([terms[s] for s in supps])) for supps in groups.values()]
+
+
+def _term_norms(terms: Mapping[tuple[int, ...], np.ndarray]) -> dict[tuple[int, ...], float]:
+    """Each Hermitian term's operator norm, in term order, from one eigvalsh per
+    stack: bit for bit the `op_norm` of the term alone."""
+    norms = {}
+    for supps, stack in _stacks(terms):
+        top = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1, initial=0.0)
+        norms.update(zip(supps, top.tolist()))
+    return {supp: norms[supp] for supp in terms}
 
 
 @dataclass(frozen=True)
@@ -143,47 +163,53 @@ class Entries(NamedTuple):
         m[self.keys] = self.values
         return m.reshape(self.side, self.side)
 
+    @classmethod
+    def summed(cls, placed: Sequence[tuple[list[int], np.ndarray]], d: int, n: int) -> "Entries":
+        """The sum of terms on n sites of dimension d, each given as the sorted
+        positions P it acts on and its matrix.  A term puts its entry (a, b) at
+        each row that reads a on P and column that reads b on P, the two
+        agreeing off P.  The rows are summed a band at a time, each term added
+        in place in the given order, in the terms' result dtype: `dense()` is,
+        bit for bit, the embedded terms added one by one to zero."""
+        dtype = np.result_type(float, *{m.dtype for _, m in placed})
+        c = next(c for c in range(n + 1) if d ** (2 * n - c) <= ASSEMBLY_BAND or c == n)
+        rows, keys, values = d ** (n - c), [], []
+        for b, lead in enumerate(np.ndindex((d,) * c)):  # the rows that read `lead` on positions < c
+            band = np.zeros((rows, d**n), dtype)
+            for at, mat in placed:  # each term added in place to a view of the entries it reaches
+                k = len(at)
+                if k and at[0] >= c and at[-1] - at[0] == k - 1:
+                    # I (x) M (x) I where the columns read `lead` too: M at each (l, :, r) block
+                    shape = (d ** (at[0] - c), len(mat), d ** (n - at[-1] - 1))
+                    own = band[:, b * rows:(b + 1) * rows].reshape(shape + shape)
+                    np.einsum("larlbr->lrab", own)[...] += mat
+                    continue
+                # a digit per axis: off P a column reads its row's (`lead` before c), on P any
+                y = {p: chr(65 + i) for i, p in enumerate(at)}
+                row = "".join(chr(97 + q) for q in range(c, n))
+                col = [(lead[q], "") if q < c and q not in y else (slice(None), y.get(q, chr(97 + q)))
+                       for q in range(n)]
+                view = np.einsum(f"{row}{''.join(a for _, a in col)}->{row}{''.join(y.values())}",
+                                 band.reshape((d,) * (2 * n - c))[(...,) + tuple(i for i, _ in col)])
+                m = mat.reshape((d,) * 2 * k)[tuple(lead[p] if p < c else slice(None) for p in at)]
+                view += m.reshape([d if q in y else 1 for q in range(c, n)] + [d] * k)
+            kept = np.flatnonzero(band != 0)
+            keys.append(kept + b * band.size)
+            values.append(band.ravel()[kept])
+        return cls(np.concatenate(keys), np.concatenate(values), d**n)
+
 
 def hamiltonian_entries(ia: Interaction, region: Sequence[int]) -> Entries:
-    """H_R, the sum of all interaction terms fully contained in `region`, as its
-    nonzero entries.  A term on the positions P of R puts its entry (a, b) at
-    each row that reads a on P and column that reads b on P, the two agreeing
-    off P.  The rows are summed a band at a time, each term added in place in
-    term order, in the terms' result dtype: `dense()` is, bit for bit, the
-    embedded terms added one by one to zero."""
+    """H_R, the sum of all interaction terms fully contained in `region`, in term
+    order, as its nonzero entries (see `Entries.summed`)."""
     region = tuple(sorted(set(int(s) for s in region)))
     if not region:
         raise GeometryError("hamiltonian of an empty region is undefined")
     if not set(region) <= set(ia.sites):
         raise GeometryError(f"region {region} has sites outside the chain {ia.sites}")
-    d, n, pos = ia.local_dim, len(region), {s: i for i, s in enumerate(region)}
+    pos = {s: i for i, s in enumerate(region)}
     inside = [([pos[s] for s in t], m) for t, m in ia.terms.items() if set(t) <= pos.keys()]
-    dtype = np.result_type(float, *{m.dtype for _, m in inside})
-    c = next(c for c in range(n + 1) if d ** (2 * n - c) <= ASSEMBLY_BAND or c == n)
-    rows, keys, values = d ** (n - c), [], []
-    for b, lead in enumerate(np.ndindex((d,) * c)):  # the rows that read `lead` on positions < c
-        band = np.zeros((rows, d**n), dtype)
-        for at, mat in inside:  # each term added in place to a view of the entries it reaches
-            k = len(at)
-            if k and at[0] >= c and at[-1] - at[0] == k - 1:
-                # I (x) M (x) I where the columns read `lead` too: M at each (l, :, r) block
-                shape = (d ** (at[0] - c), len(mat), d ** (n - at[-1] - 1))
-                own = band[:, b * rows:(b + 1) * rows].reshape(shape + shape)
-                np.einsum("larlbr->lrab", own)[...] += mat
-                continue
-            # a digit per axis: off P a column reads its row's (`lead` before c), on P any
-            y = {p: chr(65 + i) for i, p in enumerate(at)}
-            row = "".join(chr(97 + q) for q in range(c, n))
-            col = [(lead[q], "") if q < c and q not in y else (slice(None), y.get(q, chr(97 + q)))
-                   for q in range(n)]
-            view = np.einsum(f"{row}{''.join(a for _, a in col)}->{row}{''.join(y.values())}",
-                             band.reshape((d,) * (2 * n - c))[(...,) + tuple(i for i, _ in col)])
-            m = mat.reshape((d,) * 2 * k)[tuple(lead[p] if p < c else slice(None) for p in at)]
-            view += m.reshape([d if q in y else 1 for q in range(c, n)] + [d] * k)
-        kept = np.flatnonzero(band != 0)
-        keys.append(kept + b * band.size)
-        values.append(band.ravel()[kept])
-    return Entries(np.concatenate(keys), np.concatenate(values), d**n)
+    return Entries.summed(inside, ia.local_dim, len(region))
 
 
 def hamiltonian(ia: Interaction, region: Sequence[int]) -> LocalOperator:
@@ -235,12 +261,12 @@ def _random(sites, range_=2, strength=2.0, seed=0, local_dim=2):
     """Random finite-range model, deliberately not translation invariant.
 
     Terms are drawn on all contiguous supports of diameter <= range_, each
-    normalized by its one op_norm and weighted, then globally rescaled so the
+    normalized by its operator norm and weighted, then globally rescaled so the
     per-site sum of their norms equals `strength`.
     """
     rng = np.random.default_rng(seed)
     d = local_dim
-    terms, norms = {}, {}
+    drawn, weights = {}, {}
     n = len(sites)
     for length in range(1, range_ + 2):
         for i in range(n - length + 1):
@@ -249,10 +275,11 @@ def _random(sites, range_=2, strength=2.0, seed=0, local_dim=2):
             g = rng.standard_normal((side, side)) + 1j * rng.standard_normal(
                 (side, side)
             )
-            h = (g + g.conj().T) / 2
-            nrm = op_norm(LocalOperator(supp, h, d))
-            scale, u = max(nrm, 1e-12), rng.uniform(0.2, 1.0)
-            terms[supp], norms[supp] = h / scale * u, nrm / scale * u  # a term, its norm
+            drawn[supp], weights[supp] = (g + g.conj().T) / 2, rng.uniform(0.2, 1.0)
+    terms, norms = {}, {}
+    for supp, nrm in _term_norms(drawn).items():
+        scale, u = max(nrm, 1e-12), weights[supp]
+        terms[supp], norms[supp] = drawn[supp] / scale * u, nrm / scale * u  # a term, its norm
     j = max((sum(v for supp, v in norms.items() if s in supp) for s in sites), default=0.0)
     if j > 0:
         terms = {k: v * (strength / j) for k, v in terms.items()}

@@ -81,7 +81,8 @@ def partial_trace_oracle(matrix, support, drop, d=2):
 def gibbs_state_oracle(ia, region):
     """e^{-(H_R - w_min)} / sum e^{-(w - w_min)} on `region`, from the assembled
     H_R and np.linalg.eigh: each weight is in (0, 1], so it cannot overflow."""
-    from chainsep import LocalOperator, hamiltonian
+    from chainsep import LocalOperator
+    from chainsep.model import hamiltonian
 
     w, v = np.linalg.eigh(hamiltonian(ia, region).matrix)
     p = np.exp(w[0] - w)
@@ -92,7 +93,8 @@ def conjugated_marginals_oracle(ia, regions, k):
     """(rho~_A, rho~_C, rho~_AC), each e^{H_X/2} rho_X e^{H_X/2}, for A and C
     clipped to the k-neighbourhood of B and its Gibbs state, from freshly
     assembled Hamiltonians exponentiated whole and partial_trace_oracle."""
-    from chainsep import hamiltonian, herm_exp, k_neighborhood
+    from chainsep import herm_exp, k_neighborhood
+    from chainsep.model import hamiltonian
 
     d = ia.local_dim
     hood = k_neighborhood(regions, k)
@@ -138,7 +140,8 @@ def core_split_rel_err(core, tilde_a, tilde_c, tilde_ac):
 def interface_operator(ia, x, y, s):
     """E(s) = e^{-sH_XY} e^{s(H_X (x) 1 + 1 (x) H_Y)} on X + Y.  Since
     (e^{cH})^dag = e^{conj(c) H}, E(s)^{-1} = interface_operator(ia, x, y, -conj(s))^dag."""
-    from chainsep import embed, hamiltonian, herm_exp
+    from chainsep import embed, herm_exp
+    from chainsep.model import hamiltonian
 
     xy = tuple(x) + tuple(y)
     h_split = embed(hamiltonian(ia, x), xy) + embed(hamiltonian(ia, y), xy)
@@ -155,7 +158,8 @@ def traced_interface_product(chain, regions, kk):
     is the Gram tr_B[N^dag N] of N = M (1 (x) (rho^B)^{1/2} (x) 1): Hermitian
     PSD by construction, from one matmul of neighbourhood size.
     """
-    from chainsep import LocalOperator, embed, hamiltonian, identity
+    from chainsep import LocalOperator, embed, identity
+    from chainsep.model import hamiltonian
     from chainsep.separability import TELESCOPE_S
 
     def build():

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from chainsep import (Chain, ModelSpec, RegionsABC, cli, factorization_error, hamiltonian,
+from chainsep import (Chain, ModelSpec, RegionsABC, cli, factorization_error,
                       mutual_information, negativity, partial_transpose)
 from chainsep.cli import load_config, main, validate_config
+from chainsep.model import hamiltonian
 from chainsep.errors import ConfigError
 from helpers import matrix_digest, record_eigh, record_solver
 

@@ -25,13 +25,13 @@ from chainsep import (
     expansional,
     factorial_decay_bound,
     gibbs,
-    hamiltonian,
     herm_exp,
     kron,
     marginal,
     min_eig,
     op_norm,
 )
+from chainsep.model import hamiltonian
 from helpers import (
     embed_oracle,
     interface_operator,

@@ -30,7 +30,6 @@ from chainsep import (
     expansional,
     factorization_error,
     gibbs,
-    hamiltonian,
     marginal,
     marginal_floor_ok,
     min_eig,
@@ -42,7 +41,8 @@ from chainsep import (
 from chainsep.expansionals import _uniform
 from chainsep.gibbs import (DEFAULT_BUDGET, GibbsEnsemble, Piece, Spectrum, _columns,
                             _components, _crossing_norm)
-from chainsep.model import ASSEMBLY_BAND, PAULI_X, PAULI_Z, Entries, hamiltonian_entries
+from chainsep.model import (ASSEMBLY_BAND, PAULI_X, PAULI_Z, Entries, hamiltonian,
+                            hamiltonian_entries)
 
 from helpers import (
     entries_of,
@@ -133,11 +133,10 @@ def test_only_chain_takes_a_budget(monkeypatch):
 
     # an Interaction gets a Chain at the default budget, checked before assembly
     assembled = []
-    for module in ("chainsep.gibbs", "chainsep.model"):
-        for name in ("hamiltonian", "hamiltonian_entries"):
-            monkeypatch.setattr(
-                importlib.import_module(module), name, lambda *a: assembled.append(a)
-            )
+    for module, name in (("chainsep.gibbs", "hamiltonian_entries"),
+                         ("chainsep.model", "hamiltonian"), ("chainsep.model", "hamiltonian_entries")):
+        monkeypatch.setattr(importlib.import_module(module), name, lambda *a: assembled.append(a))
+    monkeypatch.setattr(Entries, "summed", lambda *a: assembled.append(a))
     ia = builtin_models("tfi", {"sites": 13})
     with pytest.raises(BudgetError) as exc:
         gibbs(ia, range(13))
@@ -981,6 +980,54 @@ def test_crossing_norm_matches_the_whole_region_formula(family, params):
         a, b = sites[:cut], sites[cut:]
         want = _crossing_norm_oracle(ia, a, b)
         assert _crossing_norm(ia, a, b) == pytest.approx(want, rel=1e-12, abs=1e-14), cut
+
+
+def _crossing_norm_three_assemblies(ia, a, b):
+    """H_W - H_{W n A} - H_{W n B} on the window W of the 2r sites around the cut."""
+    r = ia.interaction_range
+    window = tuple(s for s in a + b if b[0] - r <= s < b[0] + r)
+    w_a = tuple(s for s in window if s < b[0])
+    w_b = tuple(s for s in window if s >= b[0])
+    return op_norm(hamiltonian(ia, window) - (hamiltonian(ia, w_a) + hamiltonian(ia, w_b)))
+
+
+def _lemma_corpus_models():
+    """The first instances of verify-lemmas' default corpus at seed 1."""
+    from chainsep.cli import _DEFAULTS, _random_spec
+
+    specs = [_random_spec(100003 + i, _DEFAULTS["corpus"]) for i in range(12)]
+    assert {spec.params["range"] for spec in specs} == {1, 2}
+    return [spec.build() for spec in specs]
+
+
+def test_crossing_norm_matches_three_window_assemblies():
+    """On lemma-corpus models of range 1 and 2, tfi and xxz, for every cut of
+    the chain and of the chain less its end sites (so some crossing terms reach
+    outside AB): within 1e-13 of the three-assembly difference."""
+    models = _lemma_corpus_models() + [
+        builtin_models("tfi", {"sites": 7, "coupling": 1.3, "field": 0.7}),
+        builtin_models("xxz", {"sites": 7, "jz": 2.0, "field": 0.3}),
+    ]
+    for ia in models:
+        for sites in (ia.sites, ia.sites[1:-1]):
+            for cut in range(1, len(sites)):
+                a, b = sites[:cut], sites[cut:]
+                want = _crossing_norm_three_assemblies(ia, a, b)
+                got = _crossing_norm(ia, a, b)
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (ia.sites, a, b)
+
+
+def test_crossing_norm_leaves_out_window_terms_that_do_not_cross():
+    # tfi's fields lie in the window but do not cross: the norm is the bond's
+    ia = builtin_models("tfi", {"sites": 6, "coupling": 1.3, "field": 40.0})
+    assert _crossing_norm(ia, (0, 1, 2), (3, 4, 5)) == 1.3
+    # scaling a range-2 model's terms on one side of the cut does not move it
+    ia = builtin_models("random", {"sites": 6, "range": 2, "seed": 3})
+    a, b = (0, 1, 2), (3, 4, 5)
+    inflated = {t: m if t[0] < b[0] <= t[-1] else 1e3 * m for t, m in ia.terms.items()}
+    big = Interaction(2, ia.sites, inflated, 2)
+    assert {(1, 2), (3, 4), (1,), (4,)} <= ia.terms.keys()  # in the window (1, 2, 3, 4)
+    assert _crossing_norm(big, a, b) == _crossing_norm(ia, a, b)
 
 
 def test_entropy_examples():

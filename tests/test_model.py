@@ -9,17 +9,17 @@ from chainsep import (
     ConfigError,
     GeometryError,
     Interaction,
+    LocalOperator,
     ModelSpec,
     RegionsABC,
     builtin_models,
     embed,
     gibbs,
-    hamiltonian,
     k_neighborhood,
     marginal,
     op_norm,
 )
-from chainsep.model import PAULI_X, PAULI_Z, hamiltonian_entries
+from chainsep.model import PAULI_X, PAULI_Z, _term_norms, hamiltonian, hamiltonian_entries
 
 from helpers import embed_oracle, random_hermitian, record_solver
 
@@ -190,28 +190,138 @@ def test_strength_is_computed_once(monkeypatch):
     calls = record_solver(monkeypatch, "eigvalsh")
     assert ia.strength == pytest.approx(1.5, rel=1e-12)
     assert calls == []
-    # a fresh interaction on the same terms pays one op_norm per term, once
+    # a fresh interaction on the same terms pays one eigvalsh per term side, once
     fresh = Interaction(ia.local_dim, ia.sites, ia.terms, ia.interaction_range)
     assert fresh.strength == ia.strength
     assert fresh.strength == ia.strength
-    assert len(calls) == len(ia.terms)
+    assert len(calls) == len({mat.shape for mat in ia.terms.values()}) == 3
 
 
-def test_random_model_pays_two_op_norms_per_term(monkeypatch):
-    # one to normalize each drawn term, one for the strength, read once
+def test_random_model_pays_two_eigvalsh_per_term_side(monkeypatch):
+    # one stack per side normalizes the drawn terms, one more gives the strength,
+    # read once; each norm is, bit for bit, the op_norm of the term alone
     import chainsep.model
 
-    supports = []
+    stacks = []
 
-    def counting_op_norm(op):
-        supports.append(op.support)
-        return op_norm(op)
+    def recording_term_norms(terms):
+        norms = _term_norms(terms)
+        stacks.append((dict(terms), norms))
+        return norms
 
-    monkeypatch.setattr(chainsep.model, "op_norm", counting_op_norm)
+    monkeypatch.setattr(chainsep.model, "_term_norms", recording_term_norms)
+    calls = record_solver(monkeypatch, "eigvalsh")
     ia = builtin_models("random", {"sites": 6, "range": 2, "strength": 1.5, "seed": 2})
     assert ia.strength == pytest.approx(1.5, rel=1e-12)
     assert ia.strength == pytest.approx(1.5, rel=1e-12)
-    assert sorted(supports) == sorted(2 * list(ia.terms))
+    assert len(calls) == 2 * len({mat.shape for mat in ia.terms.values()}) == 6
+    (drawn, drawn_norms), (terms, term_norms) = stacks
+    assert list(drawn) == list(drawn_norms) == list(terms) == list(term_norms) == list(ia.terms)
+    for read, norms in ((drawn, drawn_norms), (terms, term_norms)):
+        for supp, mat in read.items():
+            assert norms[supp] == op_norm(LocalOperator(supp, mat, 2)), supp
+
+
+def _random_term_by_term(sites, range_, strength, seed, local_dim):
+    """The random family with each drawn term normalized by its own op_norm."""
+    rng, d, n = np.random.default_rng(seed), local_dim, len(sites)
+    terms, norms = {}, {}
+    for length in range(1, range_ + 2):
+        for i in range(n - length + 1):
+            supp, side = tuple(sites[i : i + length]), d**length
+            g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            h = (g + g.conj().T) / 2
+            nrm = op_norm(LocalOperator(supp, h, d))
+            scale, u = max(nrm, 1e-12), rng.uniform(0.2, 1.0)
+            terms[supp], norms[supp] = h / scale * u, nrm / scale * u
+    j = max((sum(v for supp, v in norms.items() if s in supp) for s in sites), default=0.0)
+    return {k: v * (strength / j) for k, v in terms.items()} if j > 0 else terms
+
+
+def _strength_term_by_term(ia):
+    per_site = {s: 0.0 for s in ia.sites}
+    for supp, mat in ia.terms.items():
+        nrm = op_norm(LocalOperator(supp, mat, ia.local_dim))
+        for s in supp:
+            per_site[s] += nrm
+    return max(per_site.values(), default=0.0)
+
+
+def test_stacked_term_norms_match_one_op_norm_per_term():
+    """Terms and strength, bit for bit, against one op_norm per term: random on
+    seeds 0-49 over 3-9 sites, range 1-3 and local_dim 2 and 3, and every other family."""
+    for seed in range(50):
+        n, range_ = 3 + seed % 7, 1 + seed % 3
+        for d in (2, 3):
+            params = {"sites": n, "range": range_, "strength": 1.0 + seed / 25, "seed": seed,
+                      "local_dim": d}
+            ia = builtin_models("random", params)
+            want = _random_term_by_term(ia.sites, range_, params["strength"], seed, d)
+            assert list(ia.terms) == list(want), params
+            for supp, mat in want.items():
+                got = ia.terms[supp]
+                assert got.dtype == mat.dtype and got.tobytes() == mat.tobytes(), (params, supp)
+            assert ia.strength == _strength_term_by_term(ia), params
+    for name, params in (("tfi", {"coupling": 0.8, "field": 1.3}), ("xxz", {"jz": 1.7}),
+                         ("xxz", {"jxy": 0.6, "field": 0.3}),
+                         ("classical_ising", {"field": 0.4}), ("zero", {})):
+        ia = builtin_models(name, dict(params, sites=6))
+        assert ia.strength == _strength_term_by_term(ia), name
+        for supp, nrm in _term_norms(ia.terms).items():
+            assert nrm == op_norm(LocalOperator(supp, ia.terms[supp], 2)), (name, supp)
+
+
+def _check_term_by_term(local_dim, sites, terms, range_):
+    """Interaction's term checks made one LocalOperator per term, in term order."""
+    for supp, mat in terms.items():
+        supp = tuple(int(s) for s in supp)
+        if any(b <= a for a, b in zip(supp, supp[1:])):
+            raise GeometryError(f"term support must be sorted: {supp}")
+        if not set(supp) <= set(sites):
+            raise GeometryError(f"term support {supp} outside sites")
+        if supp and max(supp) - min(supp) > range_:
+            raise GeometryError(f"term {supp} exceeds declared range {range_}")
+        if not LocalOperator(supp, mat, local_dim).is_hermitian():
+            raise ValueError(f"term {supp} is not Hermitian")
+
+
+RAISING = np.array([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian
+ZZ = np.kron(PAULI_Z, PAULI_Z)
+
+
+@pytest.mark.parametrize(
+    "local_dim,terms",
+    [
+        (2, {(0, 1): ZZ, (1,): RAISING}),
+        (2, {(0,): PAULI_X, (1, 2): 1j * ZZ}),
+        (2, {(0, 1): ZZ, (1,): PAULI_X, (2,): ZZ}),
+        (2, {(0, 1): ZZ, (2, 1): ZZ}),
+        (1, {(0,): np.ones((1, 1))}),
+        (2, {(0, 3): ZZ}),
+        (2, {(0,): PAULI_X, (4,): PAULI_Z}),
+        # two bad terms: the first in term order is named
+        (2, {(0,): RAISING, (1,): PAULI_Z, (2,): 1j * RAISING}),
+        (2, {(1,): PAULI_X, (2,): 1j * RAISING, (0,): RAISING}),
+        (2, {(0,): RAISING, (1,): ZZ}),
+        (2, {(0,): ZZ, (1,): RAISING}),
+        (2, {(1, 0): ZZ, (1,): RAISING}),
+        (2, {(2,): 1j * RAISING, (2, 1): ZZ}),
+    ],
+    ids=["non-hermitian", "non-hermitian-complex", "wrong-shape", "unsorted", "local-dim-1",
+         "beyond-range", "outside-sites", "two-non-hermitian", "two-non-hermitian-stacks",
+         "non-hermitian-then-shape", "shape-then-non-hermitian", "unsorted-then-non-hermitian",
+         "non-hermitian-then-unsorted"],
+)
+def test_term_checks_name_the_first_bad_term(local_dim, terms):
+    """The stacked checks raise what checking one LocalOperator per term does:
+    the same exception type and message, on the first bad term in term order."""
+    sites = (0, 1, 2, 3)
+    with pytest.raises(Exception) as want:
+        _check_term_by_term(local_dim, sites, terms, 2)
+    with pytest.raises(Exception) as got:
+        Interaction(local_dim, sites, terms, 2)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_zero_model_strength():

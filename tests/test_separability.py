@@ -22,7 +22,6 @@ from chainsep import (
     decompose_truncated_marginal,
     embed,
     factorization_error,
-    hamiltonian,
     identity,
     negativity,
     op_norm,
@@ -31,7 +30,7 @@ from chainsep import (
     tail_term,
 )
 from chainsep.gibbs import _region
-from chainsep.model import Entries, k_neighborhood
+from chainsep.model import Entries, hamiltonian, k_neighborhood
 from chainsep.separability import (
     TELESCOPE_S,
     VERDICT_SEPARABLE,
