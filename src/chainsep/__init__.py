@@ -4,7 +4,6 @@ from .errors import (
     BudgetError,
     ChainsepError,
     ConfigError,
-    EmptyIntersectionError,
     FloatRangeError,
     GeometryError,
 )
@@ -21,7 +20,6 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     trace_norm,
-    zero,
 )
 from .model import (
     Interaction,

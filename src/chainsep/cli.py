@@ -110,7 +110,6 @@ _DEFAULTS = {
     "jobs": 1,
     "budget": DEFAULT_BUDGET,
     "instances": 100,
-    "k_range": [1, 3],
     "corpus": {"max_range": 2, "strength": 2.0, "min_sites": 4, "max_sites": 8},
 }
 # keys a config may set that have no default
@@ -168,14 +167,6 @@ def validate_config(cfg: dict) -> None:
     for key in ("jobs", "instances"):
         if cfg[key] < 1:
             raise ConfigError(f"{key!r} must be >= 1")
-    kr = cfg["k_range"]
-    if (
-        not isinstance(kr, list)
-        or len(kr) != 2
-        or not all(_is_int(k) and k >= 0 for k in kr)
-        or kr[0] > kr[1]
-    ):
-        raise ConfigError("'k_range' must be [k_min, k_max] with 0 <= k_min <= k_max")
     if "geometry" in cfg:
         geo = cfg["geometry"]
         if not isinstance(geo, dict) or not all(k in geo for k in ("a", "b", "c")):
@@ -307,15 +298,14 @@ def cmd_scan_decay(cfg: dict, out: Path) -> int:
     if len(geo["a"]) > 1 or len(geo["c"]) > 1:
         raise ConfigError("scan-decay scans |B| only: geometry 'a' and 'c' take one size each")
     (na,), (nc,) = geo["a"], geo["c"]
-    k_lo, k_hi = cfg["k_range"]
 
-    # tail-term scan at the largest gap in the grid
+    # every nonzero tail, k < max(|A|, |C|), at the largest gap in the grid
     nb = max(geo["b"])
     chain = Chain(replace(spec, sites=na + nb + nc).build(), budget)
     regions = RegionsABC.from_sizes(na, nb, nc)
-    g_emp = covering_bound(chain, regions, range(k_lo, k_hi + 2), TELESCOPE_S)
+    g_emp = covering_bound(chain, regions, TELESCOPE_S)
     tail_rows = []
-    for k in range(k_lo, k_hi + 1):
+    for k in range(regions.kmax):
         t = tail_term(chain, regions, k)
         bound = tail_norm_bound(g_emp, k, chain.ia.interaction_range)
         tail_rows.append((k, t.norm, bound))

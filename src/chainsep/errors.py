@@ -13,10 +13,6 @@ class FloatRangeError(ChainsepError, ValueError):
     """A quantity that a verdict or report needs lies beyond the float range."""
 
 
-class EmptyIntersectionError(ChainsepError):
-    """A truncated region came out empty; callers decide how to proceed."""
-
-
 class BudgetError(ChainsepError, RuntimeError):
     """A dense computation would exceed the configured dimension budget."""
 

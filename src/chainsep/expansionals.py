@@ -138,22 +138,15 @@ def estimate_uniform_bound(
     return UniformBoundEstimate(_uniform(reps), tuple(entries))
 
 
-def covering_bound(
-    system: Interaction | Chain,
-    regions: RegionsABC,
-    k_values: Sequence[int],
-    s: complex,
-) -> float:
+def covering_bound(system: Interaction | Chain, regions: RegionsABC, s: complex) -> float:
     """Uniform-norm constant measured over every interface operator the
-    telescope uses: A:B and AB:C, untruncated and clipped to (a_k, c_k) for
-    each requested k."""
+    telescope uses: A:B and AB:C clipped to (a_k, c_k) for k = 1 .. kmax,
+    the last untruncated (k = 0 clips both to nothing)."""
     chain = Chain.of(system)
-    a, b, c = regions.a, regions.b, regions.c
-    pairs = [(a, b), (a + b, c)]
-    for a_k, c_k in map(regions.clip, k_values):
-        if a_k:  # k = 0 clips both to nothing
-            pairs += [(a_k, b), (a_k + b, c_k)]
-    return _uniform(expansional(chain, x, y, s) for x, y in pairs)
+    b = regions.b
+    return _uniform(expansional(chain, x, y, s)
+                    for a_k, c_k in map(regions.clip, range(1, regions.kmax + 1))
+                    for x, y in ((a_k, b), (a_k + b, c_k)))
 
 
 def factorial_decay_bound(g_emp: float, ell: int, r: int) -> float:

@@ -105,12 +105,6 @@ def identity(support: Sequence[int], local_dim: int = 2) -> LocalOperator:
     return LocalOperator(support, np.eye(local_dim ** len(support)), local_dim)
 
 
-def zero(support: Sequence[int], local_dim: int = 2) -> LocalOperator:
-    support = tuple(sorted(int(s) for s in support))
-    side = local_dim ** len(support)
-    return LocalOperator(support, np.zeros((side, side)), local_dim)
-
-
 def _align(a: LocalOperator, b: LocalOperator) -> tuple[LocalOperator, LocalOperator]:
     if a.local_dim != b.local_dim:
         raise GeometryError("operators have different local dimensions")

@@ -133,6 +133,11 @@ class RegionsABC:
     def ac(self) -> tuple[int, ...]:
         return self.a + self.c
 
+    @property
+    def kmax(self) -> int:
+        """max(|A|, |C|): from this radius on, `clip` leaves A and C whole."""
+        return max(len(self.a), len(self.c))
+
     def clip(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(a_k, c_k): the sites of A and of C within k of B.  This is the
         proof's one truncation: every k-truncated object lives on a_k, B, c_k."""
@@ -305,10 +310,9 @@ def builtin_models(name: str, params: Mapping) -> Interaction:
     n = params.pop("sites", None)
     if n is None:
         raise ConfigError("model params must include 'sites'")
-    listed = isinstance(n, (list, tuple))
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in (n if listed else [n])):
-        raise ConfigError(f"model 'sites' must be an integer or a list of integers, got {n!r}")
-    sites = tuple(n) if listed else tuple(range(n))
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ConfigError(f"model 'sites' must be an integer, got {n!r}")
+    sites = tuple(range(n))
     seed = params.pop("seed", None)
     if name == "random":
         params.setdefault("seed", 0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyIntersectionError, FloatRangeError, GeometryError
+from .errors import FloatRangeError, GeometryError
 from .gibbs import Chain
 from .linalg import (
     LocalOperator,
@@ -24,7 +24,6 @@ from .linalg import (
     op_norm,
     partial_trace,
     partial_transpose,
-    zero,
 )
 from .model import Interaction, RegionsABC, k_neighborhood
 
@@ -131,11 +130,9 @@ def decompose_truncated_marginal(
     chain = Chain.of(system)
     if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
+    if k < 1:
+        raise GeometryError(f"k={k} clips A and C to nothing: the core needs k >= 1")
     a_clip, c_clip = regions.clip(k)
-    if not a_clip or not c_clip:
-        raise EmptyIntersectionError(
-            f"k={k} clips A or C to nothing inside the neighbourhood"
-        )
 
     d = chain.ia.local_dim
     rho_ac = chain.marginal(k_neighborhood(regions, k), a_clip + c_clip)
@@ -218,19 +215,16 @@ def tail_term(
     k: int,
 ) -> TailTerm:
     """T_k = F_{k+1} - F_k, the difference of the traced interface products
-    at radii k+1 and k, each read in closed form."""
+    at radii k+1 and k, each read in closed form.  From k = max(|A|, |C|) on
+    the clip leaves A and C whole, so both are one computation and T_k = 0."""
     if k < 0:
         raise GeometryError("k must be nonnegative")
     chain = Chain.of(system)
 
     def build():
-        a_next, c_next = regions.clip(k + 1)
-        out_support = a_next + c_next
-        if k >= max(len(regions.a), len(regions.c)):
-            return TailTerm(k, zero(out_support, chain.ia.local_dim), 0.0)
         upper, lower = (ratio * op for ratio, op, _ in
                         (_closed_form(chain, regions, kk) for kk in (k + 1, k)))
-        op = upper - embed(lower, out_support)
+        op = upper - lower  # F_k embedded on the sites of F_{k+1}
         return TailTerm(k, op, op_norm(op))
 
     return chain.cached(("tail", regions, k), build)
@@ -269,10 +263,9 @@ def _attempt_certificate(
     F_k0 = (Z_{B_k0} / Z_B) rho~_AC of the core plus the tails k0..kmax-1."""
     d = chain.ia.local_dim
     core = decompose_truncated_marginal(chain, regions, k0)
-    kmax = max(len(regions.a), len(regions.c))
-    tails = [tail_term(chain, regions, k) for k in range(k0, kmax)]
+    tails = [tail_term(chain, regions, k) for k in range(k0, regions.kmax)]
     ratio = _closed_form(chain, regions, k0)[0]
-    scale, top, _ = _closed_form(chain, regions, kmax)
+    scale, top, _ = _closed_form(chain, regions, regions.kmax)
     identity_mass = ratio * core.gamma
 
     per_k = []
@@ -318,8 +311,7 @@ def certify_marginal(
     chain = Chain.of(system)
     if len(regions.b) < chain.ia.interaction_range:
         raise GeometryError("|B| must be at least the interaction range")
-    kmax = max(len(regions.a), len(regions.c))
-    candidates = [k0] if k0 is not None else list(range(1, kmax + 1))
+    candidates = [k0] if k0 is not None else list(range(1, regions.kmax + 1))
     neg = _ac_negativity(chain, regions)
     attempted = []
     report = None

@@ -77,7 +77,7 @@ def test_unknown_config_keys_exit_2(tmp_path, payload):
     [
         {"jobs": True},
         {"instances": True},
-        {"k_range": [False, 2]},
+        {"seed": True},
         {"model": TFI_MODEL, "geometry": {"a": [True], "b": [2], "c": [1]}},
         {"model": TFI_MODEL, "size_grid": [[True, 1]]},
     ],
@@ -192,6 +192,7 @@ def test_check_config_accepts_the_smallest_corpus(tmp_path):
         {"family": "tfi", "sites": 4, "params": {"fields": 1.0}},
         {"family": "zero", "sites": 4, "params": {"coupling": 1.0}},
         {"family": "random", "sites": 4, "params": {"local_dim": 1}},
+        {"family": "tfi", "sites": [0, 1, 2]},  # 'sites' is a count, not a list
     ],
 )
 def test_check_config_builds_the_model(tmp_path, model):
@@ -242,10 +243,14 @@ def test_validate_rejects_the_s_key(tmp_path):
 
 
 def test_validate_rejects_bad_k_range():
-    cfg = load_defaults()
-    cfg["k_range"] = [3, 1]
-    with pytest.raises(ConfigError):
-        validate_config(cfg)
+    # scan-decay's radii come from the geometry, so 'k_range' is no option: the
+    # key is unknown, whatever its value
+    for kr in ([3, 1], [1, 3]):
+        cfg = load_defaults()
+        cfg["k_range"] = kr
+        with pytest.raises(ConfigError, match="unknown config key"):
+            validate_config(cfg)
+    assert "k_range" not in load_defaults()
 
 
 def load_defaults():
@@ -338,7 +343,6 @@ def test_scan_decay_outputs(tmp_path):
         {
             "model": TFI_MODEL,
             "geometry": {"a": [1], "b": [2, 3, 4], "c": [1]},
-            "k_range": [1, 1],
         },
     )
     assert main(["scan-decay", "--config", path, "--out", str(tmp_path)]) == 0
@@ -349,6 +353,18 @@ def test_scan_decay_outputs(tmp_path):
     # mutual information decays with the gap, so the fitted rate is positive
     alpha = [l for l in gap.splitlines() if l.startswith("# fit_alpha=")][0]
     assert float(alpha.split("=")[1]) > 0
+
+
+@pytest.mark.parametrize("na, nc", [(1, 1), (2, 2), (1, 3)])
+def test_scan_decay_writes_every_nonzero_tail(tmp_path, na, nc):
+    """One tail row per radius k = 0 .. max(|A|, |C|) - 1, and none reads 0:
+    from max(|A|, |C|) on, every tail is exactly 0."""
+    geometry = {"a": [na], "b": [2, 3], "c": [nc]}
+    path = _write(tmp_path, "c.json", {"model": TFI_MODEL, "geometry": geometry})
+    assert main(["scan-decay", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = _csv_records(tmp_path / "decay_tail.csv")
+    assert [int(r["k"]) for r in rows] == list(range(max(na, nc)))
+    assert all(float(r["tail_norm"]) > 0 for r in rows)
 
 
 def test_scan_decay_takes_one_size_of_a_and_c(tmp_path):

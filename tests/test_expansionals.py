@@ -132,7 +132,7 @@ def test_uniform_bound_rejects_a_pair_that_fits_nowhere():
 def test_covering_bound_dominates_members():
     ia = _tfi(8)
     regions = RegionsABC.from_sizes(2, 4, 2)
-    g = covering_bound(ia, regions, [1, 2], 0.5)
+    g = covering_bound(ia, regions, 0.5)
     a_1, _ = regions.clip(1)
     rep = expansional(ia, a_1, regions.b, 0.5)
     assert g >= max(rep.norm_e, rep.norm_e_inv) - 1e-14
@@ -140,15 +140,26 @@ def test_covering_bound_dominates_members():
 
 
 def test_covering_bound_is_the_max_over_its_pairs():
-    ia = builtin_models("random", {"sites": 8, "range": 2, "seed": 1})
-    regions = RegionsABC.from_sizes(2, 4, 2)
-    a, b, c = (0, 1), (2, 3, 4, 5), (6, 7)
-    # A:B and AB:C, whole (also k = 2, 3) and at k = 1; k = 0 clips both to nothing
-    pairs = [(a, b), (a + b, c), ((1,), b), ((1,) + b, (6,))]
-    reps = [expansional(ia, x, y, 0.5) for x, y in pairs]
-    want = max(1.0, *(n for rep in reps for n in (rep.norm_e, rep.norm_e_inv)))
-    assert want > 1.0
-    assert covering_bound(ia, regions, [0, 1, 2, 3], 0.5) == want
+    cases = [
+        # A:B and AB:C, whole (k >= 2) and at k = 1; k = 0 clips both to nothing
+        ((2, 4, 2), [((0, 1), (2, 3, 4, 5)), ((0, 1, 2, 3, 4, 5), (6, 7)),
+                     ((1,), (2, 3, 4, 5)), ((1, 2, 3, 4, 5), (6,))]),
+        # |A| < |C|: A is whole at every k >= 1, C is clipped at k = 1, 2
+        ((1, 3, 3), [((0,), (1, 2, 3)), ((0, 1, 2, 3), (4, 5, 6)),
+                     ((0, 1, 2, 3), (4,)), ((0, 1, 2, 3), (4, 5))]),
+        # |A| = 5: A is clipped at k = 1 .. 4
+        ((5, 2, 1), [((0, 1, 2, 3, 4), (5, 6)), ((0, 1, 2, 3, 4, 5, 6), (7,)),
+                     ((4,), (5, 6)), ((4, 5, 6), (7,)),
+                     ((3, 4), (5, 6)), ((3, 4, 5, 6), (7,)),
+                     ((2, 3, 4), (5, 6)), ((2, 3, 4, 5, 6), (7,)),
+                     ((1, 2, 3, 4), (5, 6)), ((1, 2, 3, 4, 5, 6), (7,))]),
+    ]
+    for sizes, pairs in cases:
+        ia = builtin_models("random", {"sites": sum(sizes), "range": 2, "seed": 1})
+        reps = [expansional(ia, x, y, 0.5) for x, y in pairs]
+        want = max(1.0, *(n for rep in reps for n in (rep.norm_e, rep.norm_e_inv)))
+        assert want > 1.0
+        assert covering_bound(ia, RegionsABC.from_sizes(*sizes), 0.5) == want
 
 
 def test_factorial_decay_bound_values():
@@ -338,7 +349,7 @@ def test_certify_and_lemmas_call_no_svd(monkeypatch):
 def test_a_report_keeps_only_its_norms(s):
     chain = Chain(builtin_models("random", {"sites": 8, "range": 2, "seed": 5}))
     regions = RegionsABC.from_sizes(2, 4, 2)
-    covering_bound(chain, regions, [1, 2, 3], s)
+    covering_bound(chain, regions, s)
     a, b, c = regions.a, regions.b, regions.c
     reps = [expansional(chain, a, b, s), expansional(chain, a + b, c, s)]
     for a_k, c_k in map(regions.clip, (1, 2, 3)):

@@ -123,6 +123,18 @@ def test_core_decomposition_ball_controls_separability():
         assert res.negativity <= 1e-10
 
 
+def test_core_decomposition_needs_k_at_least_1():
+    """k = 0 clips A and C to nothing, a broken precondition on k as a negative
+    k is, and so is a certificate asked for at k0 = 0."""
+    ia = builtin_models("tfi", {"sites": 6})
+    regions = RegionsABC.from_sizes(1, 4, 1)
+    for k in (0, -1):
+        with pytest.raises(GeometryError):
+            decompose_truncated_marginal(ia, regions, k)
+    with pytest.raises(GeometryError):
+        certify_marginal(ia, regions, k0=0)
+
+
 def test_tail_term_vanishes_beyond_kmax():
     ia = builtin_models("tfi", {"sites": 7})
     regions = RegionsABC.from_sizes(2, 3, 2)
@@ -141,8 +153,8 @@ def test_tail_norms_below_factorial_budget():
     regions = RegionsABC.from_sizes(2, 4, 2)
     from chainsep import covering_bound
 
-    g_emp = covering_bound(ia, regions, [1, 2, 3], 0.5)
-    for k in (1, 2):
+    g_emp = covering_bound(ia, regions, 0.5)
+    for k in range(3):  # k = 2 = max(|A|, |C|) is 0
         t = tail_term(ia, regions, k)
         assert t.norm <= tail_norm_bound(g_emp, k, ia.interaction_range) + 1e-12
 
