@@ -102,7 +102,8 @@ class CoreDecomposition:
     F_A = rho~_A - a 1 and F_C = rho~_C - c 1 (both PSD), gamma = a c / 2 and
     Delta = rho~_AC - rho~_A (x) rho~_C.  The product terms are separable, and
     so is gamma 1 + Delta when ||Delta|| / gamma is within the ball radius
-    (`ball_ok`).
+    (`ball_ok`).  Where rounding has left a or c <= 0 (-inf for a side that
+    is not Hermitian), there is no split: gamma is 0 and `ball_ok` false.
     """
 
     k: int
@@ -141,27 +142,32 @@ def decompose_truncated_marginal(
     tilde_c = exp_c @ partial_trace(rho_ac, a_clip) @ exp_c
     delta = tilde_ac - kron(tilde_a, tilde_c)
 
-    a_min = min_eig(tilde_a)
-    c_min = min_eig(tilde_c)
-    if a_min <= 0 or c_min <= 0:
-        raise RuntimeError(
-            "conjugated marginals should be positive definite; got "
-            f"min eigs {a_min}, {c_min}"
-        )
-    gamma = a_min * c_min / 2.0
-    fa = tilde_a - a_min * identity(a_clip, d)
-    fc = tilde_c - c_min * identity(c_clip, d)
-    if not (is_psd(fa) and is_psd(fc)):
-        raise RuntimeError(
-            "shifted factors are not PSD although the shifts equal the "
-            "measured minimal eigenvalues; this indicates a bug"
-        )
-    delta_norm = op_norm(delta)
+    # rho~_A and rho~_C are positive definite in exact arithmetic: a minimum
+    # <= 0, or a side that is not Hermitian, is a rounding loss that leaves
+    # the core no identity budget
+    a_min, c_min = (min_eig(t) if t.is_hermitian() else -math.inf for t in (tilde_a, tilde_c))
+    positive = a_min > 0 and c_min > 0
+    gamma = a_min * c_min / 2.0 if positive else 0.0
+    if positive:
+        fa = tilde_a - a_min * identity(a_clip, d)
+        fc = tilde_c - c_min * identity(c_clip, d)
+        if not (is_psd(fa) and is_psd(fc)):
+            raise RuntimeError(
+                "shifted factors are not PSD although the shifts equal the "
+                "measured minimal eigenvalues; this indicates a bug"
+            )
+    delta_norm = _norm(delta)
     radius = ball_radius(d ** len(a_clip), d ** len(c_clip))
     return CoreDecomposition(
         k, (a_clip, c_clip), gamma, a_min, c_min, tilde_ac, delta, delta_norm,
-        ball_ok=delta_norm / gamma <= radius * (1 + 1e-12),
+        ball_ok=positive and delta_norm / gamma <= radius * (1 + 1e-12),
     )
+
+
+def _norm(op: LocalOperator) -> float:
+    """||op|| of an operator that is Hermitian in exact arithmetic, or inf
+    where rounding has cost it its Hermiticity, which no bound survives."""
+    return op_norm(op) if op.is_hermitian() else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +231,7 @@ def tail_term(
         upper, lower = (ratio * op for ratio, op, _ in
                         (_closed_form(chain, regions, kk) for kk in (k + 1, k)))
         op = upper - lower  # F_k embedded on the sites of F_{k+1}
-        return TailTerm(k, op, op_norm(op))
+        return TailTerm(k, op, _norm(op))
 
     return chain.cached(("tail", regions, k), build)
 
@@ -255,12 +261,16 @@ class DecompositionReport:
     attempted_k0: tuple[int, ...] = ()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _attempt_certificate(
     chain: Chain, regions: RegionsABC, k0: int, neg: float
 ) -> DecompositionReport:
     """The verdict at radius k0.  Its telescope check on A u C: F_kmax, kmax =
     max(|A|,|C|), is (Z_ABC / Z_B) e^{H_AC/2} rho_AC e^{H_AC/2}, and equals
-    F_k0 = (Z_{B_k0} / Z_B) rho~_AC of the core plus the tails k0..kmax-1."""
+    F_k0 = (Z_{B_k0} / Z_B) rho~_AC of the core plus the tails k0..kmax-1.
+
+    At large coupling a tail or the reconstruction may leave the float range;
+    its inf or nan fails every check below, so the attempt reads Undetermined."""
     d = chain.ia.local_dim
     core = decompose_truncated_marginal(chain, regions, k0)
     tails = [tail_term(chain, regions, k) for k in range(k0, regions.kmax)]

@@ -448,6 +448,30 @@ def test_certify_where_the_interface_gram_overflows():
     assert rep.reconstruction_rel_err == 0.0
 
 
+@pytest.mark.parametrize("family, params, sizes", [
+    ("tfi", {"coupling": 40.0}, (2, 3, 2)),
+    ("xxz", {"jxy": 80.0, "jz": 80.0}, (2, 3, 2)),
+    ("tfi", {"coupling": 10.0}, (3, 3, 3)),
+])
+def test_certify_where_rounding_breaks_the_certificate(family, params, sizes):
+    """At large coupling, rounding breaks what holds in exact arithmetic: at
+    the last k0, rho~_A and rho~_C are not positive definite (tfi at 40,
+    least eigenvalues about -2e-6 and -4e-6; xxz at 80, 0) or not Hermitian
+    (tfi at 10 on 3|3|3, read as -inf), and xxz's T_1 overflows, so it is
+    not Hermitian.  Each attempt then reads Undetermined, with no split or an
+    infinite tail norm, and nothing raises or warns."""
+    chain = Chain(builtin_models(family, dict(params, sites=sum(sizes))))
+    regions = RegionsABC.from_sizes(*sizes)
+    rep = certify_marginal(chain, regions)
+    assert rep.verdict == VERDICT_UNDETERMINED
+    assert rep.attempted_k0 == tuple(range(1, regions.kmax + 1))
+    assert min(rep.core.min_eig_a, rep.core.min_eig_c) <= 0
+    assert rep.gamma_k0 == 0.0 and not rep.core.ball_ok
+    first = certify_marginal(chain, regions, k0=1)
+    assert first.verdict == VERDICT_UNDETERMINED
+    assert (first.per_k[0].tail_norm == math.inf) == (family == "xxz")
+
+
 def test_certify_computes_the_negativity_cross_check_once(monkeypatch):
     """Each k0 attempt reads the same rho_AC, so its negativity is computed
     once per call, and the report carries that value unchanged."""
