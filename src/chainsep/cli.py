@@ -50,6 +50,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _finite(x):
+    """`x` with each float that is not finite, at any depth, as None: JSON's null."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def _config_hash(cfg: dict) -> str:
     # the worker count never changes the output, so it is not part of the hash
     payload = {k: v for k, v in cfg.items() if k != "jobs"}
@@ -175,15 +184,12 @@ def validate_config(cfg: dict) -> None:
             sizes = geo[part]
             if not sizes or not all(_is_int(v) and v >= 1 for v in sizes):
                 raise ConfigError(f"geometry '{part}' must be a list of sizes >= 1")
-        d = ia.local_dim if ia else 2
-        for na in geo["a"]:
-            for nb in geo["b"]:
-                for nc in geo["c"]:
-                    if d ** (na + nb + nc) > cfg["budget"]:
-                        raise ConfigError(
-                            f"grid point |A|={na},|B|={nb},|C|={nc} exceeds "
-                            f"budget {cfg['budget']}"
-                        )
+        grid, dim = _geometry_grid(cfg)
+        if dim > cfg["budget"]:
+            na, nb, nc = max(grid, key=sum)
+            raise ConfigError(
+                f"grid point |A|={na},|B|={nb},|C|={nc} exceeds budget {cfg['budget']}"
+            )
     if "s_grid" in cfg:
         sg = cfg["s_grid"]
         if not isinstance(sg, list) or not sg or not all(
@@ -285,10 +291,12 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     return 0 if all_ok else 1
 
 
-def _geometry_grid(cfg: dict, spec: ModelSpec):
+def _geometry_grid(cfg: dict):
+    """The (|A|, |B|, |C|) points of the geometry, and the side of the largest one's H."""
     geo = _geometry(cfg)
     grid = [(na, nb, nc) for na in geo["a"] for nb in geo["b"] for nc in geo["c"]]
-    return grid, spec.params.get("local_dim", 2) ** max(map(sum, grid))
+    d = _model_spec(cfg).params.get("local_dim", 2) if "model" in cfg else 2
+    return grid, d ** max(map(sum, grid))
 
 
 def cmd_scan_decay(cfg: dict, out: Path) -> int:
@@ -366,7 +374,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         rep = certify_marginal(chain, regions) if nb >= ia.interaction_range else None
         return point, rho_cols, rep
 
-    grid, dim = _geometry_grid(cfg, spec)
+    grid, dim = _geometry_grid(cfg)
     results = _run_items(run_point, grid, cfg["jobs"], dim)
     rows = []
     margins_rows = []
@@ -380,7 +388,8 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         # stays out (and `asdict(rep)` would deep-copy it)
         payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "core"}
         payload["per_k"] = [asdict(c) for c in rep.per_k]
-        (out / f"certify_a{na}_b{nb}_c{nc}.json").write_text(json.dumps(payload, indent=2))
+        text = json.dumps(_finite(payload), indent=2, allow_nan=False)
+        (out / f"certify_a{na}_b{nb}_c{nc}.json").write_text(text)
     _write_csv(
         out / "certify_summary.csv",
         _meta(cfg, model_id=model_id),

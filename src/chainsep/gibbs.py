@@ -7,14 +7,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError, FloatRangeError, GeometryError
-from .linalg import (
-    HERMITICITY_RTOL,
-    LocalOperator,
-    kron,
-    op_norm,
-    partial_trace,
-    trace_norm,
-)
+from .linalg import LocalOperator, kron, op_norm, partial_trace, trace_norm
 from .model import ASSEMBLY_BAND, Entries, Interaction, RegionsABC, hamiltonian_entries
 
 DEFAULT_BUDGET = 4096
@@ -39,15 +32,6 @@ def _mates(h: Entries, keys: np.ndarray) -> np.ndarray:
         return h.values
     at = np.searchsorted(h.keys, keys)
     return np.where(np.append(h.keys, -1)[at] == keys, np.append(h.values, 0)[at], 0)
-
-
-def _is_hermitian(h: Entries) -> bool:
-    """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F), read from the entries."""
-    col, row = np.divmod(h.keys, h.side)[::-1]
-    order = np.argsort(col, kind="stable")  # by column, so the transposed keys ascend
-    mate = _mates(h, (col * h.side + row)[order])
-    tol = HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(h.values)))
-    return bool(np.abs(h.values[order] - mate.conj()).max(initial=0.0) <= tol)
 
 
 def _components(h: Entries) -> np.ndarray:
@@ -281,9 +265,10 @@ def _accumulate(parts: Iterable, region: tuple[int, ...], xs: list, d: int) -> t
 class Chain:
     """Spectral context of one interaction under one dense-size budget.
 
-    Each region Hamiltonian is assembled, checked for Hermiticity and solved
-    by `_solve`, never kept.  A read of V (e^{tH_R} by `exp`, the one former
-    of it) holds the Spectrum; a read of marginals or of log Z reads the held
+    Each region Hamiltonian is assembled and solved by `_solve`, never kept:
+    a sum of the Interaction's exactly Hermitian terms, it is exactly
+    Hermitian.  A read of V (e^{tH_R} by `exp`, the one former of it) holds
+    the Spectrum; a read of marginals or of log Z reads the held
     pieces, or else streams them, from one source (`_parts`).  No code forms a
     whole Gibbs state: a Chain reads its proper marginals only, and `gibbs()`
     returns a view of them.  Everything computed is kept until the context is
@@ -324,8 +309,6 @@ class Chain:
         if n > self.budget:
             raise BudgetError(n, self.budget)
         h = hamiltonian_entries(self.ia, region)
-        if not _is_hermitian(h):
-            raise ValueError(f"the Hamiltonian of {region} is not Hermitian")
         blocks = _pieces(h)
         reverse = (np.arange(n).reshape((self.ia.local_dim,) * len(region)).T.ravel()
                    if len(region) > 1 and self.ia.is_mirror_symmetric(region) else None)

@@ -95,9 +95,14 @@ def _as_matrix(matrix, n_sites: int, local_dim: int) -> np.ndarray:
 
 def are_hermitian(stack: np.ndarray) -> np.ndarray:
     """max |M - M^dag| <= HERMITICITY_RTOL * max(1, ||M||_F), for one matrix M or
-    for each of a stack (..., side, side) at once."""
+    for each of a stack (..., side, side) at once.  ||M||_F is read as s ||M / s||_F,
+    s the largest |entry|, so it is inf only past the float range, and an M whose
+    ||M||_F is not finite fails: no tolerance overflows to pass any M."""
+    top = np.abs(stack).max(axis=(-2, -1), keepdims=True)
+    s = np.where((top > 0) & (top < np.inf), top, 1.0)
+    frob = np.linalg.norm(stack / s, axis=(-2, -1)) * s[..., 0, 0]
     mismatch = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    return mismatch <= HERMITICITY_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
+    return (mismatch <= HERMITICITY_RTOL * np.maximum(1.0, frob)) & np.isfinite(frob)
 
 
 def identity(support: Sequence[int], local_dim: int = 2) -> LocalOperator:
@@ -193,8 +198,6 @@ def herm_fn(op: LocalOperator, scalar_fn: Callable) -> LocalOperator:
         raise ValueError("herm_fn requires a Hermitian operator")
     w, v = np.linalg.eigh(op.matrix)
     fw = np.asarray(scalar_fn(w))
-    if fw.shape != w.shape:
-        fw = np.asarray([scalar_fn(x) for x in w])
     if not np.all(np.isfinite(fw)):
         raise ValueError("scalar function is not finite on the spectrum")
     return LocalOperator(op.support, (v * fw) @ v.conj().T, op.local_dim)

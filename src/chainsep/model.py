@@ -9,7 +9,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .linalg import LocalOperator, _as_matrix, are_hermitian
+from .linalg import _as_matrix, are_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -51,10 +51,17 @@ class Interaction:
                     )
                 terms[supp] = _as_matrix(mat, len(supp), self.local_dim)
         finally:  # the terms before a malformed one are checked too: the first bad term is named
-            bad = {supp for supps, stack in _stacks(terms)
+            stacks = _stacks(terms)
+            bad = {supp for supps, stack in stacks
                    for supp, ok in zip(supps, are_hermitian(stack)) if not ok}
             if bad:
                 raise ValueError(f"term {next(s for s in terms if s in bad)} is not Hermitian")
+        # each term kept as (M + M^dag) / 2, exactly Hermitian (M itself, bit for bit, if M
+        # is), so that every H_R that `Entries.summed` adds up from them is exactly Hermitian
+        for supps, stack in stacks:
+            stack = (stack + stack.conj().swapaxes(-1, -2)) / 2
+            stack.flags.writeable = False
+            terms.update(zip(supps, stack))
         object.__setattr__(self, "terms", terms)
 
     @cached_property
@@ -215,12 +222,6 @@ def hamiltonian_entries(ia: Interaction, region: Sequence[int]) -> Entries:
     pos = {s: i for i, s in enumerate(region)}
     inside = [([pos[s] for s in t], m) for t, m in ia.terms.items() if set(t) <= pos.keys()]
     return Entries.summed(inside, ia.local_dim, len(region))
-
-
-def hamiltonian(ia: Interaction, region: Sequence[int]) -> LocalOperator:
-    """Sum of all interaction terms fully contained in `region`, from its entries."""
-    region = tuple(sorted(set(int(s) for s in region)))
-    return LocalOperator(region, hamiltonian_entries(ia, region).dense(), ia.local_dim)
 
 
 # ---------------------------------------------------------------------------

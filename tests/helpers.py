@@ -17,6 +17,7 @@ the closed forms the library reads instead.
 I(A:C), a sum of entropies, against D(rho_AC || rho_A x rho_C).
 `record_solver` and `record_eigh` count the library's dense eigensolves, and
 `feed_hamiltonian` hands `Chain.spectrum` a matrix of a test's own.
+`hamiltonian` is H_R whole, from the library's one assembler.
 """
 import hashlib
 import itertools
@@ -78,11 +79,20 @@ def partial_trace_oracle(matrix, support, drop, d=2):
     return out
 
 
+def hamiltonian(ia, region):
+    """H_R, the sum of all interaction terms fully contained in `region`, as a
+    dense LocalOperator: the entries of `hamiltonian_entries`, formed whole."""
+    from chainsep import LocalOperator
+    from chainsep.model import hamiltonian_entries
+
+    region = tuple(sorted(set(int(s) for s in region)))
+    return LocalOperator(region, hamiltonian_entries(ia, region).dense(), ia.local_dim)
+
+
 def gibbs_state_oracle(ia, region):
     """e^{-(H_R - w_min)} / sum e^{-(w - w_min)} on `region`, from the assembled
     H_R and np.linalg.eigh: each weight is in (0, 1], so it cannot overflow."""
     from chainsep import LocalOperator
-    from chainsep.model import hamiltonian
 
     w, v = np.linalg.eigh(hamiltonian(ia, region).matrix)
     p = np.exp(w[0] - w)
@@ -94,7 +104,6 @@ def conjugated_marginals_oracle(ia, regions, k):
     clipped to the k-neighbourhood of B and its Gibbs state, from freshly
     assembled Hamiltonians exponentiated whole and partial_trace_oracle."""
     from chainsep import herm_exp, k_neighborhood
-    from chainsep.model import hamiltonian
 
     d = ia.local_dim
     hood = k_neighborhood(regions, k)
@@ -141,7 +150,6 @@ def interface_operator(ia, x, y, s):
     """E(s) = e^{-sH_XY} e^{s(H_X (x) 1 + 1 (x) H_Y)} on X + Y.  Since
     (e^{cH})^dag = e^{conj(c) H}, E(s)^{-1} = interface_operator(ia, x, y, -conj(s))^dag."""
     from chainsep import embed, herm_exp
-    from chainsep.model import hamiltonian
 
     xy = tuple(x) + tuple(y)
     h_split = embed(hamiltonian(ia, x), xy) + embed(hamiltonian(ia, y), xy)
@@ -159,7 +167,6 @@ def traced_interface_product(chain, regions, kk):
     PSD by construction, from one matmul of neighbourhood size.
     """
     from chainsep import LocalOperator, embed, identity
-    from chainsep.model import hamiltonian
     from chainsep.separability import TELESCOPE_S
 
     def build():

@@ -10,9 +10,8 @@ import pytest
 from chainsep import (Chain, ModelSpec, RegionsABC, cli, factorization_error,
                       mutual_information, negativity, partial_transpose)
 from chainsep.cli import load_config, main, validate_config
-from chainsep.model import hamiltonian
 from chainsep.errors import ConfigError
-from helpers import matrix_digest, record_eigh, record_solver
+from helpers import hamiltonian, matrix_digest, record_eigh, record_solver
 
 
 def _write(tmp_path, name, payload):
@@ -147,6 +146,31 @@ def test_a_number_beyond_the_float_range_is_an_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _reject(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "model",
+    [{"family": "xxz", "params": {"jxy": 80.0, "jz": 80.0}, "sites": 7}, _tfi_at(150.0, 7)],
+    ids=["xxz-80", "tfi-150"],
+)
+def test_certify_writes_strict_json_where_the_reconstruction_overflows(tmp_path, capsys, model):
+    """The reconstruction overflows, and its error is not a number: the JSON has
+    null where it would hold NaN, and every file reads under a strict parser.
+    The summary CSV keeps its nan."""
+    path = _write(tmp_path, "c.json", {"model": model, "geometry": {"a": [2], "b": [3], "c": [2]}})
+    assert main(["certify", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    reports = [json.loads(f.read_text(), parse_constant=_reject)
+               for f in sorted((tmp_path / "out").glob("*.json"))]
+    assert len(reports) == 1 and reports[0]["reconstruction_rel_err"] is None
+    assert reports[0]["verdict"] == "Undetermined"
+    row = (tmp_path / "out" / "certify_summary.csv").read_text().splitlines()[-1].split(",")
+    assert row[4:6] == ["Undetermined", "nan"]
 
 
 def test_check_config_accepts_edge_estimate_g_grids(tmp_path):

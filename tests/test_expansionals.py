@@ -31,9 +31,9 @@ from chainsep import (
     min_eig,
     op_norm,
 )
-from chainsep.model import hamiltonian
 from helpers import (
     embed_oracle,
+    hamiltonian,
     interface_operator,
     matrix_digest,
     partial_trace_oracle,

@@ -41,13 +41,13 @@ from chainsep import (
 from chainsep.expansionals import _uniform
 from chainsep.gibbs import (DEFAULT_BUDGET, GibbsEnsemble, Piece, Spectrum, _columns,
                             _components, _crossing_norm)
-from chainsep.model import (ASSEMBLY_BAND, PAULI_X, PAULI_Z, Entries, hamiltonian,
-                            hamiltonian_entries)
+from chainsep.model import ASSEMBLY_BAND, PAULI_X, PAULI_Z, Entries, hamiltonian_entries
 
 from helpers import (
     entries_of,
     feed_hamiltonian,
     gibbs_state_oracle,
+    hamiltonian,
     matrix_digest,
     partial_trace_oracle,
     random_hermitian,
@@ -140,7 +140,7 @@ def test_only_chain_takes_a_budget(monkeypatch):
     # an Interaction gets a Chain at the default budget, checked before assembly
     assembled = []
     for module, name in (("chainsep.gibbs", "hamiltonian_entries"),
-                         ("chainsep.model", "hamiltonian"), ("chainsep.model", "hamiltonian_entries")):
+                         ("chainsep.model", "hamiltonian_entries")):
         monkeypatch.setattr(importlib.import_module(module), name, lambda *a: assembled.append(a))
     monkeypatch.setattr(Entries, "summed", lambda *a: assembled.append(a))
     ia = builtin_models("tfi", {"sites": 13})

@@ -17,7 +17,7 @@ from chainsep import (
     partial_transpose,
     trace_norm,
 )
-from chainsep.linalg import HERMITICITY_RTOL
+from chainsep.linalg import HERMITICITY_RTOL, are_hermitian
 from helpers import (
     embed_oracle,
     expm_oracle,
@@ -276,3 +276,20 @@ def test_is_hermitian_matches_the_whole_matrix_check(side):
             want = np.abs(m - m.conj().T).max() <= HERMITICITY_RTOL * np.linalg.norm(m)
             assert want == (size < tol)
             assert LocalOperator((0,), m, local_dim=side).is_hermitian() == want, (i, j, size)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_is_hermitian_reads_the_norm_of_large_entries_without_overflow(dtype):
+    """Squared, entries past about 1e154 overflow ||M||_F to inf, and then any
+    asymmetry would pass: the check reads it as s ||M / s||_F, s the largest
+    |entry|.  A zero matrix passes, with no warning, alone and in a stack."""
+    skew = np.array([[0, 1e200], [0, 0]], dtype)
+    herm = np.array([[1e200, -3e200], [-3e200, 2e199]], dtype)
+    zero = np.zeros((2, 2), dtype)
+    cases = ((skew, False), (herm, True), (zero, True))
+    for m, want in cases:
+        assert bool(are_hermitian(m)) is want
+        assert LocalOperator((0,), m).is_hermitian() is want
+    assert are_hermitian(np.stack([m for m, _ in cases])).tolist() == [w for _, w in cases]
+    assert are_hermitian(np.zeros((3, 2, 2), dtype)).tolist() == [True] * 3

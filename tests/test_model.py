@@ -19,9 +19,10 @@ from chainsep import (
     marginal,
     op_norm,
 )
-from chainsep.model import PAULI_X, PAULI_Z, _term_norms, hamiltonian, hamiltonian_entries
+from chainsep.linalg import HERMITICITY_RTOL
+from chainsep.model import PAULI_X, PAULI_Z, _term_norms, hamiltonian_entries
 
-from helpers import embed_oracle, random_hermitian, record_solver
+from helpers import embed_oracle, hamiltonian, random_hermitian, record_solver
 
 
 def test_zero_interaction_hamiltonian():
@@ -322,6 +323,50 @@ def test_term_checks_name_the_first_bad_term(local_dim, terms):
         Interaction(local_dim, sites, terms, 2)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def test_a_term_with_an_asymmetry_past_1e154_is_not_hermitian():
+    """||M||_F of entries of 1e200 overflows when squared, and then any asymmetry
+    would pass: the term check reads the norm scaled, and names the term."""
+    skew = np.array([[0.0, 1e200], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"term \(1,\) is not Hermitian"):
+        Interaction(2, (0, 1), {(0,): PAULI_Z, (1,): skew}, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 2), st.booleans(),
+       st.floats(0.0, 0.5))
+def test_terms_and_every_region_hamiltonian_are_exactly_hermitian(seed, d, range_, cplx, skew):
+    """Each accepted term M, here with an asymmetry of up to half the tolerance,
+    is stored read-only as (M + M^dag) / 2: exactly Hermitian, and M itself, bit
+    for bit, where M is.  Every interval's H_R adds the same terms, in the same
+    order, at (i, j) and at (j, i), so it is exactly Hermitian too."""
+    rng = np.random.default_rng(seed)
+    sites = tuple(range(range_ + 2))
+    exact, skewed = {}, {}
+    for length in range(1, range_ + 2):
+        for i in range(len(sites) - length + 1):
+            g, a = (rng.standard_normal((2, d**length, d**length))
+                    + (1j * rng.standard_normal((2, d**length, d**length)) if cplx else 0))
+            # + 0.0 makes each -0.0 a +0.0, which (M + M^dag) / 2 always keeps; it keeps
+            # a -0.0 only where the mate's conjugate reads -0.0 too
+            h = (g + g.conj().T) / 2 + 0.0
+            a = a - a.conj().T
+            room = skew * HERMITICITY_RTOL * max(1.0, np.linalg.norm(h))
+            supp = sites[i:i + length]
+            exact[supp] = h
+            skewed[supp] = h + a * (room / np.abs(a - a.conj().T).max())
+    ia = Interaction(d, sites, skewed, range_)
+    for supp, term in ia.terms.items():
+        assert not term.flags.writeable, supp
+        assert np.array_equal(term, term.conj().T), supp
+    for lo in range(len(sites)):
+        for hi in range(lo + 1, len(sites) + 1):
+            h = hamiltonian_entries(ia, sites[lo:hi]).dense()
+            assert np.array_equal(h, h.conj().T), (lo, hi)
+    kept = Interaction(d, sites, exact, range_).terms
+    for supp, h in exact.items():
+        assert kept[supp].dtype == h.dtype and kept[supp].tobytes() == h.tobytes(), supp
 
 
 def test_zero_model_strength():

@@ -30,7 +30,7 @@ from chainsep import (
     tail_term,
 )
 from chainsep.gibbs import _region
-from chainsep.model import Entries, hamiltonian, k_neighborhood
+from chainsep.model import Entries, k_neighborhood
 from chainsep.separability import (
     TELESCOPE_S,
     VERDICT_SEPARABLE,
@@ -43,6 +43,7 @@ from helpers import (
     conjugated_marginals_oracle,
     core_split_rel_err,
     gibbs_state_oracle,
+    hamiltonian,
     interface_operator,
     partial_transpose_oracle,
     random_hermitian,
