@@ -1,6 +1,7 @@
 """Gibbs states, partition functions, marginals and information measures."""
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -274,8 +275,9 @@ class Chain:
     returns a view of them.  Everything computed is kept until the context is
     dropped, so a context should live for one unit of work.  Every public
     function that takes an Interaction also takes a Chain; given an
-    Interaction, it builds a Chain at DEFAULT_BUDGET.  `Chain(ia, budget)` is
-    the only place a budget is set.
+    Interaction, it reads the live Chain that `Chain.of` built on it, or
+    builds one at DEFAULT_BUDGET.  `Chain(ia, budget)` is the only place a
+    budget is set, and `of` never hands such a Chain out.
     """
 
     def __init__(self, ia: Interaction, budget: int = DEFAULT_BUDGET):
@@ -285,13 +287,15 @@ class Chain:
 
     @staticmethod
     def of(system: Interaction | Chain) -> Chain:
-        """`system` itself if it is a Chain, else a new Chain on it."""
-        return system if isinstance(system, Chain) else Chain(system)
+        """`system` itself if it is a Chain, else the Chain that `of` built on
+        it while some caller still holds that Chain, else a new one."""
+        return system if isinstance(system, Chain) else _LIVE.setdefault(system, Chain(system))
 
     def cached(self, key, build: Callable[[], Any]):
-        """The value stored under `key`, computed by `build()` on first use."""
+        """The value stored under `key`, computed by `build()` on first use;
+        of two racing builds, the first stored is kept."""
         if key not in self._memo:
-            self._memo[key] = build()
+            self._memo.setdefault(key, build())
         return self._memo[key]
 
     def _solve(self, region: tuple[int, ...]) -> Iterator:
@@ -376,16 +380,21 @@ class Chain:
         xs = [_subregion(x, region) for x in xs]
         new = [x for x in dict.fromkeys(xs) if ("marginal", region, x) not in self._memo]
         if new:
-            self._memo[("w", region)], rhos = _accumulate(self._parts(region), region, new, d)
+            w, rhos = _accumulate(self._parts(region), region, new, d)
+            self._memo.setdefault(("w", region), w)
             for x, rho in zip(new, rhos):
                 if abs(np.trace(rho).real - 1.0) > NORMALIZATION_TOL:
                     raise RuntimeError("a Gibbs marginal failed its normalization check")
-                self._memo[("marginal", region, x)] = LocalOperator(x, rho, d)
+                self._memo.setdefault(("marginal", region, x), LocalOperator(x, rho, d))
         return [self._memo[("marginal", region, x)] for x in xs]
 
     def marginal(self, region: Sequence[int], x: Sequence[int]) -> LocalOperator:
         """rho_X of the Gibbs state on `region`, formed once per Chain (see `marginals`)."""
         return self.marginals(region, [x])[0]
+
+
+# The Chains that `Chain.of` built, by Interaction (an identity key), while held.
+_LIVE: weakref.WeakValueDictionary[Interaction, Chain] = weakref.WeakValueDictionary()
 
 
 class GibbsEnsemble(NamedTuple):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import inspect
 import itertools
@@ -7,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +239,120 @@ def test_a_held_spectrum_is_read_once_for_every_marginal(monkeypatch):
         assert marginal(g, x) is rho
         assert marginal(g, x) is chain.marginal(regions.all_sites, x)
     assert seen == [xs]
+
+
+# ---------------------------------------------------------------------------
+# One live Chain per Interaction: `Chain.of` reads the Chain it built while a
+# caller holds it
+# ---------------------------------------------------------------------------
+
+SHARED_MODELS = {
+    "tfi": ("tfi", {"sites": 8}),
+    "random": ("random", {"sites": 6, "range": 2, "strength": 2.0, "seed": 5}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SHARED_MODELS))
+def test_one_solve_serves_every_call_on_an_interaction(model, monkeypatch):
+    """While `gibbs(ia, R)` is held, every public call given ia reads its
+    Chain: H_R is solved once, as one explicit Chain's spectrum is, the two
+    halves of R once each, and every value is a fresh explicit Chain's bits."""
+    ia = builtin_models(*SHARED_MODELS[model])
+    n = len(ia.sites)
+    regions = RegionsABC.from_sizes(1, n - 2, 1)
+    everything, a, b = regions.all_sites, tuple(range(n // 2)), tuple(range(n // 2, n))
+    inputs = record_eigh(monkeypatch)
+    fresh = Chain(ia)
+    solves = {}
+    for r in (everything, a, b):
+        fresh.spectrum(r)
+        solves[r], inputs[:] = len(inputs), []
+    g = gibbs(ia, everything)
+    assert Chain.of(ia) is g.chain
+    rho_ac = marginal(g, regions.ac)
+    mi = mutual_information(ia, regions)
+    err = factorization_error(ia, regions)
+    assert len(inputs) == solves[everything]
+    report = check_partition_ratios(ia, a, b)
+    assert len(inputs) == sum(solves.values())
+    assert matrix_digest(rho_ac.matrix) == matrix_digest(fresh.marginal(everything, regions.ac).matrix)
+    assert mi.hex() == mutual_information(Chain(ia), regions).hex()
+    assert err == factorization_error(Chain(ia), regions)
+    assert report == check_partition_ratios(Chain(ia), a, b)
+    for r in (everything, a, b):
+        assert g.chain.log_partition_function(r) == Chain(ia).log_partition_function(r)
+
+
+def test_the_map_of_live_chains_holds_nothing():
+    """With the cycle collector off, a Chain that `Chain.of` built dies with its
+    last holder and leaves no entry; an explicit Chain is never handed out,
+    and a call that raises BudgetError leaves nothing behind."""
+    live = importlib.import_module("chainsep.gibbs")._LIVE
+    ia = builtin_models("tfi", {"sites": 6})
+    regions = RegionsABC.from_sizes(1, 4, 1)
+    gc.disable()
+    try:
+        g = gibbs(ia, regions.all_sites)
+        certify_marginal(ia, regions)
+        held = weakref.ref(g.chain)
+        assert Chain.of(ia) is g.chain and live[ia] is g.chain
+        del g
+        assert held() is None and ia not in live
+        again = Chain.of(ia)
+        assert again._memo == {}  # a new Chain
+        del again
+        assert ia not in live
+        explicit, wide = Chain(ia), Chain(ia, 8192)
+        assert Chain.of(ia) not in (explicit, wide)
+        shared = Chain.of(ia)
+        assert Chain.of(ia) is shared and shared not in (explicit, wide)
+        del shared
+        big = builtin_models("tfi", {"sites": 13})
+        with pytest.raises(BudgetError):
+            gibbs(big, range(13))
+        assert big not in live
+    finally:
+        gc.enable()
+
+
+def test_a_shared_chain_keeps_the_first_value_stored():
+    """Of two builds of one key, the first stored is the one every reader
+    gets; two threads that read I(A:C) through one held Chain get the serial
+    value's bits."""
+    ia = builtin_models("tfi", {"sites": 8})
+    regions = RegionsABC.from_sizes(1, 6, 1)
+    chain = Chain(ia)
+
+    def late():
+        chain.cached("key", lambda: "first")
+        return "second"
+
+    assert chain.cached("key", late) == "first" == chain.cached("key", late)
+
+    gibbs_module = importlib.import_module("chainsep.gibbs")
+    form, stored = gibbs_module._accumulate, []
+
+    def racing(parts, region, xs, d):  # another reader stores rho_X while this one sums
+        if not stored:
+            stored.append(None)  # the other reader's own sum is not raced
+            stored[0] = chain.marginal(region, xs[0])
+        return form(parts, region, xs, d)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gibbs_module, "_accumulate", racing)
+        assert chain.marginal(regions.all_sites, regions.ac) is stored[0]
+
+    serial = mutual_information(Chain(ia), regions)
+    g = gibbs(ia, regions.all_sites)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda _: mutual_information(ia, regions), range(2), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert [v.hex() for v in got] == [serial.hex()] * 2
+    assert marginal(g, regions.ac) is Chain.of(ia).marginal(regions.all_sites, regions.ac)
 
 
 # ---------------------------------------------------------------------------
