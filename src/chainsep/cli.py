@@ -168,6 +168,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("corpus needs integers max_range >= 1, 3 <= min_sites <= max_sites")
     if not _is_real(corpus["strength"]) or not 0 <= corpus["strength"] < np.inf:
         raise ConfigError("corpus 'strength' must be a finite number >= 0")
+    if isinstance(cfg.get("model"), dict):
+        _check_keys(cfg["model"], [f.name for f in fields(ModelSpec)], "model")
     # an unknown family, bad 'sites' or unknown params exit 2 here, not at run time
     ia = _model_spec(cfg).build() if "model" in cfg else None
     for key in ("seed", "jobs", "budget", "instances"):
@@ -180,6 +182,7 @@ def validate_config(cfg: dict) -> None:
         geo = cfg["geometry"]
         if not isinstance(geo, dict) or not all(k in geo for k in ("a", "b", "c")):
             raise ConfigError("'geometry' must have lists 'a', 'b', 'c'")
+        _check_keys(geo, ("a", "b", "c"), "geometry")
         for part in ("a", "b", "c"):
             sizes = geo[part]
             if not sizes or not all(_is_int(v) and v >= 1 for v in sizes):

@@ -281,9 +281,8 @@ def _attempt_certificate(
     per_k = []
     for t in tails:
         budget_k = identity_mass * 2.0 ** (-(t.k - k0 + 1))
-        dim_a = d ** min(t.k + 1, len(regions.a))
-        dim_c = d ** min(t.k + 1, len(regions.c))
-        margin = budget_k * ball_radius(dim_a, dim_c) - t.norm
+        a_k, c_k = regions.clip(t.k + 1)
+        margin = budget_k * ball_radius(d ** len(a_k), d ** len(c_k)) - t.norm
         per_k.append(TailCheck(t.k, t.norm, budget_k, margin))
     f_k0 = ratio * embed(core.tilde_ac, regions.ac)
     rel_err = _rel_err(sum((embed(t.op, regions.ac) for t in tails), f_k0), scale * top)

@@ -59,11 +59,14 @@ def test_validate_rejects_negative_tolerance(tmp_path):
         {"instance": 3},
         {"seed": 1, "model": TFI_MODEL, "sites": 6},
         {"corpus": {"max_sites": 6, "min_site": 4}},
+        # a misspelt 'sites' would leave the model at its default 4 sites
+        {"model": {"family": "tfi", "site": 12}},
+        {"model": TFI_MODEL, "geometry": {"a": [1], "b": [3], "c": [1], "d": [2]}},
     ],
 )
 def test_unknown_config_keys_exit_2(tmp_path, payload):
     path = _write(tmp_path, "c.json", payload)
-    with pytest.raises(ConfigError, match="unknown (config|corpus) key"):
+    with pytest.raises(ConfigError, match="unknown (config|corpus|model|geometry) key"):
         load_config(path)
     assert main(["check-config", "--config", path]) == 2
     # a typo must not fall back to the default silently (100 instances here)

@@ -1,6 +1,8 @@
 """The scripts under scripts/ and README's Python examples, run as a user
-would, from the repository root, and the readers of every exported name."""
+would, from the repository root, the readers of every exported name, and the
+commands, files and sections README names."""
 import ast
+import json
 import os
 import re
 import subprocess
@@ -81,3 +83,21 @@ def test_every_export_is_used_outside_the_tests():
             read.add(node.attr)
     assert len(exports) > 40
     assert [name for name in exports if name not in read] == []
+
+
+def test_readme_names_only_what_exists():
+    """Every backticked hyphenated command in README is a CLI command or a
+    benchmark workload, every file README names exists, and every
+    README "<Section>" pointer in the package names a ## heading."""
+    from chainsep import cli
+
+    readme = (ROOT / "README.md").read_text()
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    commands = set(re.findall(r"`([a-z][a-z0-9]*(?:-[a-z0-9]+)+)`", readme))
+    assert commands and sorted(commands - set(cli._COMMANDS) - workloads) == []
+    paths = set(re.findall(r"\bBENCH_\d+\.json|\b(?:configs|scripts|tests|bench)/[\w./-]*\w", readme))
+    assert paths and sorted(p for p in paths if not (ROOT / p).exists()) == []
+    headings = set(re.findall(r"^## (.+)$", readme, re.M))
+    pointers = {s for p in (ROOT / "src" / "chainsep").glob("*.py")
+                for s in re.findall(r'README "([^"]+)"', p.read_text())}
+    assert pointers and sorted(pointers - headings) == []
