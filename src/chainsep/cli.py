@@ -30,7 +30,6 @@ from .gibbs import DEFAULT_BUDGET, Chain, factorization_error, mutual_informatio
 from .linalg import LocalOperator
 from .model import ModelSpec, RegionsABC
 from .separability import (
-    TELESCOPE_S,
     VERDICT_SEPARABLE,
     TailCheck,
     _ac_negativity,
@@ -168,9 +167,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("corpus needs integers max_range >= 1, 3 <= min_sites <= max_sites")
     if not _is_real(corpus["strength"]) or not 0 <= corpus["strength"] < np.inf:
         raise ConfigError("corpus 'strength' must be a finite number >= 0")
-    if isinstance(cfg.get("model"), dict):
-        _check_keys(cfg["model"], [f.name for f in fields(ModelSpec)], "model")
-    # an unknown family, bad 'sites' or unknown params exit 2 here, not at run time
+    # a model ModelSpec cannot build exits 2 here, not at run time
     ia = _model_spec(cfg).build() if "model" in cfg else None
     for key in ("seed", "jobs", "budget", "instances"):
         if not _is_int(cfg[key]) or cfg[key] < 0:
@@ -185,7 +182,8 @@ def validate_config(cfg: dict) -> None:
         _check_keys(geo, ("a", "b", "c"), "geometry")
         for part in ("a", "b", "c"):
             sizes = geo[part]
-            if not sizes or not all(_is_int(v) and v >= 1 for v in sizes):
+            if not (isinstance(sizes, list) and sizes
+                    and all(_is_int(v) and v >= 1 for v in sizes)):
                 raise ConfigError(f"geometry '{part}' must be a list of sizes >= 1")
         grid, dim = _geometry_grid(cfg)
         if dim > cfg["budget"]:
@@ -220,10 +218,7 @@ def _check_size_grid(size_grid, sites: int) -> None:
 def _model_spec(cfg: dict) -> ModelSpec:
     if "model" not in cfg:
         raise ConfigError("this subcommand requires a 'model' section")
-    model = cfg["model"]
-    if not isinstance(model, dict):
-        raise ConfigError("'model' must be an object")
-    return ModelSpec.from_dict(model)
+    return ModelSpec.from_dict(cfg["model"])
 
 
 def _geometry(cfg: dict) -> dict:
@@ -314,7 +309,7 @@ def cmd_scan_decay(cfg: dict, out: Path) -> int:
     nb = max(geo["b"])
     chain = Chain(replace(spec, sites=na + nb + nc).build(), budget)
     regions = RegionsABC.from_sizes(na, nb, nc)
-    g_emp = covering_bound(chain, regions, TELESCOPE_S)
+    g_emp = covering_bound(chain, regions)
     tail_rows = []
     for k in range(regions.kmax):
         t = tail_term(chain, regions, k)
@@ -409,17 +404,12 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         )
 
     # exit 0 iff, per (|A|,|C|) group, the certified points form a nonempty
-    # suffix of the |B| scan
-    groups: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    # suffix of the |B| scan: sorted by |B|, certified never turns back to not
+    groups: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for na, nb, nc, _, verdict, *_ in rows:
-        groups.setdefault((na, nc), []).append((nb, verdict))
-    all_ok = True
-    for key, entries in groups.items():
-        entries.sort()
-        verdicts = [v for _, v in entries]
-        certified = [v == VERDICT_SEPARABLE for v in verdicts]
-        last_bad = max((i for i, c in enumerate(certified) if not c), default=-1)
-        all_ok &= bool(certified) and last_bad < len(certified) - 1
+        groups.setdefault((na, nc), []).append((nb, verdict == VERDICT_SEPARABLE))
+    certified = [[c for _, c in sorted(entries)] for entries in groups.values()]
+    all_ok = all(c == sorted(c) and c[-1] for c in certified)
     print(f"certify: {'PASS' if all_ok else 'FAIL'} ({len(rows)} grid points)")
     return 0 if all_ok else 1
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
@@ -67,11 +67,7 @@ class Interaction:
     @cached_property
     def strength(self) -> float:
         """Per-site sup of summed operator norms of the terms touching it."""
-        per_site = {s: 0.0 for s in self.sites}
-        for supp, nrm in _term_norms(self.terms).items():
-            for s in supp:
-                per_site[s] += nrm
-        return max(per_site.values(), default=0.0)
+        return _most_per_site(self.sites, _term_norms(self.terms))
 
     def is_mirror_symmetric(self, region: Sequence[int]) -> bool:
         """Whether reflecting `region` (position i to n-1-i) maps each term
@@ -106,6 +102,15 @@ def _term_norms(terms: Mapping[tuple[int, ...], np.ndarray]) -> dict[tuple[int, 
         top = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1, initial=0.0)
         norms.update(zip(supps, top.tolist()))
     return {supp: norms[supp] for supp in terms}
+
+
+def _most_per_site(sites: Sequence[int], norms: Mapping[tuple[int, ...], float]) -> float:
+    """The largest over `sites` of the norms of the terms on a site, added in term order."""
+    per_site = {s: 0.0 for s in sites}
+    for supp, nrm in norms.items():
+        for s in supp:
+            per_site[s] += nrm
+    return max(per_site.values(), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -228,39 +233,29 @@ def hamiltonian_entries(ia: Interaction, region: Sequence[int]) -> Entries:
 # Built-in model families
 # ---------------------------------------------------------------------------
 
-def _bonds(sites: tuple[int, ...]):
-    return [(sites[i], sites[i + 1]) for i in range(len(sites) - 1)]
+def _nearest_neighbour(sites, bond, site=None):
+    """A qubit chain with `bond` on each bond, then `site`, unless None, on each site."""
+    terms = {(s, t): bond for s, t in zip(sites, sites[1:])}
+    if site is not None:
+        terms.update({(s,): site for s in sites})
+    return Interaction(2, sites, terms, 1)
+
+
+_ZZ = np.kron(PAULI_Z, PAULI_Z)
 
 
 def _tfi(sites, coupling=1.0, field=1.0):
-    terms = {}
-    for bond in _bonds(sites):
-        terms[bond] = -coupling * np.kron(PAULI_Z, PAULI_Z)
-    for s in sites:
-        terms[(s,)] = terms.get((s,), 0) + (-field) * PAULI_X
-    return Interaction(2, sites, terms, 1)
+    return _nearest_neighbour(sites, -coupling * _ZZ, -field * PAULI_X)
 
 
 def _classical_ising(sites, coupling=1.0, field=0.0):
-    terms = {}
-    for bond in _bonds(sites):
-        terms[bond] = -coupling * np.kron(PAULI_Z, PAULI_Z)
-    if field:
-        for s in sites:
-            terms[(s,)] = -field * PAULI_Z
-    return Interaction(2, sites, terms, 1)
+    return _nearest_neighbour(sites, -coupling * _ZZ, -field * PAULI_Z if field else None)
 
 
 def _xxz(sites, jxy=1.0, jz=1.0, field=0.0):
-    terms = {}
-    for bond in _bonds(sites):
-        # Y (x) Y is real, so the bond is kept real
-        terms[bond] = jxy * (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y).real)
-        terms[bond] = terms[bond] + jz * np.kron(PAULI_Z, PAULI_Z)
-    if field:
-        for s in sites:
-            terms[(s,)] = -field * PAULI_Z
-    return Interaction(2, sites, terms, 1)
+    # Y (x) Y is real, so the bond is kept real
+    xy = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y).real
+    return _nearest_neighbour(sites, jxy * xy + jz * _ZZ, -field * PAULI_Z if field else None)
 
 
 def _random(sites, range_=2, strength=2.0, seed=0, local_dim=2):
@@ -286,7 +281,7 @@ def _random(sites, range_=2, strength=2.0, seed=0, local_dim=2):
     for supp, nrm in _term_norms(drawn).items():
         scale, u = max(nrm, 1e-12), weights[supp]
         terms[supp], norms[supp] = drawn[supp] / scale * u, nrm / scale * u  # a term, its norm
-    j = max((sum(v for supp, v in norms.items() if s in supp) for s in sites), default=0.0)
+    j = _most_per_site(sites, norms)
     if j > 0:
         terms = {k: v * (strength / j) for k, v in terms.items()}
     return Interaction(d, sites, terms, range_)
@@ -302,34 +297,16 @@ _FAMILIES = {
 
 
 def builtin_models(name: str, params: Mapping) -> Interaction:
-    """Construct a named model family; see ModelSpec for the file schema."""
-    if name not in _FAMILIES:
-        raise ConfigError(
-            f"unknown model family {name!r}; known: {sorted(_FAMILIES)}"
-        )
+    """The family `name` on `params["sites"]` sites: `params` read as a `ModelSpec`,
+    its 'sites' and 'seed' split out of the family's own parameters."""
     params = dict(params)
-    n = params.pop("sites", None)
-    if n is None:
-        raise ConfigError("model params must include 'sites'")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError(f"model 'sites' must be an integer, got {n!r}")
-    sites = tuple(range(n))
-    seed = params.pop("seed", None)
-    if name == "random":
-        params.setdefault("seed", 0)
-        if seed is not None:
-            params["seed"] = seed
-        if "range" in params:
-            params["range_"] = params.pop("range")
-    try:
-        return _FAMILIES[name](sites, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params for family {name!r}: {exc}") from exc
+    return ModelSpec(name, params, params.pop("sites", None), params.pop("seed", None)).build()
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Serializable model description: family, params, sites, seed."""
+    """Serializable model description: family, params, sites, seed.  `seed`
+    draws `random`'s terms (0 if null); the other families take none."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -337,11 +314,24 @@ class ModelSpec:
     seed: int | None = None
 
     def build(self) -> Interaction:
-        params = dict(self.params)
-        params["sites"] = self.sites
-        if self.seed is not None:
-            params["seed"] = self.seed
-        return builtin_models(self.family, params)
+        """The described model; a description it cannot build is a ConfigError."""
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
+            raise ConfigError(f"unknown model family {self.family!r}; known: {sorted(_FAMILIES)}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"model 'params' must be an object, got {self.params!r}")
+        if type(self.sites) is not int or self.sites < 1:
+            raise ConfigError(f"model 'sites' must be an integer >= 1, got {self.sites!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ConfigError(f"model 'seed' must be an integer or null, got {self.seed!r}")
+        params, seed = dict(self.params), {}
+        if self.family == "random":  # the one seeded family; its 'range' is range_ in Python
+            seed["seed"] = 0 if self.seed is None else self.seed
+            if "range" in params:
+                params["range_"] = params.pop("range")
+        try:
+            return _FAMILIES[self.family](tuple(range(self.sites)), **params, **seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad params for family {self.family!r}: {exc}") from exc
 
     def canonical_json(self) -> str:
         payload = {
@@ -354,12 +344,12 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelSpec":
-        try:
-            return cls(
-                family=data["family"],
-                params=dict(data.get("params", {})),
-                sites=data.get("sites", 4),
-                seed=data.get("seed"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"model description missing field {exc}") from exc
+        """A config's 'model' object, its keys checked; `build` checks their values."""
+        if not isinstance(data, dict):
+            raise ConfigError("'model' must be an object")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown model key(s): {', '.join(map(repr, unknown))}")
+        if "family" not in data:
+            raise ConfigError("model description missing field 'family'")
+        return cls(**data)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FloatRangeError, GeometryError
+from .expansionals import TELESCOPE_S
 from .gibbs import Chain
 from .linalg import (
     LocalOperator,
@@ -31,9 +32,6 @@ VERDICT_SEPARABLE = "SeparableByConstruction"
 VERDICT_UNDETERMINED = "Undetermined"
 
 RECONSTRUCTION_TOL = 1e-9
-# conjugating rho_AC by e^{sH_AC} telescopes into a core term plus tails at
-# s = 1/2 only, so the whole certification pipeline works there
-TELESCOPE_S = 0.5
 
 
 # ---------------------------------------------------------------------------

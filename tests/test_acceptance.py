@@ -156,7 +156,7 @@ def test_acceptance_4_tail_factorial_bound(capfd):
         n = len(ia.sites)
         regions = RegionsABC.from_sizes(2, n - 4, 2)
         kmax = 2
-        g_emp = covering_bound(ia, regions, 0.5)
+        g_emp = covering_bound(ia, regions)
         for k in range(kmax + 2):
             t = tail_term(ia, regions, k)
             if k >= kmax:

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import math
 from dataclasses import replace
@@ -82,6 +81,7 @@ def test_unknown_config_keys_exit_2(tmp_path, payload):
         {"seed": True},
         {"model": TFI_MODEL, "geometry": {"a": [True], "b": [2], "c": [1]}},
         {"model": TFI_MODEL, "size_grid": [[True, 1]]},
+        {"model": {"family": "random", "sites": 4, "seed": True}},
     ],
 )
 def test_bool_is_not_an_integer(tmp_path, payload):
@@ -220,6 +220,11 @@ def test_check_config_accepts_the_smallest_corpus(tmp_path):
         {"family": "zero", "sites": 4, "params": {"coupling": 1.0}},
         {"family": "random", "sites": 4, "params": {"local_dim": 1}},
         {"family": "tfi", "sites": [0, 1, 2]},  # 'sites' is a count, not a list
+        {"family": ["tfi"], "sites": 4},
+        {"family": "tfi", "sites": 4, "params": 5},
+        {"family": "tfi", "sites": 4, "params": "ab"},
+        {"family": "tfi", "sites": 4, "params": None},
+        {"family": "tfi", "sites": -2},
     ],
 )
 def test_check_config_builds_the_model(tmp_path, model):
@@ -227,6 +232,22 @@ def test_check_config_builds_the_model(tmp_path, model):
     assert main(["check-config", "--config", path]) == 2
     assert main(["estimate-g", "--config", path, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "estimate_g.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"a": 1, "b": [3], "c": [1]},  # a size, not a list of sizes
+        {"a": [1], "b": [], "c": [1]},
+        {"a": [1], "b": [0], "c": [1]},
+        {"a": [1], "b": [3]},
+    ],
+)
+def test_check_config_rejects_bad_geometry(tmp_path, geometry):
+    path = _write(tmp_path, "c.json", {"model": TFI_MODEL, "geometry": geometry})
+    assert main(["check-config", "--config", path]) == 2
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "certify_summary.csv").exists()
 
 
 def test_validate_rejects_oversized_geometry(tmp_path):
@@ -311,9 +332,8 @@ def test_exit_code_resource_error(tmp_path):
 def test_config_is_validated_once(tmp_path, monkeypatch):
     """load_config applies the overrides, then validates once (building the
     model once); the one grid point builds it again."""
-    model = importlib.import_module("chainsep.model")
-    build, calls = model.builtin_models, []
-    monkeypatch.setattr(model, "builtin_models", lambda *a: calls.append(a) or build(*a))
+    build, calls = ModelSpec.build, []
+    monkeypatch.setattr(ModelSpec, "build", lambda spec: calls.append(spec) or build(spec))
     geometry = {"a": [1], "b": [5], "c": [1]}
     path = _write(tmp_path, "c.json", {"model": TFI_MODEL, "geometry": geometry})
     assert main(["certify", "--config", path, "--out", str(tmp_path), "--seed", "3"]) == 0
@@ -445,6 +465,23 @@ def test_certify_suffix_gate(tmp_path):
     assert [set(c) for c in report["per_k"]] == [
         {"k", "tail_norm", "identity_budget", "ball_margin"}
     ]
+
+
+def test_certify_gate_fails_a_scan_whose_certified_points_are_no_suffix(tmp_path, monkeypatch):
+    """Certified at |B| = 3 and 5 but not 4: the largest gap certifies, yet the
+    scan is no suffix, so certify exits 1."""
+    verdicts = {3: "SeparableByConstruction", 4: "Undetermined", 5: "SeparableByConstruction"}
+    certify = cli.certify_marginal
+
+    def stub(chain, regions):
+        return replace(certify(chain, regions), verdict=verdicts[len(regions.b)])
+
+    monkeypatch.setattr(cli, "certify_marginal", stub)
+    geometry = {"a": [1], "b": [3, 4, 5], "c": [1]}
+    path = _write(tmp_path, "c.json", {"model": TFI_MODEL, "geometry": geometry})
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "certify_summary.csv").read_text().splitlines()[-3:]
+    assert [r.split(",")[4] for r in rows] == [verdicts[3], verdicts[4], verdicts[5]]
 
 
 def test_estimate_g_output(tmp_path):

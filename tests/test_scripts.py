@@ -33,6 +33,12 @@ def test_sudden_death_scan():
     rows = [l for l in proc.stdout.splitlines() if l.startswith("|B|=")]
     assert len(rows) == 3
     assert "negativity stays below" in proc.stdout.splitlines()[-1]
+    # with --certify, tfi 1|B|1 certifies from |B| = 5 on
+    proc = _run("sudden_death_scan.py", "--max-gap", "6", "--certify")
+    assert proc.returncode == 0, proc.stderr
+    rows = [l for l in proc.stdout.splitlines() if l.startswith("|B|=")]
+    verdicts = [r.split()[-1] for r in rows]
+    assert verdicts == ["Undetermined"] * 4 + ["SeparableByConstruction"] * 2
 
 
 def test_certification_report():

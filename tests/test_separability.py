@@ -154,7 +154,7 @@ def test_tail_norms_below_factorial_budget():
     regions = RegionsABC.from_sizes(2, 4, 2)
     from chainsep import covering_bound
 
-    g_emp = covering_bound(ia, regions, 0.5)
+    g_emp = covering_bound(ia, regions)
     for k in range(3):  # k = 2 = max(|A|, |C|) is 0
         t = tail_term(ia, regions, k)
         assert t.norm <= tail_norm_bound(g_emp, k, ia.interaction_range) + 1e-12
