@@ -31,7 +31,6 @@ from .linalg import LocalOperator
 from .model import ModelSpec, RegionsABC
 from .separability import (
     VERDICT_SEPARABLE,
-    TailCheck,
     _ac_negativity,
     certify_marginal,
     ppt_is_exact,
@@ -77,10 +76,9 @@ def _write_csv(path: Path, header_meta: dict, columns, rows):
 
 @functools.cache
 def _openblas():
-    """(get, set) for the thread count of the OpenBLAS numpy loaded, or None."""
-    maps = Path("/proc/self/maps")  # lists the mapped libraries, where there is a /proc
-    paths = [ln.split()[-1] for ln in maps.read_text().splitlines()] if maps.exists() else []
-    dll = next((ctypes.CDLL(p) for p in paths if "openblas" in Path(p).name.lower()), None)
+    """(get, set) for the thread count of the OpenBLAS numpy uses, or None."""
+    # dlsym on numpy's linalg extension searches the BLAS it links, whatever else is loaded
+    dll = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     for p, s in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
         get, put = (getattr(dll, f"{p}_{op}_num_threads{s}", None) for op in ("get", "set"))
         if get is not None and put is not None:
@@ -375,13 +373,11 @@ def cmd_certify(cfg: dict, out: Path) -> int:
     grid, dim = _geometry_grid(cfg)
     results = _run_items(run_point, grid, cfg["jobs"], dim)
     rows = []
-    margins_rows = []
     for (na, nb, nc), rho_cols, rep in results:
         if rep is None:
             rows.append((na, nb, nc, -1, "SkippedSmallB", float("nan"), *rho_cols))
             continue
         rows.append((na, nb, nc, rep.k0, rep.verdict, rep.reconstruction_rel_err, *rho_cols))
-        margins_rows += [(na, nb, nc, rep.k0, *astuple(c)) for c in rep.per_k]
         # the report's own fields; `core` holds region-sized matrices, so it
         # stays out (and `asdict(rep)` would deep-copy it)
         payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "core"}
@@ -395,13 +391,6 @@ def cmd_certify(cfg: dict, out: Path) -> int:
          "min_pt_eig", "mutual_information", "factorization_op_norm", "ppt_exact"],
         rows,
     )
-    if margins_rows:
-        _write_csv(
-            out / "certify_margins.csv",
-            _meta(cfg),
-            ["n_a", "n_b", "n_c", "k0", *(f.name for f in fields(TailCheck))],
-            margins_rows,
-        )
 
     # exit 0 iff, per (|A|,|C|) group, the certified points form a nonempty
     # suffix of the |B| scan: sorted by |B|, certified never turns back to not

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chainsep import (Chain, ModelSpec, RegionsABC, cli, factorization_error,
@@ -383,6 +387,18 @@ def test_certify_summary_outputs(tmp_path):
         assert float(row["negativity"]) <= 1e-12
 
 
+def test_certify_writes_the_summary_and_one_json_per_point(tmp_path):
+    # 1|5|2 certifies at k0 = 1 with a tail at k = 1, so its JSON has a per_k entry
+    model = {"family": "classical_ising", "params": {"field": 0.5}, "sites": 8, "seed": 0}
+    path = _write(tmp_path, "c.json", {"model": model,
+                                       "geometry": {"a": [1], "b": [4, 5], "c": [2]}})
+    out = tmp_path / "out"
+    assert main(["certify", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "certify_a1_b5_c2.json").read_text())["per_k"]
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["certify_a1_b4_c2.json", "certify_a1_b5_c2.json", "certify_summary.csv"]
+
+
 def test_scan_decay_outputs(tmp_path):
     path = _write(
         tmp_path,
@@ -552,12 +568,18 @@ def test_checked_in_config_byte_identical_across_jobs(tmp_path, command, config)
         assert (out["1"] / name).read_bytes() == (out["2"] / name).read_bytes(), name
 
 
+def _numpy_links_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower()
+
+
 @pytest.fixture
 def blas_threads():
     """The OpenBLAS thread-count getter, with the caller's count set to 2."""
+    if not _numpy_links_openblas():
+        pytest.skip("numpy links no OpenBLAS")
     blas = cli._openblas()
-    if blas is None:
-        pytest.skip("no OpenBLAS library is mapped")
+    assert blas is not None, "numpy links OpenBLAS, but _openblas() did not find it"
     get, put = blas
     before = get()
     put(2)
@@ -567,6 +589,29 @@ def blas_threads():
         yield get
     finally:
         put(before)
+
+
+def test_openblas_is_numpys_with_another_openblas_loaded_first():
+    """scipy's wheels bring an OpenBLAS of their own; imported first, it is
+    mapped before numpy's, and setting its thread count would not pin numpy's."""
+    pytest.importorskip("scipy")
+    if not _numpy_links_openblas():
+        pytest.skip("numpy links no OpenBLAS")
+    code = (
+        "import scipy.linalg\n"
+        "from chainsep import cli\n"
+        "blas = cli._openblas()\n"
+        "assert blas is not None, 'no OpenBLAS found'\n"
+        "get, put = blas\n"
+        "put(1)\n"
+        "assert get() == 1, get()\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
